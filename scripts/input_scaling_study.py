@@ -31,7 +31,7 @@ from cyclecast.regression import (
     fit_least_squares,
     predict,
 )
-from cyclecast.scaling import fit_scaling, scale_prediction
+from cyclecast.scaling import CostModel
 from cyclecast.synth import DEFAULT_GRID
 
 GIB = 2**30
@@ -103,17 +103,11 @@ def main(argv=None) -> int:
 
     ref_profiles = [p for p in profiles if p.config.input_bytes == ref_bytes]
     matrix, targets = build_design_matrix(ref_profiles)
-    surface_model = fit_least_squares(matrix, targets)
-
-    by_size: dict[int, list[float]] = {}
-    for profile in profiles:
-        by_size.setdefault(profile.config.input_bytes, []).append(profile.mean_cycles)
-    points = [(size, float(np.mean(v))) for size, v in sorted(by_size.items())]
-    size_line = fit_scaling(points, ref_bytes=ref_bytes)
+    model = CostModel(fit_least_squares(matrix, targets)).with_size_line(profiles)
     print(
-        f"# surface condition {surface_model.condition_estimate:.2e}, "
-        f"size line slope {size_line.slope:.4e} cycles/byte "
-        f"intercept {size_line.intercept:.4e}",
+        f"# surface condition {model.surface.condition_estimate:.2e}, "
+        f"size line slope {model.scaling.slope:.4e} cycles/byte "
+        f"intercept {model.scaling.intercept:.4e}",
         file=sys.stderr,
     )
 
@@ -125,8 +119,7 @@ def main(argv=None) -> int:
             for reducers in DEFAULT_GRID:
                 config = JobConfig(mappers, reducers, target_bytes)
                 actual.append(true_cycles(config, ref_bytes))
-                base = predict(surface_model, JobConfig(mappers, reducers, ref_bytes))
-                predicted.append(scale_prediction(base, size_line, target_bytes))
+                predicted.append(model.predict(mappers, reducers, target_bytes))
         print(
             f"{gib:>4d} {mape(actual, predicted):>14.4%} "
             f"{pred25(actual, predicted):>7.2f}"

@@ -46,6 +46,7 @@ from .regression import (
     DesignMatrix,
     IllConditionedError,
     MixedApplicationsError,
+    MixedInputSizesError,
     ModelCoefficients,
     RankDeficientError,
     SingularNormalMatrixError,
@@ -54,10 +55,10 @@ from .regression import (
     design_row,
     fit_least_squares,
     predict,
-    residual_norm,
     solve_normal_equations,
 )
 from .scaling import (
+    CostModel,
     DegenerateInputError,
     NonPositiveReferenceError,
     ScalingModel,
@@ -80,6 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterSpec",
     "CorruptRecordError",
+    "CostModel",
     "CpuSample",
     "CyclecastError",
     "DegenerateInputError",
@@ -95,6 +97,7 @@ __all__ = [
     "Machine",
     "MachineTrace",
     "MixedApplicationsError",
+    "MixedInputSizesError",
     "ModelCoefficients",
     "NegativePredictionWarning",
     "NonPositiveReferenceError",
@@ -127,7 +130,6 @@ __all__ = [
     "predict",
     "r2_paper",
     "r2_standard",
-    "residual_norm",
     "rmse",
     "save_model",
     "scale_prediction",

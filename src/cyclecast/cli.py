@@ -8,8 +8,11 @@ Conventions
   deficiency, unknown machines, ...).
 * Diagnostics and progress go to stderr.  Data goes to stdout or to files
   named by flags; no subcommand touches a file its flags do not name.
+* Library warnings go to stderr as "warning: <message>", at most one
+  line per warning category per command.
 * simulate's --seed falls back to the CYCLECAST_SEED environment
-  variable, then to 0, so batch jobs can pin determinism externally.
+  variable (checked like the flag), then to 0, so batch jobs can pin
+  determinism externally.
 """
 
 from __future__ import annotations
@@ -19,18 +22,14 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .core import CyclecastError, JobConfig, JobRun, aggregate_repetitions, total_cpu_cycles
 from .ingest import parse_cluster_spec, parse_trace_csv, write_trace_csv
 from .metrics import evaluate
-from .regression import (
-    RankDeficientError,
-    build_design_matrix,
-    fit_least_squares,
-    predict,
-)
-from .scaling import DegenerateInputError, fit_scaling, scale_prediction
+from .regression import build_design_matrix, fit_least_squares
+from .scaling import CostModel, DegenerateInputError
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, generate_trace
 
@@ -123,24 +122,6 @@ def _fmt_opt(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-def _predict_at(model, scaling, mappers: int, reducers: int, input_bytes: int | None) -> float:
-    """Surface prediction, size-scaled when a target size and a line exist."""
-    base_bytes = model.ref_input_bytes
-    config_bytes = input_bytes if input_bytes is not None else (base_bytes or 1)
-    value = predict(model, JobConfig(mappers=mappers, reducers=reducers, input_bytes=config_bytes))
-    if input_bytes is None:
-        return value
-    if scaling is not None and input_bytes != scaling.ref_bytes:
-        return scale_prediction(value, scaling, input_bytes)
-    if scaling is None and base_bytes is not None and input_bytes != base_bytes:
-        print(
-            f"warning: model has no scaling section; predicting as if at the "
-            f"reference size {base_bytes} bytes",
-            file=sys.stderr,
-        )
-    return value
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     with open(args.traces, "r", encoding="utf-8", newline="") as handle:
         traces, warnings_found = parse_trace_csv(handle, gap_threshold=args.gap_threshold)
@@ -174,15 +155,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     runs = load_runs(args.runs, app=args.app)
     profiles = aggregate_repetitions(runs)
-    distinct = {(p.config.mappers, p.config.reducers) for p in profiles}
-    if len(distinct) < args.min_k:
-        raise RankDeficientError(
-            f"only {len(distinct)} distinct (mappers, reducers) configurations "
-            f"for app {args.app!r}, need >= {args.min_k}"
-        )
     matrix, targets = build_design_matrix(profiles)
     model = fit_least_squares(matrix, targets)
-    save_model(args.out, model)
+    save_model(args.out, CostModel(model))
     print(
         f"fitted {args.app!r} over {len(profiles)} profiles "
         f"({sum(p.repetitions for p in profiles)} runs): "
@@ -194,14 +169,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model, scaling = load_model(args.model)
-    value = _predict_at(model, scaling, args.mappers, args.reducers, args.input_bytes)
+    value = load_model(args.model).predict(args.mappers, args.reducers, args.input_bytes)
     print(repr(value))
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    model, scaling = load_model(args.model)
+    model = load_model(args.model)
     runs = load_runs(args.runs, app=args.app)
     if args.holdout_list is not None:
         keep = _read_holdout_list(args.holdout_list)
@@ -212,9 +186,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     actual = [r.total_cycles for r in runs]
     predicted = [
-        _predict_at(model, scaling, r.config.mappers, r.config.reducers,
-                    r.config.input_bytes if model.ref_input_bytes != r.config.input_bytes else None)
-        for r in runs
+        model.predict(r.config.mappers, r.config.reducers, r.config.input_bytes) for r in runs
     ]
     report = evaluate(actual, predicted)
     print(json.dumps(report.to_json_dict()))
@@ -229,42 +201,26 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale_fit(args: argparse.Namespace) -> int:
-    model, _ = load_model(args.model)
-    if model.ref_input_bytes is None:
-        raise DegenerateInputError(
-            "model has no reference input size; refit it from runs that share one"
-        )
-    runs = load_runs(args.runs, app=args.app)
-    profiles = aggregate_repetitions(runs)
-    by_size: dict[int, list[float]] = {}
-    for profile in profiles:
-        by_size.setdefault(profile.config.input_bytes, []).append(profile.mean_cycles)
-    points = [
-        (size, sum(values) / len(values)) for size, values in sorted(by_size.items())
-    ]
-    scaling = fit_scaling(points, ref_bytes=model.ref_input_bytes)
-    save_model(args.model, model, scaling)
+    profiles = aggregate_repetitions(load_runs(args.runs, app=args.app))
+    model = load_model(args.model).with_size_line(profiles)
+    save_model(args.model, model)
     print(
-        f"fitted size line over {len(points)} sizes: "
-        f"slope={scaling.slope!r} cycles/byte intercept={scaling.intercept!r} "
-        f"ref_bytes={scaling.ref_bytes} -> {args.model}",
+        f"fitted size line over {len({p.config.input_bytes for p in profiles})} sizes: "
+        f"slope={model.scaling.slope!r} cycles/byte intercept={model.scaling.intercept!r} "
+        f"ref_bytes={model.scaling.ref_bytes} -> {args.model}",
         file=sys.stderr,
     )
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    truth, _ = load_model(args.truth)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     spec = SynthSpec(
-        truth=truth,
+        truth=load_model(args.truth).surface,
         grid_mappers=args.grid,
         grid_reducers=args.grid,
         repetitions=args.reps,
         noise_rel_sigma=args.noise,
-        seed=seed,
+        seed=args.seed,
         app=args.app,
         input_bytes=args.input_bytes,
     )
@@ -276,14 +232,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
         for run in runs:
-            traces = generate_trace(run, cluster, seed)
+            traces = generate_trace(run, cluster, args.seed)
             with open(out_dir / f"{run.run_id}.csv", "w", encoding="utf-8", newline="") as handle:
                 write_trace_csv(traces, handle)
         print(f"emitted {len(runs)} trace file(s) to {out_dir}", file=sys.stderr)
     print(
         f"simulated {len(runs)} runs of {spec.app!r} "
         f"(grid {len(spec.grid_mappers)}x{len(spec.grid_reducers)}, "
-        f"{spec.repetitions} rep(s), sigma={spec.noise_rel_sigma}, seed={seed}) "
+        f"{spec.repetitions} rep(s), sigma={spec.noise_rel_sigma}, seed={args.seed}) "
         f"-> {args.out}",
         file=sys.stderr,
     )
@@ -291,20 +247,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    model, _ = load_model(args.model)
+    model = load_model(args.model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     surface_path = out_dir / "surface.tsv"
-    input_bytes = model.ref_input_bytes or 1
     with open(surface_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("mappers\treducers\tpredicted_cycles\n")
         for mappers in args.grid:
             for reducers in args.grid:
-                value = predict(
-                    model,
-                    JobConfig(mappers=mappers, reducers=reducers, input_bytes=input_bytes),
-                )
-                handle.write(f"{mappers}\t{reducers}\t{value!r}\n")
+                handle.write(f"{mappers}\t{reducers}\t{model.predict(mappers, reducers)!r}\n")
     print(
         f"wrote {len(args.grid) * len(args.grid)} predictions to {surface_path}",
         file=sys.stderr,
@@ -340,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True, help="run store to read")
     p.add_argument("--app", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument(
-        "--min-k",
-        type=_positive_int,
-        default=5,
-        help="minimum distinct (mappers, reducers) configurations (default 5)",
-    )
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict cycles at one configuration")
@@ -383,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=10)
     p.add_argument("--noise", type=_nonnegative_float, default=0.02,
                    help="relative noise sigma (default 0.02)")
-    p.add_argument("--seed", type=_uint64, default=None,
+    p.add_argument("--seed", type=_uint64, default=os.environ.get(SEED_ENV_VAR, "0"),
                    help=f"default: ${SEED_ENV_VAR}, then 0")
     p.add_argument("--out", required=True, help="run store to append to")
     p.add_argument("--app", default="synthetic")
@@ -414,14 +359,24 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
-    except CyclecastError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shown: set[type[Warning]] = set()
+
+    def show_warning(message, category, *_args, **_kwargs) -> None:
+        if category not in shown:
+            shown.add(category)
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except CyclecastError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

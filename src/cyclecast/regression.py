@@ -47,6 +47,10 @@ class MixedApplicationsError(CyclecastError):
     """Profiles from different applications cannot share one fit."""
 
 
+class MixedInputSizesError(CyclecastError):
+    """Profiles of different input sizes cannot share one surface."""
+
+
 class RankDeficientError(CyclecastError):
     """The design matrix does not determine all five coefficients."""
 
@@ -114,8 +118,8 @@ class TargetVector:
 class ModelCoefficients:
     """A fitted quadratic surface plus fit diagnostics.
 
-    ref_input_bytes is the input size the training profiles shared, or None
-    when they disagreed; predictions at other sizes need a scaling model.
+    ref_input_bytes is the input size the training profiles shared;
+    predictions at other sizes need a scaling model.
     """
 
     a: tuple[float, float, float, float, float]
@@ -164,17 +168,20 @@ def build_design_matrix(
     return matrix, targets
 
 
-def _shared_input_bytes(configs: Sequence[JobConfig]) -> int | None:
+def _shared_input_bytes(configs: Sequence[JobConfig]) -> int:
     sizes = {c.input_bytes for c in configs}
-    return sizes.pop() if len(sizes) == 1 else None
+    if len(sizes) > 1:
+        raise MixedInputSizesError(f"profiles span input sizes {sorted(sizes)}")
+    return sizes.pop()
 
 
 def fit_least_squares(matrix: DesignMatrix, targets: TargetVector) -> ModelCoefficients:
     """Fit the surface by column-scaled SVD least squares.
 
     Raises RankDeficientError when fewer than five distinct (M, R) points
-    are present or the scaled matrix is numerically rank deficient, and
-    IllConditionedError when the condition estimate exceeds CONDITION_LIMIT.
+    are present or the scaled matrix is numerically rank deficient,
+    IllConditionedError when the condition estimate exceeds CONDITION_LIMIT,
+    and MixedInputSizesError when the rows span several input sizes.
     """
     rows = matrix.rows
     y = targets.values
@@ -266,14 +273,3 @@ def predict(model: ModelCoefficients, config: JobConfig) -> float:
         )
         return 0.0
     return value
-
-
-def residual_norm(
-    model: ModelCoefficients, matrix: DesignMatrix, targets: TargetVector
-) -> float:
-    """Euclidean norm of (H a - y): the unnormalized training error."""
-    if matrix.rows.shape[0] != targets.values.shape[0]:
-        raise ShapeMismatchError(
-            f"{matrix.rows.shape[0]} design rows but {targets.values.shape[0]} targets"
-        )
-    return float(np.linalg.norm(matrix.rows @ np.asarray(model.a) - targets.values))

@@ -10,6 +10,9 @@ carried to a target size multiplicatively:
 The ratio form means scaling to the reference size itself is exactly the
 identity, and chaining scalings agrees with scaling directly up to
 rounding.
+
+CostModel pairs a surface with its optional size line and decides how
+every prediction is sized.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CyclecastError, NegativePredictionWarning
+from .core import CyclecastError, JobConfig, JobProfile, NegativePredictionWarning
+from .regression import ModelCoefficients, predict
 
 
 class DegenerateInputError(CyclecastError):
@@ -67,8 +71,6 @@ def fit_scaling(
     Solved by least squares on a column-scaled design so byte counts in the
     gigabytes do not wreck conditioning.  Needs at least two distinct sizes.
     """
-    if ref_bytes < 1:
-        raise ValueError(f"ref_bytes must be >= 1, got {ref_bytes}")
     sizes = np.array([float(b) for b, _ in points])
     cycles = np.array([float(c) for _, c in points])
     if len({b for b, _ in points}) < 2:
@@ -102,17 +104,12 @@ def scale_prediction(
         raise ValueError(f"base_cycles must be finite and >= 0, got {base_cycles}")
     if target_bytes < 1:
         raise ValueError(f"target_bytes must be >= 1, got {target_bytes}")
-    reference = model.line(model.ref_bytes)
-    if reference <= 0:
-        raise NonPositiveReferenceError(
-            f"line evaluates to {reference:.6g} cycles at ref_bytes={model.ref_bytes}"
-        )
     if model.intercept == 0.0:
         # Slope cancels from the ratio when the line passes through the
         # origin; folding it out keeps the pure-proportional case exact.
         factor = target_bytes / model.ref_bytes
     else:
-        factor = model.line(target_bytes) / reference
+        factor = model.line(target_bytes) / model.line(model.ref_bytes)
     scaled = base_cycles * factor
     if scaled < 0:
         warnings.warn(
@@ -122,3 +119,55 @@ def scale_prediction(
         )
         return 0.0
     return scaled
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """A fitted surface plus the optional line that carries it across sizes.
+
+    Validated once, here: the surface must record the input size it was
+    trained at, and a size line must be anchored at that same size.
+    """
+
+    surface: ModelCoefficients
+    scaling: ScalingModel | None = None
+
+    def __post_init__(self) -> None:
+        ref = self.surface.ref_input_bytes
+        if ref is None:
+            raise ValueError("surface records no reference input size")
+        if self.scaling is not None and self.scaling.ref_bytes != ref:
+            raise ValueError(f"size line is anchored at {self.scaling.ref_bytes} bytes, not {ref}")
+
+    def predict(self, mappers: int, reducers: int, input_bytes: int | None = None) -> float:
+        """Cycles at (mappers, reducers), carried to input_bytes if given.
+
+        None or the reference size gives the surface itself.  Another size
+        is scaled along the size line; without one, the surface is returned
+        unscaled with a UserWarning.
+        """
+        ref = self.surface.ref_input_bytes
+        config = JobConfig(mappers, reducers, ref if input_bytes is None else input_bytes)
+        value = predict(self.surface, config)
+        if input_bytes is None or input_bytes == ref:
+            return value
+        if self.scaling is None:
+            warnings.warn(
+                f"model has no scaling section; predicting as if at the "
+                f"reference size {ref} bytes",
+                stacklevel=2,
+            )
+            return value
+        return scale_prediction(value, self.scaling, input_bytes)
+
+    def with_size_line(self, profiles: Sequence[JobProfile]) -> CostModel:
+        """This surface with a size line fitted through per-size mean cycles.
+
+        A size's point is the fsum mean of its profiles' mean cycles; the
+        line is anchored at the surface's reference size.
+        """
+        by_size: dict[int, list[float]] = {}
+        for profile in profiles:
+            by_size.setdefault(profile.config.input_bytes, []).append(profile.mean_cycles)
+        points = [(size, math.fsum(v) / len(v)) for size, v in sorted(by_size.items())]
+        return CostModel(self.surface, fit_scaling(points, ref_bytes=self.surface.ref_input_bytes))

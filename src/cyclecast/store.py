@@ -20,7 +20,8 @@ One JSON document:
      "condition": ..., "residual": ..., "ref_input_bytes": ...}
 
 plus an optional "scaling" section {"slope": ..., "intercept": ...,
-"ref_bytes": ...} added once an input-size line has been fitted.
+"ref_bytes": ...} added once an input-size line has been fitted.  The
+scaling section's ref_bytes must equal the integer ref_input_bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any
 
 from .core import CyclecastError, JobConfig, JobRun
 from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
-from .scaling import NonPositiveReferenceError, ScalingModel
+from .scaling import CostModel, NonPositiveReferenceError, ScalingModel
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -140,19 +141,16 @@ def load_runs(path: str | Path, app: str | None = None) -> list[JobRun]:
     return runs
 
 
-def save_model(
-    path: str | Path,
-    model: ModelCoefficients,
-    scaling: ScalingModel | None = None,
-) -> None:
+def save_model(path: str | Path, model: CostModel) -> None:
     """Write a model document, replacing any existing file at path."""
+    surface, scaling = model.surface, model.scaling
     doc: dict[str, Any] = {
-        "basis": model.basis_tag,
-        "app": model.app,
-        "a": list(model.a),
-        "condition": model.condition_estimate,
-        "residual": model.training_residual,
-        "ref_input_bytes": model.ref_input_bytes,
+        "basis": surface.basis_tag,
+        "app": surface.app,
+        "a": list(surface.a),
+        "condition": surface.condition_estimate,
+        "residual": surface.training_residual,
+        "ref_input_bytes": surface.ref_input_bytes,
     }
     if scaling is not None:
         doc["scaling"] = {
@@ -166,7 +164,7 @@ def save_model(
         raise IoFailureError(f"cannot write {path}: {exc}") from None
 
 
-def load_model(path: str | Path) -> tuple[ModelCoefficients, ScalingModel | None]:
+def load_model(path: str | Path) -> CostModel:
     """Read a model document back; floats are bit-identical to what was saved."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -197,12 +195,10 @@ def load_model(path: str | Path) -> tuple[ModelCoefficients, ScalingModel | None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CorruptRecordError(f"key {name!r} must be a number")
     ref_input_bytes = doc.get("ref_input_bytes")
-    if ref_input_bytes is not None and (
-        isinstance(ref_input_bytes, bool) or not isinstance(ref_input_bytes, int)
-    ):
-        raise CorruptRecordError("key 'ref_input_bytes' must be an integer or null")
+    if isinstance(ref_input_bytes, bool) or not isinstance(ref_input_bytes, int):
+        raise CorruptRecordError("key 'ref_input_bytes' must be an integer")
     try:
-        model = ModelCoefficients(
+        surface = ModelCoefficients(
             a=tuple(float(v) for v in coeffs),
             condition_estimate=float(condition),
             training_residual=float(residual),
@@ -212,24 +208,24 @@ def load_model(path: str | Path) -> tuple[ModelCoefficients, ScalingModel | None
     except ValueError as exc:
         raise CorruptRecordError(str(exc)) from None
 
-    scaling: ScalingModel | None = None
     section = doc.get("scaling")
-    if section is not None:
-        if not isinstance(section, dict):
-            raise CorruptRecordError("key 'scaling' must be an object")
-        for key in ("slope", "intercept"):
-            value = section.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CorruptRecordError(f"scaling key {key!r} must be a number")
-        ref = section.get("ref_bytes")
-        if isinstance(ref, bool) or not isinstance(ref, int):
-            raise CorruptRecordError("scaling key 'ref_bytes' must be an integer")
-        try:
-            scaling = ScalingModel(
-                slope=float(section["slope"]),
-                intercept=float(section["intercept"]),
-                ref_bytes=int(section["ref_bytes"]),
-            )
-        except (ValueError, NonPositiveReferenceError) as exc:
-            raise CorruptRecordError(f"invalid scaling section: {exc}") from None
-    return model, scaling
+    if section is None:
+        return CostModel(surface)
+    if not isinstance(section, dict):
+        raise CorruptRecordError("key 'scaling' must be an object")
+    for key in ("slope", "intercept"):
+        value = section.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CorruptRecordError(f"scaling key {key!r} must be a number")
+    ref = section.get("ref_bytes")
+    if isinstance(ref, bool) or not isinstance(ref, int):
+        raise CorruptRecordError("scaling key 'ref_bytes' must be an integer")
+    try:
+        scaling = ScalingModel(
+            slope=float(section["slope"]),
+            intercept=float(section["intercept"]),
+            ref_bytes=int(section["ref_bytes"]),
+        )
+        return CostModel(surface, scaling)
+    except (ValueError, NonPositiveReferenceError) as exc:
+        raise CorruptRecordError(f"invalid scaling section: {exc}") from None

@@ -32,7 +32,7 @@ from cyclecast.regression import (
     predict,
     solve_normal_equations,
 )
-from cyclecast.scaling import ScalingModel, fit_scaling, scale_prediction
+from cyclecast.scaling import CostModel, ScalingModel, fit_scaling, scale_prediction
 from cyclecast.store import save_model
 from cyclecast.synth import SynthSpec, generate_profiles
 
@@ -303,7 +303,7 @@ def test_06_size_scaling_recovery_and_transitivity(capsys):
 def _run_cli_pipeline(root, capsys):
     root.mkdir()
     truth_path = root / "truth.json"
-    save_model(truth_path, TRUTH_MODEL)
+    save_model(truth_path, CostModel(TRUTH_MODEL))
     runs_path = root / "runs.jsonl"
     model_path = root / "model.json"
     codes = [

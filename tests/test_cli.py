@@ -5,6 +5,7 @@ import pytest
 from cyclecast.cli import main
 from cyclecast.core import JobConfig
 from cyclecast.regression import ModelCoefficients, predict
+from cyclecast.scaling import CostModel
 from cyclecast.store import load_model, load_runs, save_model
 
 TRUTH = ModelCoefficients(
@@ -28,7 +29,7 @@ CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
 @pytest.fixture
 def truth_file(tmp_path):
     path = tmp_path / "truth.json"
-    save_model(path, TRUTH)
+    save_model(path, CostModel(TRUTH))
     return path
 
 
@@ -123,11 +124,11 @@ class TestPipeline:
             "fit", "--runs", str(tmp_path / "runs.jsonl"),
             "--app", "synthetic", "--out", str(model_path),
         ]) == 0
-        model, scaling = load_model(model_path)
-        assert scaling is None
-        for got, want in zip(model.a, TRUTH.a):
+        model = load_model(model_path)
+        assert model.scaling is None
+        for got, want in zip(model.surface.a, TRUTH.a):
             assert got == pytest.approx(want, rel=1e-8)
-        assert model.ref_input_bytes == 12 * 2**30
+        assert model.surface.ref_input_bytes == 12 * 2**30
         capsys.readouterr()
 
         assert main([
@@ -161,6 +162,13 @@ class TestPipeline:
         assert main(_simulate(tmp_path, out="env.jsonl", seed=None)) == 0
         assert main(_simulate(tmp_path, out="flag.jsonl", seed="7")) == 0
         assert (tmp_path / "env.jsonl").read_bytes() == (tmp_path / "flag.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", str(2**64)])
+    def test_bad_seed_env_is_usage(self, tmp_path, truth_file, monkeypatch, capsys, value):
+        monkeypatch.setenv("CYCLECAST_SEED", value)
+        assert main(_simulate(tmp_path, seed=None)) == 1
+        assert "usage error: argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "runs.jsonl").exists()
 
     def test_holdout_list_filters_evaluation(self, tmp_path, truth_file, capsys):
         main(_simulate(tmp_path))
@@ -250,7 +258,7 @@ class TestScaleFit:
             "scale-fit", "--runs", str(sized), "--app", "synthetic",
             "--model", str(model_path),
         ]) == 0
-        model, scaling = load_model(model_path)
+        scaling = load_model(model_path).scaling
         assert scaling is not None
         assert scaling.ref_bytes == 12 * 2**30
         capsys.readouterr()
@@ -270,8 +278,8 @@ class TestScaleFit:
         assert scaled == pytest.approx(2.0 * base, rel=1e-9)
 
     def test_scale_fit_needs_a_reference_size(self, tmp_path, truth_file, capsys):
-        # A surface fitted across mixed sizes records no reference, and
-        # scale-fit refuses to anchor a line to it.
+        # fit refuses runs of mixed sizes, so it never writes a surface
+        # without a reference; a hand-written one does not load.
         mixed = tmp_path / "mixed.jsonl"
         for gib in (6, 12):
             assert main([
@@ -281,17 +289,22 @@ class TestScaleFit:
                 "--input-bytes", str(gib * 2**30),
             ]) == 0
         model_path = tmp_path / "mixed-model.json"
+        capsys.readouterr()
         assert main([
             "fit", "--runs", str(mixed), "--app", "synthetic",
             "--out", str(model_path),
-        ]) == 0
-        model, _ = load_model(model_path)
-        assert model.ref_input_bytes is None
+        ]) == 2
+        assert "MixedInputSizesError" in capsys.readouterr().err
+        assert not model_path.exists()
+
+        doc = json.loads((tmp_path / "truth.json").read_text())
+        doc["ref_input_bytes"] = None
+        model_path.write_text(json.dumps(doc))
         assert main([
             "scale-fit", "--runs", str(mixed), "--app", "synthetic",
             "--model", str(model_path),
         ]) == 2
-        assert "DegenerateInput" in capsys.readouterr().err
+        assert "CorruptRecordError" in capsys.readouterr().err
 
     def test_sized_predict_without_scaling_warns(self, tmp_path, truth_file, capsys):
         assert main([
@@ -302,6 +315,19 @@ class TestScaleFit:
         captured = capsys.readouterr()
         assert "no scaling section" in captured.err
         assert float(captured.out) == pytest.approx(1.4368e12, rel=1e-12)
+
+    def test_unscaled_evaluate_warns_once(self, tmp_path, truth_file, capsys):
+        store = tmp_path / "runs-24.jsonl"
+        assert main(_simulate(tmp_path, out="runs-24.jsonl",
+                              extra=["--input-bytes", str(24 * 2**30)])) == 0
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--model", str(tmp_path / "truth.json"),
+            "--runs", str(store), "--app", "synthetic",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: model has no scaling section") == 1
+        assert err.count("warning:") == 1
 
 
 class TestExitCodes:
@@ -350,6 +376,35 @@ class TestExitCodes:
             "evaluate", "--model", str(model_path),
             "--runs", str(tmp_path / "runs.jsonl"), "--app", "absent",
         ]) == 2
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "report"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ref_input_bytes": 1000,
+             "scaling": {"slope": 1.0e9, "intercept": 0.0, "ref_bytes": 500}},
+            {"ref_input_bytes": None},
+        ],
+        ids=["scaling-elsewhere", "null-reference"],
+    )
+    def test_model_without_one_reference_size_is_data_error(
+        self, tmp_path, truth_file, capsys, command, change
+    ):
+        main(_simulate(tmp_path))
+        doc = json.loads(truth_file.read_text())
+        doc.update(change)
+        model_path = tmp_path / "bad-model.json"
+        model_path.write_text(json.dumps(doc))
+        argv = {
+            "predict": ["--mappers", "4", "--reducers", "8", "--input-bytes", "1000"],
+            "evaluate": ["--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic"],
+            "report": ["--grid", "4:8:4", "--out", str(tmp_path / "report")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--model", str(model_path)] + argv) == 2
+        captured = capsys.readouterr()
+        assert "CorruptRecordError" in captured.err
+        assert captured.out == ""
 
     def test_corrupt_store_is_data_error(self, tmp_path, truth_file, capsys):
         path = tmp_path / "runs.jsonl"

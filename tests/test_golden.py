@@ -1,0 +1,123 @@
+"""Golden SHA-256 digests of seeded CLI outputs, pinned across versions.
+
+test_07 in test_acceptance compares two runs of the same code.  The
+digests here were taken from an earlier version's output, so a change
+that alters any random draw, any fitted bit or any output format fails
+here even when it is self-consistent.
+
+Truth models are written as literal JSON, not through the store, so the
+inputs stay the same bytes whatever the library's API becomes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+
+import pytest
+
+from cyclecast.cli import main
+
+GIB = 2**30
+TRUTH_A = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
+# Per-size factors on the truth surface: the runs grow along a line in
+# input bytes that does not pass through the origin.
+SIZE_FACTORS = {6: 0.55, 12: 1.0, 18: 1.45, 24: 1.9}
+CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
+
+GOLDEN = {
+    "runs.jsonl": "9ed61835ba66c73695e22b969615809896683edb23d04906a36979af8f5c88a0",
+    "model.json": "b9d05d92f09d6df3229fdd765362d4780ff74beddb4b81544f8ae52de4c01fb4",
+    "predict.out": "4f26d44bbf49351c44adf302f9ff91b07772f8a692e3ecb42f2441d86fce6829",
+    "evaluate.out": "6ce88758ee767038149abd2a598fb020fa8430f9530361cf586aa0b9d53a79c6",
+    "sizes.jsonl": "295af4247f11cd52ce4c41b0fbd4a11ec27a708a8e467e77cd1c8eaffa34104f",
+    "scaled-model.json": "55d619985cb86014f63d9d238d047c5e7f76f5d9a3481ae5ea0c537f9d359998",
+    "predict-sized.out": "a89d93f350553bd68caf9a7b9a2d6f646daded4d138d0a8a5645769a712f6415",
+    "evaluate-sized.out": "1f13a5b4fcc704bc343d20d1ea6736856b3b1f0796a460102bdddbe7f997cd67",
+    "surface.tsv": "50fbc8cfd2170c743896c947e1ef9519d9a3ae0d6887ce7ddba20fe89bce1843",
+    "emitted.jsonl": "b2ca411e57f86a46c16ff008c1d881dd6fe2aa23c4b0ef5384362c8b53b0c93b",
+    "trace.csv": "ead48d89b6c9b8c6e77350c5c48dc9a12d2d1c05a1e3c509871fed6e8cd27794",
+}
+
+
+def _truth(path, gib, scaling=None):
+    doc = {
+        "basis": "quad-mr-v1",
+        "app": "synthetic",
+        "a": [v * SIZE_FACTORS[gib] for v in TRUTH_A],
+        "condition": 1.0,
+        "residual": 0.0,
+        "ref_input_bytes": gib * GIB,
+    }
+    if scaling is not None:
+        doc["scaling"] = scaling
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _run(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert code == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    truth = _truth(root / "truth.json", 12)
+    runs, model = root / "runs.jsonl", root / "model.json"
+    got = {}
+
+    # The acceptance-7 pipeline: noiseless grid, fit, predict, evaluate.
+    _run(["simulate", "--truth", truth, "--grid", "4:32:4", "--reps", "1",
+          "--noise", "0", "--seed", "7", "--out", runs])
+    _run(["fit", "--runs", runs, "--app", "synthetic", "--out", model])
+    got["predict.out"] = _run(["predict", "--model", model, "--mappers", "6", "--reducers", "10"])
+    got["evaluate.out"] = _run(["evaluate", "--model", model, "--runs", runs, "--app", "synthetic"])
+
+    # A noisy store over four sizes, fitted into a copy of the model.
+    sizes, scaled = root / "sizes.jsonl", root / "scaled-model.json"
+    for gib in SIZE_FACTORS:
+        _run(["simulate", "--truth", _truth(root / f"truth-{gib}.json", gib),
+              "--grid", "4:32:4", "--reps", "3", "--noise", "0.03", "--seed", str(100 + gib),
+              "--input-bytes", gib * GIB, "--out", sizes])
+    shutil.copyfile(model, scaled)
+    _run(["scale-fit", "--runs", sizes, "--app", "synthetic", "--model", scaled])
+    _run(["report", "--model", scaled, "--grid", "2:20:3", "--out", root / "report"])
+
+    # Sized predictions on a literal size line, so that these digests pin
+    # the sizing policy alone and not the bits of a fitted line.
+    line = {"slope": 150.0, "intercept": 5.0e11, "ref_bytes": 12 * GIB}
+    sized = _truth(root / "sized-model.json", 12, scaling=line)
+    got["predict-sized.out"] = _run(["predict", "--model", sized, "--mappers", "6",
+                                     "--reducers", "10", "--input-bytes", 20 * GIB])
+    got["evaluate-sized.out"] = _run(["evaluate", "--model", sized, "--runs", sizes,
+                                      "--app", "synthetic"])
+
+    # Fabricated traces for a small noisy grid.
+    cluster = root / "cluster.txt"
+    cluster.write_text(CLUSTER_TXT, encoding="utf-8")
+    emitted = root / "emitted.jsonl"
+    _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "1", "--noise", "0.02",
+          "--seed", "5", "--out", emitted, "--emit-traces", root / "traces",
+          "--cluster", cluster])
+
+    for name, path in (
+        ("runs.jsonl", runs),
+        ("model.json", model),
+        ("sizes.jsonl", sizes),
+        ("scaled-model.json", scaled),
+        ("surface.tsv", root / "report" / "surface.tsv"),
+        ("emitted.jsonl", emitted),
+        ("trace.csv", root / "traces" / "synthetic-m004-r008-rep00.csv"),
+    ):
+        got[name] = path.read_bytes()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(outputs, name):
+    assert outputs[name] == GOLDEN[name]

@@ -14,6 +14,7 @@ from cyclecast.regression import (
     DesignMatrix,
     IllConditionedError,
     MixedApplicationsError,
+    MixedInputSizesError,
     ModelCoefficients,
     RankDeficientError,
     SingularNormalMatrixError,
@@ -22,7 +23,6 @@ from cyclecast.regression import (
     design_row,
     fit_least_squares,
     predict,
-    residual_norm,
     solve_normal_equations,
 )
 
@@ -166,16 +166,6 @@ def test_target_length_mismatch():
         fit_least_squares(matrix, TargetVector(np.ones(4)))
 
 
-def test_residual_norm_hand_example():
-    # Residual vector [3, 4] has Euclidean norm 5.
-    pairs = [(1, 1), (2, 1)]
-    matrix = _matrix_for(pairs)
-    model = _model((10.0, 0.0, 0.0, 0.0, 0.0))
-    predictions = matrix.rows @ np.asarray(model.a)
-    targets = TargetVector(predictions - np.array([3.0, 4.0]))
-    assert residual_norm(model, matrix, targets) == 5.0
-
-
 def test_fit_residual_matches_residual_norm():
     rng = np.random.default_rng(42)
     profiles = _grid_profiles(TRUTH, range(4, 25, 4))
@@ -190,9 +180,8 @@ def test_fit_residual_matches_residual_norm():
     ]
     matrix, targets = build_design_matrix(noisy)
     fitted = fit_least_squares(matrix, targets)
-    assert fitted.training_residual == pytest.approx(
-        residual_norm(fitted, matrix, targets), rel=1e-12
-    )
+    residual = np.linalg.norm(matrix.rows @ np.asarray(fitted.a) - targets.values)
+    assert fitted.training_residual == pytest.approx(residual, rel=1e-12)
     assert fitted.training_residual > 0
 
 
@@ -205,8 +194,10 @@ def test_mixed_input_sizes_have_no_reference():
         repetitions=1,
     )
     matrix, targets = build_design_matrix(profiles + [other])
-    fitted = fit_least_squares(matrix, targets)
-    assert fitted.ref_input_bytes is None
+    with pytest.raises(MixedInputSizesError):
+        fit_least_squares(matrix, targets)
+    with pytest.raises(MixedInputSizesError):
+        solve_normal_equations(matrix, targets)
 
 
 def test_model_coefficients_validation():

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecast.core import NegativePredictionWarning
+from cyclecast.core import JobConfig, NegativePredictionWarning
+from cyclecast.regression import ModelCoefficients, predict
 from cyclecast.scaling import (
+    CostModel,
     DegenerateInputError,
     NonPositiveReferenceError,
     ScalingModel,
@@ -117,3 +119,27 @@ def test_recovery_from_synthetic_line_with_many_points():
     model = fit_scaling(points, ref_bytes=sizes[0])
     assert model.slope == pytest.approx(slope, rel=1e-10)
     assert model.intercept == pytest.approx(intercept, rel=1e-10)
+
+
+SURFACE = ModelCoefficients(
+    a=(1.0e12 / 3.0, 2.0e10, 3.0e8 / 7.0, 4.0e10, 5.0e8),
+    condition_estimate=1.0,
+    training_residual=0.0,
+    ref_input_bytes=12 * GIB,
+)
+
+
+@pytest.mark.parametrize("input_bytes", [None, 12 * GIB])
+def test_cost_model_at_reference_is_the_surface(input_bytes):
+    line = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB)
+    for model in (CostModel(SURFACE), CostModel(SURFACE, line)):
+        for mappers, reducers in ((1, 1), (6, 10), (32, 3)):
+            want = predict(SURFACE, JobConfig(mappers, reducers, 12 * GIB))
+            assert model.predict(mappers, reducers, input_bytes) == want
+
+
+def test_cost_model_needs_one_reference_size():
+    with pytest.raises(ValueError):
+        CostModel(ModelCoefficients(a=SURFACE.a, condition_estimate=1.0, training_residual=0.0))
+    with pytest.raises(ValueError):
+        CostModel(SURFACE, ScalingModel(slope=1.0, intercept=0.0, ref_bytes=6 * GIB))

@@ -4,7 +4,7 @@ import pytest
 
 from cyclecast.core import JobConfig, JobRun
 from cyclecast.regression import ModelCoefficients
-from cyclecast.scaling import ScalingModel
+from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import (
     CorruptRecordError,
     IoFailureError,
@@ -134,24 +134,22 @@ MODEL = ModelCoefficients(
 
 def test_model_round_trip_without_scaling(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, MODEL)
-    loaded, scaling = load_model(path)
-    assert loaded == MODEL
-    assert scaling is None
+    save_model(path, CostModel(MODEL))
+    loaded = load_model(path)
+    assert loaded.surface == MODEL
+    assert loaded.scaling is None
 
 
 def test_model_round_trip_with_scaling(tmp_path):
     path = tmp_path / "model.json"
     line = ScalingModel(slope=1.0e3 / 7.0, intercept=1.0e11, ref_bytes=12 * 2**30)
-    save_model(path, MODEL, line)
-    loaded, scaling = load_model(path)
-    assert loaded == MODEL
-    assert scaling == line
+    save_model(path, CostModel(MODEL, line))
+    assert load_model(path) == CostModel(MODEL, line)
 
 
 def test_model_document_shape(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, MODEL)
+    save_model(path, CostModel(MODEL))
     doc = json.loads(path.read_text())
     assert set(doc) == {"basis", "app", "a", "condition", "residual", "ref_input_bytes"}
     assert doc["basis"] == "quad-mr-v1"
@@ -160,7 +158,7 @@ def test_model_document_shape(tmp_path):
 
 def test_model_with_wrong_coefficient_count_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, MODEL)
+    save_model(path, CostModel(MODEL))
     doc = json.loads(path.read_text())
     doc["a"] = doc["a"][:4]
     path.write_text(json.dumps(doc))
@@ -170,7 +168,7 @@ def test_model_with_wrong_coefficient_count_is_corrupt(tmp_path):
 
 def test_model_with_unknown_basis_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, MODEL)
+    save_model(path, CostModel(MODEL))
     doc = json.loads(path.read_text())
     doc["basis"] = "cubic-mr-v2"
     path.write_text(json.dumps(doc))
@@ -180,7 +178,7 @@ def test_model_with_unknown_basis_is_corrupt(tmp_path):
 
 def test_model_with_invalid_scaling_section_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, MODEL)
+    save_model(path, CostModel(MODEL))
     doc = json.loads(path.read_text())
     doc["scaling"] = {"slope": -1.0, "intercept": 0.0, "ref_bytes": 100}
     path.write_text(json.dumps(doc))
@@ -198,3 +196,21 @@ def test_model_not_json(tmp_path):
 def test_model_missing_file(tmp_path):
     with pytest.raises(IoFailureError):
         load_model(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"ref_input_bytes": None},
+        {"scaling": {"slope": 1.0e3, "intercept": 1.0e11, "ref_bytes": 6 * 2**30}},
+    ],
+    ids=["null-reference", "scaling-elsewhere"],
+)
+def test_model_without_one_reference_size_is_corrupt(tmp_path, change):
+    path = tmp_path / "model.json"
+    save_model(path, CostModel(MODEL))
+    doc = json.loads(path.read_text())
+    doc.update(change)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptRecordError):
+        load_model(path)
