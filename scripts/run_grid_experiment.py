@@ -31,6 +31,7 @@ from cyclecast.regression import (
     fit_least_squares,
     predict,
 )
+from cyclecast.scaling import CostModel
 from cyclecast.synth import SynthSpec, generate_profiles
 
 TRUTH = ModelCoefficients(
@@ -62,7 +63,7 @@ def run_cell(noise: float, reps: int, seeds: int, n_holdout: int) -> dict:
     all_within = 0
     for seed in range(seeds):
         spec = SynthSpec(
-            truth=TRUTH, repetitions=reps, noise_rel_sigma=noise, seed=seed
+            truth=CostModel(TRUTH), repetitions=reps, noise_rel_sigma=noise, seed=seed
         )
         profiles = aggregate_repetitions(generate_profiles(spec))
         matrix, targets = build_design_matrix(profiles)

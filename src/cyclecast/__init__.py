@@ -10,7 +10,6 @@ runs and models, cli ties it together.
 
 from .core import (
     ClusterSpec,
-    CpuSample,
     CyclecastError,
     EmptyInputError,
     JobConfig,
@@ -68,6 +67,7 @@ from .scaling import (
 from .store import (
     CorruptRecordError,
     IoFailureError,
+    TornRecordWarning,
     UnsupportedSchemaError,
     append_runs,
     load_model,
@@ -82,7 +82,6 @@ __all__ = [
     "ClusterSpec",
     "CorruptRecordError",
     "CostModel",
-    "CpuSample",
     "CyclecastError",
     "DegenerateInputError",
     "DesignMatrix",
@@ -108,6 +107,7 @@ __all__ = [
     "SingularNormalMatrixError",
     "SynthSpec",
     "TargetVector",
+    "TornRecordWarning",
     "UnknownMachineError",
     "UnsupportedSchemaError",
     "WarningKind",

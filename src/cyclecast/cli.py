@@ -215,7 +215,7 @@ def _cmd_scale_fit(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = SynthSpec(
-        truth=load_model(args.truth).surface,
+        truth=load_model(args.truth),
         grid_mappers=args.grid,
         grid_reducers=args.grid,
         repetitions=args.reps,

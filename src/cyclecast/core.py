@@ -14,7 +14,8 @@ the order traces or samples are presented in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -43,45 +44,38 @@ class NegativePredictionWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class CpuSample:
-    """CPU time consumed during the one-second interval starting at offset_s.
+class MachineTrace:
+    """All CPU-seconds recorded on one machine, as two parallel columns.
 
-    cpu_seconds can exceed 1.0 on multi-core machines but never the core
-    count; that bound is checked against the cluster spec at accounting
-    time, not here, because the sample alone does not know its machine.
+    samples[i] is the CPU time consumed during the one-second interval
+    starting at offsets[i].  Offsets are non-negative and strictly
+    increasing; samples are finite and >= 0.  A sample can exceed 1.0 on
+    multi-core machines but never the core count; that bound is checked
+    against the cluster spec at accounting time, not here, because the
+    trace alone does not know its machine's cores.
     """
 
-    offset_s: int
-    cpu_seconds: float
-
-    def __post_init__(self) -> None:
-        if self.offset_s < 0:
-            raise ValueError(f"offset_s must be >= 0, got {self.offset_s}")
-        if not math.isfinite(self.cpu_seconds) or self.cpu_seconds < 0:
-            raise ValueError(
-                f"cpu_seconds must be finite and >= 0, got {self.cpu_seconds}"
-            )
-
-
-@dataclass(frozen=True)
-class MachineTrace:
-    """All samples recorded on one machine, ordered by offset."""
-
     machine_id: str
-    samples: tuple[CpuSample, ...]
+    offsets: tuple[int, ...]
+    samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.machine_id:
             raise ValueError("machine_id must be non-empty")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        offsets = [s.offset_s for s in self.samples]
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
+        offsets, samples = tuple(self.offsets), tuple(self.samples)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "samples", samples)
+        if len(offsets) != len(samples):
+            raise ValueError(f"offsets and samples of {self.machine_id!r} differ in length")
+        if offsets and offsets[0] < 0:
+            raise ValueError(f"offsets must be >= 0, got {offsets[0]}")
+        if not all(map(operator.lt, offsets, offsets[1:])):
             raise ValueError(
                 f"sample offsets must be strictly increasing on {self.machine_id!r}"
             )
-
-    def total_cpu_seconds(self) -> float:
-        return math.fsum(s.cpu_seconds for s in self.samples)
+        bad = next((s for s in samples if not 0.0 <= s < math.inf), None)
+        if bad is not None:
+            raise ValueError(f"samples must be finite and >= 0, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -104,22 +98,22 @@ class ClusterSpec:
     """Inventory of machines, unique by machine_id."""
 
     machines: tuple[Machine, ...]
+    _by_id: dict[str, Machine] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "machines", tuple(self.machines))
-        seen: set[str] = set()
+        by_id: dict[str, Machine] = {}
         for m in self.machines:
-            if m.machine_id in seen:
+            if m.machine_id in by_id:
                 raise ValueError(f"duplicate machine_id {m.machine_id!r}")
-            seen.add(m.machine_id)
+            by_id[m.machine_id] = m
+        object.__setattr__(self, "_by_id", by_id)
 
     def machine(self, machine_id: str) -> Machine:
-        for m in self.machines:
-            if m.machine_id == machine_id:
-                return m
-        raise UnknownMachineError(
-            f"machine {machine_id!r} is not in the cluster spec"
-        )
+        machine = self._by_id.get(machine_id)
+        if machine is None:
+            raise UnknownMachineError(f"machine {machine_id!r} is not in the cluster spec")
+        return machine
 
 
 @dataclass(frozen=True)
@@ -192,14 +186,15 @@ def total_cpu_cycles(traces: Iterable[MachineTrace], cluster: ClusterSpec) -> fl
     per_trace: list[float] = []
     for trace in traces:
         machine = cluster.machine(trace.machine_id)
-        for sample in trace.samples:
-            if sample.cpu_seconds > machine.cores:
-                raise SampleExceedsCoresError(
-                    f"machine {machine.machine_id!r} has {machine.cores} cores but a "
-                    f"sample at offset {sample.offset_s} claims "
-                    f"{sample.cpu_seconds} CPU-seconds"
-                )
-        per_trace.append(trace.total_cpu_seconds() * machine.clock_hz)
+        if trace.samples and max(trace.samples) > machine.cores:
+            offset, cpu_seconds = next(
+                (o, s) for o, s in zip(trace.offsets, trace.samples) if s > machine.cores
+            )
+            raise SampleExceedsCoresError(
+                f"machine {machine.machine_id!r} has {machine.cores} cores but a "
+                f"sample at offset {offset} claims {cpu_seconds} CPU-seconds"
+            )
+        per_trace.append(math.fsum(trace.samples) * machine.clock_hz)
     return math.fsum(per_trace)
 
 

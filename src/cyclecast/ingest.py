@@ -1,4 +1,4 @@
-"""On-disk formats for CPU traces and cluster inventories.
+r"""On-disk formats for CPU traces and cluster inventories.
 
 Trace CSV
 ---------
@@ -8,10 +8,10 @@ UTF-8, LF line endings, '.' decimal point.  Header row required, exactly:
 
 One data row per one-second sample.  machine_id is restricted to
 ``[A-Za-z0-9_-]+`` so no CSV quoting is ever needed.  offset_s is a
-non-negative integer, cpu_seconds a non-negative decimal (scientific
-notation accepted).  Rows may arrive in any order and may interleave
-machines; parsing groups per machine and sorts by offset.  A repeated
-(machine_id, offset_s) pair is an error, not a merge.
+non-negative integer, cpu_seconds a finite non-negative decimal.  Rows
+may arrive in any order and may interleave machines; parsing groups per
+machine and sorts by offset.  A repeated (machine_id, offset_s) pair is
+an error, not a merge.
 
 Cluster spec
 ------------
@@ -20,7 +20,17 @@ Line oriented, one machine per line:
     machine_id clock_hz cores
 
 Fields are whitespace separated.  '#' starts a comment (whole-line or
-trailing), blank lines are ignored.  clock_hz accepts scientific notation.
+trailing), blank lines are ignored.  clock_hz is a finite positive
+decimal, cores a positive integer.
+
+Numbers
+-------
+Both formats spell numbers in one ASCII grammar: an integer is
+``[0-9]+`` (at most 4300 digits), a decimal
+``([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?``.
+Nothing else is: no leading '+', space, underscore or non-ASCII digit.
+A leading '-' is read only so that a negative value is reported as
+negative rather than as a malformed number.
 
 Warnings
 --------
@@ -43,11 +53,18 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .core import ClusterSpec, CpuSample, CyclecastError, Machine, MachineTrace
+from .core import ClusterSpec, CyclecastError, Machine, MachineTrace
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
-_MACHINE_ID_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_MACHINE_ID = r"[A-Za-z0-9_-]+"
+# 4300 digits is the most that int() converts under Python's default limit.
+_INTEGER = r"-?[0-9]{1,4300}"
+_DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_MACHINE_ID_RE = re.compile(_MACHINE_ID)
+_INTEGER_RE = re.compile(_INTEGER)
+_DECIMAL_RE = re.compile(_DECIMAL)
+_ROW_RE = re.compile(f"({_MACHINE_ID}),({_INTEGER}),({_DECIMAL})")
 
 
 class MalformedHeaderError(CyclecastError):
@@ -133,29 +150,15 @@ def parse_trace_csv(
 
     per_machine: dict[str, dict[int, float]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedRowError(line_no, f"expected 3 fields, got {len(parts)}")
-        machine_id, offset_text, cpu_text = parts
-        if not _MACHINE_ID_RE.fullmatch(machine_id):
-            raise MalformedRowError(
-                line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
-            )
-        try:
-            offset_s = int(offset_text)
-        except ValueError:
-            raise MalformedRowError(
-                line_no, f"offset_s must be an integer, got {offset_text!r}"
-            ) from None
+        row = _ROW_RE.fullmatch(line)
+        if row is None:
+            raise _malformed_row(line_no, line)
+        machine_id, offset_text, cpu_text = row.groups()
+        offset_s = int(offset_text)
         if offset_s < 0:
             raise MalformedRowError(line_no, f"offset_s must be >= 0, got {offset_s}")
-        try:
-            cpu_seconds = float(cpu_text)
-        except ValueError:
-            raise MalformedRowError(
-                line_no, f"cpu_seconds must be a number, got {cpu_text!r}"
-            ) from None
-        if math.isnan(cpu_seconds) or math.isinf(cpu_seconds):
+        cpu_seconds = float(cpu_text)
+        if cpu_seconds == math.inf:
             raise MalformedRowError(
                 line_no, f"cpu_seconds must be finite, got {cpu_text!r}"
             )
@@ -177,12 +180,8 @@ def parse_trace_csv(
         )
 
     traces: list[MachineTrace] = []
-    for machine_id in sorted(per_machine):
-        offsets = sorted(per_machine[machine_id])
-        samples = tuple(
-            CpuSample(offset_s=o, cpu_seconds=per_machine[machine_id][o])
-            for o in offsets
-        )
+    for machine_id, bucket in sorted(per_machine.items()):
+        offsets = tuple(sorted(bucket))
         span = offsets[-1] - offsets[0] + 1
         missing = span - len(offsets)
         if missing / span > gap_threshold:
@@ -193,8 +192,25 @@ def parse_trace_csv(
                     detail=f"{missing} of {span} seconds in span missing",
                 )
             )
-        traces.append(MachineTrace(machine_id=machine_id, samples=samples))
+        traces.append(MachineTrace(machine_id, offsets, [bucket[o] for o in offsets]))
     return traces, warnings
+
+
+def _malformed_row(line_no: int, line: str) -> MalformedRowError:
+    """Name the first field of a row that does not match the trace grammar."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        return MalformedRowError(line_no, f"expected 3 fields, got {len(parts)}")
+    machine_id, offset_text, cpu_text = parts
+    if not _MACHINE_ID_RE.fullmatch(machine_id):
+        return MalformedRowError(
+            line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
+        )
+    if not _INTEGER_RE.fullmatch(offset_text):
+        return MalformedRowError(
+            line_no, f"offset_s must be an integer, got {offset_text!r}"
+        )
+    return MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
 
 
 def write_trace_csv(traces: Iterable[MachineTrace], stream: TextIO) -> None:
@@ -204,10 +220,8 @@ def write_trace_csv(traces: Iterable[MachineTrace], stream: TextIO) -> None:
     """
     stream.write(TRACE_HEADER + "\n")
     for trace in sorted(traces, key=lambda t: t.machine_id):
-        for sample in trace.samples:
-            stream.write(
-                f"{trace.machine_id},{sample.offset_s},{sample.cpu_seconds!r}\n"
-            )
+        rows = zip(trace.offsets, trace.samples)
+        stream.write("".join(f"{trace.machine_id},{o},{s!r}\n" for o, s in rows))
 
 
 def parse_cluster_spec(stream: TextIO) -> ClusterSpec:
@@ -232,24 +246,22 @@ def parse_cluster_spec(stream: TextIO) -> ClusterSpec:
             raise DuplicateMachineIdError(
                 f"line {line_no}: duplicate machine_id {machine_id!r}"
             )
-        try:
-            clock_hz = float(clock_text)
-        except ValueError:
+        if not _DECIMAL_RE.fullmatch(clock_text):
             raise MalformedEntryError(
                 f"line {line_no}: clock_hz must be a number, got {clock_text!r}"
-            ) from None
+            )
+        clock_hz = float(clock_text)
         if not math.isfinite(clock_hz):
             raise MalformedEntryError(f"line {line_no}: clock_hz must be finite")
         if clock_hz <= 0:
             raise NonPositiveClockError(
                 f"line {line_no}: clock_hz must be > 0, got {clock_text}"
             )
-        try:
-            cores = int(cores_text)
-        except ValueError:
+        if not _INTEGER_RE.fullmatch(cores_text):
             raise MalformedEntryError(
                 f"line {line_no}: cores must be an integer, got {cores_text!r}"
-            ) from None
+            )
+        cores = int(cores_text)
         if cores < 1:
             raise MalformedEntryError(f"line {line_no}: cores must be >= 1, got {cores}")
         seen.add(machine_id)

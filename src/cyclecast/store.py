@@ -11,6 +11,8 @@ Appends take an exclusive advisory lock (fcntl.flock) and write each
 record as a single line, so concurrent appenders interleave whole lines
 and a reader never sees a torn record.  total_cycles is serialized with
 full repr precision; a load after append returns bit-identical floats.
+A crash mid-append can still leave a last line without its newline; a
+load skips it with a TornRecordWarning when it does not parse.
 
 Model file
 ----------
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -48,6 +51,10 @@ class CorruptRecordError(CyclecastError):
 
 class UnsupportedSchemaError(CyclecastError):
     """A stored record declares a schema_version this code does not speak."""
+
+
+class TornRecordWarning(UserWarning):
+    """The run store's unterminated last line does not parse and was skipped."""
 
 
 def run_to_record(run: JobRun) -> dict[str, Any]:
@@ -124,16 +131,31 @@ def append_runs(path: str | Path, runs: list[JobRun]) -> int:
 
 
 def load_runs(path: str | Path, app: str | None = None) -> list[JobRun]:
-    """Load every run from the store, in file order, optionally one app's."""
+    """Load every run from the store, in file order, optionally one app's.
+
+    An unterminated last line that is not valid JSON is the remains of an
+    append cut off by a crash: it is skipped with a TornRecordWarning.  An
+    invalid line anywhere else is a CorruptRecordError.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
+    torn_tail = None if text.endswith("\n") else len(lines)
     runs: list[JobRun] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
+            if line_no == torn_tail:
+                warnings.warn(
+                    f"{path}: skipped line {line_no}, an unterminated record "
+                    f"cut off mid-append",
+                    TornRecordWarning,
+                    stacklevel=2,
+                )
+                break
             raise CorruptRecordError(f"line {line_no}: invalid JSON: {exc}") from None
         run = record_to_run(obj, line_no)
         if app is None or run.app == app:

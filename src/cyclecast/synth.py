@@ -1,6 +1,6 @@
 """Seeded synthetic workloads for end-to-end validation.
 
-A ground-truth quadratic surface plays the role of a real application:
+A ground-truth cost model plays the role of a real application:
 each simulated run draws one multiplicative noise factor and reports
 cycles = truth(config) * max(0, 1 + eps) with eps ~ Normal(0, sigma).
 
@@ -27,13 +27,12 @@ import numpy as np
 
 from .core import (
     ClusterSpec,
-    CpuSample,
     EmptyInputError,
     JobConfig,
     JobRun,
     MachineTrace,
 )
-from .regression import ModelCoefficients, predict
+from .scaling import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
 DEFAULT_INPUT_BYTES = 12 * 2**30
@@ -48,7 +47,7 @@ _JITTER_SAFETY = 0.9
 class SynthSpec:
     """Everything that determines a synthetic workload, including the seed."""
 
-    truth: ModelCoefficients
+    truth: CostModel
     grid_mappers: tuple[int, ...] = DEFAULT_GRID
     grid_reducers: tuple[int, ...] = DEFAULT_GRID
     repetitions: int = 10
@@ -86,9 +85,9 @@ def _cell_rng(seed: int, mappers: int, reducers: int, rep: int) -> np.random.Gen
 def generate_profiles(spec: SynthSpec) -> list[JobRun]:
     """Simulate every grid cell, repetitions times, in deterministic order.
 
-    With noise_rel_sigma == 0 every run's cycles equals the surface
-    evaluation at its config exactly.  Runs come out ordered by
-    (mappers, reducers, repetition).
+    With noise_rel_sigma == 0 every run's cycles equals the truth's
+    prediction at its config and input size exactly.  Runs come out
+    ordered by (mappers, reducers, repetition).
     """
     runs: list[JobRun] = []
     for mappers in spec.grid_mappers:
@@ -96,7 +95,7 @@ def generate_profiles(spec: SynthSpec) -> list[JobRun]:
             config = JobConfig(
                 mappers=mappers, reducers=reducers, input_bytes=spec.input_bytes
             )
-            true_cycles = predict(spec.truth, config)
+            true_cycles = spec.truth.predict(mappers, reducers, spec.input_bytes)
             for rep in range(spec.repetitions):
                 rng = _cell_rng(spec.seed, mappers, reducers, rep)
                 eps = rng.normal(0.0, spec.noise_rel_sigma)
@@ -151,13 +150,6 @@ def generate_trace(
             values = base + amplitude * jitter
         else:
             values = np.full(n_samples, base)
-        traces.append(
-            MachineTrace(
-                machine_id=machine.machine_id,
-                samples=tuple(
-                    CpuSample(offset_s=i, cpu_seconds=float(v))
-                    for i, v in enumerate(values)
-                ),
-            )
-        )
+        # tolist() gives Python floats, whose repr is the trace CSV format.
+        traces.append(MachineTrace(machine.machine_id, range(n_samples), values.tolist()))
     return traces

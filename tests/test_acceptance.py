@@ -14,7 +14,6 @@ import pytest
 from cyclecast.cli import main
 from cyclecast.core import (
     ClusterSpec,
-    CpuSample,
     JobConfig,
     Machine,
     MachineTrace,
@@ -64,7 +63,7 @@ def test_01_noiseless_grid_recovery(capsys):
     # coefficients to 1e-8 relative, in under a second.
     started = time.perf_counter()
     spec = SynthSpec(
-        truth=TRUTH_MODEL, repetitions=1, noise_rel_sigma=0.0, seed=0
+        truth=CostModel(TRUTH_MODEL), repetitions=1, noise_rel_sigma=0.0, seed=0
     )
     profiles = aggregate_repetitions(generate_profiles(spec))
     matrix, targets = build_design_matrix(profiles)
@@ -95,7 +94,7 @@ def test_02_noisy_holdout_accuracy_across_seeds(capsys):
     worst_mape = 0.0
     for seed in range(100):
         spec = SynthSpec(
-            truth=TRUTH_MODEL, repetitions=10, noise_rel_sigma=0.02, seed=seed
+            truth=CostModel(TRUTH_MODEL), repetitions=10, noise_rel_sigma=0.02, seed=seed
         )
         profiles = aggregate_repetitions(generate_profiles(spec))
         matrix, targets = build_design_matrix(profiles)
@@ -224,22 +223,16 @@ def test_05_accounting_invariances(capsys):
         for machine in machines:
             n = int(rng.integers(1, 41))
             values = rng.uniform(0.0, machine.cores, size=n)
-            traces.append(
-                MachineTrace(
-                    machine_id=machine.machine_id,
-                    samples=tuple(
-                        CpuSample(offset_s=j, cpu_seconds=float(v))
-                        for j, v in enumerate(values)
-                    ),
-                )
-            )
+            traces.append(MachineTrace(machine.machine_id, range(n), values.tolist()))
         total = total_cpu_cycles(traces, cluster)
 
         parts = []
         for trace in traces:
             cut = int(rng.integers(0, len(trace.samples) + 1))
-            parts.append(MachineTrace(trace.machine_id, trace.samples[:cut]))
-            parts.append(MachineTrace(trace.machine_id, trace.samples[cut:]))
+            for part in (slice(None, cut), slice(cut, None)):
+                parts.append(
+                    MachineTrace(trace.machine_id, trace.offsets[part], trace.samples[part])
+                )
         split_total = total_cpu_cycles(parts, cluster)
         worst = max(worst, _rel(split_total, total))
 

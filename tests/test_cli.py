@@ -5,7 +5,7 @@ import pytest
 from cyclecast.cli import main
 from cyclecast.core import JobConfig
 from cyclecast.regression import ModelCoefficients, predict
-from cyclecast.scaling import CostModel
+from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import load_model, load_runs, save_model
 
 TRUTH = ModelCoefficients(
@@ -316,6 +316,21 @@ class TestScaleFit:
         assert "no scaling section" in captured.err
         assert float(captured.out) == pytest.approx(1.4368e12, rel=1e-12)
 
+    def test_simulate_follows_the_truth_size_line(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.json"
+        line = ScalingModel(slope=150.0, intercept=5.0e11, ref_bytes=12 * 2**30)
+        save_model(truth_path, CostModel(TRUTH, line))
+        size = str(24 * 2**30)
+        assert main(_simulate(tmp_path, extra=["--input-bytes", size])) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(truth_path), "--mappers", "4",
+                     "--reducers", "8", "--input-bytes", size]) == 0
+        expected = float(capsys.readouterr().out)
+        (run,) = [r for r in load_runs(tmp_path / "runs.jsonl")
+                  if (r.config.mappers, r.config.reducers) == (4, 8)]
+        assert run.total_cycles == expected
+        assert expected != predict(TRUTH, run.config)
+
     def test_unscaled_evaluate_warns_once(self, tmp_path, truth_file, capsys):
         store = tmp_path / "runs-24.jsonl"
         assert main(_simulate(tmp_path, out="runs-24.jsonl",
@@ -405,6 +420,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "CorruptRecordError" in captured.err
         assert captured.out == ""
+
+    def test_torn_store_tail_is_skipped_with_one_warning(self, tmp_path, truth_file, capsys):
+        assert main(_simulate(tmp_path)) == 0
+        with open(tmp_path / "runs.jsonl", "a") as handle:
+            handle.write('{"schema_version":1,"app":"a","run_')
+        capsys.readouterr()
+        assert main([
+            "fit", "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+            "--out", str(tmp_path / "m.json"),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "line 65" in err
 
     def test_corrupt_store_is_data_error(self, tmp_path, truth_file, capsys):
         path = tmp_path / "runs.jsonl"

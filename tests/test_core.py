@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from cyclecast.core import (
     ClusterSpec,
-    CpuSample,
     EmptyInputError,
     JobConfig,
     JobProfile,
@@ -20,12 +19,7 @@ from cyclecast.core import (
 
 
 def _trace(machine_id, values, start=0):
-    return MachineTrace(
-        machine_id=machine_id,
-        samples=tuple(
-            CpuSample(offset_s=start + i, cpu_seconds=v) for i, v in enumerate(values)
-        ),
-    )
+    return MachineTrace(machine_id, range(start, start + len(values)), values)
 
 
 TWO_MACHINE_CLUSTER = ClusterSpec(
@@ -152,22 +146,23 @@ class TestAggregateRepetitions:
 class TestValidation:
     def test_negative_offset(self):
         with pytest.raises(ValueError):
-            CpuSample(offset_s=-1, cpu_seconds=0.5)
+            MachineTrace("m", offsets=(-1,), samples=(0.5,))
 
     def test_negative_cpu_seconds(self):
         with pytest.raises(ValueError):
-            CpuSample(offset_s=0, cpu_seconds=-0.5)
+            MachineTrace("m", offsets=(0,), samples=(-0.5,))
 
     def test_non_finite_cpu_seconds(self):
         with pytest.raises(ValueError):
-            CpuSample(offset_s=0, cpu_seconds=math.nan)
+            MachineTrace("m", offsets=(0,), samples=(math.nan,))
 
     def test_non_monotonic_offsets(self):
         with pytest.raises(ValueError):
-            MachineTrace(
-                machine_id="m",
-                samples=(CpuSample(1, 0.5), CpuSample(1, 0.5)),
-            )
+            MachineTrace("m", offsets=(1, 1), samples=(0.5, 0.5))
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            MachineTrace("m", offsets=(0, 1), samples=(0.5,))
 
     def test_duplicate_machine_ids_in_cluster(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,17 @@ TRUTH_A = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
 # input bytes that does not pass through the origin.
 SIZE_FACTORS = {6: 0.55, 12: 1.0, 18: 1.45, 24: 1.9}
 CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
+# Interleaved machines, offsets out of order, decimal forms with and
+# without exponents, and no newline after the last row.
+HAND_TRACE = (
+    "machine_id,offset_s,cpu_seconds\n"
+    "node-b,3,1.25e0\n"
+    "node-a,2,0.75\n"
+    "node-a,0,5E-1\n"
+    "node-b,1,.5\n"
+    "node-a,1,1.5e+0\n"
+    "node-b,2,2."
+)
 
 GOLDEN = {
     "runs.jsonl": "9ed61835ba66c73695e22b969615809896683edb23d04906a36979af8f5c88a0",
@@ -38,6 +49,8 @@ GOLDEN = {
     "surface.tsv": "50fbc8cfd2170c743896c947e1ef9519d9a3ae0d6887ce7ddba20fe89bce1843",
     "emitted.jsonl": "b2ca411e57f86a46c16ff008c1d881dd6fe2aa23c4b0ef5384362c8b53b0c93b",
     "trace.csv": "ead48d89b6c9b8c6e77350c5c48dc9a12d2d1c05a1e3c509871fed6e8cd27794",
+    "ingest.jsonl": "6c41a64033b67e985044a2e098b78fb079f900319215f2af1cff0faf7fcf7100",
+    "ingest-hand.jsonl": "c5e30acc2b7f9bfc60f3db4f26604e7477a5d393875ebacb76f8ba36f8b9bc0a",
 }
 
 
@@ -104,6 +117,16 @@ def outputs(tmp_path_factory):
     _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "1", "--noise", "0.02",
           "--seed", "5", "--out", emitted, "--emit-traces", root / "traces",
           "--cluster", cluster])
+
+    # The emitted trace and a hand-written one, each ingested into its own store.
+    hand = root / "hand.csv"
+    hand.write_text(HAND_TRACE, encoding="utf-8")
+    for store, trace in (("ingest.jsonl", root / "traces" / "synthetic-m004-r008-rep00.csv"),
+                         ("ingest-hand.jsonl", hand)):
+        _run(["ingest", "--traces", trace, "--cluster", cluster, "--app", "synthetic",
+              "--mappers", "4", "--reducers", "8", "--input-bytes", 12 * GIB,
+              "--out", root / store])
+        got[store] = (root / store).read_bytes()
 
     for name, path in (
         ("runs.jsonl", runs),

@@ -3,7 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecast.core import CpuSample, MachineTrace
+from cyclecast.core import CyclecastError, MachineTrace
 from cyclecast.ingest import (
     DuplicateMachineIdError,
     DuplicateSampleError,
@@ -30,11 +30,9 @@ def test_parse_groups_and_sorts():
     traces, warnings = parse_trace_csv(io.StringIO(GOOD_CSV))
     assert warnings == []
     assert [t.machine_id for t in traces] == ["node-a", "node-b"]
-    assert [(s.offset_s, s.cpu_seconds) for s in traces[0].samples] == [
-        (0, 0.5),
-        (1, 1.5),
-    ]
-    assert traces[1].samples == (CpuSample(0, 1.0),)
+    assert traces[0].offsets == (0, 1)
+    assert traces[0].samples == (0.5, 1.5)
+    assert traces[1] == MachineTrace("node-b", (0,), (1.0,))
 
 
 def test_header_only_stream():
@@ -63,7 +61,14 @@ def test_wrong_header():
         "node-a,0,abc",
         "node-a,0,nan",
         "node-a,0,inf",
+        "node-a,0,1e999",
         "node-a,1.5,1.0",
+        "node-a,1_0,1.0",
+        "node-a,+5,1.0",
+        "node-a, 5,1.0",
+        "node-a,\u0665,1.0",
+        "node-a,0,1_0.5",
+        pytest.param("node-a," + "1" * 4301 + ",1.0", id="node-a,<4301 digits>,1.0"),
     ],
 )
 def test_malformed_rows(row):
@@ -125,11 +130,7 @@ def test_gap_threshold_is_tunable():
 )
 def test_write_parse_round_trip_is_bit_exact(values, offsets):
     n = min(len(values), len(offsets))
-    samples = tuple(
-        CpuSample(offset_s=o, cpu_seconds=v)
-        for o, v in sorted(zip(offsets[:n], values[:n]))
-    )
-    original = [MachineTrace(machine_id="m-0", samples=samples)]
+    original = [MachineTrace("m-0", sorted(offsets[:n]), values[:n])]
     buffer = io.StringIO()
     write_trace_csv(original, buffer)
     parsed, warnings = parse_trace_csv(io.StringIO(buffer.getvalue()))
@@ -141,8 +142,8 @@ def test_write_parse_round_trip_is_bit_exact(values, offsets):
 
 def test_write_orders_machines_lexicographically():
     traces = [
-        MachineTrace("zz", (CpuSample(0, 1.0),)),
-        MachineTrace("aa", (CpuSample(0, 2.0),)),
+        MachineTrace("zz", (0,), (1.0,)),
+        MachineTrace("aa", (0,), (2.0,)),
     ]
     buffer = io.StringIO()
     write_trace_csv(traces, buffer)
@@ -169,7 +170,9 @@ def test_parse_cluster_spec():
 
 @pytest.mark.parametrize(
     "line",
-    ["node-a 3e9", "node-a 3e9 4 junk", "bad id 3e9 4", "node-a hz 4", "node-a 3e9 x", "node-a 3e9 0", "node-a inf 4"],
+    ["node-a 3e9", "node-a 3e9 4 junk", "bad id 3e9 4", "node-a hz 4", "node-a 3e9 x", "node-a 3e9 0", "node-a inf 4",
+     "node-a 1e999 4", "node-a 3e9 1_6", "node-a 3_0e9 4", "node-a \u0663e9 4", "node-a 3e9 +4",
+     pytest.param("node-a 3e9 " + "1" * 4301, id="node-a 3e9 <4301 digits>")],
 )
 def test_malformed_cluster_entries(line):
     with pytest.raises(MalformedEntryError):
@@ -191,3 +194,33 @@ def test_cluster_non_positive_clock():
 def test_cluster_needs_at_least_one_machine():
     with pytest.raises(MalformedEntryError):
         parse_cluster_spec(io.StringIO("# only comments\n\n"))
+
+
+# Number fields valid or not: forms the grammar refuses, a sign, an
+# overflow and non-ASCII digits among them.
+_NUMBERS = st.sampled_from(
+    ["0", "7", "-1", ".5", "5.", "3e9", "-3e9", "1e999", "1_0", "+5", " 5", "\u0665", "nan", ""]
+)
+
+
+def _texts(separator):
+    """Any text, or lines shaped like the format's entries, or not quite."""
+    entry = st.tuples(st.sampled_from(["node-a", "b_1", "b c"]), _NUMBERS, _NUMBERS)
+    line = st.one_of(entry, st.lists(_NUMBERS, max_size=4)).map(separator.join)
+    return st.one_of(st.text(), st.lists(line, max_size=4).map("\n".join))
+
+
+@given(_texts(","))
+def test_any_trace_text_parses_or_raises_a_typed_error(body):
+    try:
+        parse_trace_csv(io.StringIO("machine_id,offset_s,cpu_seconds\n" + body))
+    except CyclecastError:
+        pass
+
+
+@given(_texts(" "))
+def test_any_cluster_text_parses_or_raises_a_typed_error(text):
+    try:
+        parse_cluster_spec(io.StringIO(text))
+    except CyclecastError:
+        pass

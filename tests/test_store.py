@@ -8,6 +8,7 @@ from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import (
     CorruptRecordError,
     IoFailureError,
+    TornRecordWarning,
     UnsupportedSchemaError,
     append_runs,
     load_model,
@@ -93,6 +94,25 @@ def test_corrupt_line_reports_its_number(tmp_path):
     with open(path, "a") as handle:
         handle.write("{not json\n")
     with pytest.raises(CorruptRecordError, match="line 3"):
+        load_runs(path)
+
+
+def test_torn_last_line_is_skipped_with_a_warning(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    append_runs(path, _runs(2))
+    with open(path, "a") as handle:
+        handle.write('{"schema_version":1,"app":"a","run_')
+    with pytest.warns(TornRecordWarning, match="line 3"):
+        assert load_runs(path) == _runs(2)
+
+
+def test_corrupt_line_before_the_tail_stays_an_error(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_text("{not json\n")
+    append_runs(path, _runs(1))
+    with open(path, "a") as handle:
+        handle.write('{"schema_version":1,"app":"a","run_')
+    with pytest.raises(CorruptRecordError, match="line 1"):
         load_runs(path)
 
 

@@ -10,8 +10,10 @@ from cyclecast.core import (
     total_cpu_cycles,
 )
 from cyclecast.regression import ModelCoefficients, predict
+from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.synth import (
     DEFAULT_GRID,
+    DEFAULT_INPUT_BYTES,
     SynthSpec,
     generate_profiles,
     generate_trace,
@@ -21,6 +23,7 @@ TRUTH = ModelCoefficients(
     a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
     condition_estimate=1.0,
     training_residual=0.0,
+    ref_input_bytes=DEFAULT_INPUT_BYTES,
 )
 
 CLUSTER = ClusterSpec(
@@ -33,7 +36,7 @@ CLUSTER = ClusterSpec(
 
 
 def _spec(**kwargs):
-    defaults = dict(truth=TRUTH, repetitions=2, noise_rel_sigma=0.02, seed=11)
+    defaults = dict(truth=CostModel(TRUTH), repetitions=2, noise_rel_sigma=0.02, seed=11)
     defaults.update(kwargs)
     return SynthSpec(**defaults)
 
@@ -61,6 +64,15 @@ def test_noiseless_runs_equal_the_surface_exactly():
     spec = _spec(noise_rel_sigma=0.0, repetitions=2)
     for run in generate_profiles(spec):
         assert run.total_cycles == predict(TRUTH, run.config)
+
+
+def test_noiseless_runs_follow_the_truth_size_line():
+    line = ScalingModel(slope=150.0, intercept=5.0e11, ref_bytes=DEFAULT_INPUT_BYTES)
+    truth = CostModel(TRUTH, line)
+    spec = _spec(truth=truth, noise_rel_sigma=0.0, input_bytes=2 * DEFAULT_INPUT_BYTES)
+    for run in generate_profiles(spec):
+        expected = truth.predict(run.config.mappers, run.config.reducers, spec.input_bytes)
+        assert run.total_cycles == expected != predict(TRUTH, run.config)
 
 
 def test_cell_substreams_are_independent_of_grid_shape():
@@ -128,13 +140,13 @@ class TestGenerateTrace:
         traces = generate_trace(_run(9.9e14), CLUSTER, seed=5)
         for trace in traces:
             cores = CLUSTER.machine(trace.machine_id).cores
-            for sample in trace.samples:
-                assert 0.0 <= sample.cpu_seconds <= cores
+            for cpu_seconds in trace.samples:
+                assert 0.0 <= cpu_seconds <= cores
 
     def test_offsets_are_consecutive_from_zero(self):
         traces = generate_trace(_run(7.3e13), CLUSTER, seed=5)
         for trace in traces:
-            assert [s.offset_s for s in trace.samples] == list(range(len(trace.samples)))
+            assert trace.offsets == tuple(range(len(trace.samples)))
 
     def test_deterministic_per_run_id_and_seed(self):
         run = _run(7.3e13)
