@@ -26,7 +26,7 @@ import warnings
 from pathlib import Path
 
 from .core import CyclecastError, JobConfig, JobRun, aggregate_repetitions, total_cpu_cycles
-from .ingest import parse_cluster_spec, parse_trace_csv, write_trace_csv
+from .ingest import _INTEGER_RE, parse_cluster_spec, parse_trace_csv, write_trace_csv
 from .metrics import evaluate
 from .regression import build_design_matrix, fit_least_squares
 from .scaling import CostModel, DegenerateInputError
@@ -94,7 +94,10 @@ def _grid(text: str) -> tuple[int, ...]:
 
 
 def _read_holdout_list(path: str) -> set[tuple[int, int]]:
-    """Parse lines of 'mappers reducers' (whitespace or comma separated)."""
+    """Parse lines of 'mappers reducers' (whitespace or comma separated).
+
+    Numbers are spelled in the ingest module's integer grammar.
+    """
     pairs: set[tuple[int, int]] = set()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -106,12 +109,9 @@ def _read_holdout_list(path: str) -> set[tuple[int, int]]:
             raise CyclecastError(
                 f"{path}:{line_no}: expected 'mappers reducers', got {raw!r}"
             )
-        try:
-            mappers, reducers = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CyclecastError(
-                f"{path}:{line_no}: expected integers, got {raw!r}"
-            ) from None
+        if not all(_INTEGER_RE.fullmatch(part) for part in parts):
+            raise CyclecastError(f"{path}:{line_no}: expected integers, got {raw!r}")
+        mappers, reducers = int(parts[0]), int(parts[1])
         if mappers < 1 or reducers < 1:
             raise CyclecastError(f"{path}:{line_no}: values must be >= 1")
         pairs.add((mappers, reducers))

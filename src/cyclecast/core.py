@@ -73,9 +73,13 @@ class MachineTrace:
             raise ValueError(
                 f"sample offsets must be strictly increasing on {self.machine_id!r}"
             )
-        bad = next((s for s in samples if not 0.0 <= s < math.inf), None)
-        if bad is not None:
-            raise ValueError(f"samples must be finite and >= 0, got {bad}")
+        # min and max skip NaN, so the sum carries the NaN test: a NaN or an
+        # infinity makes it NaN or infinite.  Only a failed screen (or finite
+        # samples whose sum overflows) walks the samples to name the culprit.
+        if samples and not (min(samples) >= 0.0 and sum(samples) < math.inf):
+            bad = next((s for s in samples if not 0.0 <= s < math.inf), None)
+            if bad is not None:
+                raise ValueError(f"samples must be finite and >= 0, got {bad}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ record as a single line, so concurrent appenders interleave whole lines
 and a reader never sees a torn record.  total_cycles is serialized with
 full repr precision; a load after append returns bit-identical floats.
 A crash mid-append can still leave a last line without its newline; a
-load skips it with a TornRecordWarning when it does not parse.
+load skips it with a TornRecordWarning when it does not parse, and the
+next append drops it with the same warning before writing.
 
 Model file
 ----------
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from .core import CyclecastError, JobConfig, JobRun
 from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
@@ -54,7 +56,7 @@ class UnsupportedSchemaError(CyclecastError):
 
 
 class TornRecordWarning(UserWarning):
-    """The run store's unterminated last line does not parse and was skipped."""
+    """The run store's unterminated last line does not parse and was skipped or dropped."""
 
 
 def run_to_record(run: JobRun) -> dict[str, Any]:
@@ -116,18 +118,50 @@ def append_runs(path: str | Path, runs: list[JobRun]) -> int:
     if not runs:
         return 0
     lines = [json.dumps(run_to_record(r), separators=(",", ":")) for r in runs]
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
     try:
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path, "ab+") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
-                for line in lines:
-                    handle.write(line + "\n")
+                _mend_tail(handle, path)
+                handle.write(data)
                 handle.flush()
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
     except OSError as exc:
         raise IoFailureError(f"cannot append to {path}: {exc}") from None
     return len(runs)
+
+
+def _mend_tail(handle: BinaryIO, path: str | Path) -> None:
+    """Make an unterminated last line safe to append after.
+
+    A complete record only lacks its newline, which is added.  A line
+    that does not parse is the remains of an append cut off by a crash,
+    the one load_runs skips; it is dropped with a TornRecordWarning, so
+    the next record does not glue onto it into a corrupt line.
+    """
+    size = handle.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    handle.seek(size - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    text = handle.read()
+    start = text.rfind(b"\n") + 1
+    try:
+        json.loads(text[start:])
+    except ValueError:
+        handle.truncate(start)
+        line_no = text.count(b"\n") + 1
+        warnings.warn(
+            f"{path}: dropped line {line_no}, an unterminated record cut off mid-append",
+            TornRecordWarning,
+            stacklevel=3,
+        )
+    else:
+        handle.write(b"\n")
 
 
 def load_runs(path: str | Path, app: str | None = None) -> list[JobRun]:

@@ -185,6 +185,24 @@ class TestPipeline:
         ]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 2
 
+    @pytest.mark.parametrize("line", ["1_2 +8", "\u0665 4"])
+    def test_holdout_list_numbers_follow_the_integer_grammar(
+        self, tmp_path, truth_file, capsys, line
+    ):
+        main(_simulate(tmp_path))
+        model_path = tmp_path / "model.json"
+        main(["fit", "--runs", str(tmp_path / "runs.jsonl"),
+              "--app", "synthetic", "--out", str(model_path)])
+        holdout = tmp_path / "holdout.txt"
+        holdout.write_text(f"4 8\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--model", str(model_path),
+            "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+            "--holdout-list", str(holdout),
+        ]) == 2
+        assert f"{holdout}:2: expected integers" in capsys.readouterr().err
+
     def test_report_surface(self, tmp_path, truth_file, capsys):
         out_dir = tmp_path / "report"
         assert main([
@@ -433,6 +451,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert "line 65" in err
+
+    def test_append_after_a_torn_tail_drops_it(self, tmp_path, truth_file, capsys):
+        assert main(_simulate(tmp_path)) == 0
+        with open(tmp_path / "runs.jsonl", "a") as handle:
+            handle.write('{"schema_version":1,"app":"a","run_')
+        argv = _simulate(tmp_path, seed="8")
+        argv[argv.index("4:32:4")] = "4:8:4"  # 4 more runs
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("warning:") == 1
+        assert main([
+            "fit", "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+            "--out", str(tmp_path / "m.json"),
+        ]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert len(load_runs(tmp_path / "runs.jsonl")) == 64 + 4
 
     def test_corrupt_store_is_data_error(self, tmp_path, truth_file, capsys):
         path = tmp_path / "runs.jsonl"

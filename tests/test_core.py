@@ -156,6 +156,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineTrace("m", offsets=(0,), samples=(math.nan,))
 
+    @pytest.mark.parametrize(
+        "samples, bad",
+        [((0.5, -0.5), "-0.5"), ((0.5, math.nan), "nan"), ((math.inf, 0.5), "inf")],
+    )
+    def test_sample_check_names_the_first_bad_value(self, samples, bad):
+        message = f"samples must be finite and >= 0, got {bad}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MachineTrace("m", offsets=(0, 1), samples=samples)
+
+    @pytest.mark.parametrize("samples", [(-0.0,), (0.5, -0.0), (1e308, 1e308)])
+    def test_sample_check_accepts_negative_zero_and_large_sums(self, samples):
+        assert MachineTrace("m", range(len(samples)), samples).samples == samples
+
     def test_non_monotonic_offsets(self):
         with pytest.raises(ValueError):
             MachineTrace("m", offsets=(1, 1), samples=(0.5, 0.5))

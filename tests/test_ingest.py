@@ -1,8 +1,10 @@
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclecast import ingest
 from cyclecast.core import CyclecastError, MachineTrace
 from cyclecast.ingest import (
     DuplicateMachineIdError,
@@ -138,6 +140,109 @@ def test_write_parse_round_trip_is_bit_exact(values, offsets):
         w.kind is WarningKind.GAP_EXCEEDS_THRESHOLD for w in warnings
     )
     assert parsed == original
+
+
+HEADER = "machine_id,offset_s,cpu_seconds\n"
+
+
+def _outcome(text):
+    """What parse_trace_csv makes of text: traces and warnings, or its error.
+
+    The traces are compared by repr, which tells -0.0 from 0.0.
+    """
+    try:
+        traces, warnings = parse_trace_csv(io.StringIO(text))
+    except CyclecastError as exc:
+        return type(exc), str(exc)
+    return repr(traces), warnings
+
+
+def _row_loop_outcome(text):
+    with mock.patch.object(ingest, "_fast_columns", return_value=None):
+        return _outcome(text)
+
+
+# Fields in the fast grammar; valid fields outside it, which the row loop
+# still parses; and bad fields of every kind.
+_FAST_OFFSETS = st.integers(0, 30).map(str) | st.sampled_from(["007", "9" * 18])
+_SLOW_OFFSETS = st.just("-0") | st.integers(19, 4300).map(lambda n: "1" + "0" * (n - 1))
+_BAD_OFFSETS = st.sampled_from(["-1", "\u0665", "1_0", "+5", " 5", "", "1" * 4301])
+_FAST_CPUS = st.floats(0.0, 16.0).map(repr) | st.sampled_from([".5", "2.", "1E3", "3e-2"])
+_SLOW_CPUS = st.just("-0.0")
+_BAD_CPUS = st.sampled_from(["1e999", "-0.5", "nan", "inf", "1_0.5", "\u0665", ""])
+_MACHINES = st.sampled_from(["node-a", "node-b", "b_1"])
+
+
+@st.composite
+def _bodies(draw):
+    """Rows that interleave machines and repeat or misorder offsets.
+
+    A body keeps to the fast grammar, or to the documented one, or mixes
+    in bad fields, stray text and CRLF line ends.  The last line may lack
+    its end; no rows at all is a header-only body.
+    """
+    mode = draw(st.sampled_from(["fast", "documented", "any"]))
+    offsets, cpus, end = _FAST_OFFSETS, _FAST_CPUS, st.just("\n")
+    if mode != "fast":
+        offsets = st.one_of(offsets, offsets, _SLOW_OFFSETS)
+        cpus = st.one_of(cpus, cpus, _SLOW_CPUS)
+    if mode == "any":
+        offsets = st.one_of(offsets, offsets, _BAD_OFFSETS)
+        cpus = st.one_of(cpus, cpus, _BAD_CPUS)
+        end = st.sampled_from(["\n", "\n", "\n", "\r\n"])
+    row = st.tuples(_MACHINES, offsets, cpus).map(",".join)
+    if mode == "any":
+        row = st.one_of(row, row, st.text(max_size=6), st.just("bad id,0,1.0"))
+    rows = draw(st.lists(row, max_size=10))
+    ends = [draw(end) for _ in rows]
+    if rows and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+@given(_bodies(), st.integers(1, 64))
+def test_fast_path_agrees_with_the_row_loop(body, chunk_chars):
+    # A small chunk size puts chunk boundaries inside these short bodies.
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "node-a,-0,1.0\n",
+        "node-a,0,-0.0\n",
+        "node-a,1000000000000000000,1.0\n",
+        "node-a,x,1.0\n",
+        "node-a,0,1e999\n",
+        "node-a,3,0.5\nnode-b,3,0.5\nnode-a,3,0.6\n",
+        "node-a,0,1.0\r\n",
+        "node-a,0,1.0\n\n",
+    ],
+    ids=["negative-zero-offset", "negative-zero-cpu", "19-digit-offset", "malformed",
+         "infinite-cpu", "duplicate", "crlf", "empty-line"],
+)
+def test_each_fallback_trigger_reaches_the_row_loop(body):
+    assert ingest._fast_columns(HEADER + body) is None
+    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", GOOD_CSV[len(HEADER):], "node-a,999999999999999999,1e-3", "n,2,.5\nn,0,2.\nm,1,1E3\n"],
+    ids=["header-only", "good", "18-digit-offset-unterminated", "exponents"],
+)
+def test_good_bodies_take_the_fast_path(body):
+    assert ingest._fast_columns(HEADER + body) is not None
+    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+
+
+def test_many_chunks_agree_with_the_row_loop():
+    rows = [f"m{i % 7},{i // 7},{i * 0.37 % 4!r}" for i in range(40_000)]
+    text = HEADER + "\n".join(reversed(rows)) + "\n"
+    assert len(text) > 3 * ingest._CHUNK_CHARS
+    assert ingest._fast_columns(text) is not None
+    assert _outcome(text) == _row_loop_outcome(text)
 
 
 def test_write_orders_machines_lexicographically():

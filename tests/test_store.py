@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -104,6 +105,27 @@ def test_torn_last_line_is_skipped_with_a_warning(tmp_path):
         handle.write('{"schema_version":1,"app":"a","run_')
     with pytest.warns(TornRecordWarning, match="line 3"):
         assert load_runs(path) == _runs(2)
+
+
+def test_append_drops_a_torn_last_line_with_a_warning(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    append_runs(path, _runs(2))
+    with open(path, "a") as handle:
+        handle.write('{"schema_version":1,"app":"a","run_')
+    with pytest.warns(TornRecordWarning, match="dropped line 3"):
+        append_runs(path, _runs(1, app="grep"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_runs(path) == _runs(2) + _runs(1, app="grep")
+
+
+def test_append_terminates_a_complete_last_record(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps(run_to_record(_runs(1)[0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        append_runs(path, _runs(1, app="grep"))
+        assert load_runs(path) == _runs(1) + _runs(1, app="grep")
 
 
 def test_corrupt_line_before_the_tail_stays_an_error(tmp_path):
