@@ -18,6 +18,7 @@ from .core import (
     Machine,
     MachineTrace,
     NegativePredictionWarning,
+    RunTable,
     SampleExceedsCoresError,
     ShapeMismatchError,
     UnknownMachineError,
@@ -101,6 +102,7 @@ __all__ = [
     "NegativePredictionWarning",
     "NonPositiveReferenceError",
     "RankDeficientError",
+    "RunTable",
     "SampleExceedsCoresError",
     "ScalingModel",
     "ShapeMismatchError",

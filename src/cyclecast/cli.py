@@ -54,6 +54,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value >= 2**63:  # the bound JobConfig and the run store's columns take
+        raise argparse.ArgumentTypeError(f"expected a value below 2**63, got {value}")
     return value
 
 
@@ -122,19 +124,35 @@ def _fmt_opt(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
+class _ReadOnce:
+    """A text stream whose one read() hands the text over.
+
+    The reader then holds the only reference, so the trace parser can
+    free the text before it builds the traces.
+    """
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+
+    def read(self) -> str:
+        text, self._text = self._text, ""
+        return text
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with open(args.traces, "r", encoding="utf-8", newline="") as handle:
-        traces, warnings_found = parse_trace_csv(handle, gap_threshold=args.gap_threshold)
+    data = Path(args.traces).read_bytes()
+    run_id = args.run_id
+    if run_id is None:
+        run_id = hashlib.sha256(data).hexdigest()[:12]
+    stream = _ReadOnce(data.decode("utf-8"))
+    del data
+    traces, warnings_found = parse_trace_csv(stream, gap_threshold=args.gap_threshold)
     for warning in warnings_found:
         scope = f" machine={warning.machine_id}" if warning.machine_id else ""
         print(f"warning: {warning.kind.value}{scope}: {warning.detail}", file=sys.stderr)
     with open(args.cluster, "r", encoding="utf-8") as handle:
         cluster = parse_cluster_spec(handle)
     cycles = total_cpu_cycles(traces, cluster)
-    run_id = args.run_id
-    if run_id is None:
-        digest = hashlib.sha256(Path(args.traces).read_bytes()).hexdigest()
-        run_id = digest[:12]
     run = JobRun(
         app=args.app,
         run_id=run_id,
@@ -176,18 +194,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    runs = load_runs(args.runs, app=args.app)
+    table = load_runs(args.runs, app=args.app)
+    # (mappers, reducers, input_bytes, total_cycles) per run, in file order.
+    runs = list(
+        zip(
+            table.mappers.tolist(),
+            table.reducers.tolist(),
+            table.input_bytes.tolist(),
+            table.total_cycles.tolist(),
+        )
+    )
     if args.holdout_list is not None:
         keep = _read_holdout_list(args.holdout_list)
-        runs = [r for r in runs if (r.config.mappers, r.config.reducers) in keep]
+        runs = [run for run in runs if run[:2] in keep]
     if len(runs) < 2:
         raise DegenerateInputError(
             f"need >= 2 runs to evaluate, got {len(runs)} after filtering"
         )
-    actual = [r.total_cycles for r in runs]
-    predicted = [
-        model.predict(r.config.mappers, r.config.reducers, r.config.input_bytes) for r in runs
-    ]
+    actual = [cycles for _, _, _, cycles in runs]
+    predicted = [model.predict(mappers, reducers, size) for mappers, reducers, size, _ in runs]
     report = evaluate(actual, predicted)
     print(json.dumps(report.to_json_dict()))
     print(

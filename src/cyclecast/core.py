@@ -13,10 +13,13 @@ the order traces or samples are presented in.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class CyclecastError(Exception):
@@ -129,12 +132,16 @@ class JobConfig:
     input_bytes: int
 
     def __post_init__(self) -> None:
-        if self.mappers < 1:
-            raise ValueError(f"mappers must be >= 1, got {self.mappers}")
-        if self.reducers < 1:
-            raise ValueError(f"reducers must be >= 1, got {self.reducers}")
-        if self.input_bytes < 1:
-            raise ValueError(f"input_bytes must be >= 1, got {self.input_bytes}")
+        for name in ("mappers", "reducers", "input_bytes"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is not a degree of parallelism.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            # RunTable columns are int64.
+            if value >= 2**63:
+                raise ValueError(f"{name} must be < 2**63, got {value}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,80 @@ class JobRun:
             raise ValueError(
                 f"total_cycles must be finite and >= 0, got {self.total_cycles}"
             )
+        # A plain float, so its repr is the run store's number form.
+        object.__setattr__(self, "total_cycles", float(self.total_cycles))
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Measured runs as parallel columns, one row per run, in the order given.
+
+    apps and run_ids are tuples of non-empty strings.  mappers, reducers
+    and input_bytes are read-only int64 arrays of values >= 1, and
+    total_cycles a read-only float64 array of finite values >= 0: the
+    rules JobConfig and JobRun check, checked here once per column.
+    """
+
+    apps: tuple[str, ...]
+    run_ids: tuple[str, ...]
+    mappers: np.ndarray
+    reducers: np.ndarray
+    input_bytes: np.ndarray
+    total_cycles: np.ndarray
+
+    def __post_init__(self) -> None:
+        apps, run_ids = tuple(self.apps), tuple(self.run_ids)
+        object.__setattr__(self, "apps", apps)
+        object.__setattr__(self, "run_ids", run_ids)
+        rows = len(apps)
+        if len(run_ids) != rows:
+            raise ShapeMismatchError(f"{rows} apps but {len(run_ids)} run_ids")
+        if not all(apps) or not all(run_ids):
+            raise ValueError("app and run_id must be non-empty")
+        for name in ("mappers", "reducers", "input_bytes", "total_cycles"):
+            dtype = np.float64 if name == "total_cycles" else np.int64
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (rows,):
+                raise ShapeMismatchError(f"column {name} has shape {column.shape}, not ({rows},)")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if rows == 0:
+            return
+        if min(self.mappers.min(), self.reducers.min(), self.input_bytes.min()) < 1:
+            raise ValueError("mappers, reducers and input_bytes must be >= 1")
+        if not (self.total_cycles.min() >= 0.0 and self.total_cycles.max() < math.inf):
+            raise ValueError("total_cycles must be finite and >= 0")
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[JobRun]) -> RunTable:
+        """A table of runs, in the order given."""
+        runs = list(runs)
+        return cls(
+            apps=tuple(run.app for run in runs),
+            run_ids=tuple(run.run_id for run in runs),
+            mappers=[run.config.mappers for run in runs],
+            reducers=[run.config.reducers for run in runs],
+            input_bytes=[run.config.input_bytes for run in runs],
+            total_cycles=[run.total_cycles for run in runs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.apps)
+
+    def to_runs(self) -> list[JobRun]:
+        """The rows as JobRun objects, in table order."""
+        rows = zip(
+            self.apps,
+            self.run_ids,
+            self.mappers.tolist(),
+            self.reducers.tolist(),
+            self.input_bytes.tolist(),
+            self.total_cycles.tolist(),
+        )
+        return [
+            JobRun(app, run_id, JobConfig(mappers, reducers, input_bytes), cycles)
+            for app, run_id, mappers, reducers, input_bytes, cycles in rows
+        ]
 
 
 @dataclass(frozen=True)
@@ -202,27 +283,35 @@ def total_cpu_cycles(traces: Iterable[MachineTrace], cluster: ClusterSpec) -> fl
     return math.fsum(per_trace)
 
 
-def aggregate_repetitions(runs: Sequence[JobRun]) -> list[JobProfile]:
+def aggregate_repetitions(runs: RunTable | Sequence[JobRun]) -> list[JobProfile]:
     """Average repeated runs into one profile per (app, config).
 
     The mean uses math.fsum, so permuting the input runs changes nothing,
     bit for bit.  Output is sorted by (app, mappers, reducers, input_bytes).
     """
-    if not runs:
+    table = runs if isinstance(runs, RunTable) else RunTable.from_runs(runs)
+    if not len(table):
         raise EmptyInputError("no runs to aggregate")
-    groups: dict[tuple[str, JobConfig], list[float]] = {}
-    for run in runs:
-        groups.setdefault((run.app, run.config), []).append(run.total_cycles)
-    profiles = [
-        JobProfile(
-            app=app,
-            config=config,
-            mean_cycles=math.fsum(cycles) / len(cycles),
-            repetitions=len(cycles),
+    names = sorted(set(table.apps))
+    code = {name: i for i, name in enumerate(names)}
+    apps = np.fromiter(map(code.__getitem__, table.apps), np.int64, len(table))
+    # One sort by (app, mappers, reducers, input_bytes) makes equal keys
+    # adjacent; lexsort's last key is its primary one.
+    columns = (apps, table.mappers, table.reducers, table.input_bytes)
+    order = np.lexsort(columns[::-1])
+    keys = zip(*(column[order].tolist() for column in columns))
+    cycles = table.total_cycles[order].tolist()
+    profiles: list[JobProfile] = []
+    lo = 0
+    for (app, mappers, reducers, input_bytes), group in itertools.groupby(keys):
+        hi = lo + sum(1 for _ in group)
+        profiles.append(
+            JobProfile(
+                app=names[app],
+                config=JobConfig(mappers, reducers, input_bytes),
+                mean_cycles=math.fsum(cycles[lo:hi]) / (hi - lo),
+                repetitions=hi - lo,
+            )
         )
-        for (app, config), cycles in groups.items()
-    ]
-    profiles.sort(
-        key=lambda p: (p.app, p.config.mappers, p.config.reducers, p.config.input_bytes)
-    )
+        lo = hi
     return profiles

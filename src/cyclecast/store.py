@@ -2,18 +2,33 @@
 
 Run store
 ---------
-Line-delimited JSON, one run per line, append-only.  Key order is fixed:
+Line-delimited JSON in UTF-8, one run per line, append-only.  append_runs
+writes every record as one canonical line: this key order, no spaces,
+strings as json.dumps writes them (ASCII, escaped), integers in decimal,
+total_cycles by repr, so a load after append returns bit-identical
+floats:
 
-    {"schema_version": 1, "app": ..., "run_id": ..., "mappers": ...,
-     "reducers": ..., "input_bytes": ..., "total_cycles": ...}
+    {"schema_version":1,"app":...,"run_id":...,"mappers":...,
+     "reducers":...,"input_bytes":...,"total_cycles":...}
 
 Appends take an exclusive advisory lock (fcntl.flock) and write each
-record as a single line, so concurrent appenders interleave whole lines
-and a reader never sees a torn record.  total_cycles is serialized with
-full repr precision; a load after append returns bit-identical floats.
-A crash mid-append can still leave a last line without its newline; a
+batch under it; loads read under a shared lock.  Concurrent appenders
+thus interleave whole lines and a reader never sees a torn record.  A
+crash mid-append can still leave a last line without its newline; a
 load skips it with a TornRecordWarning when it does not parse, and the
 next append drops it with the same warning before writing.
+
+Loading takes a columnar fast path.  One regular-expression pass checks
+the whole body against a narrower grammar: canonical lines only, each
+ending in a newline, strings without escapes, integers of at most 18
+digits with no leading zero, and total_cycles a non-negative JSON number
+whose form cannot overflow (below 1e300).  The records of the requested
+app are then picked out by a second pattern and become columns, in file
+order, without a JobRun per record.  Any other body goes through the line
+loop, which json-decodes and checks one line at a time: it loads what
+is valid and raises the typed error of the first bad line, naming it.
+That covers other key orders and spacing, escaped strings, a torn tail,
+and every invalid record.
 
 Model file
 ----------
@@ -32,15 +47,57 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, BinaryIO
 
-from .core import CyclecastError, JobConfig, JobRun
+from .core import CyclecastError, JobConfig, JobRun, RunTable
 from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
 from .scaling import CostModel, NonPositiveReferenceError, ScalingModel
 
 RUNS_SCHEMA_VERSION = 1
+
+# The canonical record line.  encode_basestring_ascii is the string
+# encoder json.dumps uses, so the line equals
+# json.dumps(run_to_record(run), separators=(",", ":")) plus a newline.
+_RECORD_LINE = (
+    '{"schema_version":%d,"app":%s,"run_id":%s,'
+    '"mappers":%d,"reducers":%d,"input_bytes":%d,"total_cycles":%r}\n'
+)
+
+# The fast path's grammar.  A string is printable ASCII without a quote or
+# backslash, so it needs no unescaping.  A count has at most 18 digits, so
+# it fits int64.  total_cycles is a plain decimal with at most 17 integer
+# digits or, as repr writes large and small floats, one digit and an
+# exponent below +300: neither overflows to infinity.
+_FAST_TEXT = r"[ !#-\[\]-~]++"
+_FAST_COUNT = r"[1-9][0-9]{0,17}+"
+_FAST_CYCLES = (
+    r"(?:(?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?"
+    r"|[1-9](?:\.[0-9]+)?e(?:-[0-9]{2,3}|\+[12]?[0-9]{2}))"
+)
+_FAST_BODY = re.compile(
+    r'(?:\{"schema_version":1,"app":"' + _FAST_TEXT + r'","run_id":"' + _FAST_TEXT
+    + r'","mappers":' + _FAST_COUNT + r',"reducers":' + _FAST_COUNT
+    + r',"input_bytes":' + _FAST_COUNT + r',"total_cycles":' + _FAST_CYCLES + r'\}\n)*+'
+)
+_FAST_TEXT_RE = re.compile(_FAST_TEXT)
+
+
+def _fast_fields(app_pattern: str) -> re.Pattern[str]:
+    """A record's six fields, its app matching app_pattern.
+
+    Only for bodies _FAST_BODY has vouched for: a fast string holds no
+    quote, so the pattern's literal start only matches where a line
+    starts.
+    """
+    return re.compile(
+        r'\{"schema_version":1,"app":"(' + app_pattern + r')","run_id":"([^"]++)",'
+        r'"mappers":([0-9]++),"reducers":([0-9]++),"input_bytes":([0-9]++),'
+        r'"total_cycles":([^}]++)\}'
+    )
 
 
 class IoFailureError(CyclecastError):
@@ -104,7 +161,8 @@ def record_to_run(obj: Any, line_no: int) -> JobRun:
             ),
             total_cycles=float(_require(obj, "total_cycles", (int, float), line_no)),
         )
-    except ValueError as exc:
+    # OverflowError: an integer total_cycles too large for a float.
+    except (ValueError, OverflowError) as exc:
         raise CorruptRecordError(f"line {line_no}: {exc}") from None
 
 
@@ -117,8 +175,21 @@ def append_runs(path: str | Path, runs: list[JobRun]) -> int:
     """
     if not runs:
         return 0
-    lines = [json.dumps(run_to_record(r), separators=(",", ":")) for r in runs]
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    data = "".join(
+        [
+            _RECORD_LINE
+            % (
+                RUNS_SCHEMA_VERSION,
+                encode_basestring_ascii(run.app),
+                encode_basestring_ascii(run.run_id),
+                run.config.mappers,
+                run.config.reducers,
+                run.config.input_bytes,
+                run.total_cycles,
+            )
+            for run in runs
+        ]
+    ).encode("ascii")
     try:
         with open(path, "ab+") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
@@ -164,30 +235,77 @@ def _mend_tail(handle: BinaryIO, path: str | Path) -> None:
         handle.write(b"\n")
 
 
-def load_runs(path: str | Path, app: str | None = None) -> list[JobRun]:
+def load_runs(path: str | Path, app: str | None = None) -> RunTable:
     """Load every run from the store, in file order, optionally one app's.
 
     An unterminated last line that is not valid JSON is the remains of an
     append cut off by a crash: it is skipped with a TornRecordWarning.  An
-    invalid line anywhere else is a CorruptRecordError.
+    invalid line anywhere else is a CorruptRecordError, and so are bytes
+    that are not UTF-8, which no append writes.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+            data = handle.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorruptRecordError(
+            f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+    del data
+    rows = _fast_rows(text, app)
+    if rows is None:
+        return RunTable.from_runs(_row_runs(text, path, app))
+    del text  # the rows hold all the table needs
+    apps, run_ids, mappers, reducers, input_bytes, cycles = zip(*rows) if rows else [()] * 6
+    return RunTable(
+        apps=apps,
+        run_ids=run_ids,
+        mappers=list(map(int, mappers)),
+        reducers=list(map(int, reducers)),
+        input_bytes=list(map(int, input_bytes)),
+        total_cycles=list(map(float, cycles)),
+    )
+
+
+def _fast_rows(text: str, app: str | None) -> list[tuple[str, ...]] | None:
+    """The field texts of app's records, if the body is in the fast grammar.
+
+    Returns None when the line loop must read the body instead.
+    """
+    if _FAST_BODY.fullmatch(text) is None:
+        return None
+    if app is None:
+        return _fast_fields(_FAST_TEXT).findall(text)
+    if _FAST_TEXT_RE.fullmatch(app):
+        return _fast_fields(re.escape(app)).findall(text)
+    return []  # no fast record can have this app
+
+
+def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
+    """Decode and check a store body one line at a time.
+
+    Raises the typed error of the first bad line, naming it.  Only bodies
+    _fast_rows declines reach here: bad ones, and good ones outside the
+    fast grammar.
+    """
     lines = text.splitlines()
     torn_tail = None if text.endswith("\n") else len(lines)
     runs: list[JobRun] = []
     for line_no, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of over 4300 digits
             if line_no == torn_tail:
                 warnings.warn(
                     f"{path}: skipped line {line_no}, an unterminated record "
                     f"cut off mid-append",
                     TornRecordWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 break
             raise CorruptRecordError(f"line {line_no}: invalid JSON: {exc}") from None
@@ -223,9 +341,15 @@ def save_model(path: str | Path, model: CostModel) -> None:
 def load_model(path: str | Path) -> CostModel:
     """Read a model document back; floats are bit-identical to what was saved."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(
+            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -54,7 +54,7 @@ class TestIngest:
         assert main(["ingest"] + _ingest_args(tmp_path)) == 0
         err = capsys.readouterr().err
         assert "ingested 2 machine trace(s)" in err
-        runs = load_runs(tmp_path / "runs.jsonl")
+        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
         assert len(runs) == 1
         assert runs[0].total_cycles == 8.0e9
         assert runs[0].app == "sort"
@@ -65,7 +65,7 @@ class TestIngest:
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         main(["ingest"] + _ingest_args(tmp_path))
         main(["ingest"] + _ingest_args(tmp_path))
-        runs = load_runs(tmp_path / "runs.jsonl")
+        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
         assert runs[0].run_id == runs[1].run_id
         assert len(runs[0].run_id) == 12
 
@@ -73,7 +73,7 @@ class TestIngest:
         (tmp_path / "trace.csv").write_text(TRACE_CSV)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         main(["ingest"] + _ingest_args(tmp_path) + ["--run-id", "exp-007"])
-        assert load_runs(tmp_path / "runs.jsonl")[0].run_id == "exp-007"
+        assert load_runs(tmp_path / "runs.jsonl").to_runs()[0].run_id == "exp-007"
 
     def test_warnings_surface_on_stderr(self, tmp_path, capsys):
         (tmp_path / "trace.csv").write_text(TRACE_CSV.rstrip("\n"))
@@ -224,7 +224,7 @@ class TestPipeline:
             tmp_path,
             extra=["--emit-traces", str(trace_dir), "--cluster", str(tmp_path / "cluster.txt")],
         )) == 0
-        runs = load_runs(tmp_path / "runs.jsonl")
+        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
         emitted = sorted(trace_dir.glob("*.csv"))
         assert len(emitted) == len(runs)
 
@@ -237,7 +237,7 @@ class TestPipeline:
                 "--out": tmp_path / "reingested.jsonl",
             },
         )) == 0
-        reingested = load_runs(tmp_path / "reingested.jsonl")[0]
+        reingested = load_runs(tmp_path / "reingested.jsonl").to_runs()[0]
         assert reingested.total_cycles == pytest.approx(first.total_cycles, rel=1e-9)
 
 
@@ -344,7 +344,7 @@ class TestScaleFit:
         assert main(["predict", "--model", str(truth_path), "--mappers", "4",
                      "--reducers", "8", "--input-bytes", size]) == 0
         expected = float(capsys.readouterr().out)
-        (run,) = [r for r in load_runs(tmp_path / "runs.jsonl")
+        (run,) = [r for r in load_runs(tmp_path / "runs.jsonl").to_runs()
                   if (r.config.mappers, r.config.reducers) == (4, 8)]
         assert run.total_cycles == expected
         assert expected != predict(TRUTH, run.config)
@@ -380,6 +380,13 @@ class TestExitCodes:
         assert main([
             "predict", "--model", "x.json", "--mappers", "0", "--reducers", "1",
         ]) == 1
+
+    def test_count_beyond_int64_is_usage(self, tmp_path, truth_file, capsys):
+        assert main([
+            "predict", "--model", str(truth_file), "--mappers", "4", "--reducers", "4",
+            "--input-bytes", str(2**63),
+        ]) == 1
+        assert "usage error: argument --input-bytes" in capsys.readouterr().err
 
     def test_emit_traces_requires_cluster(self, tmp_path, truth_file):
         assert main(_simulate(tmp_path, extra=["--emit-traces", str(tmp_path / "t")])) == 1

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclecast.core import (
     ClusterSpec,
@@ -11,7 +12,9 @@ from cyclecast.core import (
     JobRun,
     Machine,
     MachineTrace,
+    RunTable,
     SampleExceedsCoresError,
+    ShapeMismatchError,
     UnknownMachineError,
     aggregate_repetitions,
     total_cpu_cycles,
@@ -197,6 +200,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             JobConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, 4.0, "4"])
+    def test_config_requires_ints(self, value):
+        with pytest.raises(TypeError):
+            JobConfig(1, value, 1)
+
+    def test_config_fits_int64(self):
+        assert JobConfig(1, 1, 2**63 - 1).input_bytes == 2**63 - 1
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            JobConfig(1, 1, 2**63)
+
+    def test_run_cycles_become_a_plain_float(self):
+        run = JobRun("a", "r", JobConfig(1, 1, 1), np.float64(0.1))
+        assert type(run.total_cycles) is float and run.total_cycles == 0.1
+
     def test_run_rejects_negative_cycles(self):
         with pytest.raises(ValueError):
             JobRun(
@@ -214,3 +231,81 @@ class TestValidation:
                 mean_cycles=1.0,
                 repetitions=0,
             )
+
+
+class TestRunTable:
+    RUNS = [
+        JobRun("sort", "a", JobConfig(4, 2, 1024), 10.0),
+        JobRun("grep", "b", JobConfig(8, 2, 2**62), 0.1),
+    ]
+
+    def test_runs_round_trip_in_order(self):
+        table = RunTable.from_runs(self.RUNS)
+        assert len(table) == 2
+        assert table.mappers.dtype == np.int64 and table.total_cycles.dtype == np.float64
+        assert table.to_runs() == self.RUNS
+        assert RunTable.from_runs([]).to_runs() == []
+
+    def test_columns_are_read_only(self):
+        with pytest.raises(ValueError):
+            RunTable.from_runs(self.RUNS).mappers[0] = 5
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"apps": ("sort", "")},
+            {"run_ids": ("a",)},
+            {"reducers": [2, 0]},
+            {"input_bytes": [1, 2, 3]},
+            {"total_cycles": [1.0, math.nan]},
+            {"total_cycles": [1.0, -0.5]},
+            {"total_cycles": [math.inf, 1.0]},
+        ],
+    )
+    def test_rows_obey_the_run_rules(self, change):
+        columns = {
+            "apps": ("sort", "grep"),
+            "run_ids": ("a", "b"),
+            "mappers": [4, 8],
+            "reducers": [2, 2],
+            "input_bytes": [1, 1],
+            "total_cycles": [1.0, 2.0],
+        }
+        RunTable(**columns)
+        columns.update(change)
+        with pytest.raises((ValueError, ShapeMismatchError)):
+            RunTable(**columns)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["sort", "grep", "a"]),
+                st.integers(1, 3),
+                st.integers(1, 3),
+                st.sampled_from([1, 2**40, 2**63 - 1]),
+                st.floats(0.0, 1e15),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(deadline=None)
+    def test_table_and_runs_aggregate_alike(self, rows):
+        runs = [
+            JobRun(app, f"r{i}", JobConfig(m, r, b), c)
+            for i, (app, m, r, b, c) in enumerate(rows)
+        ]
+        groups = {}
+        for run in runs:
+            groups.setdefault((run.app, run.config), []).append(run.total_cycles)
+        expected = sorted(
+            (app, c.mappers, c.reducers, c.input_bytes, math.fsum(v) / len(v), len(v))
+            for (app, c), v in groups.items()
+        )
+        for given_runs in (runs, RunTable.from_runs(runs)):
+            profiles = aggregate_repetitions(given_runs)
+            assert [
+                (p.app, p.config.mappers, p.config.reducers, p.config.input_bytes,
+                 p.mean_cycles, p.repetitions)
+                for p in profiles
+            ] == expected

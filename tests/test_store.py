@@ -1,9 +1,16 @@
+import fcntl
 import json
+import tempfile
+import threading
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclecast.core import JobConfig, JobRun
+from cyclecast import store
+from cyclecast.core import CyclecastError, JobConfig, JobRun
 from cyclecast.regression import ModelCoefficients
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import (
@@ -36,14 +43,14 @@ def test_append_and_load_round_trip(tmp_path):
     path = tmp_path / "runs.jsonl"
     runs = _runs()
     assert append_runs(path, runs) == 3
-    assert load_runs(path) == runs
+    assert load_runs(path).to_runs() == runs
 
 
 def test_appends_accumulate_in_order(tmp_path):
     path = tmp_path / "runs.jsonl"
     append_runs(path, _runs(2))
     append_runs(path, _runs(2, app="grep"))
-    loaded = load_runs(path)
+    loaded = load_runs(path).to_runs()
     assert [r.app for r in loaded] == ["sort", "sort", "grep", "grep"]
 
 
@@ -51,7 +58,7 @@ def test_app_filter(tmp_path):
     path = tmp_path / "runs.jsonl"
     append_runs(path, _runs(2) + _runs(3, app="grep"))
     assert len(load_runs(path, app="grep")) == 3
-    assert load_runs(path, app="nope") == []
+    assert load_runs(path, app="nope").to_runs() == []
 
 
 def test_append_nothing_touches_nothing(tmp_path):
@@ -80,7 +87,7 @@ def test_total_cycles_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "runs.jsonl"
     original = _runs(5)
     append_runs(path, original)
-    for loaded, want in zip(load_runs(path), original):
+    for loaded, want in zip(load_runs(path).to_runs(), original):
         assert loaded.total_cycles == want.total_cycles
 
 
@@ -104,7 +111,7 @@ def test_torn_last_line_is_skipped_with_a_warning(tmp_path):
     with open(path, "a") as handle:
         handle.write('{"schema_version":1,"app":"a","run_')
     with pytest.warns(TornRecordWarning, match="line 3"):
-        assert load_runs(path) == _runs(2)
+        assert load_runs(path).to_runs() == _runs(2)
 
 
 def test_append_drops_a_torn_last_line_with_a_warning(tmp_path):
@@ -116,7 +123,7 @@ def test_append_drops_a_torn_last_line_with_a_warning(tmp_path):
         append_runs(path, _runs(1, app="grep"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_runs(path) == _runs(2) + _runs(1, app="grep")
+        assert load_runs(path).to_runs() == _runs(2) + _runs(1, app="grep")
 
 
 def test_append_terminates_a_complete_last_record(tmp_path):
@@ -125,7 +132,7 @@ def test_append_terminates_a_complete_last_record(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         append_runs(path, _runs(1, app="grep"))
-        assert load_runs(path) == _runs(1) + _runs(1, app="grep")
+        assert load_runs(path).to_runs() == _runs(1) + _runs(1, app="grep")
 
 
 def test_corrupt_line_before_the_tail_stays_an_error(tmp_path):
@@ -256,3 +263,238 @@ def test_model_without_one_reference_size_is_corrupt(tmp_path, change):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptRecordError):
         load_model(path)
+
+
+def test_invalid_utf8_in_the_store_names_its_line(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    append_runs(path, _runs(2))
+    with open(path, "ab") as handle:
+        handle.write(b'{"schema_version":1,"app":"\xff"}\n')
+    with pytest.raises(CorruptRecordError, match="line 3: not UTF-8"):
+        load_runs(path)
+
+
+def test_invalid_utf8_in_a_model_names_its_file(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, CostModel(MODEL))
+    path.write_bytes(path.read_bytes().replace(b'"sort"', b'"s\xffrt"'))
+    with pytest.raises(CorruptRecordError, match=f"{path}: not UTF-8"):
+        load_model(path)
+
+
+def test_load_waits_for_an_appender_s_lock(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    append_runs(path, _runs(2))
+    loaded = []
+    with open(path, "ab") as writer:
+        fcntl.flock(writer.fileno(), fcntl.LOCK_EX)
+        reader = threading.Thread(target=lambda: loaded.append(load_runs(path)))
+        reader.start()
+        reader.join(timeout=0.2)
+        assert reader.is_alive(), "load_runs read while an append held the lock"
+        writer.write(b"".join(_line(run).encode() for run in _runs(1, app="grep")))
+        writer.flush()
+        fcntl.flock(writer.fileno(), fcntl.LOCK_UN)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert loaded[0].to_runs() == _runs(2) + _runs(1, app="grep")
+
+
+# --- The canonical line and the columnar fast path ---------------------------
+
+
+def _line(run, ensure_ascii=True, **fields):
+    """json.dumps of run's record with fields replaced, as one store line."""
+    record = run_to_record(run)
+    record.update(fields)
+    return json.dumps(record, separators=(",", ":"), ensure_ascii=ensure_ascii) + "\n"
+
+
+def _outcome(path, app=None):
+    """What load_runs does on path: the rows it loads or the error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load_runs(path, app=app)
+        except CyclecastError as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = [
+                (a, r, m, n, b, repr(c))
+                for a, r, m, n, b, c in zip(
+                    table.apps,
+                    table.run_ids,
+                    table.mappers.tolist(),
+                    table.reducers.tolist(),
+                    table.input_bytes.tolist(),
+                    table.total_cycles.tolist(),
+                )
+            ]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _row_loop_outcome(path, app=None):
+    with mock.patch.object(store, "_fast_rows", return_value=None):
+        return _outcome(path, app)
+
+
+def _takes_fast_path(path, app=None):
+    return store._fast_rows(path.read_text(), app) is not None
+
+
+_PLAIN_TEXT = st.from_regex(r"[A-Za-z0-9_.:-]{1,12}", fullmatch=True)
+# Non-ASCII, quotes, backslashes, control characters and separators that
+# str.splitlines breaks lines at.
+_AWKWARD_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\x85 é☃\U0001f600 ~{}') | st.characters(),
+    min_size=1,
+    max_size=8,
+)
+_FAST_COUNTS = st.integers(1, 10**18 - 1)
+_COUNTS = st.integers(1, 2**63 - 1)
+_CYCLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+def _job_runs(text=_PLAIN_TEXT, counts=_FAST_COUNTS, cycles=_CYCLES):
+    return st.builds(
+        JobRun,
+        app=text,
+        run_id=text,
+        config=st.builds(JobConfig, counts, counts, counts),
+        total_cycles=cycles,
+    )
+
+
+_FAST_RUNS = _job_runs(cycles=st.floats(min_value=0.0, max_value=1e299))
+_ANY_RUNS = _job_runs(_PLAIN_TEXT | _AWKWARD_TEXT, _COUNTS, _CYCLES)
+
+# Each maps a run to a line the fast path must decline; the comment says
+# what the line loop makes of it.
+_DECLINED = {
+    # loads
+    "key-order": lambda run: json.dumps(dict(reversed(run_to_record(run).items()))) + "\n",
+    "spaces": lambda run: json.dumps(run_to_record(run)) + "\n",
+    "escaped-quote": lambda run: _line(run, app='say "hi"'),
+    "escaped-non-ascii": lambda run: _line(run, run_id="ré"),
+    "raw-non-ascii": lambda run: _line(run, ensure_ascii=False, app="ré"),
+    "unicode-escape-of-ascii": lambda run: _line(run).replace('"app":"', '"app":"\\u0061', 1),
+    "19-digit-int": lambda run: _line(run, input_bytes=10**18),
+    "negative-zero-cycles": lambda run: _line(run, total_cycles=-0.0),
+    "cycles-over-1e300": lambda run: _line(run, total_cycles=1.5e300),
+    # raises
+    "bool-count": lambda run: _line(run, mappers=True),
+    "float-count": lambda run: _line(run, reducers=4.0),
+    "schema-version-2": lambda run: _line(run, schema_version=2),
+    "schema-version-0": lambda run: _line(run, schema_version=0),
+    "zero-count": lambda run: _line(run, mappers=0),
+    "negative-count": lambda run: _line(run, input_bytes=-5),
+    "leading-zero": lambda run: _line(run).replace('"mappers":', '"mappers":0', 1),
+    "negative-cycles": lambda run: _line(run, total_cycles=-1.5),
+    "cycles-1e999": lambda run: _line(run).replace(f":{run.total_cycles!r}}}", ":1e999}"),
+    "cycles-400-digit-int": lambda run: _line(run, total_cycles=10**400),
+    "count-over-int64": lambda run: _line(run, mappers=2**63),
+    "count-4301-digits": lambda run: _line(run).replace('"mappers":', '"mappers":' + "9" * 4300, 1),
+    "empty-app": lambda run: _line(run, app=""),
+    "raw-line-separator": lambda run: _line(run, ensure_ascii=False, run_id="a\u2028b"),
+    "missing-key": lambda run: _line(run).replace('"reducers"', '"reducer"'),
+    "not-json": lambda run: "{not json\n",
+    "blank-line": lambda run: "\n",
+}
+
+
+@given(st.lists(_FAST_RUNS, max_size=30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_canonical_bodies_take_the_fast_path(runs, data):
+    app = data.draw(st.none() | st.sampled_from([r.app for r in runs] + ["nope", 'a"b']))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        path.write_text("".join(_line(run) for run in runs))
+        assert _takes_fast_path(path, app)
+        assert _outcome(path, app) == _row_loop_outcome(path, app)
+        want = [run for run in runs if app is None or run.app == app]
+        assert load_runs(path, app=app).to_runs() == want
+
+
+@pytest.mark.parametrize("trigger", sorted(_DECLINED))
+def test_declined_line_goes_to_the_line_loop(tmp_path, trigger):
+    runs = _runs(2)
+    path = tmp_path / "runs.jsonl"
+    path.write_text(_line(runs[0]) + _DECLINED[trigger](runs[1]) + _line(runs[0]))
+    assert not _takes_fast_path(path)
+    assert _outcome(path) == _row_loop_outcome(path)
+    assert _outcome(path, app="grep") == _row_loop_outcome(path, app="grep")
+
+
+@pytest.mark.parametrize("cycles", ["12345", "0", "1.50", "5e-324", "9.99e+299"])
+def test_other_number_forms_of_cycles_take_the_fast_path(tmp_path, cycles):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(_line(_runs(1)[0]).replace("366666666666.6667", cycles))
+    assert _takes_fast_path(path)
+    assert _outcome(path) == _row_loop_outcome(path)
+    assert load_runs(path).total_cycles.tolist() == [float(cycles)]
+
+
+@pytest.mark.parametrize("tail", ["", '{"schema_version":1,"app":"a","run_', "whole"])
+def test_unterminated_tail_goes_to_the_line_loop(tmp_path, tail):
+    path = tmp_path / "runs.jsonl"
+    runs = _runs(2)
+    text = "".join(_line(run) for run in runs)
+    path.write_text(text + (_line(runs[0])[:-1] if tail == "whole" else tail))
+    assert _takes_fast_path(path) == (tail == "")
+    assert _outcome(path) == _row_loop_outcome(path)
+
+
+@st.composite
+def _bodies(draw):
+    """Store bodies of canonical and declined lines, the last one maybe torn."""
+    runs = draw(st.lists(_ANY_RUNS | _FAST_RUNS, max_size=12))
+    triggers = [draw(st.none() | st.sampled_from(sorted(_DECLINED))) for _ in runs]
+    body = "".join(
+        _line(run) if trigger is None else _DECLINED[trigger](run)
+        for run, trigger in zip(runs, triggers)
+    )
+    if body and draw(st.booleans()):
+        last = body.rfind("\n", 0, len(body) - 1) + 1
+        body = body[: draw(st.integers(last, len(body) - 1))]
+    apps = [run.app for run in runs] + ["nope"]
+    return body, draw(st.none() | st.sampled_from(apps))
+
+
+@given(_bodies())
+@settings(max_examples=100, deadline=None)
+def test_fast_path_and_line_loop_agree(body_and_app):
+    body, app = body_and_app
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        path.write_text(body)
+        assert _outcome(path, app) == _row_loop_outcome(path, app)
+
+
+@given(_ANY_RUNS)
+@settings(deadline=None)
+def test_record_line_equals_json_dumps(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        append_runs(path, [run])
+        assert path.read_bytes() == _line(run).encode("ascii")
+        assert load_runs(path).to_runs() == [run]
+
+
+@given(
+    st.sampled_from(["mappers", "reducers", "input_bytes"]),
+    st.integers(19, 4300).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1)),
+)
+@settings(deadline=None)
+def test_long_integers_load_exactly_or_cannot_be_written(field, value):
+    run = _runs(1)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        path.write_text(_line(run, **{field: value}))
+        if value < 2**63:
+            (loaded,) = load_runs(path).to_runs()
+            assert getattr(loaded.config, field) == value
+        else:
+            with pytest.raises(CorruptRecordError, match=rf"line 1: {field} must be < 2\*\*63"):
+                load_runs(path)
+            with pytest.raises(ValueError):
+                JobConfig(**{"mappers": 1, "reducers": 1, "input_bytes": 1, field: value})
