@@ -125,18 +125,18 @@ def _fmt_opt(value: float | None, spec: str) -> str:
 
 
 class _ReadOnce:
-    """A text stream whose one read() hands the text over.
+    """A binary stream whose one read() hands the bytes over.
 
     The reader then holds the only reference, so the trace parser can
-    free the text before it builds the traces.
+    free the bytes once decoded, and the text before it builds the traces.
     """
 
-    def __init__(self, text: str) -> None:
-        self._text = text
+    def __init__(self, data: bytes) -> None:
+        self._data = data
 
-    def read(self) -> str:
-        text, self._text = self._text, ""
-        return text
+    def read(self) -> bytes:
+        data, self._data = self._data, b""
+        return data
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -144,13 +144,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     run_id = args.run_id
     if run_id is None:
         run_id = hashlib.sha256(data).hexdigest()[:12]
-    stream = _ReadOnce(data.decode("utf-8"))
+    stream = _ReadOnce(data)
     del data
     traces, warnings_found = parse_trace_csv(stream, gap_threshold=args.gap_threshold)
     for warning in warnings_found:
         scope = f" machine={warning.machine_id}" if warning.machine_id else ""
         print(f"warning: {warning.kind.value}{scope}: {warning.detail}", file=sys.stderr)
-    with open(args.cluster, "r", encoding="utf-8") as handle:
+    with open(args.cluster, "rb") as handle:
         cluster = parse_cluster_spec(handle)
     cycles = total_cpu_cycles(traces, cluster)
     run = JobRun(
@@ -249,11 +249,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         app=args.app,
         input_bytes=args.input_bytes,
     )
+    if args.emit_traces is not None:
+        # Before the append, so a bad spec leaves the store as it was.
+        with open(args.cluster, "rb") as handle:
+            cluster = parse_cluster_spec(handle)
     runs = generate_profiles(spec)
     append_runs(args.out, runs)
     if args.emit_traces is not None:
-        with open(args.cluster, "r", encoding="utf-8") as handle:
-            cluster = parse_cluster_spec(handle)
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
         for run in runs:

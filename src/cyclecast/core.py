@@ -13,11 +13,12 @@ the order traces or samples are presented in.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,27 +47,57 @@ class NegativePredictionWarning(UserWarning):
     """A model produced a negative cycle count that was clamped to zero."""
 
 
-@dataclass(frozen=True)
+_T = TypeVar("_T")
+
+
+def _unchecked(cls: type[_T], **columns: Sequence) -> list[_T]:
+    """Instances of the frozen, slotted dataclass cls, one per row of the
+    columns, built without __post_init__.
+
+    Only for the parsers' fast paths, which call it after proving on
+    whole columns every rule cls checks, with each field already in the
+    form __post_init__ would store.  The first column sets the row count.
+    Fields are set one column at a time, which suits slots; on instances
+    with a __dict__ it would stop them sharing their dict keys.
+    """
+    rows = len(next(iter(columns.values())))
+    instances = list(map(object.__new__, itertools.repeat(cls, rows)))
+    for name, column in columns.items():
+        # Consume the map: it sets the field on every instance.
+        collections.deque(
+            map(object.__setattr__, instances, itertools.repeat(name), column), maxlen=0
+        )
+    return instances
+
+
+@dataclass(frozen=True, slots=True)
 class MachineTrace:
     """All CPU-seconds recorded on one machine, as two parallel columns.
 
     samples[i] is the CPU time consumed during the one-second interval
-    starting at offsets[i].  Offsets are non-negative and strictly
-    increasing; samples are finite and >= 0.  A sample can exceed 1.0 on
-    multi-core machines but never the core count; that bound is checked
-    against the cluster spec at accounting time, not here, because the
-    trace alone does not know its machine's cores.
+    starting at offsets[i].  Offsets are integers, non-negative and
+    strictly increasing; samples are finite and >= 0.  A sample can
+    exceed 1.0 on multi-core machines but never the core count; that
+    bound is checked against the cluster spec at accounting time, not
+    here, because the trace alone does not know its machine's cores.
+
+    Offsets are kept in one canonical form, whatever was passed: a
+    range(first, last + 1) when they are contiguous, otherwise a tuple
+    of ints (so () when empty).  Traces built from equal columns thus
+    compare equal and print alike, whoever built them.  Samples are
+    stored as a tuple.
     """
 
     machine_id: str
-    offsets: tuple[int, ...]
+    offsets: range | tuple[int, ...]
     samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.machine_id:
             raise ValueError("machine_id must be non-empty")
-        offsets, samples = tuple(self.offsets), tuple(self.samples)
-        object.__setattr__(self, "offsets", offsets)
+        offsets, samples = self.offsets, tuple(self.samples)
+        if not isinstance(offsets, range):
+            offsets = tuple(map(operator.index, offsets))  # ints only
         object.__setattr__(self, "samples", samples)
         if len(offsets) != len(samples):
             raise ValueError(f"offsets and samples of {self.machine_id!r} differ in length")
@@ -83,9 +114,14 @@ class MachineTrace:
             bad = next((s for s in samples if not 0.0 <= s < math.inf), None)
             if bad is not None:
                 raise ValueError(f"samples must be finite and >= 0, got {bad}")
+        if offsets and offsets[-1] - offsets[0] == len(offsets) - 1:
+            offsets = range(offsets[0], offsets[-1] + 1)
+        else:
+            offsets = tuple(offsets)
+        object.__setattr__(self, "offsets", offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Machine:
     machine_id: str
     clock_hz: float
@@ -100,7 +136,7 @@ class Machine:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterSpec:
     """Inventory of machines, unique by machine_id."""
 

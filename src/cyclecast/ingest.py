@@ -43,7 +43,30 @@ The row loop runs instead when the fast path cannot vouch for the body:
 a row outside the narrower grammar, a cpu_seconds that overflows to
 infinity, or a repeated (machine_id, offset_s) pair.  It raises the
 typed error of the first bad row, naming its line, or parses the valid
-rows the narrower grammar leaves out, such as offset -0.
+rows the narrower grammar leaves out, such as offset -0.  The fast path
+has proven every rule MachineTrace checks on whole columns, so it builds
+the traces without checking them again, and hands a machine whose
+offsets are contiguous a range rather than a list of ints.
+
+Cluster spec parsing
+--------------------
+The cluster parser takes a fast path too.  One regular-expression pass
+checks the whole spec against a narrower grammar: every line is either
+a whole-line '#' comment or ``machine_id SP clock_hz SP cores`` with
+single spaces, and every line ends in LF.  clock_hz has no sign, and
+cores is 1 to 18 digits without a leading zero.  One split then yields
+the three columns.  The line loop runs instead for any other spec (tabs,
+runs of spaces, blank lines, trailing comments, CRLF, a missing final
+newline, cores such as 04), and for specs the columns fail: a clock_hz
+that is 0 or overflows to infinity, a repeated machine_id, or no entries
+at all.  It raises the typed error of the first bad line, naming it, or
+parses the valid specs the narrower grammar leaves out.
+
+Encoding
+--------
+Both parsers take a text stream, or a binary one whose bytes they decode
+as UTF-8.  A byte that is not UTF-8 is a MalformedRowError or a
+MalformedEntryError naming its line.
 
 Warnings
 --------
@@ -64,11 +87,11 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, Machine, MachineTrace
+from .core import ClusterSpec, CyclecastError, Machine, MachineTrace, _unchecked
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -80,16 +103,18 @@ _MACHINE_ID_RE = re.compile(_MACHINE_ID)
 _INTEGER_RE = re.compile(_INTEGER)
 _DECIMAL_RE = re.compile(_DECIMAL)
 _ROW_RE = re.compile(f"({_MACHINE_ID}),({_INTEGER}),({_DECIMAL})")
-# The fast path's row: no sign, offsets of at most 18 digits (they fit
-# int64).  Every field is followed by a character its class excludes, so
-# the possessive forms accept the same rows as plain ones, without
+# The fast paths' fields: no sign, integers of at most 18 digits (they
+# fit int64).  Every field is followed by a character its class excludes,
+# so the possessive forms accept the same text as plain ones, without
 # keeping backtracking state across the body.
-_FAST_ROW = (
-    r"[A-Za-z0-9_-]++,[0-9]{1,18}+,"
-    r"(?>[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?[0-9]++)?+"
-)
+_FAST_DECIMAL = r"(?>[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?[0-9]++)?+"
+_FAST_ROW = r"[A-Za-z0-9_-]++,[0-9]{1,18}+," + _FAST_DECIMAL
 _FAST_BODY = re.compile(f"(?:{_FAST_ROW}\n)*+(?:{_FAST_ROW})?")
 _CHUNK_CHARS = 1 << 18
+_FAST_SPEC = re.compile(
+    r"(?:#[^\n]*+\n|[A-Za-z0-9_-]++ " + _FAST_DECIMAL + r" [1-9][0-9]{0,17}+\n)*+"
+)
+_COMMENT_LINE = re.compile(r"^#[^\n]*\n", re.MULTILINE)
 
 
 class MalformedHeaderError(CyclecastError):
@@ -150,7 +175,7 @@ class IngestWarning:
 
 
 def parse_trace_csv(
-    stream: TextIO, gap_threshold: float = 0.05
+    stream: TextIO | BinaryIO, gap_threshold: float = 0.05
 ) -> tuple[list[MachineTrace], list[IngestWarning]]:
     """Parse a trace CSV stream into per-machine traces plus warnings.
 
@@ -161,7 +186,7 @@ def parse_trace_csv(
     """
     if not 0 <= gap_threshold <= 1:
         raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
-    text = stream.read()
+    text = _decoded(stream.read(), MalformedRowError)
     if not text:
         raise MalformedHeaderError(f"empty stream, expected header {TRACE_HEADER!r}")
     header_end = text.find("\n")
@@ -170,10 +195,13 @@ def parse_trace_csv(
         raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
 
     truncated = header_end >= 0 and not text.endswith("\n")
-    columns = _fast_columns(text)
-    if columns is None:
-        columns = _row_columns(text)
+    fast = _fast_columns(text)
+    ids, offsets, samples = _row_columns(text) if fast is None else fast
     del text  # the columns hold all the traces need
+    if fast is None:
+        traces = list(map(MachineTrace, ids, offsets, samples))
+    else:
+        traces = _unchecked(MachineTrace, machine_id=ids, offsets=offsets, samples=samples)
 
     warnings: list[IngestWarning] = []
     if truncated:
@@ -184,25 +212,35 @@ def parse_trace_csv(
                 detail="last line has no trailing newline; the final row may be truncated",
             )
         )
-    traces: list[MachineTrace] = []
-    for machine_id, offsets, samples in columns:
+    for trace in traces:
+        offsets = trace.offsets
         span = offsets[-1] - offsets[0] + 1
         missing = span - len(offsets)
         if missing / span > gap_threshold:
             warnings.append(
                 IngestWarning(
                     WarningKind.GAP_EXCEEDS_THRESHOLD,
-                    machine_id=machine_id,
+                    machine_id=trace.machine_id,
                     detail=f"{missing} of {span} seconds in span missing",
                 )
             )
-        traces.append(MachineTrace(machine_id, offsets, samples))
     return traces, warnings
 
 
-# Each machine's columns, machines in order: (machine_id, offsets
-# ascending, samples in step).
-_Columns = Iterable[tuple[str, list[int], list[float]]]
+def _decoded(data: str | bytes, error: Callable[[int, str], CyclecastError]) -> str:
+    """data as text: bytes are decoded as UTF-8, a bad one raising error(line, reason)."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+# The machine ids in order, then each machine's offsets (ascending) and
+# its samples (in step).
+_Columns = tuple[list[str], Iterable[Sequence[int]], Iterable[Sequence[float]]]
 
 
 def _fast_columns(text: str) -> _Columns | None:
@@ -210,11 +248,15 @@ def _fast_columns(text: str) -> _Columns | None:
 
     text is a whole trace stream whose header has been checked.  Rows are
     converted in chunks of about _CHUNK_CHARS characters, so the
-    per-field strings never exist for the whole file at once.
+    per-field strings never exist for the whole file at once.  The
+    columns are in MachineTrace's canonical form, and every rule it
+    checks holds: ids in the grammar, offsets >= 0 and strictly
+    increasing (no sign, the sort and the duplicate check), samples
+    finite and >= 0 (no sign, the infinity check).
     """
     start, end = len(TRACE_HEADER) + 1, len(text)
     if start >= end:
-        return []
+        return [], [], []
     if _FAST_BODY.fullmatch(text, start) is None:
         return None
     if text.endswith("\n"):
@@ -253,13 +295,30 @@ def _fast_columns(text: str) -> _Columns | None:
     samples = samples[order]
     if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
         return None
-    bounds = np.cumsum(np.bincount(codes)).tolist()
+    counts = np.bincount(codes)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    firsts, lasts = offsets[starts], offsets[ends - 1]
+    contiguous = lasts - firsts + 1 == counts
+    starts, ends = starts.tolist(), ends.tolist()
     # Lazy, so the caller can drop the text before the samples become
-    # Python objects.
-    return (
-        (name, offsets[lo:hi].tolist(), samples[lo:hi].tolist())
-        for name, lo, hi in zip(names, [0, *bounds], bounds)
+    # Python objects.  Contiguous offsets become a range, not ints.
+    offset_columns = (
+        range(first, last + 1) if whole else tuple(offsets[lo:hi].tolist())
+        for lo, hi, first, last, whole in zip(
+            starts, ends, firsts.tolist(), lasts.tolist(), contiguous.tolist()
+        )
     )
+    return names, offset_columns, _sample_columns(samples, starts, ends)
+
+
+def _sample_columns(
+    samples: np.ndarray, starts: list[int], ends: list[int]
+) -> Iterable[tuple[float, ...]]:
+    """Each machine's samples as a tuple of floats, made when first asked for."""
+    values = samples.tolist()
+    del samples  # the floats are in values now, which the tuples share
+    yield from map(tuple, map(values.__getitem__, map(slice, starts, ends)))
 
 
 def _row_columns(text: str) -> _Columns:
@@ -292,11 +351,12 @@ def _row_columns(text: str) -> _Columns:
         if offset_s in bucket:
             raise DuplicateSampleError(line_no, machine_id, offset_s)
         bucket[offset_s] = cpu_seconds
-    columns: _Columns = []
-    for machine_id, bucket in sorted(per_machine.items()):
-        offsets = sorted(bucket)
-        columns.append((machine_id, offsets, [bucket[o] for o in offsets]))
-    return columns
+    names = sorted(per_machine)
+    offsets = [sorted(per_machine[name]) for name in names]
+    samples = [
+        list(map(per_machine[name].__getitem__, column)) for name, column in zip(names, offsets)
+    ]
+    return names, offsets, samples
 
 
 def _malformed_row(line_no: int, line: str) -> MalformedRowError:
@@ -327,11 +387,49 @@ def write_trace_csv(traces: Iterable[MachineTrace], stream: TextIO) -> None:
         stream.write("".join(f"{trace.machine_id},{o},{s!r}\n" for o, s in rows))
 
 
-def parse_cluster_spec(stream: TextIO) -> ClusterSpec:
+def parse_cluster_spec(stream: TextIO | BinaryIO) -> ClusterSpec:
     """Parse a cluster spec stream; entries keep their file order."""
+    text = _decoded(stream.read(), _entry_error)
+    cluster = _fast_cluster(text)
+    return _line_cluster(text) if cluster is None else cluster
+
+
+def _entry_error(line_no: int, reason: str) -> MalformedEntryError:
+    return MalformedEntryError(f"line {line_no}: {reason}")
+
+
+def _fast_cluster(text: str) -> ClusterSpec | None:
+    """The cluster of a spec in the fast grammar, or None to fall back.
+
+    Every rule Machine and ClusterSpec check is proven on whole columns
+    first: ids in the grammar and unique, clock_hz finite and > 0, cores
+    >= 1 (no sign, no leading zero).
+    """
+    if _FAST_SPEC.fullmatch(text) is None:
+        return None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    fields = text.split()
+    ids = fields[0::3]
+    clocks = list(map(float, fields[1::3]))
+    cores = list(map(int, fields[2::3]))
+    if not ids or min(clocks) <= 0 or max(clocks) == math.inf or len(set(ids)) != len(ids):
+        return None
+    machines = tuple(_unchecked(Machine, machine_id=ids, clock_hz=clocks, cores=cores))
+    by_id = dict(zip(ids, machines))
+    return _unchecked(ClusterSpec, machines=[machines], _by_id=[by_id])[0]
+
+
+def _line_cluster(text: str) -> ClusterSpec:
+    """Check a cluster spec one line at a time.
+
+    Raises the typed error of the first bad line, naming it.  Only specs
+    _fast_cluster declines reach here: bad ones, and good ones in the
+    documented grammar but not the fast one.
+    """
     machines: list[Machine] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(stream.read().split("\n"), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -293,7 +293,11 @@ def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
     _fast_rows declines reach here: bad ones, and good ones outside the
     fast grammar.
     """
-    lines = text.splitlines()
+    # Split at LF only, as _mend_tail counts lines: str.splitlines also
+    # breaks at U+0085, U+2028 and U+2029, which JSON strings may hold raw.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     torn_tail = None if text.endswith("\n") else len(lines)
     runs: list[JobRun] = []
     for line_no, line in enumerate(lines, start=1):

@@ -98,6 +98,22 @@ class TestIngest:
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         assert main(["ingest"] + _ingest_args(tmp_path)) == 2
 
+    def test_invalid_utf8_in_the_traces_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_bytes(TRACE_CSV.encode() + b"node-\xff,2,0.5\n")
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: MalformedRowError: line 5: not UTF-8 (invalid start byte at byte" in err
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_invalid_utf8_in_the_cluster_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV)
+        (tmp_path / "cluster.txt").write_bytes(CLUSTER_TXT.encode() + b"# \xff\n")
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: MalformedEntryError: line 3: not UTF-8 (invalid start byte at byte" in err
+        assert not (tmp_path / "runs.jsonl").exists()
+
 
 def _simulate(tmp_path, out="runs.jsonl", extra=(), seed="7"):
     argv = [
@@ -239,6 +255,18 @@ class TestPipeline:
         )) == 0
         reingested = load_runs(tmp_path / "reingested.jsonl").to_runs()[0]
         assert reingested.total_cycles == pytest.approx(first.total_cycles, rel=1e-9)
+
+    def test_invalid_utf8_in_the_emit_cluster_names_its_line(self, tmp_path, truth_file, capsys):
+        (tmp_path / "cluster.txt").write_bytes(b"node-a 3.0e9 4\nnode-\xc3 2.0e9 2\n")
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: MalformedEntryError: line 2: not UTF-8 (invalid continuation byte at byte" in err
+        # The spec is read first, so a bad one leaves no runs behind.
+        assert not (tmp_path / "runs.jsonl").exists()
 
 
 class TestScaleFit:

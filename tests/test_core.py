@@ -180,6 +180,40 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineTrace("m", offsets=(0, 1), samples=(0.5,))
 
+    @pytest.mark.parametrize(
+        "offsets, stored",
+        [
+            ([3], range(3, 4)),
+            ([0, 1, 2], range(0, 3)),
+            ((5, 6), range(5, 7)),
+            (range(2, 6), range(2, 6)),
+            ([0, 2], (0, 2)),
+            ((), ()),
+            (range(0), ()),
+            (range(0, 10, 3), (0, 3, 6, 9)),
+            (range(7, 6, -1), range(7, 8)),
+            (np.arange(4, 7), range(4, 7)),
+            (np.array([1, 5]), (1, 5)),
+        ],
+        ids=["one", "list", "tuple", "range", "gap", "empty", "empty-range", "step-3",
+             "one-step-back", "numpy-contiguous", "numpy-gap"],
+    )
+    def test_offsets_take_one_canonical_form(self, offsets, stored):
+        trace = MachineTrace("m", offsets, [0.5] * len(offsets))
+        assert trace.offsets == stored and type(trace.offsets) is type(stored)
+        assert all(type(o) is int for o in trace.offsets)
+        assert trace == MachineTrace("m", list(stored), (0.5,) * len(stored))
+        assert repr(trace) == repr(MachineTrace("m", tuple(stored), (0.5,) * len(stored)))
+
+    def test_offsets_descending_by_range_step(self):
+        with pytest.raises(ValueError):
+            MachineTrace("m", range(3, 1, -1), (0.5, 0.5))
+
+    @pytest.mark.parametrize("offsets", [(0.0, 1.0), (0.5,), ("0",)])
+    def test_offsets_must_be_integers(self, offsets):
+        with pytest.raises(TypeError):
+            MachineTrace("m", offsets, (0.5,) * len(offsets))
+
     def test_duplicate_machine_ids_in_cluster(self):
         with pytest.raises(ValueError):
             ClusterSpec(

@@ -2,10 +2,10 @@ import io
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclecast import ingest
-from cyclecast.core import CyclecastError, MachineTrace
+from cyclecast.core import ClusterSpec, CyclecastError, Machine, MachineTrace
 from cyclecast.ingest import (
     DuplicateMachineIdError,
     DuplicateSampleError,
@@ -32,7 +32,7 @@ def test_parse_groups_and_sorts():
     traces, warnings = parse_trace_csv(io.StringIO(GOOD_CSV))
     assert warnings == []
     assert [t.machine_id for t in traces] == ["node-a", "node-b"]
-    assert traces[0].offsets == (0, 1)
+    assert traces[0].offsets == range(0, 2)
     assert traces[0].samples == (0.5, 1.5)
     assert traces[1] == MachineTrace("node-b", (0,), (1.0,))
 
@@ -174,14 +174,14 @@ _MACHINES = st.sampled_from(["node-a", "node-b", "b_1"])
 
 
 @st.composite
-def _bodies(draw):
+def _bodies(draw, modes=("fast", "documented", "any")):
     """Rows that interleave machines and repeat or misorder offsets.
 
     A body keeps to the fast grammar, or to the documented one, or mixes
     in bad fields, stray text and CRLF line ends.  The last line may lack
     its end; no rows at all is a header-only body.
     """
-    mode = draw(st.sampled_from(["fast", "documented", "any"]))
+    mode = draw(st.sampled_from(modes))
     offsets, cpus, end = _FAST_OFFSETS, _FAST_CPUS, st.just("\n")
     if mode != "fast":
         offsets = st.one_of(offsets, offsets, _SLOW_OFFSETS)
@@ -237,6 +237,26 @@ def test_good_bodies_take_the_fast_path(body):
     assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
 
 
+@given(_bodies(modes=("fast",)))
+def test_fast_traces_equal_their_checked_rebuilds(body):
+    # The fast path builds traces without MachineTrace's checks; each must
+    # be what the checking constructor makes of the same columns.
+    if ingest._fast_columns(HEADER + body) is None:
+        return  # declined: the row loop builds through the constructor
+    traces, _ = parse_trace_csv(io.StringIO(HEADER + body))
+    for trace in traces:
+        rebuilt = MachineTrace(trace.machine_id, trace.offsets, trace.samples)
+        assert rebuilt == trace and repr(rebuilt) == repr(trace)
+        assert type(trace.samples) is tuple
+
+
+def test_contiguous_offsets_come_out_as_ranges():
+    body = "m,2,0.5\nm,3,0.5\nn,0,1.0\nn,2,1.0\nm,4,0.5\n"
+    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+    traces, _ = parse_trace_csv(io.StringIO(HEADER + body))
+    assert [t.offsets for t in traces] == [range(2, 5), (0, 2)]
+
+
 def test_many_chunks_agree_with_the_row_loop():
     rows = [f"m{i % 7},{i // 7},{i * 0.37 % 4!r}" for i in range(40_000)]
     text = HEADER + "\n".join(reversed(rows)) + "\n"
@@ -271,6 +291,144 @@ def test_parse_cluster_spec():
     assert cluster.machine("node-a").clock_hz == 3.0e9
     assert cluster.machine("node-b").clock_hz == 2.0e9
     assert cluster.machine("node-c").cores == 8
+
+
+def test_binary_streams_parse_like_text():
+    for parse, text in [(parse_cluster_spec, CLUSTER_TEXT), (parse_trace_csv, GOOD_CSV)]:
+        assert parse(io.BytesIO(text.encode())) == parse(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "parse, data, error, line",
+    [
+        (parse_trace_csv, GOOD_CSV.encode() + b"node-\xe9,9,1.0\n", MalformedRowError, 5),
+        (parse_trace_csv, b"machine_id,offset_s,cpu_seconds\xff\n", MalformedRowError, 1),
+        (parse_cluster_spec, b"# caf\xe9\nnode-a 3e9 4\n", MalformedEntryError, 1),
+        (parse_cluster_spec, CLUSTER_TEXT.encode() + b"\x80", MalformedEntryError, 6),
+    ],
+    ids=["trace-row", "trace-header", "cluster-comment", "cluster-tail"],
+)
+def test_invalid_utf8_is_a_typed_error_naming_its_line(parse, data, error, line):
+    with pytest.raises(error, match=f"^line {line}: not UTF-8 "):
+        parse(io.BytesIO(data))
+
+
+def _cluster_outcome(text):
+    """What parse_cluster_spec makes of text: the spec's repr, or its error."""
+    try:
+        return repr(parse_cluster_spec(io.StringIO(text)))
+    except CyclecastError as exc:
+        return type(exc), str(exc)
+
+
+def _line_loop_cluster_outcome(text):
+    with mock.patch.object(ingest, "_fast_cluster", return_value=None):
+        return _cluster_outcome(text)
+
+
+_SPEC_IDS = st.sampled_from(["node-a", "node-b", "b_1", "N9", "-"])
+_FAST_CLOCKS = st.floats(1e-3, 1e12).map(repr) | st.sampled_from(["3e9", "2.", ".5", "2.4E9", "1e-3"])
+_FAST_CORES = st.integers(1, 10**18 - 1).map(str)
+# Clocks and cores the fast path declines, valid or not.
+_ODD_CLOCKS = ["0", "0.0", "1e-400", "1e999", "-3e9", "-0", "inf", "nan", "3_0e9", "+3e9",
+               "\u0663e9", "x"]
+_ODD_CORES = ["04", "0", "00", "-1", "1" + "0" * 18, "1_6", "+4", "\u0664", "1.0", "1" * 4301]
+_COMMENTS = st.sampled_from(["# inventory", "#", "#  a\tb # c", "#\u2028\x85\r"])
+
+
+@st.composite
+def _specs(draw):
+    """Cluster specs in the fast grammar, or with its decline triggers mixed in.
+
+    Ids repeat now and then, and a spec may have no entries at all.
+    """
+    fast = draw(st.booleans())
+    clocks, cores, space, end = _FAST_CLOCKS, _FAST_CORES, st.just(" "), st.just("\n")
+    if not fast:
+        clocks = st.one_of(clocks, clocks, st.sampled_from(_ODD_CLOCKS))
+        cores = st.one_of(cores, cores, st.sampled_from(_ODD_CORES))
+        space = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
+        end = st.sampled_from(["\n", "\n", "\n", "\r\n", " # note\n", "#\n", " \n"])
+    entry = st.tuples(_SPEC_IDS, space, clocks, space, cores).map("".join)
+    line = st.one_of(entry, entry, entry, _COMMENTS)
+    if not fast:
+        line = st.one_of(
+            line, st.sampled_from(["", "   ", " # indented", "node-a 3e9", "bad id 3e9 4"]),
+            st.text(max_size=6),
+        )
+    lines = draw(st.lists(line, max_size=8))
+    ends = [draw(end) for _ in lines]
+    if lines and not fast and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(_specs())
+@settings(max_examples=200)
+def test_cluster_fast_path_agrees_with_the_line_loop(text):
+    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "node-a\t3e9 4\n",
+        "node-a  3e9 4\n",
+        "node-a 3e9 4 # spare\n",
+        "node-a 3e9 4\r\n",
+        "node-a 3e9 4",
+        "node-a 3e9 04\n",
+        "node-a 3e9 1000000000000000000\n",
+        "node-a 0 4\n",
+        "node-a 1e-400 4\n",
+        "node-a 1e999 4\n",
+        "node-a -3e9 4\n",
+        "m 1e9 1\nm 2e9 1\n",
+        "",
+        "# only comments\n",
+        "node-a 3e9 4\n\n",
+        " # indented\nnode-a 3e9 4\n",
+        "node-a 3e9\n",
+        "node-\u00e9 3e9 4\n",
+    ],
+    ids=["tab", "two-spaces", "trailing-comment", "crlf", "no-final-newline", "leading-zero-cores",
+         "19-digit-cores", "zero-clock", "clock-underflows-to-zero", "infinite-clock",
+         "negative-clock", "duplicate-id", "empty", "no-entries", "blank-line",
+         "indented-comment", "two-fields", "non-ascii-id"],
+)
+def test_each_cluster_decline_trigger_reaches_the_line_loop(text):
+    assert ingest._fast_cluster(text) is None
+    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "node-a 3.0e9 4\nnode-b 2000000000 2\n",
+        "# machine_id clock_hz cores\nnode-01 2000000000.0 4\nnode-02 2400000000.0 8\n",
+        "#\na .5 1\n# between\nb 2. 999999999999999999\n#last\n",
+        "n_1 2.4E9 16\nn-2 1e-3 3\nN3 3e+9 1\n",
+    ],
+    ids=["plain", "header-comment", "comments-between", "exponents"],
+)
+def test_canonical_specs_take_the_cluster_fast_path(text):
+    cluster = ingest._fast_cluster(text)
+    assert cluster is not None
+    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+    assert all(cluster.machine(m.machine_id) is m for m in cluster.machines)
+
+
+@given(
+    st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True), min_size=1, max_size=8, unique=True),
+    st.data(),
+)
+def test_fast_machines_equal_their_checked_rebuilds(ids, data):
+    lines = [f"{i} {data.draw(_FAST_CLOCKS)} {data.draw(_FAST_CORES)}\n" for i in ids]
+    cluster = ingest._fast_cluster("".join(lines))
+    assert cluster is not None
+    rebuilt = ClusterSpec(tuple(Machine(m.machine_id, m.clock_hz, m.cores) for m in cluster.machines))
+    assert rebuilt == cluster and repr(rebuilt) == repr(cluster)
+    assert all(cluster.machine(i) == rebuilt.machine(i) for i in ids)
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,31 @@ def test_corrupt_line_before_the_tail_stays_an_error(tmp_path):
         load_runs(path)
 
 
+_LINE_SEPARATORS = pytest.mark.parametrize(
+    "separator", ["\x85", "\u2028", "\u2029"], ids=["U+0085", "U+2028", "U+2029"]
+)
+
+
+@_LINE_SEPARATORS
+@pytest.mark.parametrize("field", ["app", "run_id"])
+def test_unicode_line_separators_inside_strings_load(tmp_path, separator, field):
+    # JSON allows these raw inside strings; only LF ends a store line.
+    value = f"a{separator}b"
+    path = tmp_path / "runs.jsonl"
+    path.write_text(_line(_runs(1)[0], ensure_ascii=False, **{field: value}), encoding="utf-8")
+    (run,) = load_runs(path).to_runs()
+    assert getattr(run, field) == value
+
+
+@_LINE_SEPARATORS
+def test_a_bad_line_after_a_unicode_separator_is_named_at_its_line(tmp_path, separator):
+    path = tmp_path / "runs.jsonl"
+    first = _line(_runs(1)[0], ensure_ascii=False, app=f"a{separator}b")
+    path.write_text(first + _line(_runs(1)[0]) + "{not json\n", encoding="utf-8")
+    with pytest.raises(CorruptRecordError, match="^line 3: invalid JSON"):
+        load_runs(path)
+
+
 def test_missing_key_is_corrupt(tmp_path):
     path = tmp_path / "runs.jsonl"
     record = run_to_record(_runs(1)[0])

@@ -146,7 +146,7 @@ class TestGenerateTrace:
     def test_offsets_are_consecutive_from_zero(self):
         traces = generate_trace(_run(7.3e13), CLUSTER, seed=5)
         for trace in traces:
-            assert trace.offsets == tuple(range(len(trace.samples)))
+            assert trace.offsets == range(len(trace.samples))
 
     def test_deterministic_per_run_id_and_seed(self):
         run = _run(7.3e13)
