@@ -25,12 +25,7 @@ import numpy as np
 
 from cyclecast.core import JobConfig, JobRun, aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import (
-    ModelCoefficients,
-    build_design_matrix,
-    fit_least_squares,
-    predict,
-)
+from cyclecast.regression import ModelCoefficients, fit_least_squares, predict
 from cyclecast.scaling import CostModel
 from cyclecast.synth import DEFAULT_GRID
 
@@ -49,32 +44,37 @@ LINE_SLOPE = 60.0  # cycles per byte, before the surface factor
 LINE_INTERCEPT = 2.0e11
 
 
-def true_cycles(config: JobConfig, ref_bytes: int) -> float:
-    line = LINE_SLOPE * config.input_bytes + LINE_INTERCEPT
+# The (mappers, reducers) grid as two columns, mappers varying slowest.
+GRID_MAPPERS = np.repeat(DEFAULT_GRID, len(DEFAULT_GRID))
+GRID_REDUCERS = np.tile(DEFAULT_GRID, len(DEFAULT_GRID))
+
+
+def true_cycles(input_bytes: int, ref_bytes: int) -> np.ndarray:
+    """True cycles over the grid at input_bytes."""
+    line = LINE_SLOPE * input_bytes + LINE_INTERCEPT
     line_ref = LINE_SLOPE * ref_bytes + LINE_INTERCEPT
-    return predict(SURFACE, config) * line / line_ref
+    return predict(SURFACE, GRID_MAPPERS, GRID_REDUCERS) * line / line_ref
 
 
 def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> list[JobRun]:
     runs = []
     for gib in sizes_gib:
-        for mappers in DEFAULT_GRID:
-            for reducers in DEFAULT_GRID:
-                config = JobConfig(mappers, reducers, gib * GIB)
-                truth = true_cycles(config, ref_bytes)
-                for rep in range(reps):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([seed, gib, mappers, reducers, rep])
+        truth = true_cycles(gib * GIB, ref_bytes).tolist()
+        for mappers, reducers, cycles in zip(GRID_MAPPERS.tolist(), GRID_REDUCERS.tolist(), truth):
+            config = JobConfig(mappers, reducers, gib * GIB)
+            for rep in range(reps):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed, gib, mappers, reducers, rep])
+                )
+                eps = rng.normal(0.0, noise)
+                runs.append(
+                    JobRun(
+                        app="study",
+                        run_id=f"study-g{gib:02d}-m{mappers:03d}-r{reducers:03d}-x{rep:02d}",
+                        config=config,
+                        total_cycles=cycles * max(0.0, 1.0 + eps),
                     )
-                    eps = rng.normal(0.0, noise)
-                    runs.append(
-                        JobRun(
-                            app="study",
-                            run_id=f"study-g{gib:02d}-m{mappers:03d}-r{reducers:03d}-x{rep:02d}",
-                            config=config,
-                            total_cycles=truth * max(0.0, 1.0 + eps),
-                        )
-                    )
+                )
     return runs
 
 
@@ -102,8 +102,7 @@ def main(argv=None) -> int:
     profiles = aggregate_repetitions(train_runs)
 
     ref_profiles = [p for p in profiles if p.config.input_bytes == ref_bytes]
-    matrix, targets = build_design_matrix(ref_profiles)
-    model = CostModel(fit_least_squares(matrix, targets)).with_size_line(profiles)
+    model = CostModel(fit_least_squares(ref_profiles)).with_size_line(profiles)
     print(
         f"# surface condition {model.surface.condition_estimate:.2e}, "
         f"size line slope {model.scaling.slope:.4e} cycles/byte "
@@ -114,12 +113,8 @@ def main(argv=None) -> int:
     print(f"{'gib':>4} {'transfer_mape':>14} {'pred25':>7}")
     for gib in args.target_gib:
         target_bytes = gib * GIB
-        actual, predicted = [], []
-        for mappers in DEFAULT_GRID:
-            for reducers in DEFAULT_GRID:
-                config = JobConfig(mappers, reducers, target_bytes)
-                actual.append(true_cycles(config, ref_bytes))
-                predicted.append(model.predict(mappers, reducers, target_bytes))
+        actual = true_cycles(target_bytes, ref_bytes)
+        predicted = model.predict(GRID_MAPPERS, GRID_REDUCERS, target_bytes)
         print(
             f"{gib:>4d} {mape(actual, predicted):>14.4%} "
             f"{pred25(actual, predicted):>7.2f}"

@@ -23,14 +23,9 @@ import time
 
 import numpy as np
 
-from cyclecast.core import JobConfig, aggregate_repetitions
+from cyclecast.core import aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import (
-    ModelCoefficients,
-    build_design_matrix,
-    fit_least_squares,
-    predict,
-)
+from cyclecast.regression import ModelCoefficients, fit_least_squares, predict
 from cyclecast.scaling import CostModel
 from cyclecast.synth import SynthSpec, generate_profiles
 
@@ -45,16 +40,16 @@ TRUTH = ModelCoefficients(
 HOLDOUT_STREAM_KEY = 777
 
 
-def holdout_error(model, seed: int, n_holdout: int, noise: float, input_bytes: int):
+def holdout_error(model, seed: int, n_holdout: int, noise: float):
     rng = np.random.default_rng(np.random.SeedSequence([seed, HOLDOUT_STREAM_KEY]))
-    actual, predicted = [], []
-    for _ in range(n_holdout):
-        m = int(rng.integers(4, 33))
-        r = int(rng.integers(4, 33))
-        config = JobConfig(m, r, input_bytes)
-        eps = rng.normal(0.0, noise)
-        actual.append(predict(TRUTH, config) * max(0.0, 1.0 + eps))
-        predicted.append(predict(model, config))
+    # Each holdout point draws its mappers, reducers and noise in turn.
+    draws = [
+        (int(rng.integers(4, 33)), int(rng.integers(4, 33)), rng.normal(0.0, noise))
+        for _ in range(n_holdout)
+    ]
+    mappers, reducers, eps = (np.array(column) for column in zip(*draws))
+    actual = predict(TRUTH, mappers, reducers) * np.maximum(0.0, 1.0 + eps)
+    predicted = predict(model, mappers, reducers)
     return mape(actual, predicted), pred25(actual, predicted)
 
 
@@ -66,9 +61,8 @@ def run_cell(noise: float, reps: int, seeds: int, n_holdout: int) -> dict:
             truth=CostModel(TRUTH), repetitions=reps, noise_rel_sigma=noise, seed=seed
         )
         profiles = aggregate_repetitions(generate_profiles(spec))
-        matrix, targets = build_design_matrix(profiles)
-        model = fit_least_squares(matrix, targets)
-        m, p = holdout_error(model, seed, n_holdout, noise, spec.input_bytes)
+        model = fit_least_squares(profiles)
+        m, p = holdout_error(model, seed, n_holdout, noise)
         mapes.append(m)
         if p == 1.0:
             all_within += 1

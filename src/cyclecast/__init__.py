@@ -43,19 +43,14 @@ from .metrics import (
     rmse,
 )
 from .regression import (
-    DesignMatrix,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
     ModelCoefficients,
     RankDeficientError,
-    SingularNormalMatrixError,
-    TargetVector,
     build_design_matrix,
-    design_row,
     fit_least_squares,
     predict,
-    solve_normal_equations,
 )
 from .scaling import (
     CostModel,
@@ -63,7 +58,6 @@ from .scaling import (
     NonPositiveReferenceError,
     ScalingModel,
     fit_scaling,
-    scale_prediction,
 )
 from .store import (
     CorruptRecordError,
@@ -85,7 +79,6 @@ __all__ = [
     "CostModel",
     "CyclecastError",
     "DegenerateInputError",
-    "DesignMatrix",
     "EmptyInputError",
     "EvaluationReport",
     "IllConditionedError",
@@ -106,9 +99,7 @@ __all__ = [
     "SampleExceedsCoresError",
     "ScalingModel",
     "ShapeMismatchError",
-    "SingularNormalMatrixError",
     "SynthSpec",
-    "TargetVector",
     "TornRecordWarning",
     "UnknownMachineError",
     "UnsupportedSchemaError",
@@ -117,7 +108,6 @@ __all__ = [
     "aggregate_repetitions",
     "append_runs",
     "build_design_matrix",
-    "design_row",
     "evaluate",
     "fit_least_squares",
     "fit_scaling",
@@ -134,8 +124,6 @@ __all__ = [
     "r2_standard",
     "rmse",
     "save_model",
-    "scale_prediction",
-    "solve_normal_equations",
     "total_cpu_cycles",
     "write_trace_csv",
 ]

@@ -25,10 +25,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .core import CyclecastError, JobConfig, JobRun, aggregate_repetitions, total_cpu_cycles
-from .ingest import _INTEGER_RE, parse_cluster_spec, parse_trace_csv, write_trace_csv
+from .ingest import _INTEGER_RE, _decoded, parse_cluster_spec, parse_trace_csv, write_trace_csv
 from .metrics import evaluate
-from .regression import build_design_matrix, fit_least_squares
+from .regression import fit_least_squares
 from .scaling import CostModel, DegenerateInputError
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, generate_trace
@@ -100,8 +102,12 @@ def _read_holdout_list(path: str) -> set[tuple[int, int]]:
 
     Numbers are spelled in the ingest module's integer grammar.
     """
+
+    def error(line_no: int, reason: str) -> CyclecastError:
+        return CyclecastError(f"{path}:{line_no}: {reason}")
+
+    text = _decoded(Path(path).read_bytes(), error)
     pairs: set[tuple[int, int]] = set()
-    text = Path(path).read_text(encoding="utf-8")
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,8 +179,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     runs = load_runs(args.runs, app=args.app)
     profiles = aggregate_repetitions(runs)
-    matrix, targets = build_design_matrix(profiles)
-    model = fit_least_squares(matrix, targets)
+    model = fit_least_squares(profiles)
     save_model(args.out, CostModel(model))
     print(
         f"fitted {args.app!r} over {len(profiles)} profiles "
@@ -195,24 +200,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     table = load_runs(args.runs, app=args.app)
-    # (mappers, reducers, input_bytes, total_cycles) per run, in file order.
-    runs = list(
-        zip(
-            table.mappers.tolist(),
-            table.reducers.tolist(),
-            table.input_bytes.tolist(),
-            table.total_cycles.tolist(),
-        )
-    )
+    columns = (table.mappers, table.reducers, table.input_bytes, table.total_cycles)
     if args.holdout_list is not None:
         keep = _read_holdout_list(args.holdout_list)
-        runs = [run for run in runs if run[:2] in keep]
-    if len(runs) < 2:
+        pairs = zip(table.mappers.tolist(), table.reducers.tolist())
+        mask = np.fromiter((pair in keep for pair in pairs), bool, len(table))
+        columns = tuple(column[mask] for column in columns)
+    mappers, reducers, sizes, actual = columns
+    if len(actual) < 2:
         raise DegenerateInputError(
-            f"need >= 2 runs to evaluate, got {len(runs)} after filtering"
+            f"need >= 2 runs to evaluate, got {len(actual)} after filtering"
         )
-    actual = [cycles for _, _, _, cycles in runs]
-    predicted = [model.predict(mappers, reducers, size) for mappers, reducers, size, _ in runs]
+    predicted = model.predict(mappers, reducers, sizes)
     report = evaluate(actual, predicted)
     print(json.dumps(report.to_json_dict()))
     print(
@@ -275,14 +274,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    grid = np.array(args.grid)
+    mappers, reducers = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    values = model.predict(mappers, reducers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     surface_path = out_dir / "surface.tsv"
     with open(surface_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("mappers\treducers\tpredicted_cycles\n")
-        for mappers in args.grid:
-            for reducers in args.grid:
-                handle.write(f"{mappers}\t{reducers}\t{model.predict(mappers, reducers)!r}\n")
+        handle.writelines(
+            f"{m}\t{r}\t{value!r}\n"
+            for m, r, value in zip(mappers.tolist(), reducers.tolist(), values.tolist())
+        )
     print(
         f"wrote {len(args.grid) * len(args.grid)} predictions to {surface_path}",
         file=sys.stderr,

@@ -169,15 +169,33 @@ class JobConfig:
 
     def __post_init__(self) -> None:
         for name in ("mappers", "reducers", "input_bytes"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is not a degree of parallelism.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            # RunTable columns are int64.
-            if value >= 2**63:
-                raise ValueError(f"{name} must be < 2**63, got {value}")
+            _check_count(name, getattr(self, name))
+
+
+def _check_count(name: str, value) -> None:
+    """JobConfig's rule for each of its fields: an int in [1, 2**63)."""
+    # bool is an int subclass, but True is not a degree of parallelism.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    # RunTable columns are int64.
+    if value >= 2**63:
+        raise ValueError(f"{name} must be < 2**63, got {value}")
+
+
+def _config_ints(name: str, value) -> np.ndarray:
+    """An int, or an integer array or sequence of ints, as int64 (0-d
+    for a scalar), each value held to JobConfig's rule."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        bad = value[(value < 1) | (value >= 2**63)]
+        if bad.size:
+            _check_count(name, int(bad[0]))
+        return value.astype(np.int64, copy=False)
+    items = np.array(value, dtype=object)
+    for item in items.flat:
+        _check_count(name, item)
+    return items.astype(np.int64)
 
 
 @dataclass(frozen=True)

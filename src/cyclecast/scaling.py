@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .core import CyclecastError, JobConfig, JobProfile, NegativePredictionWarning
-from .regression import ModelCoefficients, predict
+from .core import CyclecastError, JobProfile, _config_ints
+from .regression import ModelCoefficients, _clamp_negative, predict
 
 
 class DegenerateInputError(CyclecastError):
@@ -92,33 +93,33 @@ def fit_scaling(
 
 
 def scale_prediction(
-    base_cycles: float, model: ScalingModel, target_bytes: int
-) -> float:
-    """Carry a reference-size prediction to target_bytes along the fitted line.
+    base_cycles: ArrayLike, model: ScalingModel, target_bytes: ArrayLike
+) -> float | np.ndarray:
+    """Carry reference-size predictions to target_bytes along the fitted
+    line: a float for scalars, an array for arrays.
 
     target_bytes == ref_bytes returns base_cycles unchanged, exactly.  A
     negative result (possible when the line crosses zero below the target)
-    is clamped to 0.0 with a NegativePredictionWarning.
+    is clamped to 0.0; one NegativePredictionWarning per call names the
+    first clamped point.
     """
-    if not math.isfinite(base_cycles) or base_cycles < 0:
-        raise ValueError(f"base_cycles must be finite and >= 0, got {base_cycles}")
-    if target_bytes < 1:
-        raise ValueError(f"target_bytes must be >= 1, got {target_bytes}")
+    base, target = np.broadcast_arrays(np.asarray(base_cycles, dtype=float), target_bytes)
+    bad = base[~((base >= 0) & (base < math.inf))]
+    if bad.size:
+        raise ValueError(f"base_cycles must be finite and >= 0, got {bad[0]}")
+    bad = target[target < 1]
+    if bad.size:
+        raise ValueError(f"target_bytes must be >= 1, got {bad[0]}")
     if model.intercept == 0.0:
         # Slope cancels from the ratio when the line passes through the
         # origin; folding it out keeps the pure-proportional case exact.
-        factor = target_bytes / model.ref_bytes
+        factor = target / model.ref_bytes
     else:
-        factor = model.line(target_bytes) / model.line(model.ref_bytes)
-    scaled = base_cycles * factor
-    if scaled < 0:
-        warnings.warn(
-            f"scaling to {target_bytes} bytes gives {scaled:.6g} cycles; clamping to 0",
-            NegativePredictionWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return scaled
+        factor = model.line(target) / model.line(model.ref_bytes)
+    scaled = base * factor
+    return _clamp_negative(
+        scaled, lambda i: f"scaling to {target.flat[i]} bytes gives {scaled.flat[i]:.6g} cycles"
+    )
 
 
 @dataclass(frozen=True)
@@ -139,17 +140,23 @@ class CostModel:
         if self.scaling is not None and self.scaling.ref_bytes != ref:
             raise ValueError(f"size line is anchored at {self.scaling.ref_bytes} bytes, not {ref}")
 
-    def predict(self, mappers: int, reducers: int, input_bytes: int | None = None) -> float:
-        """Cycles at (mappers, reducers), carried to input_bytes if given.
+    def predict(
+        self, mappers: ArrayLike, reducers: ArrayLike, input_bytes: ArrayLike | None = None
+    ) -> float | np.ndarray:
+        """Cycles at (mappers, reducers), carried to input_bytes if given:
+        a float for scalars, an array for arrays.
 
-        None or the reference size gives the surface itself.  Another size
-        is scaled along the size line; without one, the surface is returned
-        unscaled with a UserWarning.
+        Each argument is an int or an array of ints under JobConfig's
+        rules.  mappers and reducers share one shape; input_bytes is one
+        size or has that shape too.  None or the reference size gives the
+        surface itself.  Other sizes are scaled along the size line;
+        without one, the surface is returned unscaled with one UserWarning.
         """
         ref = self.surface.ref_input_bytes
-        config = JobConfig(mappers, reducers, ref if input_bytes is None else input_bytes)
-        value = predict(self.surface, config)
-        if input_bytes is None or input_bytes == ref:
+        m, r = _config_ints("mappers", mappers), _config_ints("reducers", reducers)
+        sizes = ref if input_bytes is None else _config_ints("input_bytes", input_bytes)
+        value = predict(self.surface, m, r)
+        if np.all(sizes == ref):
             return value
         if self.scaling is None:
             warnings.warn(
@@ -158,7 +165,7 @@ class CostModel:
                 stacklevel=2,
             )
             return value
-        return scale_prediction(value, self.scaling, input_bytes)
+        return scale_prediction(value, self.scaling, sizes)
 
     def with_size_line(self, profiles: Sequence[JobProfile]) -> CostModel:
         """This surface with a size line fitted through per-size mean cycles.

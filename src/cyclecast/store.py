@@ -40,6 +40,8 @@ One JSON document:
 plus an optional "scaling" section {"slope": ..., "intercept": ...,
 "ref_bytes": ...} added once an input-size line has been fitted.  The
 scaling section's ref_bytes must equal the integer ref_input_bytes.
+save_model replaces the file whole: it writes a temporary file beside
+it, syncs it and renames it over the old one.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import fcntl
 import json
 import os
 import re
+import secrets
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -320,7 +323,12 @@ def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
 
 
 def save_model(path: str | Path, model: CostModel) -> None:
-    """Write a model document, replacing any existing file at path."""
+    """Write a model document, replacing any existing file at path.
+
+    The document is written to a temporary file beside path, synced, then
+    renamed over path, so a reader or a crash sees the old model or the
+    new one, never a part of either.
+    """
     surface, scaling = model.surface, model.scaling
     doc: dict[str, Any] = {
         "basis": surface.basis_tag,
@@ -336,8 +344,17 @@ def save_model(path: str | Path, model: CostModel) -> None:
             "intercept": scaling.intercept,
             "ref_bytes": scaling.ref_bytes,
         }
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     try:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        try:
+            with open(temp, "x", encoding="utf-8") as handle:
+                handle.write(json.dumps(doc, indent=2) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, target)
+        finally:
+            temp.unlink(missing_ok=True)  # gone already after the replace
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from None
 

@@ -89,25 +89,24 @@ def generate_profiles(spec: SynthSpec) -> list[JobRun]:
     prediction at its config and input size exactly.  Runs come out
     ordered by (mappers, reducers, repetition).
     """
+    cells = [(m, r) for m in spec.grid_mappers for r in spec.grid_reducers]
+    mappers, reducers = zip(*cells)
+    truth = spec.truth.predict(mappers, reducers, spec.input_bytes).tolist()
     runs: list[JobRun] = []
-    for mappers in spec.grid_mappers:
-        for reducers in spec.grid_reducers:
-            config = JobConfig(
-                mappers=mappers, reducers=reducers, input_bytes=spec.input_bytes
-            )
-            true_cycles = spec.truth.predict(mappers, reducers, spec.input_bytes)
-            for rep in range(spec.repetitions):
-                rng = _cell_rng(spec.seed, mappers, reducers, rep)
-                eps = rng.normal(0.0, spec.noise_rel_sigma)
-                cycles = true_cycles * max(0.0, 1.0 + eps)
-                runs.append(
-                    JobRun(
-                        app=spec.app,
-                        run_id=f"{spec.app}-m{mappers:03d}-r{reducers:03d}-rep{rep:02d}",
-                        config=config,
-                        total_cycles=cycles,
-                    )
+    for (mappers, reducers), true_cycles in zip(cells, truth):
+        config = JobConfig(mappers=mappers, reducers=reducers, input_bytes=spec.input_bytes)
+        for rep in range(spec.repetitions):
+            rng = _cell_rng(spec.seed, mappers, reducers, rep)
+            eps = rng.normal(0.0, spec.noise_rel_sigma)
+            cycles = true_cycles * max(0.0, 1.0 + eps)
+            runs.append(
+                JobRun(
+                    app=spec.app,
+                    run_id=f"{spec.app}-m{mappers:03d}-r{reducers:03d}-rep{rep:02d}",
+                    config=config,
+                    total_cycles=cycles,
                 )
+            )
     return runs
 
 

@@ -10,11 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from oracle import solve_normal_equations
 
 from cyclecast.cli import main
 from cyclecast.core import (
     ClusterSpec,
     JobConfig,
+    JobProfile,
     Machine,
     MachineTrace,
     aggregate_repetitions,
@@ -22,14 +24,10 @@ from cyclecast.core import (
 )
 from cyclecast.metrics import mape, pred25, r2_paper, r2_standard, rmse
 from cyclecast.regression import (
-    DesignMatrix,
     ModelCoefficients,
-    TargetVector,
     build_design_matrix,
-    design_row,
     fit_least_squares,
     predict,
-    solve_normal_equations,
 )
 from cyclecast.scaling import CostModel, ScalingModel, fit_scaling, scale_prediction
 from cyclecast.store import save_model
@@ -66,11 +64,12 @@ def test_01_noiseless_grid_recovery(capsys):
         truth=CostModel(TRUTH_MODEL), repetitions=1, noise_rel_sigma=0.0, seed=0
     )
     profiles = aggregate_repetitions(generate_profiles(spec))
-    matrix, targets = build_design_matrix(profiles)
-    fitted = fit_least_squares(matrix, targets)
+    fitted = fit_least_squares(profiles)
     # Independent closed-form check: solve (H^T H) a = H^T y from scratch.
-    gram = matrix.rows.T @ matrix.rows
-    oracle = np.linalg.solve(gram, matrix.rows.T @ targets.values)
+    rows = build_design_matrix(
+        [p.config.mappers for p in profiles], [p.config.reducers for p in profiles]
+    )
+    oracle = solve_normal_equations(rows, [p.mean_cycles for p in profiles])
     elapsed = time.perf_counter() - started
 
     worst_truth = max(_rel(got, want) for got, want in zip(fitted.a, TRUTH_A))
@@ -97,18 +96,20 @@ def test_02_noisy_holdout_accuracy_across_seeds(capsys):
             truth=CostModel(TRUTH_MODEL), repetitions=10, noise_rel_sigma=0.02, seed=seed
         )
         profiles = aggregate_repetitions(generate_profiles(spec))
-        matrix, targets = build_design_matrix(profiles)
-        model = fit_least_squares(matrix, targets)
+        model = fit_least_squares(profiles)
 
         holdout_rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
-        actual, predicted = [], []
-        for _ in range(30):
-            m = int(holdout_rng.integers(4, 33))
-            r = int(holdout_rng.integers(4, 33))
-            config = JobConfig(m, r, spec.input_bytes)
-            eps = holdout_rng.normal(0.0, 0.02)
-            actual.append(predict(TRUTH_MODEL, config) * max(0.0, 1.0 + eps))
-            predicted.append(predict(model, config))
+        draws = [
+            (
+                int(holdout_rng.integers(4, 33)),
+                int(holdout_rng.integers(4, 33)),
+                holdout_rng.normal(0.0, 0.02),
+            )
+            for _ in range(30)
+        ]
+        ms, rs, eps = (np.array(column) for column in zip(*draws))
+        actual = predict(TRUTH_MODEL, ms, rs) * np.maximum(0.0, 1.0 + eps)
+        predicted = predict(model, ms, rs)
         seed_mape = mape(actual, predicted)
         worst_mape = max(worst_mape, seed_mape)
         if seed_mape <= 0.08 and pred25(actual, predicted) == 1.0:
@@ -136,7 +137,7 @@ def test_03_solver_cross_check_equivalence(capsys):
             ms = rng.integers(1, 65, size=k)
             rs = rng.integers(1, 65, size=k)
             configs = tuple(JobConfig(int(m), int(r), 1) for m, r in zip(ms, rs))
-            rows = np.vstack([design_row(c) for c in configs])
+            rows = build_design_matrix(ms, rs)
             scaled = rows / np.max(np.abs(rows), axis=0)
             singular_values = np.linalg.svd(scaled, compute_uv=False)
             if (
@@ -146,15 +147,14 @@ def test_03_solver_cross_check_equivalence(capsys):
                 break
         truth = rng.uniform(1e8, 1e12, size=5)
         y = (rows @ truth) * (1.0 + 0.02 * rng.standard_normal(k))
-        matrix = DesignMatrix(rows=rows, configs=configs)
-        targets = TargetVector(values=y)
-        production = fit_least_squares(matrix, targets)
-        literal = solve_normal_equations(matrix, targets)
+        profiles = [JobProfile("synthetic", c, cycles, 1) for c, cycles in zip(configs, y.tolist())]
+        production = fit_least_squares(profiles)
+        literal = solve_normal_equations(rows, y)
         if production.condition_estimate >= 1e8:
             continue
         compared += 1
         worst = max(
-            worst, max(_rel(a, b) for a, b in zip(production.a, literal.a))
+            worst, max(_rel(a, b) for a, b in zip(production.a, literal))
         )
     passed = compared > 0 and worst <= 1e-8
     _report(

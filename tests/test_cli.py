@@ -219,6 +219,21 @@ class TestPipeline:
         ]) == 2
         assert f"{holdout}:2: expected integers" in capsys.readouterr().err
 
+    def test_invalid_utf8_in_the_holdout_list_names_its_line(self, tmp_path, truth_file, capsys):
+        main(_simulate(tmp_path))
+        model_path = tmp_path / "model.json"
+        main(["fit", "--runs", str(tmp_path / "runs.jsonl"),
+              "--app", "synthetic", "--out", str(model_path)])
+        holdout = tmp_path / "holdout.txt"
+        holdout.write_bytes(b"4 4\n8 \xff8\n")
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--model", str(model_path),
+            "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+            "--holdout-list", str(holdout),
+        ]) == 2
+        assert f"error: CyclecastError: {holdout}:2: not UTF-8" in capsys.readouterr().err
+
     def test_report_surface(self, tmp_path, truth_file, capsys):
         out_dir = tmp_path / "report"
         assert main([
@@ -229,9 +244,8 @@ class TestPipeline:
         assert lines[0] == "mappers\treducers\tpredicted_cycles"
         assert len(lines) == 5
         mappers, reducers, value = lines[2].split("\t")
-        config = JobConfig(int(mappers), int(reducers), 1)
         assert (int(mappers), int(reducers)) == (4, 8)
-        assert float(value) == predict(TRUTH, config)
+        assert float(value) == predict(TRUTH, 4, 8)
 
     def test_emit_traces_round_trips_through_ingest(self, tmp_path, truth_file, capsys):
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
@@ -277,7 +291,7 @@ class TestScaleFit:
         from cyclecast.store import append_runs
 
         ref = 12 * 2**30
-        base_cycles = predict(TRUTH, JobConfig(4, 4, ref))
+        base_cycles = predict(TRUTH, 4, 4)
         runs = [
             JobRun(
                 app="synthetic",
@@ -375,7 +389,7 @@ class TestScaleFit:
         (run,) = [r for r in load_runs(tmp_path / "runs.jsonl").to_runs()
                   if (r.config.mappers, r.config.reducers) == (4, 8)]
         assert run.total_cycles == expected
-        assert expected != predict(TRUTH, run.config)
+        assert expected != predict(TRUTH, 4, 8)
 
     def test_unscaled_evaluate_warns_once(self, tmp_path, truth_file, capsys):
         store = tmp_path / "runs-24.jsonl"

@@ -11,9 +11,11 @@ inputs stay the same bytes whatever the library's API becomes.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,16 @@ GOLDEN = {
     "ingest.jsonl": "6c41a64033b67e985044a2e098b78fb079f900319215f2af1cff0faf7fcf7100",
     "ingest-hand.jsonl": "c5e30acc2b7f9bfc60f3db4f26604e7477a5d393875ebacb76f8ba36f8b9bc0a",
 }
+
+
+# The stdout of the two study scripts, at these arguments.
+SCRIPT_GOLDEN = {
+    ("input_scaling_study.py", "--noise", "0.02", "--seed", "3"):
+        "3904ac7a5185db14ac415e0e050ddd523baecc542decb8d79d7a8e2627c75655",
+    ("run_grid_experiment.py", "--seeds", "2", "--noise", "0", "0.02", "--reps", "1"):
+        "6973ee8b9f8d8ce474731da1ba76af0ca60e55ed1bddd2bdd9ba69713ae789f4",
+}
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _truth(path, gib, scaling=None):
@@ -144,3 +156,14 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", sorted(SCRIPT_GOLDEN), ids=lambda argv: argv[0])
+def test_script_golden_digest(argv):
+    spec = importlib.util.spec_from_file_location(Path(argv[0]).stem, SCRIPTS / argv[0])
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert script.main(list(argv[1:])) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == SCRIPT_GOLDEN[argv]

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import solve_normal_equations
 
 from cyclecast.core import (
     EmptyInputError,
@@ -11,19 +14,14 @@ from cyclecast.core import (
 )
 from cyclecast.regression import (
     BASIS_TAG,
-    DesignMatrix,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
     ModelCoefficients,
     RankDeficientError,
-    SingularNormalMatrixError,
-    TargetVector,
     build_design_matrix,
-    design_row,
     fit_least_squares,
     predict,
-    solve_normal_equations,
 )
 
 TRUTH = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
@@ -35,10 +33,9 @@ def _model(a, **kwargs):
     return ModelCoefficients(a=tuple(a), **defaults)
 
 
-def _matrix_for(pairs, app="bench", input_bytes=1):
-    configs = tuple(JobConfig(m, r, input_bytes) for m, r in pairs)
-    rows = np.vstack([design_row(c) for c in configs])
-    return DesignMatrix(rows=rows, configs=configs, app=app)
+def _profiles_for(pairs, app="bench", input_bytes=1):
+    """Profiles of one cycle each at the (mappers, reducers) pairs."""
+    return [JobProfile(app, JobConfig(m, r, input_bytes), 1.0, 1) for m, r in pairs]
 
 
 def _surface(a, m, r):
@@ -59,32 +56,60 @@ def _grid_profiles(a, grid, app="bench"):
 
 
 def test_design_row():
-    row = design_row(JobConfig(mappers=3, reducers=7, input_bytes=1))
-    assert row.tolist() == [1.0, 3.0, 9.0, 7.0, 49.0]
+    assert build_design_matrix(3, 7).tolist() == [[1.0, 3.0, 9.0, 7.0, 49.0]]
+    rows = build_design_matrix([3, 2], np.array([7, 1]))
+    assert rows.tolist() == [[1.0, 3.0, 9.0, 7.0, 49.0], [1.0, 2.0, 4.0, 1.0, 1.0]]
+    assert not rows.flags.writeable
 
 
-def test_design_matrix_rejects_rows_that_disagree_with_configs():
-    configs = (JobConfig(2, 3, 1),)
-    with pytest.raises(ValueError):
-        DesignMatrix(rows=np.array([[1.0, 2.0, 4.0, 3.0, 10.0]]), configs=configs)
+def test_mappers_and_reducers_must_share_a_shape():
+    with pytest.raises(ShapeMismatchError):
+        build_design_matrix([1, 2], [1, 2, 3])
+    with pytest.raises(ShapeMismatchError):
+        predict(_model(TRUTH), [1, 2], 3)
 
 
 def test_predict_hand_example():
     # 1e12 + 2e10*4 + 3e8*16 + 4e10*8 + 5e8*64 = 1.4368e12, exactly.
     model = _model(TRUTH)
-    assert predict(model, JobConfig(4, 8, 1)) == 1.4368e12
+    value = predict(model, 4, 8)
+    assert value == 1.4368e12 and type(value) is float
+
+
+def test_predict_over_arrays_is_the_per_point_formula_bit_for_bit():
+    a = (1.0e12 / 3.0, 2.0e10 / 7.0, 3.0e8 / 11.0, 4.0e10 / 13.0, 5.0e8 / 17.0)
+    mappers, reducers = np.meshgrid(np.arange(1, 257), np.arange(1, 257))
+    mappers, reducers = mappers.ravel(), reducers.ravel()
+    values = predict(_model(a), mappers, reducers)
+    assert values.shape == mappers.shape
+    # _surface on Python ints and floats is the scalar arithmetic, in its order.
+    assert values.tolist() == [
+        _surface(a, m, r) for m, r in zip(mappers.tolist(), reducers.tolist())
+    ]
 
 
 def test_predict_clamps_negative_to_zero_with_warning():
     model = _model((-1.0e12, 0.0, 0.0, 0.0, 0.0))
     with pytest.warns(NegativePredictionWarning):
-        assert predict(model, JobConfig(1, 1, 1)) == 0.0
+        assert predict(model, 1, 1) == 0.0
+
+
+def test_predict_over_arrays_warns_once_naming_the_first_clamp():
+    # Negative at reducers >= 3 only.
+    model = _model((2.0e12, 0.0, 0.0, -1.0e12, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = predict(model, [5, 6, 7], [1, 3, 4])
+    assert values.tolist() == [1.0e12, 0.0, 0.0]
+    assert len(caught) == 1
+    assert str(caught[0].message) == (
+        "surface predicts -1e+12 cycles at (mappers=6, reducers=3); clamping to 0"
+    )
 
 
 def test_noiseless_grid_recovery_is_nearly_exact():
     profiles = _grid_profiles(TRUTH, range(4, 33, 4))
-    matrix, targets = build_design_matrix(profiles)
-    fitted = fit_least_squares(matrix, targets)
+    fitted = fit_least_squares(profiles)
     for got, want in zip(fitted.a, TRUTH):
         assert got == pytest.approx(want, rel=1e-12)
     assert fitted.app == "bench"
@@ -96,32 +121,27 @@ def test_noiseless_grid_recovery_is_nearly_exact():
 
 def test_normal_equations_match_on_clean_grid():
     profiles = _grid_profiles(TRUTH, range(4, 33, 4))
-    matrix, targets = build_design_matrix(profiles)
-    production = fit_least_squares(matrix, targets)
-    literal = solve_normal_equations(matrix, targets)
-    for a, b in zip(production.a, literal.a):
-        assert a == pytest.approx(b, rel=1e-8)
-    assert literal.condition_estimate == pytest.approx(
-        production.condition_estimate, rel=1e-12
+    production = fit_least_squares(profiles)
+    rows = build_design_matrix(
+        [p.config.mappers for p in profiles], [p.config.reducers for p in profiles]
     )
+    literal = solve_normal_equations(rows, [p.mean_cycles for p in profiles])
+    for a, b in zip(production.a, literal):
+        assert a == pytest.approx(b, rel=1e-8)
 
 
 def test_fewer_than_five_distinct_configs():
     pairs = [(4, 4), (4, 8), (8, 4), (8, 8), (4, 4), (8, 8)]
-    matrix = _matrix_for(pairs)
-    targets = TargetVector(np.ones(len(pairs)))
     with pytest.raises(RankDeficientError):
-        fit_least_squares(matrix, targets)
+        fit_least_squares(_profiles_for(pairs))
 
 
 def test_collinear_configs_are_rank_deficient():
     # Five distinct points but constant reducers: the R and R^2 columns
     # collapse onto the constant column.
     pairs = [(m, 6) for m in (2, 4, 8, 16, 32)]
-    matrix = _matrix_for(pairs)
-    targets = TargetVector(np.ones(len(pairs)))
     with pytest.raises(RankDeficientError):
-        fit_least_squares(matrix, targets)
+        fit_least_squares(_profiles_for(pairs))
 
 
 def test_tight_cluster_is_ill_conditioned():
@@ -129,18 +149,8 @@ def test_tight_cluster_is_ill_conditioned():
     # the 1e10 limit.
     base = 60000
     pairs = [(m, r) for m in range(base, base + 3) for r in range(base, base + 3)]
-    matrix = _matrix_for(pairs)
-    targets = TargetVector(np.ones(len(pairs)))
     with pytest.raises(IllConditionedError):
-        fit_least_squares(matrix, targets)
-
-
-def test_normal_equations_singular_on_repeated_config():
-    pairs = [(4, 8)] * 5
-    matrix = _matrix_for(pairs)
-    targets = TargetVector(np.ones(5))
-    with pytest.raises(SingularNormalMatrixError):
-        solve_normal_equations(matrix, targets)
+        fit_least_squares(_profiles_for(pairs))
 
 
 def test_mixed_apps_rejected():
@@ -152,18 +162,12 @@ def test_mixed_apps_rejected():
         repetitions=1,
     )
     with pytest.raises(MixedApplicationsError):
-        build_design_matrix(profiles)
+        fit_least_squares(profiles)
 
 
 def test_empty_profiles_rejected():
     with pytest.raises(EmptyInputError):
-        build_design_matrix([])
-
-
-def test_target_length_mismatch():
-    matrix = _matrix_for([(4, 4), (4, 8), (8, 4), (8, 8), (12, 12)])
-    with pytest.raises(ShapeMismatchError):
-        fit_least_squares(matrix, TargetVector(np.ones(4)))
+        fit_least_squares([])
 
 
 def test_fit_residual_matches_residual_norm():
@@ -178,9 +182,11 @@ def test_fit_residual_matches_residual_norm():
         )
         for p in profiles
     ]
-    matrix, targets = build_design_matrix(noisy)
-    fitted = fit_least_squares(matrix, targets)
-    residual = np.linalg.norm(matrix.rows @ np.asarray(fitted.a) - targets.values)
+    fitted = fit_least_squares(noisy)
+    rows = build_design_matrix(
+        [p.config.mappers for p in noisy], [p.config.reducers for p in noisy]
+    )
+    residual = np.linalg.norm(rows @ np.asarray(fitted.a) - [p.mean_cycles for p in noisy])
     assert fitted.training_residual == pytest.approx(residual, rel=1e-12)
     assert fitted.training_residual > 0
 
@@ -193,11 +199,8 @@ def test_mixed_input_sizes_have_no_reference():
         mean_cycles=_surface(TRUTH, 24, 24),
         repetitions=1,
     )
-    matrix, targets = build_design_matrix(profiles + [other])
     with pytest.raises(MixedInputSizesError):
-        fit_least_squares(matrix, targets)
-    with pytest.raises(MixedInputSizesError):
-        solve_normal_equations(matrix, targets)
+        fit_least_squares(profiles + [other])
 
 
 def test_model_coefficients_validation():
@@ -225,7 +228,6 @@ def test_model_coefficients_validation():
 )
 def test_noiseless_recovery_property(truth):
     profiles = _grid_profiles(truth, range(4, 33, 4))
-    matrix, targets = build_design_matrix(profiles)
-    fitted = fit_least_squares(matrix, targets)
+    fitted = fit_least_squares(profiles)
     for got, want in zip(fitted.a, truth):
         assert got == pytest.approx(want, rel=1e-9)

@@ -1,7 +1,10 @@
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecast.core import JobConfig, NegativePredictionWarning
+from cyclecast.core import NegativePredictionWarning, ShapeMismatchError
 from cyclecast.regression import ModelCoefficients, predict
 from cyclecast.scaling import (
     CostModel,
@@ -68,12 +71,47 @@ def test_negative_scaled_prediction_clamps_with_warning():
         assert scale_prediction(5.0e12, model, 3 * 10**9) == 0.0
 
 
+def test_scale_prediction_over_arrays_warns_once_naming_the_first_clamp():
+    # Positive up to 2e9 bytes, negative beyond.
+    model = ScalingModel(slope=-1.0, intercept=2.0e9, ref_bytes=10**9)
+    targets = np.array([10**9, 3 * 10**9, 4 * 10**9])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scaled = scale_prediction(np.array([5.0e12, 5.0e12, 1.0e12]), model, targets)
+    assert scaled.tolist() == [5.0e12, 0.0, 0.0]
+    assert [str(w.message) for w in caught] == [
+        "scaling to 3000000000 bytes gives -5e+12 cycles; clamping to 0"
+    ]
+
+
+@pytest.mark.parametrize("intercept", [0.0, 4.2e11])
+def test_scale_prediction_over_arrays_is_the_per_point_ratio_bit_for_bit(intercept):
+    slope, ref = 7.3e2, 12 * GIB
+    model = ScalingModel(slope=slope, intercept=intercept, ref_bytes=ref)
+    targets = np.arange(1, 200) * (GIB // 7)
+    base = 9.87654321e12 / np.arange(1, 200)
+    scaled = scale_prediction(base, model, targets)
+    assert type(scaled) is np.ndarray
+
+    def ratio(t):
+        if intercept == 0.0:
+            return t / ref
+        return (slope * t + intercept) / (slope * ref + intercept)
+
+    assert scaled.tolist() == [b * ratio(t) for b, t in zip(base.tolist(), targets.tolist())]
+    assert type(scale_prediction(1.0, model, GIB)) is float
+
+
 def test_scale_prediction_input_validation():
     model = ScalingModel(slope=1.0, intercept=0.0, ref_bytes=GIB)
     with pytest.raises(ValueError):
         scale_prediction(-1.0, model, GIB)
     with pytest.raises(ValueError):
         scale_prediction(1.0, model, 0)
+    with pytest.raises(ValueError, match="got nan"):
+        scale_prediction([1.0, float("nan")], model, [GIB, GIB])
+    with pytest.raises(ValueError, match="got 0"):
+        scale_prediction([1.0, 1.0], model, [GIB, 0])
 
 
 def test_fit_scaling_validation():
@@ -134,7 +172,7 @@ def test_cost_model_at_reference_is_the_surface(input_bytes):
     line = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB)
     for model in (CostModel(SURFACE), CostModel(SURFACE, line)):
         for mappers, reducers in ((1, 1), (6, 10), (32, 3)):
-            want = predict(SURFACE, JobConfig(mappers, reducers, 12 * GIB))
+            want = predict(SURFACE, mappers, reducers)
             assert model.predict(mappers, reducers, input_bytes) == want
 
 
@@ -143,3 +181,43 @@ def test_cost_model_needs_one_reference_size():
         CostModel(ModelCoefficients(a=SURFACE.a, condition_estimate=1.0, training_residual=0.0))
     with pytest.raises(ValueError):
         CostModel(SURFACE, ScalingModel(slope=1.0, intercept=0.0, ref_bytes=6 * GIB))
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_cost_model_over_arrays_is_the_scalar_one_bit_for_bit(scaled):
+    line = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB) if scaled else None
+    model = CostModel(SURFACE, line)
+    mappers = np.array([1, 6, 32, 7, 40])
+    reducers = np.array([1, 10, 3, 7, 2])
+    sizes = np.array([12, 24, 12, 6, 48]) * GIB
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = model.predict(mappers, reducers, sizes)
+        # Without a size line, one warning for the call, not one per size.
+        assert len(caught) == (0 if scaled else 1)
+        assert values.tolist() == [
+            model.predict(m, r, size)
+            for m, r, size in zip(mappers.tolist(), reducers.tolist(), sizes.tolist())
+        ]
+    assert model.predict(mappers, reducers).tolist() == [
+        predict(SURFACE, m, r) for m, r in zip(mappers.tolist(), reducers.tolist())
+    ]
+    assert type(model.predict(6, 10, 12 * GIB)) is float
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (([1, True], [1, 1]), TypeError),
+        ((np.array([True]), [1]), TypeError),
+        (([1, 2.0], [1, 1]), TypeError),
+        ((np.array([1.0]), [1]), TypeError),
+        (([1, 0], [1, 1]), ValueError),
+        (([1, 1], [1, 2**63]), ValueError),
+        (([1, 1], [1, 1], [GIB, 2**64]), ValueError),
+        (([1, 1], [1, 1, 1]), ShapeMismatchError),
+    ],
+)
+def test_cost_model_holds_arrays_to_job_config_rules(args, error):
+    with pytest.raises(error):
+        CostModel(SURFACE).predict(*args)

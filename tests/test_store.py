@@ -1,5 +1,8 @@
 import fcntl
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -305,6 +308,81 @@ def test_invalid_utf8_in_a_model_names_its_file(tmp_path):
     path.write_bytes(path.read_bytes().replace(b'"sort"', b'"s\xffrt"'))
     with pytest.raises(CorruptRecordError, match=f"{path}: not UTF-8"):
         load_model(path)
+
+
+LINE = ScalingModel(slope=1.0e3 / 7.0, intercept=1.0e11, ref_bytes=12 * 2**30)
+
+
+def _fail_writing_halfway(file, *args, **kwargs):
+    handle = open(file, *args, **kwargs)
+    write = handle.write
+
+    def half_then_fail(text):
+        write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    handle.write = half_then_fail
+    return handle
+
+
+def _fail(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "target, failure",
+    [("open", _fail_writing_halfway), ("os.fsync", _fail), ("os.replace", _fail)],
+    ids=["write", "fsync", "replace"],
+)
+def test_a_failed_save_leaves_the_old_model_and_no_temp_file(tmp_path, monkeypatch, target, failure):
+    path = tmp_path / "model.json"
+    save_model(path, CostModel(MODEL))
+    before = path.read_bytes()
+    if target == "open":
+        monkeypatch.setattr(store, "open", failure, raising=False)
+    else:
+        monkeypatch.setattr(store.os, target.split(".")[1], failure)
+    with pytest.raises(IoFailureError, match="No space left on device"):
+        save_model(path, CostModel(MODEL, LINE))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_model(path) == CostModel(MODEL)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+_SAVE_LOOP = """
+import sys
+from cyclecast.store import load_model, save_model
+path, first, second, count = sys.argv[1:]
+models = [load_model(first), load_model(second)]
+for i in range(int(count)):
+    save_model(path, models[i % 2])
+"""
+
+
+def test_a_reader_never_sees_a_model_being_saved(tmp_path):
+    # One process rewrites the model in a loop while this one reads it.
+    models = (CostModel(MODEL), CostModel(MODEL, LINE))
+    for name, model in zip(("first.json", "second.json", "model.json"), models + models[:1]):
+        save_model(tmp_path / name, model)
+    src = str(Path(store.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _SAVE_LOOP, str(tmp_path / "model.json"),
+         str(tmp_path / "first.json"), str(tmp_path / "second.json"), "400"],
+        env=env,
+    )
+    reads = 0
+    try:
+        while writer.poll() is None:
+            assert load_model(tmp_path / "model.json") in models
+            reads += 1
+    finally:
+        writer.kill()
+        writer.wait()
+    assert writer.returncode == 0
+    assert reads > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "model.json", "second.json"]
 
 
 def test_load_waits_for_an_appender_s_lock(tmp_path):

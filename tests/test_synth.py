@@ -63,7 +63,7 @@ def test_determinism():
 def test_noiseless_runs_equal_the_surface_exactly():
     spec = _spec(noise_rel_sigma=0.0, repetitions=2)
     for run in generate_profiles(spec):
-        assert run.total_cycles == predict(TRUTH, run.config)
+        assert run.total_cycles == predict(TRUTH, run.config.mappers, run.config.reducers)
 
 
 def test_noiseless_runs_follow_the_truth_size_line():
@@ -72,7 +72,9 @@ def test_noiseless_runs_follow_the_truth_size_line():
     spec = _spec(truth=truth, noise_rel_sigma=0.0, input_bytes=2 * DEFAULT_INPUT_BYTES)
     for run in generate_profiles(spec):
         expected = truth.predict(run.config.mappers, run.config.reducers, spec.input_bytes)
-        assert run.total_cycles == expected != predict(TRUTH, run.config)
+        assert run.total_cycles == expected != predict(
+            TRUTH, run.config.mappers, run.config.reducers
+        )
 
 
 def test_cell_substreams_are_independent_of_grid_shape():
