@@ -13,6 +13,9 @@ Conventions
 * simulate's --seed falls back to the CYCLECAST_SEED environment
   variable (checked like the flag), then to 0, so batch jobs can pin
   determinism externally.
+* The argument parser is built once, when this module is imported, so
+  main can be called repeatedly in one process at the cost of a parse.
+  CYCLECAST_SEED is read on each call, not when the parser is built.
 """
 
 from __future__ import annotations
@@ -358,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=10)
     p.add_argument("--noise", type=_nonnegative_float, default=0.02,
                    help="relative noise sigma (default 0.02)")
-    p.add_argument("--seed", type=_uint64, default=os.environ.get(SEED_ENV_VAR, "0"),
+    # None: main reads the environment on each call.
+    p.add_argument("--seed", type=_uint64, default=None,
                    help=f"default: ${SEED_ENV_VAR}, then 0")
     p.add_argument("--out", required=True, help="run store to append to")
     p.add_argument("--app", default="synthetic")
@@ -378,14 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "func", None) is None:
-            parser.error("a subcommand is required")
-        if args.command == "simulate" and args.emit_traces is not None and args.cluster is None:
-            parser.error("--emit-traces requires --cluster")
+            _PARSER.error("a subcommand is required")
+        if args.command == "simulate":
+            if args.seed is None:
+                try:
+                    args.seed = _uint64(os.environ.get(SEED_ENV_VAR, "0"))
+                except argparse.ArgumentTypeError as exc:
+                    _PARSER.error(f"argument --seed: {exc}")
+            if args.emit_traces is not None and args.cluster is None:
+                _PARSER.error("--emit-traces requires --cluster")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -85,9 +85,10 @@ class ModelCoefficients:
                 f"training_residual must be finite and >= 0, "
                 f"got {self.training_residual}"
             )
-        if self.ref_input_bytes is not None and self.ref_input_bytes < 1:
+        # The upper bound is JobConfig's: no run can have a larger size.
+        if self.ref_input_bytes is not None and not 1 <= self.ref_input_bytes < 2**63:
             raise ValueError(
-                f"ref_input_bytes must be >= 1 or None, got {self.ref_input_bytes}"
+                f"ref_input_bytes must be in [1, 2**63) or None, got {self.ref_input_bytes}"
             )
         object.__setattr__(self, "a", a)
 

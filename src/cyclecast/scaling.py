@@ -52,8 +52,8 @@ class ScalingModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.slope) or not math.isfinite(self.intercept):
             raise ValueError("slope and intercept must be finite")
-        if self.ref_bytes < 1:
-            raise ValueError(f"ref_bytes must be >= 1, got {self.ref_bytes}")
+        if not 1 <= self.ref_bytes < 2**63:  # JobConfig's bound on input_bytes
+            raise ValueError(f"ref_bytes must be in [1, 2**63), got {self.ref_bytes}")
         if self.slope * self.ref_bytes + self.intercept <= 0:
             raise NonPositiveReferenceError(
                 f"line evaluates to {self.slope * self.ref_bytes + self.intercept:.6g} "

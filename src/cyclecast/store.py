@@ -39,9 +39,10 @@ One JSON document:
 
 plus an optional "scaling" section {"slope": ..., "intercept": ...,
 "ref_bytes": ...} added once an input-size line has been fitted.  The
-scaling section's ref_bytes must equal the integer ref_input_bytes.
-save_model replaces the file whole: it writes a temporary file beside
-it, syncs it and renames it over the old one.
+scaling section's ref_bytes must equal the integer ref_input_bytes, and
+both must be below 2**63, as a run's input_bytes is.  Every other number
+must fit a float.  save_model replaces the file whole: it writes a
+temporary file beside it, syncs it and renames it over the old one.
 """
 
 from __future__ import annotations
@@ -360,51 +361,65 @@ def save_model(path: str | Path, model: CostModel) -> None:
 
 
 def load_model(path: str | Path) -> CostModel:
-    """Read a model document back; floats are bit-identical to what was saved."""
+    """Read a model document back; floats are bit-identical to what was saved.
+
+    A document that does not decode or breaks the format is a
+    CorruptRecordError naming path.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
     try:
+        return _model_from_bytes(data)
+    except CorruptRecordError as exc:
+        raise CorruptRecordError(f"{path}: {exc}") from None
+
+
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float; bool, other types and overflow are corrupt."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CorruptRecordError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise CorruptRecordError(f"{what} is too large for a float") from None
+
+
+def _integer(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CorruptRecordError(f"{what} must be an integer")
+    return value
+
+
+def _model_from_bytes(data: bytes) -> CostModel:
+    try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorruptRecordError(
-            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
+        raise CorruptRecordError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptRecordError(f"model file is not valid JSON: {exc}") from None
+    # ValueError: also an integer of over 4300 digits; RecursionError: deep nesting.
+    except (ValueError, RecursionError) as exc:
+        raise CorruptRecordError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise CorruptRecordError("model file is not a JSON object")
+        raise CorruptRecordError("not a JSON object")
     basis = doc.get("basis")
     if basis != BASIS_TAG:
         raise CorruptRecordError(f"unknown basis {basis!r}, expected {BASIS_TAG!r}")
     coeffs = doc.get("a")
-    if (
-        not isinstance(coeffs, list)
-        or len(coeffs) != N_COEFFS
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs)
-    ):
+    if not isinstance(coeffs, list) or len(coeffs) != N_COEFFS:
         raise CorruptRecordError(f"key 'a' must be a list of {N_COEFFS} numbers")
     app = doc.get("app")
     if not isinstance(app, str):
         raise CorruptRecordError("key 'app' must be a string")
-    condition = doc.get("condition")
-    residual = doc.get("residual")
-    for name, value in (("condition", condition), ("residual", residual)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CorruptRecordError(f"key {name!r} must be a number")
-    ref_input_bytes = doc.get("ref_input_bytes")
-    if isinstance(ref_input_bytes, bool) or not isinstance(ref_input_bytes, int):
-        raise CorruptRecordError("key 'ref_input_bytes' must be an integer")
     try:
         surface = ModelCoefficients(
-            a=tuple(float(v) for v in coeffs),
-            condition_estimate=float(condition),
-            training_residual=float(residual),
+            a=tuple(_number(v, f"key 'a' item {i}") for i, v in enumerate(coeffs)),
+            condition_estimate=_number(doc.get("condition"), "key 'condition'"),
+            training_residual=_number(doc.get("residual"), "key 'residual'"),
             app=app,
-            ref_input_bytes=ref_input_bytes,
+            ref_input_bytes=_integer(doc.get("ref_input_bytes"), "key 'ref_input_bytes'"),
         )
     except ValueError as exc:
         raise CorruptRecordError(str(exc)) from None
@@ -414,18 +429,11 @@ def load_model(path: str | Path) -> CostModel:
         return CostModel(surface)
     if not isinstance(section, dict):
         raise CorruptRecordError("key 'scaling' must be an object")
-    for key in ("slope", "intercept"):
-        value = section.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CorruptRecordError(f"scaling key {key!r} must be a number")
-    ref = section.get("ref_bytes")
-    if isinstance(ref, bool) or not isinstance(ref, int):
-        raise CorruptRecordError("scaling key 'ref_bytes' must be an integer")
     try:
         scaling = ScalingModel(
-            slope=float(section["slope"]),
-            intercept=float(section["intercept"]),
-            ref_bytes=int(section["ref_bytes"]),
+            slope=_number(section.get("slope"), "scaling key 'slope'"),
+            intercept=_number(section.get("intercept"), "scaling key 'intercept'"),
+            ref_bytes=_integer(section.get("ref_bytes"), "scaling key 'ref_bytes'"),
         )
         return CostModel(surface, scaling)
     except (ValueError, NonPositiveReferenceError) as exc:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclecast import cli
 from cyclecast.cli import main
 from cyclecast.core import JobConfig
 from cyclecast.regression import ModelCoefficients, predict
@@ -283,6 +284,61 @@ class TestPipeline:
         assert not (tmp_path / "runs.jsonl").exists()
 
 
+class TestParserReuse:
+    """main parses with one parser built at import, and reads the
+    environment on each call, not when that parser was built."""
+
+    def test_seed_env_is_read_on_each_call(self, tmp_path, truth_file, monkeypatch):
+        noisy = ("--noise", "0.05")
+        monkeypatch.delenv("CYCLECAST_SEED", raising=False)
+        assert main(_simulate(tmp_path, out="env-0.jsonl", extra=noisy, seed=None)) == 0
+        for seed in ("7", "8"):
+            monkeypatch.setenv("CYCLECAST_SEED", seed)
+            assert main(_simulate(tmp_path, out=f"env-{seed}.jsonl", extra=noisy, seed=None)) == 0
+        for seed in ("0", "7", "8"):
+            assert main(_simulate(tmp_path, out=f"flag-{seed}.jsonl", extra=noisy, seed=seed)) == 0
+        stores = {
+            seed: (tmp_path / f"env-{seed}.jsonl").read_bytes() for seed in ("0", "7", "8")
+        }
+        for seed, body in stores.items():
+            assert body == (tmp_path / f"flag-{seed}.jsonl").read_bytes()
+        assert len(set(stores.values())) == 3
+
+    def test_bad_seed_env_after_a_good_one_is_still_usage(
+        self, tmp_path, truth_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CYCLECAST_SEED", "7")
+        assert main(_simulate(tmp_path, seed=None)) == 0
+        monkeypatch.setenv("CYCLECAST_SEED", "abc")
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(_simulate(tmp_path, out="bad.jsonl", seed=None)) == 1
+            assert capsys.readouterr().err == (
+                "usage error: argument --seed: expected an integer, got 'abc'\n"
+            )
+        assert not (tmp_path / "bad.jsonl").exists()
+
+    def test_seed_flag_overrides_a_bad_env(self, tmp_path, truth_file, monkeypatch):
+        monkeypatch.setenv("CYCLECAST_SEED", "abc")
+        assert main(_simulate(tmp_path, out="a.jsonl", seed="7")) == 0
+        monkeypatch.delenv("CYCLECAST_SEED")
+        assert main(_simulate(tmp_path, out="b.jsonl", seed="7")) == 0
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_main_builds_no_parser(self, tmp_path, truth_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli._Parser, "__init__", refuse)
+        model = str(tmp_path / "model.json")
+        assert main(_simulate(tmp_path)) == 0
+        assert main(["fit", "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+                     "--out", model]) == 0
+        assert main(["predict", "--model", model, "--mappers", "4", "--reducers", "8"]) == 0
+        assert main(["predict", "--model", model, "--mappers", "0", "--reducers", "8"]) == 1
+        assert main([]) == 1
+
+
 class TestScaleFit:
     def _sized_store(self, tmp_path):
         # Runs whose cycles grow exactly proportionally with input size:
@@ -486,6 +542,25 @@ class TestExitCodes:
         assert main([command, "--model", str(model_path)] + argv) == 2
         captured = capsys.readouterr()
         assert "CorruptRecordError" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("condition", "1" + "0" * 400), ("residual", "9" * 4301),
+         ("ref_input_bytes", str(2**63))],
+        ids=["beyond-float", "beyond-int-digits", "size-beyond-int64"],
+    )
+    def test_model_with_a_huge_number_is_data_error(
+        self, tmp_path, truth_file, capsys, field, text
+    ):
+        doc = json.loads(truth_file.read_text())
+        doc[field] = "@"
+        model_path = tmp_path / "huge-model.json"
+        model_path.write_text(json.dumps(doc).replace('"@"', text))
+        assert main(["predict", "--model", str(model_path), "--mappers", "4",
+                     "--reducers", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: CorruptRecordError: {model_path}: ")
         assert captured.out == ""
 
     def test_torn_store_tail_is_skipped_with_one_warning(self, tmp_path, truth_file, capsys):

@@ -65,6 +65,18 @@ SCRIPT_GOLDEN = {
 }
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
+# The --help text of the program and of each subcommand, at COLUMNS=80.
+HELP_GOLDEN = {
+    (): "81a4f6ab33598c2321d3e6348f3124f4614d827422ba4d225cc99e6f56a21f87",
+    ("ingest",): "fdf421a3a34ab7855587129bb29db7f869de76030dbdc634e7e62c698d6aefc6",
+    ("fit",): "1c1266c6ca3d753e9af2677e35ed797b0678e7df74133f2bff5b40ed6e1598dd",
+    ("predict",): "f1b04a6abae7d54610add50e44c376dfd57f825d180d17ce6f24b19d426424b0",
+    ("evaluate",): "feeb0e41b73f49d39e6584354d55bedef56ad653c074e7aee0c28be964458a2a",
+    ("scale-fit",): "b4a6a741c07e363dd9c94c6fb79e289214d0fd8ae8ed2ece19905357edc12d87",
+    ("simulate",): "adca4d39aa38258df6717859b20349238585646567ee3ddcb7eb50cd2678734b",
+    ("report",): "5f28716fa61317d26ddbd96385a25964106cb3c4e693d3ce2e31a39f983abd89",
+}
+
 
 def _truth(path, gib, scaling=None):
     doc = {
@@ -167,3 +179,20 @@ def test_script_golden_digest(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert script.main(list(argv[1:])) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == SCRIPT_GOLDEN[argv]
+
+
+def _help(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv) + ["--help"])
+    assert exited.value.code == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDEN), ids=lambda argv: " ".join(argv) or "top")
+def test_help_golden_digest(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first, second = _help(argv), _help(argv)
+    assert first == second
+    assert hashlib.sha256(first).hexdigest() == HELP_GOLDEN[argv]

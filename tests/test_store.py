@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -311,6 +312,63 @@ def test_invalid_utf8_in_a_model_names_its_file(tmp_path):
 
 
 LINE = ScalingModel(slope=1.0e3 / 7.0, intercept=1.0e11, ref_bytes=12 * 2**30)
+
+
+def _model_with(path, field, text):
+    """Save MODEL with LINE at path, then spell field's number as text.
+
+    field is a top-level key or "scaling.<key>"; for "a" the middle
+    coefficient is replaced.
+    """
+    save_model(path, CostModel(MODEL, LINE))
+    doc = json.loads(path.read_text())
+    section, _, key = field.rpartition(".")
+    holder = doc[section] if section else doc
+    if key == "a":
+        holder, key = holder["a"], 2
+    holder[key] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+
+
+def _named(path):
+    return re.escape(str(path))
+
+
+_FLOAT_FIELDS = ["a", "condition", "residual", "scaling.slope", "scaling.intercept"]
+_SIZE_FIELDS = ["ref_input_bytes", "scaling.ref_bytes"]
+
+
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_an_integer_beyond_the_float_range_is_corrupt(tmp_path, field):
+    path = tmp_path / "model.json"
+    _model_with(path, field, "1" + "0" * 400)
+    with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: .* is too large for a float$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", _FLOAT_FIELDS + _SIZE_FIELDS)
+def test_an_integer_beyond_int_s_digit_limit_is_corrupt(tmp_path, field):
+    path = tmp_path / "model.json"
+    _model_with(path, field, "9" * 4301)
+    with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: not valid JSON: "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", _SIZE_FIELDS)
+@pytest.mark.parametrize("size", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_a_reference_size_of_2_63_or_more_is_corrupt(tmp_path, field, size):
+    path = tmp_path / "model.json"
+    _model_with(path, field, str(size))
+    with pytest.raises(CorruptRecordError, match=rf"^{_named(path)}: .*must be in \[1, 2\*\*63\)"):
+        load_model(path)
+
+
+def test_the_largest_reference_size_loads(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, CostModel(MODEL, LINE))
+    path.write_text(path.read_text().replace(str(LINE.ref_bytes), str(2**63 - 1)))
+    model = load_model(path)
+    assert model.surface.ref_input_bytes == model.scaling.ref_bytes == 2**63 - 1
 
 
 def _fail_writing_halfway(file, *args, **kwargs):
