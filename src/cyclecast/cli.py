@@ -97,6 +97,8 @@ def _grid(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"need 1 <= lo <= hi and step >= 1, got {text!r}"
         )
+    if hi >= 2**63:  # _positive_int's bound
+        raise argparse.ArgumentTypeError(f"expected hi below 2**63, got {text!r}")
     return tuple(range(lo, hi + 1, step))
 
 
@@ -260,7 +262,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.emit_traces is not None:
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for run in runs:
+        for run in runs.to_runs():
             traces = generate_trace(run, cluster, args.seed)
             with open(out_dir / f"{run.run_id}.csv", "w", encoding="utf-8", newline="") as handle:
                 write_trace_csv(traces, handle)

@@ -76,9 +76,9 @@ class ModelCoefficients:
             raise ShapeMismatchError(f"need {N_COEFFS} coefficients, got {len(a)}")
         if not all(math.isfinite(v) for v in a):
             raise ValueError("coefficients must be finite")
-        if not self.condition_estimate > 0:
+        if not 0 < self.condition_estimate < math.inf:
             raise ValueError(
-                f"condition_estimate must be > 0, got {self.condition_estimate}"
+                f"condition_estimate must be finite and > 0, got {self.condition_estimate}"
             )
         if not math.isfinite(self.training_residual) or self.training_residual < 0:
             raise ValueError(

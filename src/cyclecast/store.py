@@ -55,7 +55,7 @@ import secrets
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Sequence
 
 from .core import CyclecastError, JobConfig, JobRun, RunTable
 from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
@@ -170,29 +170,26 @@ def record_to_run(obj: Any, line_no: int) -> JobRun:
         raise CorruptRecordError(f"line {line_no}: {exc}") from None
 
 
-def append_runs(path: str | Path, runs: list[JobRun]) -> int:
-    """Append runs to the store at path, creating it if needed.
+def append_runs(path: str | Path, runs: RunTable | Sequence[JobRun]) -> int:
+    """Append runs, a RunTable or JobRuns, to the store at path, creating it if needed.
 
-    Returns the number of records written.  An empty run list leaves the
+    Returns the number of records written.  No runs leave the
     filesystem untouched.  The exclusive lock covers the whole batch, so a
     batch from one process is contiguous in the file.
     """
-    if not runs:
+    table = runs if isinstance(runs, RunTable) else RunTable.from_runs(runs)
+    if not len(table):
         return 0
+    rows = zip(
+        map(encode_basestring_ascii, table.apps),
+        map(encode_basestring_ascii, table.run_ids),
+        table.mappers.tolist(),
+        table.reducers.tolist(),
+        table.input_bytes.tolist(),
+        table.total_cycles.tolist(),
+    )
     data = "".join(
-        [
-            _RECORD_LINE
-            % (
-                RUNS_SCHEMA_VERSION,
-                encode_basestring_ascii(run.app),
-                encode_basestring_ascii(run.run_id),
-                run.config.mappers,
-                run.config.reducers,
-                run.config.input_bytes,
-                run.total_cycles,
-            )
-            for run in runs
-        ]
+        [_RECORD_LINE % (RUNS_SCHEMA_VERSION, *row) for row in rows]
     ).encode("ascii")
     try:
         with open(path, "ab+") as handle:
@@ -205,7 +202,7 @@ def append_runs(path: str | Path, runs: list[JobRun]) -> int:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
     except OSError as exc:
         raise IoFailureError(f"cannot append to {path}: {exc}") from None
-    return len(runs)
+    return len(table)
 
 
 def _mend_tail(handle: BinaryIO, path: str | Path) -> None:

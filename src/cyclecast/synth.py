@@ -7,7 +7,9 @@ cycles = truth(config) * max(0, 1 + eps) with eps ~ Normal(0, sigma).
 Randomness contract: every (config, repetition) cell gets its own PCG64
 substream keyed by SeedSequence([seed, mappers, reducers, repetition]),
 so the order the grid is enumerated in can never change a draw, and any
-cell can be regenerated in isolation.  Trace synthesis keys its stream by
+cell can be regenerated in isolation.  The key is passed as the uint32
+words SeedSequence derives from that int list: each int's little-endian
+32-bit words, [0] for 0.  Trace synthesis keys its stream by
 [seed, digest(run_id)].
 
 Trace synthesis works backwards from a run's total: the total is split
@@ -28,9 +30,9 @@ import numpy as np
 from .core import (
     ClusterSpec,
     EmptyInputError,
-    JobConfig,
     JobRun,
     MachineTrace,
+    RunTable,
 )
 from .scaling import CostModel
 
@@ -78,36 +80,42 @@ class SynthSpec:
             raise ValueError(f"input_bytes must be >= 1, got {self.input_bytes}")
 
 
-def _cell_rng(seed: int, mappers: int, reducers: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, mappers, reducers, rep]))
+def _words(value: int) -> list[int]:
+    """value's little-endian 32-bit words, [0] for 0: the uint32 words
+    SeedSequence derives from a non-negative int in its entropy list."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
-def generate_profiles(spec: SynthSpec) -> list[JobRun]:
+def generate_profiles(spec: SynthSpec) -> RunTable:
     """Simulate every grid cell, repetitions times, in deterministic order.
 
     With noise_rel_sigma == 0 every run's cycles equals the truth's
-    prediction at its config and input size exactly.  Runs come out
+    prediction at its config and input size exactly.  Rows come out
     ordered by (mappers, reducers, repetition).
     """
     cells = [(m, r) for m in spec.grid_mappers for r in spec.grid_reducers]
     mappers, reducers = zip(*cells)
     truth = spec.truth.predict(mappers, reducers, spec.input_bytes).tolist()
-    runs: list[JobRun] = []
-    for (mappers, reducers), true_cycles in zip(cells, truth):
-        config = JobConfig(mappers=mappers, reducers=reducers, input_bytes=spec.input_bytes)
-        for rep in range(spec.repetitions):
-            rng = _cell_rng(spec.seed, mappers, reducers, rep)
-            eps = rng.normal(0.0, spec.noise_rel_sigma)
-            cycles = true_cycles * max(0.0, 1.0 + eps)
-            runs.append(
-                JobRun(
-                    app=spec.app,
-                    run_id=f"{spec.app}-m{mappers:03d}-r{reducers:03d}-rep{rep:02d}",
-                    config=config,
-                    total_cycles=cycles,
-                )
-            )
-    return runs
+    reps = range(spec.repetitions)
+    seed, rep_words = _words(spec.seed), [_words(rep) for rep in reps]
+    cycles = []
+    for (m, r), true_cycles in zip(cells, truth):
+        cell = seed + _words(m) + _words(r)
+        for words in rep_words:
+            entropy = np.random.SeedSequence(np.array(cell + words, dtype=np.uint32))
+            eps = np.random.Generator(np.random.PCG64(entropy)).normal(0.0, spec.noise_rel_sigma)
+            cycles.append(true_cycles * max(0.0, 1.0 + eps))
+    return RunTable(
+        apps=(spec.app,) * len(cycles),
+        run_ids=[f"{spec.app}-m{m:03d}-r{r:03d}-rep{rep:02d}" for m, r in cells for rep in reps],
+        mappers=np.repeat(mappers, spec.repetitions),
+        reducers=np.repeat(reducers, spec.repetitions),
+        input_bytes=np.full(len(cycles), spec.input_bytes),
+        total_cycles=cycles,
+    )
 
 
 def generate_trace(

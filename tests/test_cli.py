@@ -474,6 +474,18 @@ class TestExitCodes:
         argv[argv.index("4:32:4")] = "32:4:-1"
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_grid_beyond_int64_is_usage(self, tmp_path, truth_file, capsys, command):
+        argv = {
+            "simulate": _simulate(tmp_path),
+            "report": ["report", "--model", str(truth_file), "--grid", "4:32:4",
+                       "--out", str(tmp_path / "report")],
+        }[command]
+        argv[argv.index("4:32:4")] = f"{2**63 - 1}:{2**63}:1"
+        assert main(argv) == 1
+        assert "usage error: argument --grid: expected hi below 2**63" in capsys.readouterr().err
+        assert not (tmp_path / "runs.jsonl").exists() and not (tmp_path / "report").exists()
+
     def test_nonpositive_mappers_is_usage(self, tmp_path):
         assert main([
             "predict", "--model", "x.json", "--mappers", "0", "--reducers", "1",
@@ -561,6 +573,20 @@ class TestExitCodes:
                      "--reducers", "8"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: CorruptRecordError: {model_path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["Infinity", "1e999", "NaN"])
+    def test_model_with_a_condition_that_is_not_finite_is_data_error(
+        self, tmp_path, truth_file, capsys, text
+    ):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(truth_file.read_text().replace('"condition": 1.0', f'"condition": {text}'))
+        assert main(["predict", "--model", str(model_path), "--mappers", "4",
+                     "--reducers", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: CorruptRecordError: {model_path}: condition_estimate must be finite and > 0"
+        )
         assert captured.out == ""
 
     def test_torn_store_tail_is_skipped_with_one_warning(self, tmp_path, truth_file, capsys):

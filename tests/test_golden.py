@@ -53,6 +53,8 @@ GOLDEN = {
     "trace.csv": "ead48d89b6c9b8c6e77350c5c48dc9a12d2d1c05a1e3c509871fed6e8cd27794",
     "ingest.jsonl": "6c41a64033b67e985044a2e098b78fb079f900319215f2af1cff0faf7fcf7100",
     "ingest-hand.jsonl": "c5e30acc2b7f9bfc60f3db4f26604e7477a5d393875ebacb76f8ba36f8b9bc0a",
+    "seed-max.jsonl": "dbcedf58787b08fd4463b3c988ab19dae36336658718606c6935de46afec02f0",
+    "seed-two-words.jsonl": "faff285eeaa676579170ad0877bfe8d1dfc492de2b71d34c0ca2c4d804dcf244",
 }
 
 
@@ -152,6 +154,13 @@ def outputs(tmp_path_factory):
               "--out", root / store])
         got[store] = (root / store).read_bytes()
 
+    # Seeds and grid values of two 32-bit words, the form a seed drawn
+    # from [0, 2**63) mostly takes.
+    _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "2",
+          "--seed", "18446744073709551615", "--out", root / "seed-max.jsonl"])
+    _run(["simulate", "--truth", truth, "--grid", "4294967295:4294967296:1", "--reps", "2",
+          "--seed", "4294967296", "--out", root / "seed-two-words.jsonl"])
+
     for name, path in (
         ("runs.jsonl", runs),
         ("model.json", model),
@@ -160,6 +169,8 @@ def outputs(tmp_path_factory):
         ("surface.tsv", root / "report" / "surface.tsv"),
         ("emitted.jsonl", emitted),
         ("trace.csv", root / "traces" / "synthetic-m004-r008-rep00.csv"),
+        ("seed-max.jsonl", root / "seed-max.jsonl"),
+        ("seed-two-words.jsonl", root / "seed-two-words.jsonl"),
     ):
         got[name] = path.read_bytes()
     return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}

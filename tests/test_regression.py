@@ -210,6 +210,8 @@ def test_model_coefficients_validation():
         _model(TRUTH, condition_estimate=0.0)
     with pytest.raises(ValueError):
         _model(TRUTH, condition_estimate=float("nan"))
+    with pytest.raises(ValueError, match="condition_estimate must be finite and > 0"):
+        _model(TRUTH, condition_estimate=float("inf"))
     with pytest.raises(ValueError):
         _model(TRUTH, training_residual=-1.0)
     with pytest.raises(ValueError):

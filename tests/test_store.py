@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecast import store
-from cyclecast.core import CyclecastError, JobConfig, JobRun
+from cyclecast.core import CyclecastError, JobConfig, JobRun, RunTable
 from cyclecast.regression import ModelCoefficients
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import (
@@ -346,6 +346,16 @@ def test_an_integer_beyond_the_float_range_is_corrupt(tmp_path, field):
         load_model(path)
 
 
+@pytest.mark.parametrize("text", ["Infinity", "1e999", "NaN"])
+def test_a_condition_that_is_not_finite_is_corrupt(tmp_path, text):
+    path = tmp_path / "model.json"
+    _model_with(path, "condition", text)
+    with pytest.raises(
+        CorruptRecordError, match=f"^{_named(path)}: condition_estimate must be finite and > 0"
+    ):
+        load_model(path)
+
+
 @pytest.mark.parametrize("field", _FLOAT_FIELDS + _SIZE_FIELDS)
 def test_an_integer_beyond_int_s_digit_limit_is_corrupt(tmp_path, field):
     path = tmp_path / "model.json"
@@ -639,6 +649,19 @@ def test_record_line_equals_json_dumps(run):
         append_runs(path, [run])
         assert path.read_bytes() == _line(run).encode("ascii")
         assert load_runs(path).to_runs() == [run]
+
+
+@given(st.lists(_ANY_RUNS, max_size=6))
+@settings(deadline=None)
+def test_a_table_and_its_runs_append_the_same_bytes(runs):
+    table = RunTable.from_runs(runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        from_table, from_runs = Path(tmp) / "table.jsonl", Path(tmp) / "runs.jsonl"
+        assert append_runs(from_table, table) == append_runs(from_runs, table.to_runs()) == len(runs)
+        if runs:
+            assert from_table.read_bytes() == from_runs.read_bytes()
+        else:
+            assert not from_table.exists() and not from_runs.exists()
 
 
 @given(

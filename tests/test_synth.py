@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from cyclecast.synth import (
     DEFAULT_GRID,
     DEFAULT_INPUT_BYTES,
     SynthSpec,
+    _words,
     generate_profiles,
     generate_trace,
 )
@@ -48,57 +50,105 @@ def test_default_grid():
 
 def test_run_count_and_order():
     spec = _spec(grid_mappers=(4, 8), grid_reducers=(4, 8), repetitions=3)
-    runs = generate_profiles(spec)
-    assert len(runs) == 2 * 2 * 3
-    keys = [(r.config.mappers, r.config.reducers) for r in runs[::3]]
+    table = generate_profiles(spec)
+    assert len(table) == 2 * 2 * 3
+    keys = list(zip(table.mappers[::3].tolist(), table.reducers[::3].tolist()))
     assert keys == [(4, 4), (4, 8), (8, 4), (8, 8)]
-    assert len({r.run_id for r in runs}) == len(runs)
+    assert len(set(table.run_ids)) == len(table)
+    assert table.run_ids[:3] == ("synthetic-m004-r004-rep00", "synthetic-m004-r004-rep01",
+                                 "synthetic-m004-r004-rep02")
+    assert set(table.apps) == {"synthetic"}
+    assert set(table.input_bytes.tolist()) == {DEFAULT_INPUT_BYTES}
 
 
 def test_determinism():
     spec = _spec()
-    assert generate_profiles(spec) == generate_profiles(spec)
+    assert generate_profiles(spec).to_runs() == generate_profiles(spec).to_runs()
 
 
 def test_noiseless_runs_equal_the_surface_exactly():
     spec = _spec(noise_rel_sigma=0.0, repetitions=2)
-    for run in generate_profiles(spec):
-        assert run.total_cycles == predict(TRUTH, run.config.mappers, run.config.reducers)
+    table = generate_profiles(spec)
+    assert table.total_cycles.tolist() == predict(TRUTH, table.mappers, table.reducers).tolist()
 
 
 def test_noiseless_runs_follow_the_truth_size_line():
     line = ScalingModel(slope=150.0, intercept=5.0e11, ref_bytes=DEFAULT_INPUT_BYTES)
     truth = CostModel(TRUTH, line)
     spec = _spec(truth=truth, noise_rel_sigma=0.0, input_bytes=2 * DEFAULT_INPUT_BYTES)
-    for run in generate_profiles(spec):
-        expected = truth.predict(run.config.mappers, run.config.reducers, spec.input_bytes)
-        assert run.total_cycles == expected != predict(
-            TRUTH, run.config.mappers, run.config.reducers
-        )
+    table = generate_profiles(spec)
+    expected = truth.predict(table.mappers, table.reducers, spec.input_bytes)
+    assert table.total_cycles.tolist() == expected.tolist()
+    assert (expected != predict(TRUTH, table.mappers, table.reducers)).all()
 
 
 def test_cell_substreams_are_independent_of_grid_shape():
     # Any cell regenerated alone must reproduce the full-grid draw.
     full = generate_profiles(_spec(grid_mappers=(4, 8, 12), grid_reducers=(4, 8)))
     alone = generate_profiles(_spec(grid_mappers=(12,), grid_reducers=(8,)))
-    full_cell = [
-        r for r in full if (r.config.mappers, r.config.reducers) == (12, 8)
-    ]
-    assert [r.total_cycles for r in full_cell] == [r.total_cycles for r in alone]
+    in_cell = (full.mappers == 12) & (full.reducers == 8)
+    assert full.total_cycles[in_cell].tolist() == alone.total_cycles.tolist()
 
 
 def test_different_seeds_differ():
     a = generate_profiles(_spec(seed=1))
     b = generate_profiles(_spec(seed=2))
-    assert [r.total_cycles for r in a] != [r.total_cycles for r in b]
+    assert a.total_cycles.tolist() != b.total_cycles.tolist()
 
 
 def test_noise_floor_keeps_cycles_non_negative():
     spec = _spec(noise_rel_sigma=50.0, grid_mappers=(4,), grid_reducers=(4,),
                  repetitions=200)
-    cycles = [r.total_cycles for r in generate_profiles(spec)]
-    assert min(cycles) == 0.0  # sigma 50 puts much of the mass below -1
-    assert all(c >= 0.0 for c in cycles)
+    cycles = generate_profiles(spec).total_cycles
+    assert cycles.min() == 0.0  # sigma 50 puts much of the mass below -1
+    assert (cycles >= 0.0).all()
+
+
+_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_GRID_VALUES = st.integers(1, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, _GRID_VALUES, _GRID_VALUES, st.integers(0, 20))
+def test_cell_words_seed_as_the_int_list_does(seed, mappers, reducers, rep):
+    words = np.array(
+        _words(seed) + _words(mappers) + _words(reducers) + _words(rep), dtype=np.uint32
+    )
+    assert np.array_equal(
+        np.random.SeedSequence(words).generate_state(4),
+        np.random.SeedSequence([seed, mappers, reducers, rep]).generate_state(4),
+    )
+
+
+def _oracle_cycles(spec):
+    """The per-cell formula: one default_rng per (mappers, reducers, rep),
+    seeded from the Python int list."""
+    cells = [(m, r) for m in spec.grid_mappers for r in spec.grid_reducers]
+    truth = spec.truth.predict(*zip(*cells), spec.input_bytes).tolist()
+    cycles = []
+    for (m, r), true_cycles in zip(cells, truth):
+        for rep in range(spec.repetitions):
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, m, r, rep]))
+            eps = rng.normal(0.0, spec.noise_rel_sigma)
+            cycles.append(true_cycles * max(0.0, 1.0 + eps))
+    return cycles
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    _SEEDS,
+    st.lists(_GRID_VALUES, min_size=1, max_size=3, unique=True),
+    st.lists(_GRID_VALUES, min_size=1, max_size=3, unique=True),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.02, 50.0]),
+)
+def test_profiles_equal_the_per_cell_formula(seed, grid_m, grid_r, reps, sigma):
+    spec = _spec(seed=seed, grid_mappers=tuple(grid_m), grid_reducers=tuple(grid_r),
+                 repetitions=reps, noise_rel_sigma=sigma)
+    table = generate_profiles(spec)
+    assert table.total_cycles.tolist() == _oracle_cycles(spec)
+    cells = [(m, r) for m in grid_m for r in grid_r for _ in range(reps)]
+    assert list(zip(table.mappers.tolist(), table.reducers.tolist())) == cells
 
 
 def test_spec_validation():
