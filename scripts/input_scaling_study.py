@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from cyclecast.core import JobConfig, JobRun, aggregate_repetitions
+from cyclecast.core import RunTable, aggregate_repetitions
 from cyclecast.metrics import mape, pred25
 from cyclecast.regression import ModelCoefficients, fit_least_squares, predict
 from cyclecast.scaling import CostModel
@@ -56,26 +56,29 @@ def true_cycles(input_bytes: int, ref_bytes: int) -> np.ndarray:
     return predict(SURFACE, GRID_MAPPERS, GRID_REDUCERS) * line / line_ref
 
 
-def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> list[JobRun]:
-    runs = []
+def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> RunTable:
+    """Noisy runs over the grid at each size.  Each run draws from its own
+    stream, keyed by (seed, gib, mappers, reducers, rep)."""
+    run_ids, mappers, reducers, sizes, cycles = [], [], [], [], []
     for gib in sizes_gib:
         truth = true_cycles(gib * GIB, ref_bytes).tolist()
-        for mappers, reducers, cycles in zip(GRID_MAPPERS.tolist(), GRID_REDUCERS.tolist(), truth):
-            config = JobConfig(mappers, reducers, gib * GIB)
+        for m, r, expected in zip(GRID_MAPPERS.tolist(), GRID_REDUCERS.tolist(), truth):
             for rep in range(reps):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, gib, mappers, reducers, rep])
-                )
+                rng = np.random.default_rng(np.random.SeedSequence([seed, gib, m, r, rep]))
                 eps = rng.normal(0.0, noise)
-                runs.append(
-                    JobRun(
-                        app="study",
-                        run_id=f"study-g{gib:02d}-m{mappers:03d}-r{reducers:03d}-x{rep:02d}",
-                        config=config,
-                        total_cycles=cycles * max(0.0, 1.0 + eps),
-                    )
-                )
-    return runs
+                run_ids.append(f"study-g{gib:02d}-m{m:03d}-r{r:03d}-x{rep:02d}")
+                mappers.append(m)
+                reducers.append(r)
+                sizes.append(gib * GIB)
+                cycles.append(expected * max(0.0, 1.0 + eps))
+    return RunTable(
+        apps=["study"] * len(run_ids),
+        run_ids=run_ids,
+        mappers=np.array(mappers),
+        reducers=np.array(reducers),
+        input_bytes=np.array(sizes),
+        total_cycles=cycles,
+    )
 
 
 def main(argv=None) -> int:
@@ -99,10 +102,11 @@ def main(argv=None) -> int:
         parser.error("--ref-gib must be one of --train-gib")
 
     train_runs = simulate_runs(args.train_gib, args.reps, args.noise, args.seed, ref_bytes)
-    profiles = aggregate_repetitions(train_runs)
-
-    ref_profiles = [p for p in profiles if p.config.input_bytes == ref_bytes]
-    model = CostModel(fit_least_squares(ref_profiles)).with_size_line(profiles)
+    # The reference size's runs again: the same draws, as each run's stream
+    # is keyed by its own size.
+    ref_runs = simulate_runs([args.ref_gib], args.reps, args.noise, args.seed, ref_bytes)
+    surface = fit_least_squares(aggregate_repetitions(ref_runs))
+    model = CostModel(surface).with_size_line(aggregate_repetitions(train_runs))
     print(
         f"# surface condition {model.surface.condition_estimate:.2e}, "
         f"size line slope {model.scaling.slope:.4e} cycles/byte "

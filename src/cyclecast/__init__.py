@@ -12,12 +12,10 @@ from .core import (
     ClusterSpec,
     CyclecastError,
     EmptyInputError,
-    JobConfig,
-    JobProfile,
-    JobRun,
     Machine,
     MachineTrace,
     NegativePredictionWarning,
+    ProfileTable,
     RunTable,
     SampleExceedsCoresError,
     ShapeMismatchError,
@@ -84,9 +82,6 @@ __all__ = [
     "IllConditionedError",
     "IngestWarning",
     "IoFailureError",
-    "JobConfig",
-    "JobProfile",
-    "JobRun",
     "Machine",
     "MachineTrace",
     "MixedApplicationsError",
@@ -94,6 +89,7 @@ __all__ = [
     "ModelCoefficients",
     "NegativePredictionWarning",
     "NonPositiveReferenceError",
+    "ProfileTable",
     "RankDeficientError",
     "RunTable",
     "SampleExceedsCoresError",

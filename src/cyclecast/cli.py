@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CyclecastError, JobConfig, JobRun, aggregate_repetitions, total_cpu_cycles
+from .core import CyclecastError, RunTable, aggregate_repetitions, total_cpu_cycles
 from .ingest import _INTEGER_RE, _decoded, parse_cluster_spec, parse_trace_csv, write_trace_csv
 from .metrics import evaluate
 from .regression import fit_least_squares
@@ -39,6 +39,7 @@ from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, generate_trace
 
 SEED_ENV_VAR = "CYCLECAST_SEED"
+_GRID_LIMIT = 1024  # values per --grid axis; report writes its square
 
 
 class _UsageError(Exception):
@@ -59,7 +60,7 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    if value >= 2**63:  # the bound JobConfig and the run store's columns take
+    if value >= 2**63:  # the count rule's bound, which the run store's columns take
         raise argparse.ArgumentTypeError(f"expected a value below 2**63, got {value}")
     return value
 
@@ -99,7 +100,12 @@ def _grid(text: str) -> tuple[int, ...]:
         )
     if hi >= 2**63:  # _positive_int's bound
         raise argparse.ArgumentTypeError(f"expected hi below 2**63, got {text!r}")
-    return tuple(range(lo, hi + 1, step))
+    values = range(lo, hi + 1, step)
+    if len(values) > _GRID_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {_GRID_LIMIT} values per axis, got {len(values)} from {text!r}"
+        )
+    return tuple(values)
 
 
 def _read_holdout_list(path: str) -> set[tuple[int, int]]:
@@ -164,15 +170,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with open(args.cluster, "rb") as handle:
         cluster = parse_cluster_spec(handle)
     cycles = total_cpu_cycles(traces, cluster)
-    run = JobRun(
-        app=args.app,
-        run_id=run_id,
-        config=JobConfig(
-            mappers=args.mappers, reducers=args.reducers, input_bytes=args.input_bytes
-        ),
-        total_cycles=cycles,
+    run = RunTable(
+        apps=[args.app],
+        run_ids=[run_id],
+        mappers=[args.mappers],
+        reducers=[args.reducers],
+        input_bytes=[args.input_bytes],
+        total_cycles=[cycles],
     )
-    append_runs(args.out, [run])
+    append_runs(args.out, run)
     print(
         f"ingested {len(traces)} machine trace(s) -> {cycles!r} cycles "
         f"as run {run_id!r} in {args.out}",
@@ -188,7 +194,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     save_model(args.out, CostModel(model))
     print(
         f"fitted {args.app!r} over {len(profiles)} profiles "
-        f"({sum(p.repetitions for p in profiles)} runs): "
+        f"({len(runs)} runs): "
         f"condition={model.condition_estimate:.3e} "
         f"residual={model.training_residual:.6e} -> {args.out}",
         file=sys.stderr,
@@ -234,7 +240,7 @@ def _cmd_scale_fit(args: argparse.Namespace) -> int:
     model = load_model(args.model).with_size_line(profiles)
     save_model(args.model, model)
     print(
-        f"fitted size line over {len({p.config.input_bytes for p in profiles})} sizes: "
+        f"fitted size line over {len(set(profiles.input_bytes.tolist()))} sizes: "
         f"slope={model.scaling.slope!r} cycles/byte intercept={model.scaling.intercept!r} "
         f"ref_bytes={model.scaling.ref_bytes} -> {args.model}",
         file=sys.stderr,
@@ -262,9 +268,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.emit_traces is not None:
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for run in runs.to_runs():
-            traces = generate_trace(run, cluster, args.seed)
-            with open(out_dir / f"{run.run_id}.csv", "w", encoding="utf-8", newline="") as handle:
+        for run_id, cycles in zip(runs.run_ids, runs.total_cycles.tolist()):
+            traces = generate_trace(run_id, cycles, cluster, args.seed)
+            with open(out_dir / f"{run_id}.csv", "w", encoding="utf-8", newline="") as handle:
                 write_trace_csv(traces, handle)
         print(f"emitted {len(runs)} trace file(s) to {out_dir}", file=sys.stderr)
     print(

@@ -159,34 +159,22 @@ class ClusterSpec:
         return machine
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One point in configuration space: parallelism degrees plus input size."""
-
-    mappers: int
-    reducers: int
-    input_bytes: int
-
-    def __post_init__(self) -> None:
-        for name in ("mappers", "reducers", "input_bytes"):
-            _check_count(name, getattr(self, name))
-
-
 def _check_count(name: str, value) -> None:
-    """JobConfig's rule for each of its fields: an int in [1, 2**63)."""
+    """The rule for every count in a table: an int in [1, 2**63)."""
     # bool is an int subclass, but True is not a degree of parallelism.
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    # RunTable columns are int64.
+    # Table count columns are int64.
     if value >= 2**63:
         raise ValueError(f"{name} must be < 2**63, got {value}")
 
 
 def _config_ints(name: str, value) -> np.ndarray:
     """An int, or an integer array or sequence of ints, as int64 (0-d
-    for a scalar), each value held to JobConfig's rule."""
+    for a scalar), each value held to _check_count's rule.  An integer
+    array is checked whole; anything else one item at a time."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
         bad = value[(value < 1) | (value >= 2**63)]
         if bad.size:
@@ -198,26 +186,35 @@ def _config_ints(name: str, value) -> np.ndarray:
     return items.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class JobRun:
-    """One measured execution of one application at one configuration."""
+def _set_columns(
+    table: object, texts: tuple[str, ...], counts: tuple[str, ...], real: str
+) -> None:
+    """Check a frozen table's columns and store each in its one form.
 
-    app: str
-    run_id: str
-    config: JobConfig
-    total_cycles: float
-
-    def __post_init__(self) -> None:
-        if not self.app:
-            raise ValueError("app must be non-empty")
-        if not self.run_id:
-            raise ValueError("run_id must be non-empty")
-        if not math.isfinite(self.total_cycles) or self.total_cycles < 0:
-            raise ValueError(
-                f"total_cycles must be finite and >= 0, got {self.total_cycles}"
-            )
-        # A plain float, so its repr is the run store's number form.
-        object.__setattr__(self, "total_cycles", float(self.total_cycles))
+    Each text column becomes a tuple of non-empty strings, each count
+    column a read-only int64 array under _check_count's rule, and the
+    real column a read-only float64 array of finite values >= 0.  Every
+    column has as many rows as the first text column.
+    """
+    strings = {name: tuple(getattr(table, name)) for name in texts}
+    rows = len(strings[texts[0]])
+    for name, column in strings.items():
+        if len(column) != rows:
+            raise ShapeMismatchError(f"column {name} has {len(column)} rows, not {rows}")
+        if not all(column):
+            raise ValueError(f"every item of {name} must be non-empty")
+        object.__setattr__(table, name, column)
+    arrays = {name: _config_ints(name, getattr(table, name)) for name in counts}
+    arrays[real] = getattr(table, real)
+    for name, value in arrays.items():
+        # A copy, so the caller's array stays writable and the table's own.
+        column = np.array(value, dtype=np.float64 if name == real else np.int64)
+        if column.shape != (rows,):
+            raise ShapeMismatchError(f"column {name} has shape {column.shape}, not ({rows},)")
+        if name == real and rows and not (column.min() >= 0.0 and column.max() < math.inf):
+            raise ValueError(f"{real} must be finite and >= 0")
+        column.setflags(write=False)
+        object.__setattr__(table, name, column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +222,9 @@ class RunTable:
     """Measured runs as parallel columns, one row per run, in the order given.
 
     apps and run_ids are tuples of non-empty strings.  mappers, reducers
-    and input_bytes are read-only int64 arrays of values >= 1, and
-    total_cycles a read-only float64 array of finite values >= 0: the
-    rules JobConfig and JobRun check, checked here once per column.
+    and input_bytes are read-only int64 arrays of ints in [1, 2**63), and
+    total_cycles a read-only float64 array of finite values >= 0.  A
+    float, a bool or a string in a count column is a TypeError.
     """
 
     apps: tuple[str, ...]
@@ -238,78 +235,37 @@ class RunTable:
     total_cycles: np.ndarray
 
     def __post_init__(self) -> None:
-        apps, run_ids = tuple(self.apps), tuple(self.run_ids)
-        object.__setattr__(self, "apps", apps)
-        object.__setattr__(self, "run_ids", run_ids)
-        rows = len(apps)
-        if len(run_ids) != rows:
-            raise ShapeMismatchError(f"{rows} apps but {len(run_ids)} run_ids")
-        if not all(apps) or not all(run_ids):
-            raise ValueError("app and run_id must be non-empty")
-        for name in ("mappers", "reducers", "input_bytes", "total_cycles"):
-            dtype = np.float64 if name == "total_cycles" else np.int64
-            column = np.array(getattr(self, name), dtype=dtype)
-            if column.shape != (rows,):
-                raise ShapeMismatchError(f"column {name} has shape {column.shape}, not ({rows},)")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if rows == 0:
-            return
-        if min(self.mappers.min(), self.reducers.min(), self.input_bytes.min()) < 1:
-            raise ValueError("mappers, reducers and input_bytes must be >= 1")
-        if not (self.total_cycles.min() >= 0.0 and self.total_cycles.max() < math.inf):
-            raise ValueError("total_cycles must be finite and >= 0")
-
-    @classmethod
-    def from_runs(cls, runs: Iterable[JobRun]) -> RunTable:
-        """A table of runs, in the order given."""
-        runs = list(runs)
-        return cls(
-            apps=tuple(run.app for run in runs),
-            run_ids=tuple(run.run_id for run in runs),
-            mappers=[run.config.mappers for run in runs],
-            reducers=[run.config.reducers for run in runs],
-            input_bytes=[run.config.input_bytes for run in runs],
-            total_cycles=[run.total_cycles for run in runs],
+        _set_columns(
+            self, ("apps", "run_ids"), ("mappers", "reducers", "input_bytes"), "total_cycles"
         )
 
     def __len__(self) -> int:
         return len(self.apps)
 
-    def to_runs(self) -> list[JobRun]:
-        """The rows as JobRun objects, in table order."""
-        rows = zip(
-            self.apps,
-            self.run_ids,
-            self.mappers.tolist(),
-            self.reducers.tolist(),
-            self.input_bytes.tolist(),
-            self.total_cycles.tolist(),
-        )
-        return [
-            JobRun(app, run_id, JobConfig(mappers, reducers, input_bytes), cycles)
-            for app, run_id, mappers, reducers, input_bytes, cycles in rows
-        ]
 
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Repetition-averaged runs as parallel columns, one row per
+    (app, mappers, reducers, input_bytes).
 
-@dataclass(frozen=True)
-class JobProfile:
-    """Repetition-averaged cost of one application at one configuration."""
+    The columns follow RunTable's rules; mean_cycles is the real column
+    and repetitions one more count column.
+    """
 
-    app: str
-    config: JobConfig
-    mean_cycles: float
-    repetitions: int
+    apps: tuple[str, ...]
+    mappers: np.ndarray
+    reducers: np.ndarray
+    input_bytes: np.ndarray
+    mean_cycles: np.ndarray
+    repetitions: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.app:
-            raise ValueError("app must be non-empty")
-        if not math.isfinite(self.mean_cycles) or self.mean_cycles < 0:
-            raise ValueError(
-                f"mean_cycles must be finite and >= 0, got {self.mean_cycles}"
-            )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _set_columns(
+            self, ("apps",), ("mappers", "reducers", "input_bytes", "repetitions"), "mean_cycles"
+        )
+
+    def __len__(self) -> int:
+        return len(self.apps)
 
 
 def total_cpu_cycles(traces: Iterable[MachineTrace], cluster: ClusterSpec) -> float:
@@ -337,35 +293,33 @@ def total_cpu_cycles(traces: Iterable[MachineTrace], cluster: ClusterSpec) -> fl
     return math.fsum(per_trace)
 
 
-def aggregate_repetitions(runs: RunTable | Sequence[JobRun]) -> list[JobProfile]:
-    """Average repeated runs into one profile per (app, config).
+def aggregate_repetitions(table: RunTable) -> ProfileTable:
+    """Average repeated runs into one profile row per (app, config).
 
     The mean uses math.fsum, so permuting the input runs changes nothing,
-    bit for bit.  Output is sorted by (app, mappers, reducers, input_bytes).
+    bit for bit.  Rows are sorted by (app, mappers, reducers, input_bytes).
     """
-    table = runs if isinstance(runs, RunTable) else RunTable.from_runs(runs)
-    if not len(table):
+    rows = len(table)
+    if not rows:
         raise EmptyInputError("no runs to aggregate")
     names = sorted(set(table.apps))
     code = {name: i for i, name in enumerate(names)}
-    apps = np.fromiter(map(code.__getitem__, table.apps), np.int64, len(table))
+    apps = np.fromiter(map(code.__getitem__, table.apps), np.int64, rows)
     # One sort by (app, mappers, reducers, input_bytes) makes equal keys
-    # adjacent; lexsort's last key is its primary one.
+    # adjacent (lexsort's last key is its primary one); a group starts at
+    # row 0 and wherever a key differs from the row before.
     columns = (apps, table.mappers, table.reducers, table.input_bytes)
     order = np.lexsort(columns[::-1])
-    keys = zip(*(column[order].tolist() for column in columns))
+    keys = [column[order] for column in columns]
+    starts = np.flatnonzero(np.any([key[1:] != key[:-1] for key in keys], axis=0)) + 1
+    bounds = [0, *starts.tolist(), rows]
     cycles = table.total_cycles[order].tolist()
-    profiles: list[JobProfile] = []
-    lo = 0
-    for (app, mappers, reducers, input_bytes), group in itertools.groupby(keys):
-        hi = lo + sum(1 for _ in group)
-        profiles.append(
-            JobProfile(
-                app=names[app],
-                config=JobConfig(mappers, reducers, input_bytes),
-                mean_cycles=math.fsum(cycles[lo:hi]) / (hi - lo),
-                repetitions=hi - lo,
-            )
-        )
-        lo = hi
-    return profiles
+    firsts = bounds[:-1]
+    return ProfileTable(
+        apps=[names[app] for app in keys[0][firsts].tolist()],
+        mappers=keys[1][firsts],
+        reducers=keys[2][firsts],
+        input_bytes=keys[3][firsts],
+        mean_cycles=[math.fsum(cycles[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])],
+        repetitions=np.diff(bounds),
+    )

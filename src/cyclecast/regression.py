@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,8 +28,8 @@ from numpy.typing import ArrayLike
 from .core import (
     CyclecastError,
     EmptyInputError,
-    JobProfile,
     NegativePredictionWarning,
+    ProfileTable,
     ShapeMismatchError,
 )
 
@@ -85,7 +85,7 @@ class ModelCoefficients:
                 f"training_residual must be finite and >= 0, "
                 f"got {self.training_residual}"
             )
-        # The upper bound is JobConfig's: no run can have a larger size.
+        # The upper bound is the count rule's: no run can have a larger size.
         if self.ref_input_bytes is not None and not 1 <= self.ref_input_bytes < 2**63:
             raise ValueError(
                 f"ref_input_bytes must be in [1, 2**63) or None, got {self.ref_input_bytes}"
@@ -108,7 +108,7 @@ def build_design_matrix(mappers: ArrayLike, reducers: ArrayLike) -> np.ndarray:
     return rows
 
 
-def fit_least_squares(profiles: Sequence[JobProfile]) -> ModelCoefficients:
+def fit_least_squares(profiles: ProfileTable) -> ModelCoefficients:
     """Fit the surface through the profiles' mean cycles.
 
     The profiles must share one app and one input size, which becomes the
@@ -116,22 +116,21 @@ def fit_least_squares(profiles: Sequence[JobProfile]) -> ModelCoefficients:
     a numerically rank-deficient design raise RankDeficientError, a
     condition estimate above CONDITION_LIMIT IllConditionedError.
     """
-    if not profiles:
+    if not len(profiles):
         raise EmptyInputError("no profiles to fit")
-    apps = sorted({p.app for p in profiles})
+    apps = sorted(set(profiles.apps))
     if len(apps) > 1:
         raise MixedApplicationsError(f"profiles span applications {apps}")
-    sizes = sorted({p.config.input_bytes for p in profiles})
+    sizes = sorted(set(profiles.input_bytes.tolist()))
     if len(sizes) > 1:
         raise MixedInputSizesError(f"profiles span input sizes {sizes}")
-    pairs = [(p.config.mappers, p.config.reducers) for p in profiles]
-    if len(set(pairs)) < N_COEFFS:
+    points = len(set(zip(profiles.mappers.tolist(), profiles.reducers.tolist())))
+    if points < N_COEFFS:
         raise RankDeficientError(
-            f"need >= {N_COEFFS} distinct (mappers, reducers) points, "
-            f"got {len(set(pairs))}"
+            f"need >= {N_COEFFS} distinct (mappers, reducers) points, got {points}"
         )
-    rows = build_design_matrix(*zip(*pairs))
-    y = np.array([p.mean_cycles for p in profiles])
+    rows = build_design_matrix(profiles.mappers, profiles.reducers)
+    y = profiles.mean_cycles
     scale = np.max(np.abs(rows), axis=0)
     scaled = rows / scale
     solution, _, rank, singular_values = np.linalg.lstsq(scaled, y, rcond=RANK_RTOL)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import CyclecastError, JobProfile, _config_ints
+from .core import CyclecastError, ProfileTable, _config_ints
 from .regression import ModelCoefficients, _clamp_negative, predict
 
 
@@ -52,7 +52,7 @@ class ScalingModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.slope) or not math.isfinite(self.intercept):
             raise ValueError("slope and intercept must be finite")
-        if not 1 <= self.ref_bytes < 2**63:  # JobConfig's bound on input_bytes
+        if not 1 <= self.ref_bytes < 2**63:  # the count rule's bound on input_bytes
             raise ValueError(f"ref_bytes must be in [1, 2**63), got {self.ref_bytes}")
         if self.slope * self.ref_bytes + self.intercept <= 0:
             raise NonPositiveReferenceError(
@@ -146,8 +146,8 @@ class CostModel:
         """Cycles at (mappers, reducers), carried to input_bytes if given:
         a float for scalars, an array for arrays.
 
-        Each argument is an int or an array of ints under JobConfig's
-        rules.  mappers and reducers share one shape; input_bytes is one
+        Each argument is an int or an array of ints, each an int in
+        [1, 2**63).  mappers and reducers share one shape; input_bytes is one
         size or has that shape too.  None or the reference size gives the
         surface itself.  Other sizes are scaled along the size line;
         without one, the surface is returned unscaled with one UserWarning.
@@ -167,14 +167,14 @@ class CostModel:
             return value
         return scale_prediction(value, self.scaling, sizes)
 
-    def with_size_line(self, profiles: Sequence[JobProfile]) -> CostModel:
+    def with_size_line(self, profiles: ProfileTable) -> CostModel:
         """This surface with a size line fitted through per-size mean cycles.
 
         A size's point is the fsum mean of its profiles' mean cycles; the
         line is anchored at the surface's reference size.
         """
         by_size: dict[int, list[float]] = {}
-        for profile in profiles:
-            by_size.setdefault(profile.config.input_bytes, []).append(profile.mean_cycles)
+        for size, cycles in zip(profiles.input_bytes.tolist(), profiles.mean_cycles.tolist()):
+            by_size.setdefault(size, []).append(cycles)
         points = [(size, math.fsum(v) / len(v)) for size, v in sorted(by_size.items())]
         return CostModel(self.surface, fit_scaling(points, ref_bytes=self.surface.ref_input_bytes))

@@ -24,7 +24,7 @@ ending in a newline, strings without escapes, integers of at most 18
 digits with no leading zero, and total_cycles a non-negative JSON number
 whose form cannot overflow (below 1e300).  The records of the requested
 app are then picked out by a second pattern and become columns, in file
-order, without a JobRun per record.  Any other body goes through the line
+order, with no object per record.  Any other body goes through the line
 loop, which json-decodes and checks one line at a time: it loads what
 is valid and raises the typed error of the first bad line, naming it.
 That covers other key orders and spacing, escaped strings, a torn tail,
@@ -49,23 +49,26 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import re
 import secrets
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO, Sequence
+from typing import Any, BinaryIO
 
-from .core import CyclecastError, JobConfig, JobRun, RunTable
+import numpy as np
+
+from .core import CyclecastError, RunTable, _check_count
 from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
 from .scaling import CostModel, NonPositiveReferenceError, ScalingModel
 
 RUNS_SCHEMA_VERSION = 1
 
 # The canonical record line.  encode_basestring_ascii is the string
-# encoder json.dumps uses, so the line equals
-# json.dumps(run_to_record(run), separators=(",", ":")) plus a newline.
+# encoder json.dumps uses, so the line equals json.dumps of the record,
+# keys in this order, with separators=(",", ":"), plus a newline.
 _RECORD_LINE = (
     '{"schema_version":%d,"app":%s,"run_id":%s,'
     '"mappers":%d,"reducers":%d,"input_bytes":%d,"total_cycles":%r}\n'
@@ -120,19 +123,6 @@ class TornRecordWarning(UserWarning):
     """The run store's unterminated last line does not parse and was skipped or dropped."""
 
 
-def run_to_record(run: JobRun) -> dict[str, Any]:
-    """Flatten a run to its wire dict, keys in canonical order."""
-    return {
-        "schema_version": RUNS_SCHEMA_VERSION,
-        "app": run.app,
-        "run_id": run.run_id,
-        "mappers": run.config.mappers,
-        "reducers": run.config.reducers,
-        "input_bytes": run.config.input_bytes,
-        "total_cycles": run.total_cycles,
-    }
-
-
 def _require(obj: dict[str, Any], key: str, kinds: tuple[type, ...], line_no: int) -> Any:
     if key not in obj:
         raise CorruptRecordError(f"line {line_no}: missing key {key!r}")
@@ -145,7 +135,12 @@ def _require(obj: dict[str, Any], key: str, kinds: tuple[type, ...], line_no: in
     return value
 
 
-def record_to_run(obj: Any, line_no: int) -> JobRun:
+_COUNT_KEYS = ("mappers", "reducers", "input_bytes")
+
+
+def _record_row(obj: Any, line_no: int) -> tuple[str, str, int, int, int, float]:
+    """A decoded record's fields, in RunTable column order, once each passes
+    its check; the first that fails is a typed error naming line_no."""
     if not isinstance(obj, dict):
         raise CorruptRecordError(f"line {line_no}: record is not an object")
     version = _require(obj, "schema_version", (int,), line_no)
@@ -154,30 +149,31 @@ def record_to_run(obj: Any, line_no: int) -> JobRun:
             f"line {line_no}: schema_version {version} is not supported "
             f"(this code speaks {RUNS_SCHEMA_VERSION})"
         )
+    app = _require(obj, "app", (str,), line_no)
+    run_id = _require(obj, "run_id", (str,), line_no)
+    counts = [_require(obj, key, (int,), line_no) for key in _COUNT_KEYS]
     try:
-        return JobRun(
-            app=_require(obj, "app", (str,), line_no),
-            run_id=_require(obj, "run_id", (str,), line_no),
-            config=JobConfig(
-                mappers=_require(obj, "mappers", (int,), line_no),
-                reducers=_require(obj, "reducers", (int,), line_no),
-                input_bytes=_require(obj, "input_bytes", (int,), line_no),
-            ),
-            total_cycles=float(_require(obj, "total_cycles", (int, float), line_no)),
-        )
+        for key, count in zip(_COUNT_KEYS, counts):
+            _check_count(key, count)
+        cycles = float(_require(obj, "total_cycles", (int, float), line_no))
+        for key, text in (("app", app), ("run_id", run_id)):
+            if not text:
+                raise ValueError(f"{key} must be non-empty")
+        if not 0.0 <= cycles < math.inf:
+            raise ValueError(f"total_cycles must be finite and >= 0, got {cycles}")
     # OverflowError: an integer total_cycles too large for a float.
     except (ValueError, OverflowError) as exc:
         raise CorruptRecordError(f"line {line_no}: {exc}") from None
+    return (app, run_id, *counts, cycles)
 
 
-def append_runs(path: str | Path, runs: RunTable | Sequence[JobRun]) -> int:
-    """Append runs, a RunTable or JobRuns, to the store at path, creating it if needed.
+def append_runs(path: str | Path, table: RunTable) -> int:
+    """Append the table's runs to the store at path, creating it if needed.
 
-    Returns the number of records written.  No runs leave the
+    Returns the number of records written.  An empty table leaves the
     filesystem untouched.  The exclusive lock covers the whole batch, so a
     batch from one process is contiguous in the file.
     """
-    table = runs if isinstance(runs, RunTable) else RunTable.from_runs(runs)
     if not len(table):
         return 0
     rows = zip(
@@ -260,16 +256,16 @@ def load_runs(path: str | Path, app: str | None = None) -> RunTable:
     del data
     rows = _fast_rows(text, app)
     if rows is None:
-        return RunTable.from_runs(_row_runs(text, path, app))
+        rows = _row_runs(text, path, app)
     del text  # the rows hold all the table needs
     apps, run_ids, mappers, reducers, input_bytes, cycles = zip(*rows) if rows else [()] * 6
     return RunTable(
         apps=apps,
         run_ids=run_ids,
-        mappers=list(map(int, mappers)),
-        reducers=list(map(int, reducers)),
-        input_bytes=list(map(int, input_bytes)),
-        total_cycles=list(map(float, cycles)),
+        mappers=np.fromiter(map(int, mappers), np.int64, len(rows)),
+        reducers=np.fromiter(map(int, reducers), np.int64, len(rows)),
+        input_bytes=np.fromiter(map(int, input_bytes), np.int64, len(rows)),
+        total_cycles=np.fromiter(map(float, cycles), np.float64, len(rows)),
     )
 
 
@@ -287,8 +283,8 @@ def _fast_rows(text: str, app: str | None) -> list[tuple[str, ...]] | None:
     return []  # no fast record can have this app
 
 
-def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
-    """Decode and check a store body one line at a time.
+def _row_runs(text: str, path: str | Path, app: str | None) -> list[tuple]:
+    """Decode and check a store body one line at a time into app's rows.
 
     Raises the typed error of the first bad line, naming it.  Only bodies
     _fast_rows declines reach here: bad ones, and good ones outside the
@@ -300,7 +296,7 @@ def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
     if not lines[-1]:
         lines.pop()
     torn_tail = None if text.endswith("\n") else len(lines)
-    runs: list[JobRun] = []
+    rows: list[tuple] = []
     for line_no, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
@@ -314,10 +310,10 @@ def _row_runs(text: str, path: str | Path, app: str | None) -> list[JobRun]:
                 )
                 break
             raise CorruptRecordError(f"line {line_no}: invalid JSON: {exc}") from None
-        run = record_to_run(obj, line_no)
-        if app is None or run.app == app:
-            runs.append(run)
-    return runs
+        row = _record_row(obj, line_no)
+        if app is None or row[0] == app:
+            rows.append(row)
+    return rows
 
 
 def save_model(path: str | Path, model: CostModel) -> None:

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClusterSpec,
-    EmptyInputError,
-    JobRun,
-    MachineTrace,
-    RunTable,
-)
+from .core import ClusterSpec, EmptyInputError, MachineTrace, RunTable
 from .scaling import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -119,9 +113,9 @@ def generate_profiles(spec: SynthSpec) -> RunTable:
 
 
 def generate_trace(
-    run: JobRun, cluster: ClusterSpec, seed: int
+    run_id: str, total_cycles: float, cluster: ClusterSpec, seed: int
 ) -> list[MachineTrace]:
-    """Fabricate per-machine traces that account back to run.total_cycles.
+    """Fabricate per-machine traces that account back to total_cycles.
 
     The split across machines and the per-second jitter are drawn from a
     stream keyed by (seed, run_id), so regenerating any single run's traces
@@ -130,10 +124,10 @@ def generate_trace(
     """
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")
-    if run.total_cycles == 0:
+    if total_cycles == 0:
         return []
     digest = int.from_bytes(
-        hashlib.sha256(run.run_id.encode("utf-8")).digest()[:8], "big"
+        hashlib.sha256(run_id.encode("utf-8")).digest()[:8], "big"
     )
     rng = np.random.default_rng(np.random.SeedSequence([seed, digest]))
     weights = rng.uniform(0.5, 1.5, size=len(cluster.machines))
@@ -141,7 +135,7 @@ def generate_trace(
 
     traces: list[MachineTrace] = []
     for machine, weight in zip(cluster.machines, weights):
-        cpu_seconds = run.total_cycles * weight / machine.clock_hz
+        cpu_seconds = total_cycles * weight / machine.clock_hz
         target_rate = _TARGET_UTILIZATION * machine.cores
         n_samples = max(1, math.ceil(cpu_seconds / target_rate))
         base = cpu_seconds / n_samples  # <= target_rate by choice of n_samples

@@ -15,10 +15,9 @@ from oracle import solve_normal_equations
 from cyclecast.cli import main
 from cyclecast.core import (
     ClusterSpec,
-    JobConfig,
-    JobProfile,
     Machine,
     MachineTrace,
+    ProfileTable,
     aggregate_repetitions,
     total_cpu_cycles,
 )
@@ -66,10 +65,8 @@ def test_01_noiseless_grid_recovery(capsys):
     profiles = aggregate_repetitions(generate_profiles(spec))
     fitted = fit_least_squares(profiles)
     # Independent closed-form check: solve (H^T H) a = H^T y from scratch.
-    rows = build_design_matrix(
-        [p.config.mappers for p in profiles], [p.config.reducers for p in profiles]
-    )
-    oracle = solve_normal_equations(rows, [p.mean_cycles for p in profiles])
+    rows = build_design_matrix(profiles.mappers, profiles.reducers)
+    oracle = solve_normal_equations(rows, profiles.mean_cycles)
     elapsed = time.perf_counter() - started
 
     worst_truth = max(_rel(got, want) for got, want in zip(fitted.a, TRUTH_A))
@@ -136,18 +133,18 @@ def test_03_solver_cross_check_equivalence(capsys):
             k = int(rng.integers(5, 65))
             ms = rng.integers(1, 65, size=k)
             rs = rng.integers(1, 65, size=k)
-            configs = tuple(JobConfig(int(m), int(r), 1) for m, r in zip(ms, rs))
             rows = build_design_matrix(ms, rs)
             scaled = rows / np.max(np.abs(rows), axis=0)
             singular_values = np.linalg.svd(scaled, compute_uv=False)
             if (
                 singular_values[-1] > 1e-12 * singular_values[0]
-                and len({(c.mappers, c.reducers) for c in configs}) >= 5
+                and len(set(zip(ms.tolist(), rs.tolist()))) >= 5
             ):
                 break
         truth = rng.uniform(1e8, 1e12, size=5)
         y = (rows @ truth) * (1.0 + 0.02 * rng.standard_normal(k))
-        profiles = [JobProfile("synthetic", c, cycles, 1) for c, cycles in zip(configs, y.tolist())]
+        ones = np.ones(k, dtype=np.int64)
+        profiles = ProfileTable(("synthetic",) * k, ms, rs, ones, y, ones)
         production = fit_least_squares(profiles)
         literal = solve_normal_equations(rows, y)
         if production.condition_estimate >= 1e8:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from oracle import rows, table
 
 from cyclecast import cli
 from cyclecast.cli import main
-from cyclecast.core import JobConfig
+from cyclecast.core import RunTable
 from cyclecast.regression import ModelCoefficients, predict
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import load_model, load_runs, save_model
@@ -55,26 +60,24 @@ class TestIngest:
         assert main(["ingest"] + _ingest_args(tmp_path)) == 0
         err = capsys.readouterr().err
         assert "ingested 2 machine trace(s)" in err
-        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
-        assert len(runs) == 1
-        assert runs[0].total_cycles == 8.0e9
-        assert runs[0].app == "sort"
-        assert runs[0].config == JobConfig(4, 2, 2**30)
+        (run,) = rows(load_runs(tmp_path / "runs.jsonl"))
+        assert run[0] == "sort"
+        assert run[2:] == (4, 2, 2**30, 8.0e9)
 
     def test_run_id_defaults_to_content_digest(self, tmp_path):
         (tmp_path / "trace.csv").write_text(TRACE_CSV)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         main(["ingest"] + _ingest_args(tmp_path))
         main(["ingest"] + _ingest_args(tmp_path))
-        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
-        assert runs[0].run_id == runs[1].run_id
-        assert len(runs[0].run_id) == 12
+        first, second = load_runs(tmp_path / "runs.jsonl").run_ids
+        assert first == second
+        assert len(first) == 12
 
     def test_explicit_run_id(self, tmp_path):
         (tmp_path / "trace.csv").write_text(TRACE_CSV)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         main(["ingest"] + _ingest_args(tmp_path) + ["--run-id", "exp-007"])
-        assert load_runs(tmp_path / "runs.jsonl").to_runs()[0].run_id == "exp-007"
+        assert load_runs(tmp_path / "runs.jsonl").run_ids == ("exp-007",)
 
     def test_warnings_surface_on_stderr(self, tmp_path, capsys):
         (tmp_path / "trace.csv").write_text(TRACE_CSV.rstrip("\n"))
@@ -255,21 +258,20 @@ class TestPipeline:
             tmp_path,
             extra=["--emit-traces", str(trace_dir), "--cluster", str(tmp_path / "cluster.txt")],
         )) == 0
-        runs = load_runs(tmp_path / "runs.jsonl").to_runs()
+        runs = load_runs(tmp_path / "runs.jsonl")
         emitted = sorted(trace_dir.glob("*.csv"))
         assert len(emitted) == len(runs)
 
-        first = runs[0]
         assert main(["ingest"] + _ingest_args(
             tmp_path,
             **{
-                "--traces": trace_dir / f"{first.run_id}.csv",
+                "--traces": trace_dir / f"{runs.run_ids[0]}.csv",
                 "--app": "reingest",
                 "--out": tmp_path / "reingested.jsonl",
             },
         )) == 0
-        reingested = load_runs(tmp_path / "reingested.jsonl").to_runs()[0]
-        assert reingested.total_cycles == pytest.approx(first.total_cycles, rel=1e-9)
+        (reingested,) = load_runs(tmp_path / "reingested.jsonl").total_cycles.tolist()
+        assert reingested == pytest.approx(runs.total_cycles[0], rel=1e-9)
 
     def test_invalid_utf8_in_the_emit_cluster_names_its_line(self, tmp_path, truth_file, capsys):
         (tmp_path / "cluster.txt").write_bytes(b"node-a 3.0e9 4\nnode-\xc3 2.0e9 2\n")
@@ -343,20 +345,14 @@ class TestScaleFit:
     def _sized_store(self, tmp_path):
         # Runs whose cycles grow exactly proportionally with input size:
         # line through the origin, factor 2 from 12 GiB to 24 GiB.
-        from cyclecast.core import JobRun
         from cyclecast.store import append_runs
 
         ref = 12 * 2**30
         base_cycles = predict(TRUTH, 4, 4)
-        runs = [
-            JobRun(
-                app="synthetic",
-                run_id=f"sized-{gib}",
-                config=JobConfig(4, 4, gib * 2**30),
-                total_cycles=base_cycles * (gib * 2**30) / ref,
-            )
+        runs = table(RunTable, [
+            ("synthetic", f"sized-{gib}", 4, 4, gib * 2**30, base_cycles * (gib * 2**30) / ref)
             for gib in (6, 12, 24)
-        ]
+        ])
         path = tmp_path / "sized.jsonl"
         append_runs(path, runs)
         return path
@@ -442,9 +438,9 @@ class TestScaleFit:
         assert main(["predict", "--model", str(truth_path), "--mappers", "4",
                      "--reducers", "8", "--input-bytes", size]) == 0
         expected = float(capsys.readouterr().out)
-        (run,) = [r for r in load_runs(tmp_path / "runs.jsonl").to_runs()
-                  if (r.config.mappers, r.config.reducers) == (4, 8)]
-        assert run.total_cycles == expected
+        (cycles,) = [run[5] for run in rows(load_runs(tmp_path / "runs.jsonl"))
+                     if run[2:4] == (4, 8)]
+        assert cycles == expected
         assert expected != predict(TRUTH, 4, 8)
 
     def test_unscaled_evaluate_warns_once(self, tmp_path, truth_file, capsys):
@@ -485,6 +481,25 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage error: argument --grid: expected hi below 2**63" in capsys.readouterr().err
         assert not (tmp_path / "runs.jsonl").exists() and not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    @pytest.mark.parametrize("grid", ["1:1025:1", "2:2050:2", "1:1000000000000:1"])
+    def test_grid_of_over_1024_values_is_usage(self, tmp_path, truth_file, capsys, command, grid):
+        argv = {
+            "simulate": _simulate(tmp_path),
+            "report": ["report", "--model", str(truth_file), "--grid", "4:32:4",
+                       "--out", str(tmp_path / "report")],
+        }[command]
+        argv[argv.index("4:32:4")] = grid
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument --grid: expected at most 1024 values per axis, got "
+        )
+        assert not (tmp_path / "runs.jsonl").exists() and not (tmp_path / "report").exists()
+
+    def test_grid_of_1024_values_parses(self):
+        assert cli._grid("1:1024:1") == tuple(range(1, 1025))
+        assert cli._grid("3:2049:2") == tuple(range(3, 2050, 2))
 
     def test_nonpositive_mappers_is_usage(self, tmp_path):
         assert main([
@@ -625,3 +640,47 @@ class TestExitCodes:
             "fit", "--runs", str(path), "--app", "x", "--out", str(tmp_path / "m.json"),
         ]) == 2
         assert "CorruptRecord" in capsys.readouterr().err
+
+
+# The benchmark's campaign pipeline through main, in a fresh process.
+_PIPELINE = """
+import sys
+from cyclecast.cli import main
+
+work, truth, cluster = sys.argv[1:]
+runs, sizes, model = f"{work}/runs.jsonl", f"{work}/sizes.jsonl", f"{work}/model.json"
+simulate = ["simulate", "--truth", truth, "--grid", "4:32:4", "--reps", "2", "--seed", "7"]
+commands = [
+    simulate + ["--out", runs, "--emit-traces", f"{work}/traces", "--cluster", cluster],
+    *(simulate + ["--out", sizes, "--input-bytes", str(gib * 2**30)] for gib in (6, 12, 24)),
+    ["ingest", "--traces", f"{work}/traces/synthetic-m004-r008-rep00.csv", "--cluster", cluster,
+     "--app", "synthetic", "--mappers", "4", "--reducers", "8", "--input-bytes", str(12 * 2**30),
+     "--out", runs],
+    ["fit", "--runs", runs, "--app", "synthetic", "--out", model],
+    ["scale-fit", "--runs", sizes, "--app", "synthetic", "--model", model],
+    ["evaluate", "--model", model, "--runs", runs, "--app", "synthetic",
+     "--holdout-list", f"{work}/holdout.txt"],
+    ["report", "--model", model, "--grid", "2:40:2", "--out", f"{work}/report"],
+    ["predict", "--model", model, "--mappers", "6", "--reducers", "10",
+     "--input-bytes", str(30 * 2**30)],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_pipeline_never_imports_numpy_ma(tmp_path, truth_file):
+    # numpy.ma, which np.unique imports on first use, costs about a
+    # megabyte of peak memory in a short-lived CLI process.
+    (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+    (tmp_path / "holdout.txt").write_text("4 8\n12 16\n28 32\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PIPELINE, str(tmp_path), str(truth_file),
+         str(tmp_path / "cluster.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import rows, table
 
 from cyclecast.core import (
     ClusterSpec,
     EmptyInputError,
-    JobConfig,
-    JobProfile,
-    JobRun,
     Machine,
     MachineTrace,
+    ProfileTable,
     RunTable,
     SampleExceedsCoresError,
     ShapeMismatchError,
@@ -101,49 +100,42 @@ class TestTotalCpuCycles:
         assert shuffled == reference
 
 
+def _runs(*rows):
+    """A RunTable of (app, run_id, mappers, reducers, input_bytes, total_cycles) rows."""
+    return table(RunTable, rows)
+
+
 class TestAggregateRepetitions:
     def test_mean_hand_example(self):
-        config = JobConfig(mappers=4, reducers=2, input_bytes=1024)
-        runs = [
-            JobRun(app="sort", run_id=f"r{i}", config=config, total_cycles=c)
-            for i, c in enumerate([100.0, 200.0, 300.0])
-        ]
+        runs = _runs(*[("sort", f"r{i}", 4, 2, 1024, c) for i, c in enumerate([1e2, 2e2, 3e2])])
         profiles = aggregate_repetitions(runs)
-        assert len(profiles) == 1
-        assert profiles[0].mean_cycles == 200.0
-        assert profiles[0].repetitions == 3
-        assert profiles[0].app == "sort"
+        assert isinstance(profiles, ProfileTable)
+        assert rows(profiles) == [("sort", 4, 2, 1024, 200.0, 3)]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
-            aggregate_repetitions([])
+            aggregate_repetitions(_runs())
 
     def test_groups_by_app_and_config(self):
-        c1 = JobConfig(mappers=4, reducers=2, input_bytes=1024)
-        c2 = JobConfig(mappers=8, reducers=2, input_bytes=1024)
-        runs = [
-            JobRun(app="sort", run_id="a", config=c1, total_cycles=10.0),
-            JobRun(app="grep", run_id="b", config=c1, total_cycles=20.0),
-            JobRun(app="sort", run_id="c", config=c2, total_cycles=30.0),
-            JobRun(app="sort", run_id="d", config=c1, total_cycles=30.0),
+        runs = _runs(
+            ("sort", "a", 4, 2, 1024, 10.0),
+            ("grep", "b", 4, 2, 1024, 20.0),
+            ("sort", "c", 8, 2, 1024, 30.0),
+            ("sort", "d", 4, 2, 1024, 30.0),
+        )
+        assert rows(aggregate_repetitions(runs)) == [
+            ("grep", 4, 2, 1024, 20.0, 1),
+            ("sort", 4, 2, 1024, 20.0, 2),
+            ("sort", 8, 2, 1024, 30.0, 1),
         ]
-        profiles = aggregate_repetitions(runs)
-        keys = [(p.app, p.config.mappers) for p in profiles]
-        assert keys == [("grep", 4), ("sort", 4), ("sort", 8)]
-        assert profiles[1].mean_cycles == 20.0
-        assert profiles[1].repetitions == 2
 
     @given(st.permutations(range(7)))
     def test_permutation_changes_nothing_bitwise(self, order):
-        config = JobConfig(mappers=2, reducers=2, input_bytes=512)
         cycles = [1.1e12, 2.3e12, 0.9e12, 1.7e12, 3.1e12, 2.2e12, 1.05e12]
-        runs = [
-            JobRun(app="x", run_id=f"r{i}", config=config, total_cycles=c)
-            for i, c in enumerate(cycles)
-        ]
-        reference = aggregate_repetitions(runs)
-        permuted = aggregate_repetitions([runs[i] for i in order])
-        assert permuted[0].mean_cycles == reference[0].mean_cycles
+        runs = [("x", f"r{i}", 2, 2, 512, c) for i, c in enumerate(cycles)]
+        reference = aggregate_repetitions(_runs(*runs))
+        permuted = aggregate_repetitions(_runs(*[runs[i] for i in order]))
+        assert permuted.mean_cycles.tolist() == reference.mean_cycles.tolist()
 
 
 class TestValidation:
@@ -227,62 +219,78 @@ class TestValidation:
         with pytest.raises(ValueError):
             Machine(machine_id="m", clock_hz=0.0, cores=1)
 
+    # One valid row of each table, as columns.
+    COLUMNS = {
+        RunTable: {"apps": ["a"], "run_ids": ["r"], "mappers": [1], "reducers": [1],
+                   "input_bytes": [1], "total_cycles": [1.0]},
+        ProfileTable: {"apps": ["a"], "mappers": [1], "reducers": [1], "input_bytes": [1],
+                       "mean_cycles": [1.0], "repetitions": [1]},
+    }
+
+    def _with(self, cls, **change):
+        return cls(**{**self.COLUMNS[cls], **change})
+
     @pytest.mark.parametrize("field", ["mappers", "reducers", "input_bytes"])
     def test_config_requires_positive(self, field):
-        kwargs = {"mappers": 1, "reducers": 1, "input_bytes": 1}
-        kwargs[field] = 0
-        with pytest.raises(ValueError):
-            JobConfig(**kwargs)
+        for cls in (RunTable, ProfileTable):
+            self._with(cls)
+            for column in ([0], np.array([0]), np.array([-1], dtype=np.int8)):
+                with pytest.raises(ValueError, match=f"^{field} must be >= 1, got"):
+                    self._with(cls, **{field: column})
 
     @pytest.mark.parametrize("value", [True, 4.0, "4"])
     def test_config_requires_ints(self, value):
-        with pytest.raises(TypeError):
-            JobConfig(1, value, 1)
+        for cls in (RunTable, ProfileTable):
+            for field in ("mappers", "reducers", "input_bytes"):
+                with pytest.raises(TypeError, match=f"^{field} must be an int"):
+                    self._with(cls, **{field: [value]})
+                with pytest.raises(TypeError):
+                    self._with(cls, **{field: np.array([value])})
 
     def test_config_fits_int64(self):
-        assert JobConfig(1, 1, 2**63 - 1).input_bytes == 2**63 - 1
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            JobConfig(1, 1, 2**63)
+        for cls in (RunTable, ProfileTable):
+            for column in ([2**63 - 1], np.array([2**63 - 1], dtype=np.uint64)):
+                assert self._with(cls, input_bytes=column).input_bytes.tolist() == [2**63 - 1]
+            for column in ([2**63], [2**70], np.array([2**63], dtype=np.uint64)):
+                with pytest.raises(ValueError, match="^input_bytes must be < 2\\*\\*63"):
+                    self._with(cls, input_bytes=column)
 
     def test_run_cycles_become_a_plain_float(self):
-        run = JobRun("a", "r", JobConfig(1, 1, 1), np.float64(0.1))
-        assert type(run.total_cycles) is float and run.total_cycles == 0.1
+        runs = self._with(RunTable, total_cycles=[np.float64(0.1)])
+        (cycles,) = runs.total_cycles.tolist()
+        assert type(cycles) is float and cycles == 0.1
 
     def test_run_rejects_negative_cycles(self):
         with pytest.raises(ValueError):
-            JobRun(
-                app="a",
-                run_id="r",
-                config=JobConfig(1, 1, 1),
-                total_cycles=-1.0,
-            )
+            self._with(RunTable, total_cycles=[-1.0])
+        with pytest.raises(ValueError):
+            self._with(ProfileTable, mean_cycles=[-1.0])
 
     def test_profile_rejects_zero_repetitions(self):
-        with pytest.raises(ValueError):
-            JobProfile(
-                app="a",
-                config=JobConfig(1, 1, 1),
-                mean_cycles=1.0,
-                repetitions=0,
-            )
+        for repetitions in ([0], np.array([0]), [1.0], [True], [2**63]):
+            with pytest.raises((ValueError, TypeError), match="^repetitions must be"):
+                self._with(ProfileTable, repetitions=repetitions)
 
 
 class TestRunTable:
-    RUNS = [
-        JobRun("sort", "a", JobConfig(4, 2, 1024), 10.0),
-        JobRun("grep", "b", JobConfig(8, 2, 2**62), 0.1),
-    ]
+    ROWS = [("sort", "a", 4, 2, 1024, 10.0), ("grep", "b", 8, 2, 2**62, 0.1)]
 
     def test_runs_round_trip_in_order(self):
-        table = RunTable.from_runs(self.RUNS)
-        assert len(table) == 2
-        assert table.mappers.dtype == np.int64 and table.total_cycles.dtype == np.float64
-        assert table.to_runs() == self.RUNS
-        assert RunTable.from_runs([]).to_runs() == []
+        runs = table(RunTable, self.ROWS)
+        assert len(runs) == 2
+        assert runs.mappers.dtype == np.int64 and runs.total_cycles.dtype == np.float64
+        assert rows(runs) == self.ROWS
+        assert rows(table(RunTable, [])) == []
 
     def test_columns_are_read_only(self):
         with pytest.raises(ValueError):
-            RunTable.from_runs(self.RUNS).mappers[0] = 5
+            table(RunTable, self.ROWS).mappers[0] = 5
+
+    def test_columns_are_copies(self):
+        mappers = np.array([4, 8])
+        runs = RunTable(("sort", "grep"), ("a", "b"), mappers, [2, 2], [1, 1], [1.0, 2.0])
+        mappers[0] = 5
+        assert mappers.flags.writeable and runs.mappers.tolist() == [4, 8]
 
     @pytest.mark.parametrize(
         "change",
@@ -324,22 +332,12 @@ class TestRunTable:
         )
     )
     @settings(deadline=None)
-    def test_table_and_runs_aggregate_alike(self, rows):
-        runs = [
-            JobRun(app, f"r{i}", JobConfig(m, r, b), c)
-            for i, (app, m, r, b, c) in enumerate(rows)
-        ]
+    def test_table_and_runs_aggregate_alike(self, drawn):
         groups = {}
-        for run in runs:
-            groups.setdefault((run.app, run.config), []).append(run.total_cycles)
+        for app, m, r, b, c in drawn:
+            groups.setdefault((app, m, r, b), []).append(c)
         expected = sorted(
-            (app, c.mappers, c.reducers, c.input_bytes, math.fsum(v) / len(v), len(v))
-            for (app, c), v in groups.items()
+            (*key, math.fsum(v) / len(v), len(v)) for key, v in groups.items()
         )
-        for given_runs in (runs, RunTable.from_runs(runs)):
-            profiles = aggregate_repetitions(given_runs)
-            assert [
-                (p.app, p.config.mappers, p.config.reducers, p.config.input_bytes,
-                 p.mean_cycles, p.repetitions)
-                for p in profiles
-            ] == expected
+        runs = _runs(*[(app, f"r{i}", m, r, b, c) for i, (app, m, r, b, c) in enumerate(drawn)])
+        assert rows(aggregate_repetitions(runs)) == expected

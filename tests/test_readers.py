@@ -18,10 +18,11 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import record
 
 from cyclecast import store
 from cyclecast.cli import _read_holdout_list
-from cyclecast.core import CyclecastError, JobConfig, JobRun
+from cyclecast.core import CyclecastError
 from cyclecast.ingest import TRACE_HEADER, parse_cluster_spec, parse_trace_csv
 
 # Bytes that sit near the edges of the grammars: separators, signs,
@@ -65,16 +66,17 @@ _HOLDOUTS = _joined(st.lists(
 ))
 
 _COUNTS = st.integers(1, 10**18 - 1) | st.integers(1, 2**63 - 1)
-_RUNS = st.builds(
-    JobRun,
-    app=st.sampled_from(["sort", "grep", "ré", 'a"b']),
-    run_id=st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True),
-    config=st.builds(JobConfig, _COUNTS, _COUNTS, _COUNTS),
-    total_cycles=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+_RUNS = st.tuples(
+    st.sampled_from(["sort", "grep", "ré", 'a"b']),
+    st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True),
+    _COUNTS,
+    _COUNTS,
+    _COUNTS,
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
 )
 # Canonical store lines, as append_runs writes them.
 _STORES = st.lists(_RUNS, max_size=8).map(lambda runs: "".join(
-    json.dumps(store.run_to_record(run), separators=(",", ":")) + "\n" for run in runs
+    json.dumps(record(*run), separators=(",", ":")) + "\n" for run in runs
 ).encode("ascii"))
 
 # The texts of JSON numbers a model's fields may hold: in the float

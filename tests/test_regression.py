@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle import solve_normal_equations
+from oracle import rows, solve_normal_equations, table
 
 from cyclecast.core import (
     EmptyInputError,
-    JobConfig,
-    JobProfile,
     NegativePredictionWarning,
+    ProfileTable,
     ShapeMismatchError,
 )
 from cyclecast.regression import (
@@ -35,31 +34,27 @@ def _model(a, **kwargs):
 
 def _profiles_for(pairs, app="bench", input_bytes=1):
     """Profiles of one cycle each at the (mappers, reducers) pairs."""
-    return [JobProfile(app, JobConfig(m, r, input_bytes), 1.0, 1) for m, r in pairs]
+    return table(ProfileTable, [(app, m, r, input_bytes, 1.0, 1) for m, r in pairs])
 
 
 def _surface(a, m, r):
     return a[0] + a[1] * m + a[2] * m * m + a[3] * r + a[4] * r * r
 
 
+def _grid_rows(a, grid, app="bench"):
+    """Profile rows of the surface a over the grid, at 1024 bytes."""
+    return [(app, m, r, 1024, _surface(a, m, r), 1) for m in grid for r in grid]
+
+
 def _grid_profiles(a, grid, app="bench"):
-    return [
-        JobProfile(
-            app=app,
-            config=JobConfig(m, r, 1024),
-            mean_cycles=_surface(a, m, r),
-            repetitions=1,
-        )
-        for m in grid
-        for r in grid
-    ]
+    return table(ProfileTable, _grid_rows(a, grid, app))
 
 
 def test_design_row():
     assert build_design_matrix(3, 7).tolist() == [[1.0, 3.0, 9.0, 7.0, 49.0]]
-    rows = build_design_matrix([3, 2], np.array([7, 1]))
-    assert rows.tolist() == [[1.0, 3.0, 9.0, 7.0, 49.0], [1.0, 2.0, 4.0, 1.0, 1.0]]
-    assert not rows.flags.writeable
+    design = build_design_matrix([3, 2], np.array([7, 1]))
+    assert design.tolist() == [[1.0, 3.0, 9.0, 7.0, 49.0], [1.0, 2.0, 4.0, 1.0, 1.0]]
+    assert not design.flags.writeable
 
 
 def test_mappers_and_reducers_must_share_a_shape():
@@ -122,10 +117,8 @@ def test_noiseless_grid_recovery_is_nearly_exact():
 def test_normal_equations_match_on_clean_grid():
     profiles = _grid_profiles(TRUTH, range(4, 33, 4))
     production = fit_least_squares(profiles)
-    rows = build_design_matrix(
-        [p.config.mappers for p in profiles], [p.config.reducers for p in profiles]
-    )
-    literal = solve_normal_equations(rows, [p.mean_cycles for p in profiles])
+    design = build_design_matrix(profiles.mappers, profiles.reducers)
+    literal = solve_normal_equations(design, profiles.mean_cycles)
     for a, b in zip(production.a, literal):
         assert a == pytest.approx(b, rel=1e-8)
 
@@ -154,53 +147,35 @@ def test_tight_cluster_is_ill_conditioned():
 
 
 def test_mixed_apps_rejected():
-    profiles = _grid_profiles(TRUTH, (4, 8, 12, 16, 20))
-    profiles[0] = JobProfile(
-        app="other",
-        config=profiles[0].config,
-        mean_cycles=profiles[0].mean_cycles,
-        repetitions=1,
-    )
+    first, *rest = _grid_rows(TRUTH, (4, 8, 12, 16, 20))
+    profiles = table(ProfileTable, [("other", *first[1:]), *rest])
     with pytest.raises(MixedApplicationsError):
         fit_least_squares(profiles)
 
 
 def test_empty_profiles_rejected():
     with pytest.raises(EmptyInputError):
-        fit_least_squares([])
+        fit_least_squares(table(ProfileTable, []))
 
 
 def test_fit_residual_matches_residual_norm():
     rng = np.random.default_rng(42)
-    profiles = _grid_profiles(TRUTH, range(4, 25, 4))
-    noisy = [
-        JobProfile(
-            app=p.app,
-            config=p.config,
-            mean_cycles=p.mean_cycles * (1.0 + rng.normal(0, 0.02)),
-            repetitions=1,
-        )
-        for p in profiles
-    ]
+    noisy = table(ProfileTable, [
+        (app, m, r, b, cycles * (1.0 + rng.normal(0, 0.02)), reps)
+        for app, m, r, b, cycles, reps in rows(_grid_profiles(TRUTH, range(4, 25, 4)))
+    ])
     fitted = fit_least_squares(noisy)
-    rows = build_design_matrix(
-        [p.config.mappers for p in noisy], [p.config.reducers for p in noisy]
-    )
-    residual = np.linalg.norm(rows @ np.asarray(fitted.a) - [p.mean_cycles for p in noisy])
+    design = build_design_matrix(noisy.mappers, noisy.reducers)
+    residual = np.linalg.norm(design @ np.asarray(fitted.a) - noisy.mean_cycles)
     assert fitted.training_residual == pytest.approx(residual, rel=1e-12)
     assert fitted.training_residual > 0
 
 
 def test_mixed_input_sizes_have_no_reference():
-    profiles = _grid_profiles(TRUTH, (4, 8, 12, 16, 20))
-    other = JobProfile(
-        app="bench",
-        config=JobConfig(24, 24, 2048),
-        mean_cycles=_surface(TRUTH, 24, 24),
-        repetitions=1,
-    )
+    other = ("bench", 24, 24, 2048, _surface(TRUTH, 24, 24), 1)
+    profiles = table(ProfileTable, _grid_rows(TRUTH, (4, 8, 12, 16, 20)) + [other])
     with pytest.raises(MixedInputSizesError):
-        fit_least_squares(profiles + [other])
+        fit_least_squares(profiles)
 
 
 def test_model_coefficients_validation():

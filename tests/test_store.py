@@ -12,9 +12,10 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import record, rows, table
 
 from cyclecast import store
-from cyclecast.core import CyclecastError, JobConfig, JobRun, RunTable
+from cyclecast.core import CyclecastError, RunTable
 from cyclecast.regression import ModelCoefficients
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.store import (
@@ -25,49 +26,48 @@ from cyclecast.store import (
     append_runs,
     load_model,
     load_runs,
-    run_to_record,
     save_model,
 )
 
+_COUNT_FIELDS = ("mappers", "reducers", "input_bytes")
 
-def _runs(n=3, app="sort"):
+
+def _rows(n=3, app="sort"):
+    """n run rows of app: (app, run_id, mappers, reducers, input_bytes, total_cycles)."""
     return [
-        JobRun(
-            app=app,
-            run_id=f"{app}-{i}",
-            config=JobConfig(4 * (i + 1), 2, 2**30),
-            # Awkward float on purpose: round-tripping must not lose bits.
-            total_cycles=1.1e12 / 3.0 * (i + 1),
-        )
+        # Awkward float on purpose: round-tripping must not lose bits.
+        (app, f"{app}-{i}", 4 * (i + 1), 2, 2**30, 1.1e12 / 3.0 * (i + 1))
         for i in range(n)
     ]
 
 
+def _runs(n=3, app="sort"):
+    return table(RunTable, _rows(n, app))
+
+
 def test_append_and_load_round_trip(tmp_path):
     path = tmp_path / "runs.jsonl"
-    runs = _runs()
-    assert append_runs(path, runs) == 3
-    assert load_runs(path).to_runs() == runs
+    assert append_runs(path, _runs()) == 3
+    assert rows(load_runs(path)) == _rows()
 
 
 def test_appends_accumulate_in_order(tmp_path):
     path = tmp_path / "runs.jsonl"
     append_runs(path, _runs(2))
     append_runs(path, _runs(2, app="grep"))
-    loaded = load_runs(path).to_runs()
-    assert [r.app for r in loaded] == ["sort", "sort", "grep", "grep"]
+    assert load_runs(path).apps == ("sort", "sort", "grep", "grep")
 
 
 def test_app_filter(tmp_path):
     path = tmp_path / "runs.jsonl"
-    append_runs(path, _runs(2) + _runs(3, app="grep"))
+    append_runs(path, table(RunTable, _rows(2) + _rows(3, app="grep")))
     assert len(load_runs(path, app="grep")) == 3
-    assert load_runs(path, app="nope").to_runs() == []
+    assert rows(load_runs(path, app="nope")) == []
 
 
 def test_append_nothing_touches_nothing(tmp_path):
     path = tmp_path / "runs.jsonl"
-    assert append_runs(path, []) == 0
+    assert append_runs(path, _runs(0)) == 0
     assert not path.exists()
 
 
@@ -89,10 +89,8 @@ def test_record_key_order_is_canonical(tmp_path):
 
 def test_total_cycles_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "runs.jsonl"
-    original = _runs(5)
-    append_runs(path, original)
-    for loaded, want in zip(load_runs(path).to_runs(), original):
-        assert loaded.total_cycles == want.total_cycles
+    append_runs(path, _runs(5))
+    assert load_runs(path).total_cycles.tolist() == [row[5] for row in _rows(5)]
 
 
 def test_load_missing_file(tmp_path):
@@ -115,7 +113,7 @@ def test_torn_last_line_is_skipped_with_a_warning(tmp_path):
     with open(path, "a") as handle:
         handle.write('{"schema_version":1,"app":"a","run_')
     with pytest.warns(TornRecordWarning, match="line 3"):
-        assert load_runs(path).to_runs() == _runs(2)
+        assert rows(load_runs(path)) == _rows(2)
 
 
 def test_append_drops_a_torn_last_line_with_a_warning(tmp_path):
@@ -127,16 +125,16 @@ def test_append_drops_a_torn_last_line_with_a_warning(tmp_path):
         append_runs(path, _runs(1, app="grep"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_runs(path).to_runs() == _runs(2) + _runs(1, app="grep")
+        assert rows(load_runs(path)) == _rows(2) + _rows(1, app="grep")
 
 
 def test_append_terminates_a_complete_last_record(tmp_path):
     path = tmp_path / "runs.jsonl"
-    path.write_text(json.dumps(run_to_record(_runs(1)[0])))
+    path.write_text(json.dumps(record(*_rows(1)[0])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         append_runs(path, _runs(1, app="grep"))
-        assert load_runs(path).to_runs() == _runs(1) + _runs(1, app="grep")
+        assert rows(load_runs(path)) == _rows(1) + _rows(1, app="grep")
 
 
 def test_corrupt_line_before_the_tail_stays_an_error(tmp_path):
@@ -160,43 +158,38 @@ def test_unicode_line_separators_inside_strings_load(tmp_path, separator, field)
     # JSON allows these raw inside strings; only LF ends a store line.
     value = f"a{separator}b"
     path = tmp_path / "runs.jsonl"
-    path.write_text(_line(_runs(1)[0], ensure_ascii=False, **{field: value}), encoding="utf-8")
-    (run,) = load_runs(path).to_runs()
-    assert getattr(run, field) == value
+    path.write_text(_line(_rows(1)[0], ensure_ascii=False, **{field: value}), encoding="utf-8")
+    assert getattr(load_runs(path), f"{field}s") == (value,)
 
 
 @_LINE_SEPARATORS
 def test_a_bad_line_after_a_unicode_separator_is_named_at_its_line(tmp_path, separator):
     path = tmp_path / "runs.jsonl"
-    first = _line(_runs(1)[0], ensure_ascii=False, app=f"a{separator}b")
-    path.write_text(first + _line(_runs(1)[0]) + "{not json\n", encoding="utf-8")
+    first = _line(_rows(1)[0], ensure_ascii=False, app=f"a{separator}b")
+    path.write_text(first + _line(_rows(1)[0]) + "{not json\n", encoding="utf-8")
     with pytest.raises(CorruptRecordError, match="^line 3: invalid JSON"):
         load_runs(path)
 
 
 def test_missing_key_is_corrupt(tmp_path):
     path = tmp_path / "runs.jsonl"
-    record = run_to_record(_runs(1)[0])
-    del record["mappers"]
-    path.write_text(json.dumps(record) + "\n")
+    obj = record(*_rows(1)[0])
+    del obj["mappers"]
+    path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(CorruptRecordError, match="mappers"):
         load_runs(path)
 
 
 def test_wrong_type_is_corrupt(tmp_path):
     path = tmp_path / "runs.jsonl"
-    record = run_to_record(_runs(1)[0])
-    record["mappers"] = "four"
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text(json.dumps({**record(*_rows(1)[0]), "mappers": "four"}) + "\n")
     with pytest.raises(CorruptRecordError):
         load_runs(path)
 
 
 def test_future_schema_version_is_refused(tmp_path):
     path = tmp_path / "runs.jsonl"
-    record = run_to_record(_runs(1)[0])
-    record["schema_version"] = 999
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text(json.dumps({**record(*_rows(1)[0]), "schema_version": 999}) + "\n")
     with pytest.raises(UnsupportedSchemaError):
         load_runs(path)
 
@@ -463,22 +456,21 @@ def test_load_waits_for_an_appender_s_lock(tmp_path):
         reader.start()
         reader.join(timeout=0.2)
         assert reader.is_alive(), "load_runs read while an append held the lock"
-        writer.write(b"".join(_line(run).encode() for run in _runs(1, app="grep")))
+        writer.write(b"".join(_line(row).encode() for row in _rows(1, app="grep")))
         writer.flush()
         fcntl.flock(writer.fileno(), fcntl.LOCK_UN)
     reader.join(timeout=10)
     assert not reader.is_alive()
-    assert loaded[0].to_runs() == _runs(2) + _runs(1, app="grep")
+    assert rows(loaded[0]) == _rows(2) + _rows(1, app="grep")
 
 
 # --- The canonical line and the columnar fast path ---------------------------
 
 
-def _line(run, ensure_ascii=True, **fields):
-    """json.dumps of run's record with fields replaced, as one store line."""
-    record = run_to_record(run)
-    record.update(fields)
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=ensure_ascii) + "\n"
+def _line(row, ensure_ascii=True, **fields):
+    """json.dumps of a run row's record with fields replaced, as one store line."""
+    obj = {**record(*row), **fields}
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=ensure_ascii) + "\n"
 
 
 def _outcome(path, app=None):
@@ -486,21 +478,12 @@ def _outcome(path, app=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = load_runs(path, app=app)
+            loaded = load_runs(path, app=app)
         except CyclecastError as exc:
             result = (type(exc), str(exc))
         else:
-            result = [
-                (a, r, m, n, b, repr(c))
-                for a, r, m, n, b, c in zip(
-                    table.apps,
-                    table.run_ids,
-                    table.mappers.tolist(),
-                    table.reducers.tolist(),
-                    table.input_bytes.tolist(),
-                    table.total_cycles.tolist(),
-                )
-            ]
+            # repr tells -0.0 from 0.0.
+            result = [(*row[:5], repr(row[5])) for row in rows(loaded)]
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -526,25 +509,19 @@ _COUNTS = st.integers(1, 2**63 - 1)
 _CYCLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
-def _job_runs(text=_PLAIN_TEXT, counts=_FAST_COUNTS, cycles=_CYCLES):
-    return st.builds(
-        JobRun,
-        app=text,
-        run_id=text,
-        config=st.builds(JobConfig, counts, counts, counts),
-        total_cycles=cycles,
-    )
+def _run_rows(text=_PLAIN_TEXT, counts=_FAST_COUNTS, cycles=_CYCLES):
+    return st.tuples(text, text, counts, counts, counts, cycles)
 
 
-_FAST_RUNS = _job_runs(cycles=st.floats(min_value=0.0, max_value=1e299))
-_ANY_RUNS = _job_runs(_PLAIN_TEXT | _AWKWARD_TEXT, _COUNTS, _CYCLES)
+_FAST_RUNS = _run_rows(cycles=st.floats(min_value=0.0, max_value=1e299))
+_ANY_RUNS = _run_rows(_PLAIN_TEXT | _AWKWARD_TEXT, _COUNTS, _CYCLES)
 
-# Each maps a run to a line the fast path must decline; the comment says
-# what the line loop makes of it.
+# Each maps a run row to a line the fast path must decline; the comment
+# says what the line loop makes of it.
 _DECLINED = {
     # loads
-    "key-order": lambda run: json.dumps(dict(reversed(run_to_record(run).items()))) + "\n",
-    "spaces": lambda run: json.dumps(run_to_record(run)) + "\n",
+    "key-order": lambda run: json.dumps(dict(reversed(record(*run).items()))) + "\n",
+    "spaces": lambda run: json.dumps(record(*run)) + "\n",
     "escaped-quote": lambda run: _line(run, app='say "hi"'),
     "escaped-non-ascii": lambda run: _line(run, run_id="ré"),
     "raw-non-ascii": lambda run: _line(run, ensure_ascii=False, app="ré"),
@@ -561,7 +538,7 @@ _DECLINED = {
     "negative-count": lambda run: _line(run, input_bytes=-5),
     "leading-zero": lambda run: _line(run).replace('"mappers":', '"mappers":0', 1),
     "negative-cycles": lambda run: _line(run, total_cycles=-1.5),
-    "cycles-1e999": lambda run: _line(run).replace(f":{run.total_cycles!r}}}", ":1e999}"),
+    "cycles-1e999": lambda run: _line(run).replace(f":{run[5]!r}}}", ":1e999}"),
     "cycles-400-digit-int": lambda run: _line(run, total_cycles=10**400),
     "count-over-int64": lambda run: _line(run, mappers=2**63),
     "count-4301-digits": lambda run: _line(run).replace('"mappers":', '"mappers":' + "9" * 4300, 1),
@@ -576,19 +553,19 @@ _DECLINED = {
 @given(st.lists(_FAST_RUNS, max_size=30), st.data())
 @settings(max_examples=60, deadline=None)
 def test_canonical_bodies_take_the_fast_path(runs, data):
-    app = data.draw(st.none() | st.sampled_from([r.app for r in runs] + ["nope", 'a"b']))
+    app = data.draw(st.none() | st.sampled_from([r[0] for r in runs] + ["nope", 'a"b']))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
         path.write_text("".join(_line(run) for run in runs))
         assert _takes_fast_path(path, app)
         assert _outcome(path, app) == _row_loop_outcome(path, app)
-        want = [run for run in runs if app is None or run.app == app]
-        assert load_runs(path, app=app).to_runs() == want
+        want = [run for run in runs if app is None or run[0] == app]
+        assert rows(load_runs(path, app=app)) == want
 
 
 @pytest.mark.parametrize("trigger", sorted(_DECLINED))
 def test_declined_line_goes_to_the_line_loop(tmp_path, trigger):
-    runs = _runs(2)
+    runs = _rows(2)
     path = tmp_path / "runs.jsonl"
     path.write_text(_line(runs[0]) + _DECLINED[trigger](runs[1]) + _line(runs[0]))
     assert not _takes_fast_path(path)
@@ -599,7 +576,7 @@ def test_declined_line_goes_to_the_line_loop(tmp_path, trigger):
 @pytest.mark.parametrize("cycles", ["12345", "0", "1.50", "5e-324", "9.99e+299"])
 def test_other_number_forms_of_cycles_take_the_fast_path(tmp_path, cycles):
     path = tmp_path / "runs.jsonl"
-    path.write_text(_line(_runs(1)[0]).replace("366666666666.6667", cycles))
+    path.write_text(_line(_rows(1)[0]).replace("366666666666.6667", cycles))
     assert _takes_fast_path(path)
     assert _outcome(path) == _row_loop_outcome(path)
     assert load_runs(path).total_cycles.tolist() == [float(cycles)]
@@ -608,7 +585,7 @@ def test_other_number_forms_of_cycles_take_the_fast_path(tmp_path, cycles):
 @pytest.mark.parametrize("tail", ["", '{"schema_version":1,"app":"a","run_', "whole"])
 def test_unterminated_tail_goes_to_the_line_loop(tmp_path, tail):
     path = tmp_path / "runs.jsonl"
-    runs = _runs(2)
+    runs = _rows(2)
     text = "".join(_line(run) for run in runs)
     path.write_text(text + (_line(runs[0])[:-1] if tail == "whole" else tail))
     assert _takes_fast_path(path) == (tail == "")
@@ -627,7 +604,7 @@ def _bodies(draw):
     if body and draw(st.booleans()):
         last = body.rfind("\n", 0, len(body) - 1) + 1
         body = body[: draw(st.integers(last, len(body) - 1))]
-    apps = [run.app for run in runs] + ["nope"]
+    apps = [run[0] for run in runs] + ["nope"]
     return body, draw(st.none() | st.sampled_from(apps))
 
 
@@ -646,39 +623,41 @@ def test_fast_path_and_line_loop_agree(body_and_app):
 def test_record_line_equals_json_dumps(run):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
-        append_runs(path, [run])
+        append_runs(path, table(RunTable, [run]))
         assert path.read_bytes() == _line(run).encode("ascii")
-        assert load_runs(path).to_runs() == [run]
+        assert rows(load_runs(path)) == [run]
 
 
 @given(st.lists(_ANY_RUNS, max_size=6))
 @settings(deadline=None)
 def test_a_table_and_its_runs_append_the_same_bytes(runs):
-    table = RunTable.from_runs(runs)
     with tempfile.TemporaryDirectory() as tmp:
-        from_table, from_runs = Path(tmp) / "table.jsonl", Path(tmp) / "runs.jsonl"
-        assert append_runs(from_table, table) == append_runs(from_runs, table.to_runs()) == len(runs)
+        whole, one_by_one = Path(tmp) / "table.jsonl", Path(tmp) / "rows.jsonl"
+        assert append_runs(whole, table(RunTable, runs)) == len(runs)
+        for run in runs:
+            assert append_runs(one_by_one, table(RunTable, [run])) == 1
         if runs:
-            assert from_table.read_bytes() == from_runs.read_bytes()
+            want = "".join(map(_line, runs)).encode("ascii")
+            assert whole.read_bytes() == one_by_one.read_bytes() == want
         else:
-            assert not from_table.exists() and not from_runs.exists()
+            assert not whole.exists() and not one_by_one.exists()
 
 
 @given(
-    st.sampled_from(["mappers", "reducers", "input_bytes"]),
+    st.sampled_from(_COUNT_FIELDS),
     st.integers(19, 4300).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1)),
 )
 @settings(deadline=None)
 def test_long_integers_load_exactly_or_cannot_be_written(field, value):
-    run = _runs(1)[0]
+    run = list(_rows(1)[0])
+    run[2 + _COUNT_FIELDS.index(field)] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
-        path.write_text(_line(run, **{field: value}))
+        path.write_text(_line(tuple(run)))
         if value < 2**63:
-            (loaded,) = load_runs(path).to_runs()
-            assert getattr(loaded.config, field) == value
+            assert rows(load_runs(path)) == [tuple(run)]
         else:
             with pytest.raises(CorruptRecordError, match=rf"line 1: {field} must be < 2\*\*63"):
                 load_runs(path)
-            with pytest.raises(ValueError):
-                JobConfig(**{"mappers": 1, "reducers": 1, "input_bytes": 1, field: value})
+            with pytest.raises(ValueError, match=rf"^{field} must be < 2\*\*63"):
+                table(RunTable, [tuple(run)])

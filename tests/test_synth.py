@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import rows
 
-from cyclecast.core import (
-    ClusterSpec,
-    EmptyInputError,
-    JobConfig,
-    JobRun,
-    Machine,
-    total_cpu_cycles,
-)
+from cyclecast.core import ClusterSpec, EmptyInputError, Machine, total_cpu_cycles
 from cyclecast.regression import ModelCoefficients, predict
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.synth import (
@@ -63,7 +57,7 @@ def test_run_count_and_order():
 
 def test_determinism():
     spec = _spec()
-    assert generate_profiles(spec).to_runs() == generate_profiles(spec).to_runs()
+    assert rows(generate_profiles(spec)) == rows(generate_profiles(spec))
 
 
 def test_noiseless_runs_equal_the_surface_exactly():
@@ -168,51 +162,41 @@ def test_spec_validation():
         _spec(input_bytes=0)
 
 
-def _run(cycles: float, run_id="job-001") -> JobRun:
-    return JobRun(
-        app="synthetic",
-        run_id=run_id,
-        config=JobConfig(4, 4, 2**30),
-        total_cycles=cycles,
-    )
-
-
 class TestGenerateTrace:
     def test_traces_account_back_to_the_total(self):
-        run = _run(7.3e13)
-        traces = generate_trace(run, CLUSTER, seed=5)
+        traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
         total = total_cpu_cycles(traces, CLUSTER)
-        assert total == pytest.approx(run.total_cycles, rel=1e-9)
+        assert total == pytest.approx(7.3e13, rel=1e-9)
 
     def test_every_machine_appears(self):
-        traces = generate_trace(_run(7.3e13), CLUSTER, seed=5)
+        traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
         assert {t.machine_id for t in traces} == {m.machine_id for m in CLUSTER.machines}
 
     def test_samples_respect_core_bounds(self):
-        traces = generate_trace(_run(9.9e14), CLUSTER, seed=5)
+        traces = generate_trace("job-001", 9.9e14, CLUSTER, seed=5)
         for trace in traces:
             cores = CLUSTER.machine(trace.machine_id).cores
             for cpu_seconds in trace.samples:
                 assert 0.0 <= cpu_seconds <= cores
 
     def test_offsets_are_consecutive_from_zero(self):
-        traces = generate_trace(_run(7.3e13), CLUSTER, seed=5)
+        traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
         for trace in traces:
             assert trace.offsets == range(len(trace.samples))
 
     def test_deterministic_per_run_id_and_seed(self):
-        run = _run(7.3e13)
-        assert generate_trace(run, CLUSTER, seed=5) == generate_trace(run, CLUSTER, seed=5)
-        assert generate_trace(run, CLUSTER, seed=5) != generate_trace(run, CLUSTER, seed=6)
-        other = _run(7.3e13, run_id="job-002")
-        assert generate_trace(run, CLUSTER, seed=5) != generate_trace(other, CLUSTER, seed=5)
+        run = ("job-001", 7.3e13)
+        assert generate_trace(*run, CLUSTER, seed=5) == generate_trace(*run, CLUSTER, seed=5)
+        assert generate_trace(*run, CLUSTER, seed=5) != generate_trace(*run, CLUSTER, seed=6)
+        other = ("job-002", 7.3e13)
+        assert generate_trace(*run, CLUSTER, seed=5) != generate_trace(*other, CLUSTER, seed=5)
 
     def test_zero_cycle_run_yields_no_traces(self):
-        assert generate_trace(_run(0.0), CLUSTER, seed=5) == []
+        assert generate_trace("job-001", 0.0, CLUSTER, seed=5) == []
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyInputError):
-            generate_trace(_run(1.0e12), ClusterSpec(machines=()), seed=5)
+            generate_trace("job-001", 1.0e12, ClusterSpec(machines=()), seed=5)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -227,6 +211,5 @@ class TestGenerateTrace:
                 for i in range(n_machines)
             )
         )
-        run = _run(cycles)
-        traces = generate_trace(run, cluster, seed=seed)
+        traces = generate_trace("job-001", cycles, cluster, seed=seed)
         assert total_cpu_cycles(traces, cluster) == pytest.approx(cycles, rel=1e-9)
