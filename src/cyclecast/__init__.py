@@ -13,12 +13,12 @@ from .core import (
     CyclecastError,
     EmptyInputError,
     Machine,
-    MachineTrace,
     NegativePredictionWarning,
     ProfileTable,
     RunTable,
     SampleExceedsCoresError,
     ShapeMismatchError,
+    TraceSet,
     UnknownMachineError,
     aggregate_repetitions,
     total_cpu_cycles,
@@ -83,7 +83,6 @@ __all__ = [
     "IngestWarning",
     "IoFailureError",
     "Machine",
-    "MachineTrace",
     "MixedApplicationsError",
     "MixedInputSizesError",
     "ModelCoefficients",
@@ -97,6 +96,7 @@ __all__ = [
     "ShapeMismatchError",
     "SynthSpec",
     "TornRecordWarning",
+    "TraceSet",
     "UnknownMachineError",
     "UnsupportedSchemaError",
     "WarningKind",

@@ -144,8 +144,8 @@ def _fmt_opt(value: float | None, spec: str) -> str:
 class _ReadOnce:
     """A binary stream whose one read() hands the bytes over.
 
-    The reader then holds the only reference, so the trace parser can
-    free the bytes once decoded, and the text before it builds the traces.
+    The reader then holds the only reference, so the trace parser frees
+    the bytes once it has decoded them.
     """
 
     def __init__(self, data: bytes) -> None:

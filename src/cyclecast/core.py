@@ -1,24 +1,28 @@
 """Domain types for profiled jobs and the cycle-accounting rule.
 
-The ground unit of cost is one CPU clock cycle.  Per-machine traces record
-CPU-seconds consumed per wall-clock second; multiplying each machine's
-summed CPU-seconds by that machine's clock rate and adding across machines
-yields a single total-cycle figure that is comparable across clusters with
-heterogeneous clocks.
+The ground unit of cost is one CPU clock cycle.  A trace records the
+CPU-seconds each machine consumed per wall-clock second; multiplying each
+machine's summed CPU-seconds by that machine's clock rate and adding
+across machines yields a single total-cycle figure that is comparable
+across clusters with heterogeneous clocks.
 
-All types are frozen dataclasses validated at construction, and every
-operation here is pure.  Sums use math.fsum, so totals do not depend on
-the order traces or samples are presented in.
+Traces and runs are columnar: a TraceSet has one row per sample, cut into
+per-machine segments, and RunTable and ProfileTable one row per run or
+profile.  Each checks its whole columns once, when built; Machine and
+ClusterSpec check their fields.  Every operation here is pure.  Sums use
+math.fsum, so totals do not depend on the order of segments or samples.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,7 +58,7 @@ def _unchecked(cls: type[_T], **columns: Sequence) -> list[_T]:
     """Instances of the frozen, slotted dataclass cls, one per row of the
     columns, built without __post_init__.
 
-    Only for the parsers' fast paths, which call it after proving on
+    Only for the cluster parser's fast path, which calls it after proving on
     whole columns every rule cls checks, with each field already in the
     form __post_init__ would store.  The first column sets the row count.
     Fields are set one column at a time, which suits slots; on instances
@@ -68,57 +72,6 @@ def _unchecked(cls: type[_T], **columns: Sequence) -> list[_T]:
             map(object.__setattr__, instances, itertools.repeat(name), column), maxlen=0
         )
     return instances
-
-
-@dataclass(frozen=True, slots=True)
-class MachineTrace:
-    """All CPU-seconds recorded on one machine, as two parallel columns.
-
-    samples[i] is the CPU time consumed during the one-second interval
-    starting at offsets[i].  Offsets are integers, non-negative and
-    strictly increasing; samples are finite and >= 0.  A sample can
-    exceed 1.0 on multi-core machines but never the core count; that
-    bound is checked against the cluster spec at accounting time, not
-    here, because the trace alone does not know its machine's cores.
-
-    Offsets are kept in one canonical form, whatever was passed: a
-    range(first, last + 1) when they are contiguous, otherwise a tuple
-    of ints (so () when empty).  Traces built from equal columns thus
-    compare equal and print alike, whoever built them.  Samples are
-    stored as a tuple.
-    """
-
-    machine_id: str
-    offsets: range | tuple[int, ...]
-    samples: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.machine_id:
-            raise ValueError("machine_id must be non-empty")
-        offsets, samples = self.offsets, tuple(self.samples)
-        if not isinstance(offsets, range):
-            offsets = tuple(map(operator.index, offsets))  # ints only
-        object.__setattr__(self, "samples", samples)
-        if len(offsets) != len(samples):
-            raise ValueError(f"offsets and samples of {self.machine_id!r} differ in length")
-        if offsets and offsets[0] < 0:
-            raise ValueError(f"offsets must be >= 0, got {offsets[0]}")
-        if not all(map(operator.lt, offsets, offsets[1:])):
-            raise ValueError(
-                f"sample offsets must be strictly increasing on {self.machine_id!r}"
-            )
-        # min and max skip NaN, so the sum carries the NaN test: a NaN or an
-        # infinity makes it NaN or infinite.  Only a failed screen (or finite
-        # samples whose sum overflows) walks the samples to name the culprit.
-        if samples and not (min(samples) >= 0.0 and sum(samples) < math.inf):
-            bad = next((s for s in samples if not 0.0 <= s < math.inf), None)
-            if bad is not None:
-                raise ValueError(f"samples must be finite and >= 0, got {bad}")
-        if offsets and offsets[-1] - offsets[0] == len(offsets) - 1:
-            offsets = range(offsets[0], offsets[-1] + 1)
-        else:
-            offsets = tuple(offsets)
-        object.__setattr__(self, "offsets", offsets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,31 +112,50 @@ class ClusterSpec:
         return machine
 
 
-def _check_count(name: str, value) -> None:
-    """The rule for every count in a table: an int in [1, 2**63)."""
+def _check_count(name: str, value, least: int = 1) -> None:
+    """The rule for every count in a table: an int in [least, 2**63)."""
     # bool is an int subclass, but True is not a degree of parallelism.
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     # Table count columns are int64.
     if value >= 2**63:
         raise ValueError(f"{name} must be < 2**63, got {value}")
 
 
-def _config_ints(name: str, value) -> np.ndarray:
-    """An int, or an integer array or sequence of ints, as int64 (0-d
-    for a scalar), each value held to _check_count's rule.  An integer
-    array is checked whole; anything else one item at a time."""
+def _ints(name: str, value, least: int = 1) -> np.ndarray:
+    """An int, or an integer array or sequence of ints, as a new read-only
+    int64 array (0-d for a scalar), each value held to _check_count's
+    rule.  An integer array is checked whole; anything else one item at a
+    time.  The copy leaves the caller's array writable and its own."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        bad = value[(value < 1) | (value >= 2**63)]
+        bad = value[(value < least) | (value >= 2**63)]
         if bad.size:
-            _check_count(name, int(bad[0]))
-        return value.astype(np.int64, copy=False)
-    items = np.array(value, dtype=object)
-    for item in items.flat:
-        _check_count(name, item)
-    return items.astype(np.int64)
+            _check_count(name, int(bad[0]), least)
+    else:
+        value = np.array(value, dtype=object)
+        for item in value.flat:
+            _check_count(name, item, least)
+    column = value.astype(np.int64)
+    column.setflags(write=False)
+    return column
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a new read-only float64 array of finite values >= 0.  A
+    str, bytes or bool item (numpy's too) is a TypeError, as in a count."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        value = np.array(value, dtype=object)
+        for kind in set(map(type, value.flat)):
+            if issubclass(kind, (str, bytes, bool, np.bool_)):
+                raise TypeError(f"{name} must hold numbers, got {kind.__name__}")
+    column = np.array(value, dtype=np.float64)
+    bad = column[~((column >= 0.0) & (column < math.inf))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {bad[0].item()}")
+    column.setflags(write=False)
+    return column
 
 
 def _set_columns(
@@ -193,7 +165,7 @@ def _set_columns(
 
     Each text column becomes a tuple of non-empty strings, each count
     column a read-only int64 array under _check_count's rule, and the
-    real column a read-only float64 array of finite values >= 0.  Every
+    real column a read-only float64 array under _reals' rule.  Every
     column has as many rows as the first text column.
     """
     strings = {name: tuple(getattr(table, name)) for name in texts}
@@ -204,16 +176,11 @@ def _set_columns(
         if not all(column):
             raise ValueError(f"every item of {name} must be non-empty")
         object.__setattr__(table, name, column)
-    arrays = {name: _config_ints(name, getattr(table, name)) for name in counts}
-    arrays[real] = getattr(table, real)
-    for name, value in arrays.items():
-        # A copy, so the caller's array stays writable and the table's own.
-        column = np.array(value, dtype=np.float64 if name == real else np.int64)
+    arrays = {name: _ints(name, getattr(table, name)) for name in counts}
+    arrays[real] = _reals(real, getattr(table, real))
+    for name, column in arrays.items():
         if column.shape != (rows,):
             raise ShapeMismatchError(f"column {name} has shape {column.shape}, not ({rows},)")
-        if name == real and rows and not (column.min() >= 0.0 and column.max() < math.inf):
-            raise ValueError(f"{real} must be finite and >= 0")
-        column.setflags(write=False)
         object.__setattr__(table, name, column)
 
 
@@ -268,29 +235,99 @@ class ProfileTable:
         return len(self.apps)
 
 
-def total_cpu_cycles(traces: Iterable[MachineTrace], cluster: ClusterSpec) -> float:
-    """Convert per-machine CPU-second traces into one total cycle count.
+class TraceSegment(NamedTuple):
+    """One segment of a TraceSet: its machine and read-only views of its rows."""
 
-    Each trace's CPU-seconds are summed and multiplied by its machine's
-    clock rate; the per-machine products are then summed.  There is no
-    normalization of any kind.  Both sums use math.fsum, so the result is
-    independent of trace order and, for a fixed set of samples, of how the
-    samples are partitioned into traces (several traces may name the same
-    machine; their samples just accumulate).
+    machine_id: str
+    offsets: np.ndarray
+    samples: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class TraceSet:
+    """A trace as columns, one row per sample, cut into per-machine segments.
+
+    samples[k] is the CPU time used in the second starting at offsets[k].
+    Segment i is rows ends[i - 1] (0 for i = 0) to ends[i], on machine
+    machine_ids[i]; a machine's several segments just accumulate.  len()
+    counts segments, and iterating yields a TraceSegment for each.
+
+    machine_ids is a tuple of non-empty strings; ends and offsets are
+    read-only int64 arrays in [0, 2**63), ends non-decreasing to the row
+    count, offsets strictly increasing within a segment; samples is a
+    read-only float64 array of finite values >= 0.  The core-count bound
+    on samples is checked by total_cpu_cycles, which knows the cluster.
     """
-    per_trace: list[float] = []
-    for trace in traces:
-        machine = cluster.machine(trace.machine_id)
-        if trace.samples and max(trace.samples) > machine.cores:
-            offset, cpu_seconds = next(
-                (o, s) for o, s in zip(trace.offsets, trace.samples) if s > machine.cores
-            )
+
+    machine_ids: tuple[str, ...]
+    ends: np.ndarray
+    offsets: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.machine_ids)
+        if not all(ids):
+            raise ValueError("machine_id must be non-empty")
+        ends, offsets = _ints("ends", self.ends, 0), _ints("offsets", self.offsets, 0)
+        samples = _reals("samples", self.samples)
+        if ends.shape != (len(ids),) or (ends[1:] < ends[:-1]).any():
+            raise ValueError(f"ends must be {len(ids)} non-decreasing row ends")
+        rows = int(ends[-1]) if ids else 0
+        if offsets.shape != (rows,) or samples.shape != (rows,):
+            raise ValueError(f"offsets and samples must have {rows} rows")
+        # Only the first row of a segment may start lower than the row before.
+        falls = offsets[1:] <= offsets[:-1]
+        falls[ends[(ends > 0) & (ends < rows)] - 1] = False
+        if falls.any():
+            segment = bisect.bisect_right(ends.tolist(), int(falls.argmax()) + 1)
+            raise ValueError(f"sample offsets must be strictly increasing on {ids[segment]!r}")
+        columns = {"machine_ids": ids, "ends": ends, "offsets": offsets, "samples": samples}
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.machine_ids)
+
+    def __iter__(self) -> Iterator[TraceSegment]:
+        rows = list(map(slice, [0, *self.ends.tolist()], self.ends.tolist()))
+        offsets, samples = map(self.offsets.__getitem__, rows), map(self.samples.__getitem__, rows)
+        return map(TraceSegment, self.machine_ids, offsets, samples)
+
+
+def total_cpu_cycles(traces: TraceSet, cluster: ClusterSpec) -> float:
+    """Convert a trace set into one total cycle count.
+
+    Each segment's CPU-seconds are summed and multiplied by its machine's
+    clock rate; the per-segment products are then summed.  There is no
+    normalization of any kind.  Both sums use math.fsum, so the result is
+    independent of segment order and, for a fixed set of samples, of how
+    the samples are cut into segments.  The first segment, in set order,
+    whose machine is not in the cluster or that has a sample above its
+    machine's core count raises.
+    """
+    ids = traces.machine_ids
+    # The machines of the segments before the first unknown one: checked first.
+    known = functools.partial(operator.is_not, None)
+    machines = list(itertools.takewhile(known, map(cluster._by_id.get, ids)))
+    ends = traces.ends[: len(machines)].tolist()
+    # float64 holds cores up to 2**53 exactly; larger ones are screened as
+    # 2**53, and a sample the screen flags is then held to the int itself.
+    cores = list(map(operator.attrgetter("cores"), machines))
+    if max(cores, default=0) > 2**53:
+        cores = [min(count, 2**53) for count in cores]
+    limits = np.repeat(np.array(cores, np.float64), np.diff([0, *ends]))
+    values = traces.samples.tolist()
+    for row in np.flatnonzero(traces.samples[: len(limits)] > limits).tolist():
+        machine = machines[bisect.bisect_right(ends, row)]
+        if values[row] > machine.cores:
             raise SampleExceedsCoresError(
                 f"machine {machine.machine_id!r} has {machine.cores} cores but a "
-                f"sample at offset {offset} claims {cpu_seconds} CPU-seconds"
+                f"sample at offset {traces.offsets[row]} claims {values[row]} CPU-seconds"
             )
-        per_trace.append(math.fsum(trace.samples) * machine.clock_hz)
-    return math.fsum(per_trace)
+    if len(machines) < len(ids):
+        cluster.machine(ids[len(machines)])  # raises UnknownMachineError
+    per_segment = map(math.fsum, map(values.__getitem__, map(slice, [0, *ends], ends)))
+    return math.fsum(map(operator.mul, per_segment, map(operator.attrgetter("clock_hz"), machines)))
 
 
 def aggregate_repetitions(table: RunTable) -> ProfileTable:

@@ -7,8 +7,8 @@ UTF-8, LF line endings, '.' decimal point.  Header row required, exactly:
     machine_id,offset_s,cpu_seconds
 
 One data row per one-second sample.  machine_id is restricted to
-``[A-Za-z0-9_-]+`` so no CSV quoting is ever needed.  offset_s is a
-non-negative integer, cpu_seconds a finite non-negative decimal.  Rows
+``[A-Za-z0-9_-]+`` so no CSV quoting is ever needed.  offset_s is an
+integer in [0, 2**63), cpu_seconds a finite non-negative decimal.  Rows
 may arrive in any order and may interleave machines; parsing groups per
 machine and sorts by offset.  A repeated (machine_id, offset_s) pair is
 an error, not a merge.
@@ -34,19 +34,19 @@ negative rather than as a malformed number.
 
 Trace parsing
 -------------
-The trace parser takes a columnar fast path.  One regular-expression
-pass checks the whole body against a narrower grammar: no '-', offsets
-of at most 18 digits, so they fit int64.  The body is then converted in
-chunks of lines into an int64 offset column, a float64 CPU-seconds column
-and a machine index; one stable sort on (machine, offset) groups them.
-The row loop runs instead when the fast path cannot vouch for the body:
-a row outside the narrower grammar, a cpu_seconds that overflows to
+A trace parses into one TraceSet, with no per-machine object: an int64
+offset and a float64 CPU-seconds column, one segment per machine, ids
+sorted.  One regular-expression pass checks the whole body against a
+narrower grammar: no '-', offsets of at most 18 digits (they fit int64).
+The body is then converted in chunks of lines into the two columns and
+a machine index; one stable sort on (machine, offset) groups them.  The
+row loop runs instead when this fast path cannot vouch for the body: a
+row outside the narrower grammar, a cpu_seconds that overflows to
 infinity, or a repeated (machine_id, offset_s) pair.  It raises the
 typed error of the first bad row, naming its line, or parses the valid
-rows the narrower grammar leaves out, such as offset -0.  The fast path
-has proven every rule MachineTrace checks on whole columns, so it builds
-the traces without checking them again, and hands a machine whose
-offsets are contiguous a range rather than a list of ints.
+rows the narrower grammar leaves out, such as offset -0.  Either way the
+set's constructor checks the columns once, and the gap rule below is one
+operation over them.
 
 Cluster spec parsing
 --------------------
@@ -84,14 +84,16 @@ because the remaining rows are still internally consistent:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, Machine, MachineTrace, _unchecked
+from .core import ClusterSpec, CyclecastError, Machine, TraceSet, _unchecked
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -176,13 +178,13 @@ class IngestWarning:
 
 def parse_trace_csv(
     stream: TextIO | BinaryIO, gap_threshold: float = 0.05
-) -> tuple[list[MachineTrace], list[IngestWarning]]:
-    """Parse a trace CSV stream into per-machine traces plus warnings.
+) -> tuple[TraceSet, list[IngestWarning]]:
+    """Parse a trace CSV stream into a trace set plus warnings.
 
-    Returns traces sorted by machine_id with samples sorted by offset.
-    A header-only stream yields ([], []).  gap_threshold is the tolerated
-    missing fraction of each machine's offset span before a
-    GAP_EXCEEDS_THRESHOLD warning is attached.
+    The set has one segment per machine, sorted by machine_id, with
+    samples sorted by offset; a header-only stream yields an empty set.
+    gap_threshold is the tolerated missing fraction of each machine's
+    offset span before a GAP_EXCEEDS_THRESHOLD warning is attached.
     """
     if not 0 <= gap_threshold <= 1:
         raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
@@ -194,36 +196,23 @@ def parse_trace_csv(
     if header != TRACE_HEADER:
         raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
 
-    truncated = header_end >= 0 and not text.endswith("\n")
-    fast = _fast_columns(text)
-    ids, offsets, samples = _row_columns(text) if fast is None else fast
-    del text  # the columns hold all the traces need
-    if fast is None:
-        traces = list(map(MachineTrace, ids, offsets, samples))
-    else:
-        traces = _unchecked(MachineTrace, machine_id=ids, offsets=offsets, samples=samples)
-
+    traces = TraceSet(*(_fast_columns(text) or _row_columns(text)))
     warnings: list[IngestWarning] = []
-    if truncated:
-        warnings.append(
-            IngestWarning(
-                WarningKind.TRUNCATED_TAIL,
-                machine_id="",
-                detail="last line has no trailing newline; the final row may be truncated",
-            )
-        )
-    for trace in traces:
-        offsets = trace.offsets
-        span = offsets[-1] - offsets[0] + 1
-        missing = span - len(offsets)
-        if missing / span > gap_threshold:
-            warnings.append(
-                IngestWarning(
-                    WarningKind.GAP_EXCEEDS_THRESHOLD,
-                    machine_id=trace.machine_id,
-                    detail=f"{missing} of {span} seconds in span missing",
-                )
-            )
+    if header_end >= 0 and not text.endswith("\n"):
+        detail = "last line has no trailing newline; the final row may be truncated"
+        warnings.append(IngestWarning(WarningKind.TRUNCATED_TAIL, machine_id="", detail=detail))
+    # Each segment holds rows.  A span can reach 2**63, past int64.  Below
+    # 2**53 both counts convert exactly, so the share rounds as Python's
+    # int division does; a longer span is left to Python.
+    ends, counts = traces.ends, np.diff(traces.ends, prepend=0)
+    spans = (traces.offsets[ends - 1] - traces.offsets[ends - counts]).astype(np.uint64) + 1
+    missing = spans - counts.astype(np.uint64)
+    for segment in np.flatnonzero((spans >= 2**53) | (missing / spans > gap_threshold)).tolist():
+        lost, span = int(missing[segment]), int(spans[segment])
+        if lost / span > gap_threshold:
+            detail = f"{lost} of {span} seconds in span missing"
+            machine_id = traces.machine_ids[segment]
+            warnings.append(IngestWarning(WarningKind.GAP_EXCEEDS_THRESHOLD, machine_id, detail))
     return traces, warnings
 
 
@@ -238,25 +227,24 @@ def _decoded(data: str | bytes, error: Callable[[int, str], CyclecastError]) -> 
         raise error(line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-# The machine ids in order, then each machine's offsets (ascending) and
-# its samples (in step).
-_Columns = tuple[list[str], Iterable[Sequence[int]], Iterable[Sequence[float]]]
+_Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
 
 
 def _fast_columns(text: str) -> _Columns | None:
-    """Columns of a trace body in the fast grammar, or None to fall back.
+    """The sorted TraceSet columns of a trace body in the fast grammar,
+    or None to fall back.
 
     text is a whole trace stream whose header has been checked.  Rows are
     converted in chunks of about _CHUNK_CHARS characters, so the
     per-field strings never exist for the whole file at once.  The
-    columns are in MachineTrace's canonical form, and every rule it
-    checks holds: ids in the grammar, offsets >= 0 and strictly
-    increasing (no sign, the sort and the duplicate check), samples
-    finite and >= 0 (no sign, the infinity check).
+    columns pass every check of the set's constructor: ids in the
+    grammar, offsets >= 0 and strictly increasing per machine (no sign,
+    the sort and the duplicate check), samples finite and >= 0 (no sign,
+    the infinity check).
     """
     start, end = len(TRACE_HEADER) + 1, len(text)
     if start >= end:
-        return [], [], []
+        return [], [], [], []
     if _FAST_BODY.fullmatch(text, start) is None:
         return None
     if text.endswith("\n"):
@@ -295,30 +283,7 @@ def _fast_columns(text: str) -> _Columns | None:
     samples = samples[order]
     if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
         return None
-    counts = np.bincount(codes)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    firsts, lasts = offsets[starts], offsets[ends - 1]
-    contiguous = lasts - firsts + 1 == counts
-    starts, ends = starts.tolist(), ends.tolist()
-    # Lazy, so the caller can drop the text before the samples become
-    # Python objects.  Contiguous offsets become a range, not ints.
-    offset_columns = (
-        range(first, last + 1) if whole else tuple(offsets[lo:hi].tolist())
-        for lo, hi, first, last, whole in zip(
-            starts, ends, firsts.tolist(), lasts.tolist(), contiguous.tolist()
-        )
-    )
-    return names, offset_columns, _sample_columns(samples, starts, ends)
-
-
-def _sample_columns(
-    samples: np.ndarray, starts: list[int], ends: list[int]
-) -> Iterable[tuple[float, ...]]:
-    """Each machine's samples as a tuple of floats, made when first asked for."""
-    values = samples.tolist()
-    del samples  # the floats are in values now, which the tuples share
-    yield from map(tuple, map(values.__getitem__, map(slice, starts, ends)))
+    return names, np.cumsum(np.bincount(codes)), offsets, samples
 
 
 def _row_columns(text: str) -> _Columns:
@@ -340,6 +305,8 @@ def _row_columns(text: str) -> _Columns:
         offset_s = int(offset_text)
         if offset_s < 0:
             raise MalformedRowError(line_no, f"offset_s must be >= 0, got {offset_s}")
+        if offset_s >= 2**63:
+            raise MalformedRowError(line_no, f"offset_s must be < 2**63, got {offset_s}")
         cpu_seconds = float(cpu_text)
         if cpu_seconds == math.inf:
             raise MalformedRowError(
@@ -352,11 +319,9 @@ def _row_columns(text: str) -> _Columns:
             raise DuplicateSampleError(line_no, machine_id, offset_s)
         bucket[offset_s] = cpu_seconds
     names = sorted(per_machine)
-    offsets = [sorted(per_machine[name]) for name in names]
-    samples = [
-        list(map(per_machine[name].__getitem__, column)) for name, column in zip(names, offsets)
-    ]
-    return names, offsets, samples
+    rows = [sorted(per_machine[name].items()) for name in names]
+    offsets, samples = zip(*itertools.chain.from_iterable(rows)) if names else ((), ())
+    return names, list(itertools.accumulate(map(len, rows))), offsets, samples
 
 
 def _malformed_row(line_no: int, line: str) -> MalformedRowError:
@@ -376,15 +341,18 @@ def _malformed_row(line_no: int, line: str) -> MalformedRowError:
     return MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
 
 
-def write_trace_csv(traces: Iterable[MachineTrace], stream: TextIO) -> None:
-    """Write traces in canonical order: machines lexicographic, offsets ascending.
+def write_trace_csv(traces: TraceSet, stream: TextIO) -> None:
+    """Write a trace set in canonical order: machines lexicographic, each
+    segment's offsets ascending, a machine's segments in set order.
 
     Floats are written with repr, so a parse round-trip is bit-exact.
     """
     stream.write(TRACE_HEADER + "\n")
-    for trace in sorted(traces, key=lambda t: t.machine_id):
-        rows = zip(trace.offsets, trace.samples)
-        stream.write("".join(f"{trace.machine_id},{o},{s!r}\n" for o, s in rows))
+    offsets, samples, ends = traces.offsets.tolist(), traces.samples.tolist(), traces.ends.tolist()
+    segments = sorted(zip(traces.machine_ids, [0, *ends], ends), key=operator.itemgetter(0))
+    for machine_id, lo, hi in segments:
+        rows = zip(offsets[lo:hi], samples[lo:hi])
+        stream.write("".join([f"{machine_id},{o},{s!r}\n" for o, s in rows]))
 
 
 def parse_cluster_spec(stream: TextIO | BinaryIO) -> ClusterSpec:

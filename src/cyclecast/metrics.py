@@ -11,7 +11,7 @@ denominator is degenerate, and report serialization maps None to null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -117,16 +117,8 @@ class EvaluationReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def to_json_dict(self) -> dict[str, Any]:
-        """Plain dict with the exact report key set; None becomes null downstream."""
-        return {
-            "n": self.n,
-            "mape": self.mape,
-            "pred25": self.pred25,
-            "rmse": self.rmse,
-            "rmse_norm": self.rmse_norm,
-            "r2_paper": self.r2_paper,
-            "r2_standard": self.r2_standard,
-        }
+        """Plain dict of the fields, in order; None becomes null downstream."""
+        return asdict(self)
 
 
 def evaluate(actual: Sequence[float], predicted: Sequence[float]) -> EvaluationReport:

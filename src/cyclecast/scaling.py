@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import CyclecastError, ProfileTable, _config_ints
+from .core import CyclecastError, ProfileTable, _ints
 from .regression import ModelCoefficients, _clamp_negative, predict
 
 
@@ -153,8 +153,8 @@ class CostModel:
         without one, the surface is returned unscaled with one UserWarning.
         """
         ref = self.surface.ref_input_bytes
-        m, r = _config_ints("mappers", mappers), _config_ints("reducers", reducers)
-        sizes = ref if input_bytes is None else _config_ints("input_bytes", input_bytes)
+        m, r = _ints("mappers", mappers), _ints("reducers", reducers)
+        sizes = ref if input_bytes is None else _ints("input_bytes", input_bytes)
         value = predict(self.surface, m, r)
         if np.all(sizes == ref):
             return value

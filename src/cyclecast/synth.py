@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterSpec, EmptyInputError, MachineTrace, RunTable
+from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet
 from .scaling import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -114,18 +114,19 @@ def generate_profiles(spec: SynthSpec) -> RunTable:
 
 def generate_trace(
     run_id: str, total_cycles: float, cluster: ClusterSpec, seed: int
-) -> list[MachineTrace]:
-    """Fabricate per-machine traces that account back to total_cycles.
+) -> TraceSet:
+    """Fabricate a trace set, one segment per machine from offset 0, that
+    accounts back to total_cycles.
 
     The split across machines and the per-second jitter are drawn from a
     stream keyed by (seed, run_id), so regenerating any single run's traces
     is deterministic and independent of other runs.  A zero-cycle run
-    yields no traces.  Every sample satisfies 0 <= cpu_seconds <= cores.
+    yields an empty set.  Every sample satisfies 0 <= cpu_seconds <= cores.
     """
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")
     if total_cycles == 0:
-        return []
+        return TraceSet((), [], [], [])
     digest = int.from_bytes(
         hashlib.sha256(run_id.encode("utf-8")).digest()[:8], "big"
     )
@@ -133,7 +134,7 @@ def generate_trace(
     weights = rng.uniform(0.5, 1.5, size=len(cluster.machines))
     weights /= weights.sum()
 
-    traces: list[MachineTrace] = []
+    columns: list[np.ndarray] = []
     for machine, weight in zip(cluster.machines, weights):
         cpu_seconds = total_cycles * weight / machine.clock_hz
         target_rate = _TARGET_UTILIZATION * machine.cores
@@ -151,6 +152,7 @@ def generate_trace(
             values = base + amplitude * jitter
         else:
             values = np.full(n_samples, base)
-        # tolist() gives Python floats, whose repr is the trace CSV format.
-        traces.append(MachineTrace(machine.machine_id, range(n_samples), values.tolist()))
-    return traces
+        columns.append(values)
+    ids = [machine.machine_id for machine in cluster.machines]
+    offsets = np.concatenate([np.arange(len(values)) for values in columns])
+    return TraceSet(ids, np.cumsum(list(map(len, columns))), offsets, np.concatenate(columns))

@@ -5,11 +5,18 @@ closed form, kept unscaled and unpolished so that it shares nothing with
 cyclecast.regression.fit_least_squares (column scaling, then SVD) but
 the data.  rows and table turn the package's columnar tables into rows
 and back, and record spells a run row as the store's wire dict.
+trace_set and segments do the same for a TraceSet, and gap_warnings and
+total_cpu_cycles are the per-trace rules the columnar parser and
+accounting replace, one Python loop over the traces each.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
+
+from cyclecast.core import SampleExceedsCoresError, TraceSet
 
 
 def solve_normal_equations(rows, targets) -> np.ndarray:
@@ -50,3 +57,53 @@ def record(app, run_id, mappers, reducers, input_bytes, total_cycles) -> dict:
         "input_bytes": input_bytes,
         "total_cycles": total_cycles,
     }
+
+
+def trace_set(traces) -> TraceSet:
+    """A TraceSet with one segment per (machine_id, offsets, samples)
+    trace, in order."""
+    traces = [(machine_id, list(offsets), list(samples)) for machine_id, offsets, samples in traces]
+    return TraceSet(
+        machine_ids=[machine_id for machine_id, _, _ in traces],
+        ends=list(itertools.accumulate(len(offsets) for _, offsets, _ in traces)),
+        offsets=[offset for _, offsets, _ in traces for offset in offsets],
+        samples=[sample for _, _, samples in traces for sample in samples],
+    )
+
+
+def segments(traces: TraceSet) -> list[tuple]:
+    """A TraceSet's segments as (machine_id, offsets, samples) tuples of
+    Python values, so sets compare by value and repr tells -0.0 from 0.0."""
+    return [(machine_id, offsets.tolist(), samples.tolist()) for machine_id, offsets, samples in traces]
+
+
+def gap_warnings(traces, gap_threshold) -> list[tuple[str, str]]:
+    """(machine_id, detail) of each (machine_id, offsets, samples) trace
+    whose missing share of its offset span, as Python's int division
+    gives it, is above gap_threshold."""
+    found = []
+    for machine_id, offsets, _ in traces:
+        span = offsets[-1] - offsets[0] + 1
+        missing = span - len(offsets)
+        if missing / span > gap_threshold:
+            found.append((machine_id, f"{missing} of {span} seconds in span missing"))
+    return found
+
+
+def total_cpu_cycles(traces, cluster) -> float:
+    """The fsum over (machine_id, offsets, samples) traces of each one's
+    fsum times its machine's clock.  The first trace whose machine is
+    unknown, or that has a sample above its machine's cores, raises."""
+    per_trace = []
+    for machine_id, offsets, samples in traces:
+        machine = cluster.machine(machine_id)
+        if samples and max(samples) > machine.cores:
+            offset, cpu_seconds = next(
+                (o, s) for o, s in zip(offsets, samples) if s > machine.cores
+            )
+            raise SampleExceedsCoresError(
+                f"machine {machine.machine_id!r} has {machine.cores} cores but a "
+                f"sample at offset {offset} claims {cpu_seconds} CPU-seconds"
+            )
+        per_trace.append(math.fsum(samples) * machine.clock_hz)
+    return math.fsum(per_trace)

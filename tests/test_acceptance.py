@@ -10,13 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from oracle import solve_normal_equations
+from oracle import solve_normal_equations, trace_set
 
 from cyclecast.cli import main
 from cyclecast.core import (
     ClusterSpec,
     Machine,
-    MachineTrace,
     ProfileTable,
     aggregate_repetitions,
     total_cpu_cycles,
@@ -220,17 +219,15 @@ def test_05_accounting_invariances(capsys):
         for machine in machines:
             n = int(rng.integers(1, 41))
             values = rng.uniform(0.0, machine.cores, size=n)
-            traces.append(MachineTrace(machine.machine_id, range(n), values.tolist()))
-        total = total_cpu_cycles(traces, cluster)
+            traces.append((machine.machine_id, range(n), values.tolist()))
+        total = total_cpu_cycles(trace_set(traces), cluster)
 
         parts = []
-        for trace in traces:
-            cut = int(rng.integers(0, len(trace.samples) + 1))
+        for machine_id, offsets, samples in traces:
+            cut = int(rng.integers(0, len(samples) + 1))
             for part in (slice(None, cut), slice(cut, None)):
-                parts.append(
-                    MachineTrace(trace.machine_id, trace.offsets[part], trace.samples[part])
-                )
-        split_total = total_cpu_cycles(parts, cluster)
+                parts.append((machine_id, offsets[part], samples[part]))
+        split_total = total_cpu_cycles(trace_set(parts), cluster)
         worst = max(worst, _rel(split_total, total))
 
         factor = float(rng.uniform(0.25, 4.0))
@@ -239,7 +236,7 @@ def test_05_accounting_invariances(capsys):
                 Machine(m.machine_id, m.clock_hz * factor, m.cores) for m in machines
             )
         )
-        scaled_total = total_cpu_cycles(traces, scaled_cluster)
+        scaled_total = total_cpu_cycles(trace_set(traces), scaled_cluster)
         worst = max(worst, _rel(scaled_total, factor * total))
     passed = worst <= 1e-12
     _report(

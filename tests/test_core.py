@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle import rows, table
+from oracle import rows, segments, table, trace_set
 
 from cyclecast.core import (
     ClusterSpec,
     EmptyInputError,
     Machine,
-    MachineTrace,
     ProfileTable,
     RunTable,
     SampleExceedsCoresError,
     ShapeMismatchError,
+    TraceSet,
     UnknownMachineError,
     aggregate_repetitions,
     total_cpu_cycles,
@@ -21,7 +21,12 @@ from cyclecast.core import (
 
 
 def _trace(machine_id, values, start=0):
-    return MachineTrace(machine_id, range(start, start + len(values)), values)
+    return machine_id, range(start, start + len(values)), values
+
+
+def _one(offsets, samples):
+    """A TraceSet of one segment on machine "m"."""
+    return TraceSet(("m",), [len(offsets)], offsets, samples)
 
 
 TWO_MACHINE_CLUSTER = ClusterSpec(
@@ -35,38 +40,38 @@ TWO_MACHINE_CLUSTER = ClusterSpec(
 class TestTotalCpuCycles:
     def test_two_machine_hand_example(self):
         # 2.0 CPU-s at 3 GHz plus 1.0 CPU-s at 2 GHz: 6e9 + 2e9 cycles.
-        traces = [_trace("node-a", [0.5, 1.5]), _trace("node-b", [1.0])]
+        traces = trace_set([_trace("node-a", [0.5, 1.5]), _trace("node-b", [1.0])])
         assert total_cpu_cycles(traces, TWO_MACHINE_CLUSTER) == 8.0e9
 
     def test_no_traces_is_zero(self):
-        assert total_cpu_cycles([], TWO_MACHINE_CLUSTER) == 0.0
+        assert total_cpu_cycles(trace_set([]), TWO_MACHINE_CLUSTER) == 0.0
 
     def test_empty_trace_contributes_nothing(self):
-        traces = [_trace("node-a", []), _trace("node-b", [1.0])]
+        traces = trace_set([_trace("node-a", []), _trace("node-b", [1.0])])
         assert total_cpu_cycles(traces, TWO_MACHINE_CLUSTER) == 2.0e9
 
     def test_unknown_machine(self):
         with pytest.raises(UnknownMachineError):
-            total_cpu_cycles([_trace("ghost", [1.0])], TWO_MACHINE_CLUSTER)
+            total_cpu_cycles(trace_set([_trace("ghost", [1.0])]), TWO_MACHINE_CLUSTER)
 
     def test_sample_over_core_count(self):
         with pytest.raises(SampleExceedsCoresError):
-            total_cpu_cycles([_trace("node-b", [2.5])], TWO_MACHINE_CLUSTER)
+            total_cpu_cycles(trace_set([_trace("node-b", [2.5])]), TWO_MACHINE_CLUSTER)
 
     def test_sample_at_core_count_is_fine(self):
-        assert total_cpu_cycles([_trace("node-b", [2.0])], TWO_MACHINE_CLUSTER) == 4.0e9
+        assert total_cpu_cycles(trace_set([_trace("node-b", [2.0])]), TWO_MACHINE_CLUSTER) == 4.0e9
 
     @given(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=40), st.data())
     def test_partition_invariance(self, values, data):
         # Splitting one machine's samples across several trace records must
         # not move the total by more than accumulated rounding.
         cut = data.draw(st.integers(0, len(values)))
-        whole = total_cpu_cycles([_trace("node-a", values)], TWO_MACHINE_CLUSTER)
+        whole = total_cpu_cycles(trace_set([_trace("node-a", values)]), TWO_MACHINE_CLUSTER)
         split = total_cpu_cycles(
-            [
+            trace_set([
                 _trace("node-a", values[:cut]),
                 _trace("node-a", values[cut:], start=cut),
-            ],
+            ]),
             TWO_MACHINE_CLUSTER,
         )
         assert split == pytest.approx(whole, rel=1e-12)
@@ -82,7 +87,7 @@ class TestTotalCpuCycles:
         scaled_cluster = ClusterSpec(
             machines=(Machine(machine_id="m0", clock_hz=2.5e9 * factor, cores=2),)
         )
-        traces = [_trace("m0", values)]
+        traces = trace_set([_trace("m0", values)])
         base = total_cpu_cycles(traces, base_cluster)
         scaled = total_cpu_cycles(traces, scaled_cluster)
         assert scaled == pytest.approx(factor * base, rel=1e-12)
@@ -95,9 +100,77 @@ class TestTotalCpuCycles:
         )
         cluster = ClusterSpec(machines=machines)
         traces = [_trace(f"m{i}", [0.1 * (i + 1), 0.7]) for i in range(5)]
-        reference = total_cpu_cycles(traces, cluster)
-        shuffled = total_cpu_cycles([traces[i] for i in order], cluster)
+        reference = total_cpu_cycles(trace_set(traces), cluster)
+        shuffled = total_cpu_cycles(trace_set([traces[i] for i in order]), cluster)
         assert shuffled == reference
+
+    def test_the_first_bad_segment_raises(self):
+        # Segments are checked in set order: a sample over its machine's
+        # cores before an unknown machine raises first, and the other way round.
+        over, ghost = _trace("node-b", [0.5, 2.5]), _trace("ghost", [1.0])
+        message = "^machine 'node-b' has 2 cores but a sample at offset 1 claims 2.5 CPU-seconds$"
+        with pytest.raises(SampleExceedsCoresError, match=message):
+            total_cpu_cycles(trace_set([over, ghost]), TWO_MACHINE_CLUSTER)
+        with pytest.raises(UnknownMachineError, match="^machine 'ghost' is not in the cluster spec$"):
+            total_cpu_cycles(trace_set([ghost, over]), TWO_MACHINE_CLUSTER)
+
+    def test_core_counts_past_float_precision_compare_exactly(self):
+        # float(2**53 + 3) rounds up to 2**53 + 4, which is still over.
+        cluster = ClusterSpec((Machine("m", 1.0, 2**53 + 3),))
+        for sample in (2.0**53, 2.0**53 + 2):
+            assert total_cpu_cycles(trace_set([("m", [0], [sample])]), cluster) == sample
+        with pytest.raises(SampleExceedsCoresError):
+            total_cpu_cycles(trace_set([("m", [0], [2.0**53 + 4])]), cluster)
+        huge = ClusterSpec((Machine("m", 1.0, 10**400),))
+        assert total_cpu_cycles(trace_set([("m", [0], [1e308])]), huge) == 1e308
+
+
+class TestTraceSet:
+    # Machine "a" in two segments, around an empty one on "b".
+    COLUMNS = {"machine_ids": ("a", "b", "a"), "ends": [2, 2, 3], "offsets": [0, 1, 0],
+               "samples": [0.5, 1.5, 2.0]}
+
+    def test_segments_and_len(self):
+        traces = TraceSet(**self.COLUMNS)
+        assert len(traces) == 3
+        assert segments(traces) == [("a", [0, 1], [0.5, 1.5]), ("b", [], []), ("a", [0], [2.0])]
+        assert [segment.machine_id for segment in traces] == ["a", "b", "a"]
+
+    def test_columns_are_read_only_copies(self):
+        offsets, samples = np.array([0, 1, 0]), np.array([0.5, 1.5, 2.0])
+        traces = TraceSet(("a", "b", "a"), np.array([2, 2, 3]), offsets, samples)
+        offsets[0], samples[0] = 7, 9.0
+        assert traces.offsets.tolist() == [0, 1, 0] and traces.samples.tolist() == [0.5, 1.5, 2.0]
+        _, first_offsets, first_samples = next(iter(traces))
+        for column in (traces.ends, traces.offsets, traces.samples, first_offsets, first_samples):
+            assert column.dtype in (np.int64, np.float64)
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"machine_ids": ("a", "", "a")}, ValueError, "machine_id must be non-empty"),
+            ({"ends": [2, 3]}, ValueError, "ends must be 3 non-decreasing row ends"),
+            ({"ends": [2, 1, 3]}, ValueError, "ends must be 3 non-decreasing row ends"),
+            ({"ends": [2, 2, 4]}, ValueError, "offsets and samples must have 4 rows"),
+            ({"ends": [2, 2, 3.0]}, TypeError, "ends must be an int"),
+            ({"ends": [-1, 2, 3]}, ValueError, "ends must be >= 0, got -1"),
+            ({"offsets": [0, 0, 0]}, ValueError, "sample offsets must be strictly increasing on 'a'"),
+            ({"offsets": [0, 1, 2**63]}, ValueError, "offsets must be < 2\\*\\*63"),
+            ({"samples": [0.5, "1.5", 2.0]}, TypeError, "samples must hold numbers, got str"),
+            ({"samples": np.array([True, False, True])}, TypeError, "samples must hold numbers"),
+        ],
+    )
+    def test_columns_obey_the_set_rules(self, change, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            TraceSet(**{**self.COLUMNS, **change})
+
+    def test_offsets_rise_within_each_segment(self):
+        traces = TraceSet(("a", "b", "c"), [1, 3, 4], [5, 2, 3, 0], [0.5] * 4)
+        assert segments(traces)[1] == ("b", [2, 3], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^sample offsets must be strictly increasing on 'b'$"):
+            TraceSet(("a", "b", "c"), [1, 3, 4], [5, 2, 2, 0], [0.5] * 4)
 
 
 def _runs(*rows):
@@ -141,15 +214,15 @@ class TestAggregateRepetitions:
 class TestValidation:
     def test_negative_offset(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", offsets=(-1,), samples=(0.5,))
+            _one(offsets=(-1,), samples=(0.5,))
 
     def test_negative_cpu_seconds(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", offsets=(0,), samples=(-0.5,))
+            _one(offsets=(0,), samples=(-0.5,))
 
     def test_non_finite_cpu_seconds(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", offsets=(0,), samples=(math.nan,))
+            _one(offsets=(0,), samples=(math.nan,))
 
     @pytest.mark.parametrize(
         "samples, bad",
@@ -158,53 +231,53 @@ class TestValidation:
     def test_sample_check_names_the_first_bad_value(self, samples, bad):
         message = f"samples must be finite and >= 0, got {bad}"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            MachineTrace("m", offsets=(0, 1), samples=samples)
+            _one(offsets=(0, 1), samples=samples)
 
     @pytest.mark.parametrize("samples", [(-0.0,), (0.5, -0.0), (1e308, 1e308)])
     def test_sample_check_accepts_negative_zero_and_large_sums(self, samples):
-        assert MachineTrace("m", range(len(samples)), samples).samples == samples
+        assert tuple(_one(range(len(samples)), samples).samples.tolist()) == samples
 
     def test_non_monotonic_offsets(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", offsets=(1, 1), samples=(0.5, 0.5))
+            _one(offsets=(1, 1), samples=(0.5, 0.5))
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", offsets=(0, 1), samples=(0.5,))
+            _one(offsets=(0, 1), samples=(0.5,))
 
     @pytest.mark.parametrize(
         "offsets, stored",
         [
-            ([3], range(3, 4)),
-            ([0, 1, 2], range(0, 3)),
-            ((5, 6), range(5, 7)),
-            (range(2, 6), range(2, 6)),
-            ([0, 2], (0, 2)),
-            ((), ()),
-            (range(0), ()),
-            (range(0, 10, 3), (0, 3, 6, 9)),
-            (range(7, 6, -1), range(7, 8)),
-            (np.arange(4, 7), range(4, 7)),
-            (np.array([1, 5]), (1, 5)),
+            ([3], [3]),
+            ([0, 1, 2], [0, 1, 2]),
+            ((5, 6), [5, 6]),
+            (range(2, 6), [2, 3, 4, 5]),
+            ([0, 2], [0, 2]),
+            ((), []),
+            (range(0), []),
+            (range(0, 10, 3), [0, 3, 6, 9]),
+            (range(7, 6, -1), [7]),
+            (np.arange(4, 7), [4, 5, 6]),
+            (np.array([1, 5]), [1, 5]),
         ],
         ids=["one", "list", "tuple", "range", "gap", "empty", "empty-range", "step-3",
              "one-step-back", "numpy-contiguous", "numpy-gap"],
     )
     def test_offsets_take_one_canonical_form(self, offsets, stored):
-        trace = MachineTrace("m", offsets, [0.5] * len(offsets))
-        assert trace.offsets == stored and type(trace.offsets) is type(stored)
-        assert all(type(o) is int for o in trace.offsets)
-        assert trace == MachineTrace("m", list(stored), (0.5,) * len(stored))
-        assert repr(trace) == repr(MachineTrace("m", tuple(stored), (0.5,) * len(stored)))
+        # Whatever was passed, the offsets are stored as a read-only int64 column.
+        traces = _one(offsets, [0.5] * len(offsets))
+        assert traces.offsets.tolist() == stored and traces.offsets.dtype == np.int64
+        assert not traces.offsets.flags.writeable
+        assert segments(traces) == segments(_one(tuple(stored), (0.5,) * len(stored)))
 
     def test_offsets_descending_by_range_step(self):
         with pytest.raises(ValueError):
-            MachineTrace("m", range(3, 1, -1), (0.5, 0.5))
+            _one(range(3, 1, -1), (0.5, 0.5))
 
     @pytest.mark.parametrize("offsets", [(0.0, 1.0), (0.5,), ("0",)])
     def test_offsets_must_be_integers(self, offsets):
         with pytest.raises(TypeError):
-            MachineTrace("m", offsets, (0.5,) * len(offsets))
+            _one(offsets, (0.5,) * len(offsets))
 
     def test_duplicate_machine_ids_in_cluster(self):
         with pytest.raises(ValueError):
@@ -254,6 +327,21 @@ class TestValidation:
             for column in ([2**63], [2**70], np.array([2**63], dtype=np.uint64)):
                 with pytest.raises(ValueError, match="^input_bytes must be < 2\\*\\*63"):
                     self._with(cls, input_bytes=column)
+
+    def test_counts_take_numpy_integer_scalars(self):
+        for cls in (RunTable, ProfileTable):
+            counts = self._with(cls, mappers=[np.int64(3)], reducers=[np.uint16(2)])
+            assert counts.mappers.tolist() == [3] and counts.reducers.tolist() == [2]
+            with pytest.raises(TypeError, match="^mappers must be an int"):
+                self._with(cls, mappers=[np.bool_(True)])
+
+    @pytest.mark.parametrize("value", ["1.5", b"1.5", True, np.bool_(True)])
+    def test_real_column_requires_numbers(self, value):
+        for cls, real in ((RunTable, "total_cycles"), (ProfileTable, "mean_cycles")):
+            for column in ([value], np.array([value])):
+                with pytest.raises(TypeError, match=f"^{real} must hold numbers"):
+                    self._with(cls, **{real: column})
+            assert getattr(self._with(cls, **{real: [3]}), real).tolist() == [3.0]
 
     def test_run_cycles_become_a_plain_float(self):
         runs = self._with(RunTable, total_cycles=[np.float64(0.1)])

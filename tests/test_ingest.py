@@ -1,11 +1,14 @@
 import io
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import oracle
+from oracle import segments, trace_set
 
 from cyclecast import ingest
-from cyclecast.core import ClusterSpec, CyclecastError, Machine, MachineTrace
+from cyclecast.core import ClusterSpec, CyclecastError, Machine, TraceSet, total_cpu_cycles
 from cyclecast.ingest import (
     DuplicateMachineIdError,
     DuplicateSampleError,
@@ -32,13 +35,14 @@ def test_parse_groups_and_sorts():
     traces, warnings = parse_trace_csv(io.StringIO(GOOD_CSV))
     assert warnings == []
     assert [t.machine_id for t in traces] == ["node-a", "node-b"]
-    assert traces[0].offsets == range(0, 2)
-    assert traces[0].samples == (0.5, 1.5)
-    assert traces[1] == MachineTrace("node-b", (0,), (1.0,))
+    assert segments(traces)[0][1] == [0, 1]
+    assert segments(traces)[0][2] == [0.5, 1.5]
+    assert segments(traces)[1] == ("node-b", [0], [1.0])
 
 
 def test_header_only_stream():
-    assert parse_trace_csv(io.StringIO("machine_id,offset_s,cpu_seconds\n")) == ([], [])
+    traces, warnings = parse_trace_csv(io.StringIO("machine_id,offset_s,cpu_seconds\n"))
+    assert (segments(traces), warnings) == ([], [])
 
 
 def test_empty_stream_is_a_header_error():
@@ -132,29 +136,29 @@ def test_gap_threshold_is_tunable():
 )
 def test_write_parse_round_trip_is_bit_exact(values, offsets):
     n = min(len(values), len(offsets))
-    original = [MachineTrace("m-0", sorted(offsets[:n]), values[:n])]
+    original = trace_set([("m-0", sorted(offsets[:n]), values[:n])])
     buffer = io.StringIO()
     write_trace_csv(original, buffer)
     parsed, warnings = parse_trace_csv(io.StringIO(buffer.getvalue()))
     assert warnings == [] or all(
         w.kind is WarningKind.GAP_EXCEEDS_THRESHOLD for w in warnings
     )
-    assert parsed == original
+    assert segments(parsed) == segments(original)
 
 
 HEADER = "machine_id,offset_s,cpu_seconds\n"
 
 
 def _outcome(text):
-    """What parse_trace_csv makes of text: traces and warnings, or its error.
+    """What parse_trace_csv makes of text: segments and warnings, or its error.
 
-    The traces are compared by repr, which tells -0.0 from 0.0.
+    The segments are compared by repr, which tells -0.0 from 0.0.
     """
     try:
         traces, warnings = parse_trace_csv(io.StringIO(text))
     except CyclecastError as exc:
         return type(exc), str(exc)
-    return repr(traces), warnings
+    return repr(segments(traces)), warnings
 
 
 def _row_loop_outcome(text):
@@ -239,22 +243,78 @@ def test_good_bodies_take_the_fast_path(body):
 
 @given(_bodies(modes=("fast",)))
 def test_fast_traces_equal_their_checked_rebuilds(body):
-    # The fast path builds traces without MachineTrace's checks; each must
-    # be what the checking constructor makes of the same columns.
-    if ingest._fast_columns(HEADER + body) is None:
-        return  # declined: the row loop builds through the constructor
-    traces, _ = parse_trace_csv(io.StringIO(HEADER + body))
-    for trace in traces:
-        rebuilt = MachineTrace(trace.machine_id, trace.offsets, trace.samples)
-        assert rebuilt == trace and repr(rebuilt) == repr(trace)
-        assert type(trace.samples) is tuple
+    # The fast path's columns pass the set's checks as they are: one
+    # segment per machine, ids sorted and unique, and a set rebuilt from
+    # its own columns holds the same segments.
+    columns = ingest._fast_columns(HEADER + body)
+    if columns is None:
+        return  # declined: the row loop's columns are checked the same way
+    traces = TraceSet(*columns)
+    assert list(traces.machine_ids) == sorted(set(traces.machine_ids))
+    assert all(len(segment.samples) for segment in traces)
+    rebuilt = TraceSet(traces.machine_ids, traces.ends, traces.offsets, traces.samples)
+    assert repr(segments(rebuilt)) == repr(segments(traces))
+    assert repr(segments(traces)) == repr(segments(parse_trace_csv(io.StringIO(HEADER + body))[0]))
 
 
-def test_contiguous_offsets_come_out_as_ranges():
+@st.composite
+def _interleaved_rows(draw):
+    """(machine_id, offset_s, cpu_seconds) rows of up to four machines in
+    any order, one per (machine_id, offset_s)."""
+    offsets = st.integers(0, 30) | st.integers(0, 10**18 - 1)
+    keys = draw(st.lists(st.tuples(st.sampled_from("abcd"), offsets), max_size=24, unique=True))
+    return [(machine_id, offset, draw(st.floats(0.0, 4.0))) for machine_id, offset in keys]
+
+
+def _accounted(account, traces, cluster):
+    """account's total by repr, which is bit-exact for floats, or its error."""
+    try:
+        return repr(account(traces, cluster))
+    except CyclecastError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    _interleaved_rows(),
+    st.floats(0.0, 1.0),
+    st.dictionaries(st.sampled_from("abcd"), st.tuples(st.floats(1e9, 4e9), st.integers(1, 4))),
+)
+def test_columnar_parse_and_accounting_follow_the_per_trace_rules(rows, threshold, machines):
+    body = "".join(f"{machine_id},{offset},{cpu!r}\n" for machine_id, offset, cpu in rows)
+    traces, warnings = parse_trace_csv(io.StringIO(HEADER + body), gap_threshold=threshold)
+    per_machine: dict[str, tuple[list, list]] = {}
+    for machine_id, offset, cpu in sorted(rows):
+        per_machine.setdefault(machine_id, ([], []))
+        per_machine[machine_id][0].append(offset)
+        per_machine[machine_id][1].append(cpu)
+    per_trace = [(machine_id, *columns) for machine_id, columns in per_machine.items()]
+    assert segments(traces) == per_trace
+    assert all(w.kind is WarningKind.GAP_EXCEEDS_THRESHOLD for w in warnings)
+    assert [(w.machine_id, w.detail) for w in warnings] == oracle.gap_warnings(per_trace, threshold)
+    cluster = ClusterSpec(tuple(Machine(i, clock, cores) for i, (clock, cores) in machines.items()))
+    assert _accounted(total_cpu_cycles, traces, cluster) == _accounted(
+        oracle.total_cpu_cycles, per_trace, cluster
+    )
+
+
+def test_gap_rule_divides_long_spans_as_python_ints():
+    # Offsets 0, 1 and 2**53 leave 2**53 - 2 of 2**53 + 1 seconds missing.
+    # In float64 the span rounds to 2**53, and the share would come out one
+    # step above Python's int division, which the threshold sits at.
+    body = f"n,0,0.5\nn,1,0.5\nn,{2**53},0.5\n"
+    share = (2**53 - 2) / (2**53 + 1)
+    assert share < (2**53 - 2) / float(2**53 + 1)
+    _, warnings = parse_trace_csv(io.StringIO(HEADER + body), gap_threshold=share)
+    assert warnings == []
+    _, warnings = parse_trace_csv(io.StringIO(HEADER + body), gap_threshold=math.nextafter(share, 0))
+    assert [w.detail for w in warnings] == [f"{2**53 - 2} of {2**53 + 1} seconds in span missing"]
+
+
+def test_offsets_come_out_sorted_per_machine():
     body = "m,2,0.5\nm,3,0.5\nn,0,1.0\nn,2,1.0\nm,4,0.5\n"
     assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
     traces, _ = parse_trace_csv(io.StringIO(HEADER + body))
-    assert [t.offsets for t in traces] == [range(2, 5), (0, 2)]
+    assert [t.offsets.tolist() for t in traces] == [[2, 3, 4], [0, 2]]
 
 
 def test_many_chunks_agree_with_the_row_loop():
@@ -266,10 +326,10 @@ def test_many_chunks_agree_with_the_row_loop():
 
 
 def test_write_orders_machines_lexicographically():
-    traces = [
-        MachineTrace("zz", (0,), (1.0,)),
-        MachineTrace("aa", (0,), (2.0,)),
-    ]
+    traces = trace_set([
+        ("zz", (0,), (1.0,)),
+        ("aa", (0,), (2.0,)),
+    ])
     buffer = io.StringIO()
     write_trace_csv(traces, buffer)
     lines = buffer.getvalue().splitlines()
@@ -294,8 +354,13 @@ def test_parse_cluster_spec():
 
 
 def test_binary_streams_parse_like_text():
-    for parse, text in [(parse_cluster_spec, CLUSTER_TEXT), (parse_trace_csv, GOOD_CSV)]:
+    for parse, text in [(parse_cluster_spec, CLUSTER_TEXT), (_parse_trace_segments, GOOD_CSV)]:
         assert parse(io.BytesIO(text.encode())) == parse(io.StringIO(text))
+
+
+def _parse_trace_segments(stream):
+    traces, warnings = parse_trace_csv(stream)
+    return segments(traces), warnings
 
 
 @pytest.mark.parametrize(

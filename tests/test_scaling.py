@@ -221,3 +221,11 @@ def test_cost_model_over_arrays_is_the_scalar_one_bit_for_bit(scaled):
 def test_cost_model_holds_arrays_to_job_config_rules(args, error):
     with pytest.raises(error):
         CostModel(SURFACE).predict(*args)
+
+
+def test_cost_model_takes_numpy_integer_scalars():
+    model = CostModel(SURFACE)
+    assert model.predict(np.arange(4, 9)[0], 8) == model.predict(4, 8)
+    assert model.predict(np.uint8(4), np.int32(8), np.int64(SURFACE.ref_input_bytes)) == model.predict(4, 8)
+    with pytest.raises(TypeError, match="^mappers must be an int"):
+        model.predict(np.bool_(True), 8)

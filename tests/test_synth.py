@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle import rows
+from oracle import rows, segments
 
 from cyclecast.core import ClusterSpec, EmptyInputError, Machine, total_cpu_cycles
 from cyclecast.regression import ModelCoefficients, predict
@@ -182,17 +182,20 @@ class TestGenerateTrace:
     def test_offsets_are_consecutive_from_zero(self):
         traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
         for trace in traces:
-            assert trace.offsets == range(len(trace.samples))
+            assert trace.offsets.tolist() == list(range(len(trace.samples)))
 
     def test_deterministic_per_run_id_and_seed(self):
+        def trace(run, seed):
+            return segments(generate_trace(*run, CLUSTER, seed=seed))
+
         run = ("job-001", 7.3e13)
-        assert generate_trace(*run, CLUSTER, seed=5) == generate_trace(*run, CLUSTER, seed=5)
-        assert generate_trace(*run, CLUSTER, seed=5) != generate_trace(*run, CLUSTER, seed=6)
+        assert trace(run, seed=5) == trace(run, seed=5)
+        assert trace(run, seed=5) != trace(run, seed=6)
         other = ("job-002", 7.3e13)
-        assert generate_trace(*run, CLUSTER, seed=5) != generate_trace(*other, CLUSTER, seed=5)
+        assert trace(run, seed=5) != trace(other, seed=5)
 
     def test_zero_cycle_run_yields_no_traces(self):
-        assert generate_trace("job-001", 0.0, CLUSTER, seed=5) == []
+        assert segments(generate_trace("job-001", 0.0, CLUSTER, seed=5)) == []
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyInputError):
