@@ -12,7 +12,6 @@ from .core import (
     ClusterSpec,
     CyclecastError,
     EmptyInputError,
-    Machine,
     NegativePredictionWarning,
     ProfileTable,
     RunTable,
@@ -82,7 +81,6 @@ __all__ = [
     "IllConditionedError",
     "IngestWarning",
     "IoFailureError",
-    "Machine",
     "MixedApplicationsError",
     "MixedInputSizesError",
     "ModelCoefficients",

@@ -6,23 +6,22 @@ machine's summed CPU-seconds by that machine's clock rate and adding
 across machines yields a single total-cycle figure that is comparable
 across clusters with heterogeneous clocks.
 
-Traces and runs are columnar: a TraceSet has one row per sample, cut into
-per-machine segments, and RunTable and ProfileTable one row per run or
-profile.  Each checks its whole columns once, when built; Machine and
-ClusterSpec check their fields.  Every operation here is pure.  Sums use
+Everything is columnar: a TraceSet has one row per sample, cut into
+per-machine segments, RunTable and ProfileTable one row per run or
+profile, and ClusterSpec one row per machine.  Each checks its whole
+columns once, when built.  Every operation here is pure.  Sums use
 math.fsum, so totals do not depend on the order of segments or samples.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,67 +48,6 @@ class SampleExceedsCoresError(CyclecastError):
 
 class NegativePredictionWarning(UserWarning):
     """A model produced a negative cycle count that was clamped to zero."""
-
-
-_T = TypeVar("_T")
-
-
-def _unchecked(cls: type[_T], **columns: Sequence) -> list[_T]:
-    """Instances of the frozen, slotted dataclass cls, one per row of the
-    columns, built without __post_init__.
-
-    Only for the cluster parser's fast path, which calls it after proving on
-    whole columns every rule cls checks, with each field already in the
-    form __post_init__ would store.  The first column sets the row count.
-    Fields are set one column at a time, which suits slots; on instances
-    with a __dict__ it would stop them sharing their dict keys.
-    """
-    rows = len(next(iter(columns.values())))
-    instances = list(map(object.__new__, itertools.repeat(cls, rows)))
-    for name, column in columns.items():
-        # Consume the map: it sets the field on every instance.
-        collections.deque(
-            map(object.__setattr__, instances, itertools.repeat(name), column), maxlen=0
-        )
-    return instances
-
-
-@dataclass(frozen=True, slots=True)
-class Machine:
-    machine_id: str
-    clock_hz: float
-    cores: int
-
-    def __post_init__(self) -> None:
-        if not self.machine_id:
-            raise ValueError("machine_id must be non-empty")
-        if not math.isfinite(self.clock_hz) or self.clock_hz <= 0:
-            raise ValueError(f"clock_hz must be finite and > 0, got {self.clock_hz}")
-        if self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores}")
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterSpec:
-    """Inventory of machines, unique by machine_id."""
-
-    machines: tuple[Machine, ...]
-    _by_id: dict[str, Machine] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "machines", tuple(self.machines))
-        by_id: dict[str, Machine] = {}
-        for m in self.machines:
-            if m.machine_id in by_id:
-                raise ValueError(f"duplicate machine_id {m.machine_id!r}")
-            by_id[m.machine_id] = m
-        object.__setattr__(self, "_by_id", by_id)
-
-    def machine(self, machine_id: str) -> Machine:
-        machine = self._by_id.get(machine_id)
-        if machine is None:
-            raise UnknownMachineError(f"machine {machine_id!r} is not in the cluster spec")
-        return machine
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
@@ -235,6 +173,33 @@ class ProfileTable:
         return len(self.apps)
 
 
+@dataclass(frozen=True, eq=False)
+class ClusterSpec:
+    """Inventory of machines as parallel columns, one row per machine, in
+    the order given.
+
+    machines is a tuple of unique, non-empty ids, clock_hz a read-only
+    float64 array of finite values > 0, and cores a read-only int64 array
+    of ints in [1, 2**63), under RunTable's count rule.
+    """
+
+    machines: tuple[str, ...]
+    clock_hz: np.ndarray
+    cores: np.ndarray
+    _rows: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _set_columns(self, ("machines",), ("cores",), "clock_hz")
+        if not self.clock_hz.all():  # _reals has ruled out < 0, NaN and inf
+            raise ValueError(f"clock_hz must be > 0, got {self.clock_hz.min()}")
+        rows = dict(zip(self.machines, itertools.count()))
+        if len(rows) != len(self.machines):
+            # A repeated id keeps its last row: the first mismatch names it.
+            first = next(m for row, m in enumerate(self.machines) if rows[m] != row)
+            raise ValueError(f"duplicate machine_id {first!r}")
+        object.__setattr__(self, "_rows", rows)
+
+
 class TraceSegment(NamedTuple):
     """One segment of a TraceSet: its machine and read-only views of its rows."""
 
@@ -306,28 +271,27 @@ def total_cpu_cycles(traces: TraceSet, cluster: ClusterSpec) -> float:
     machine's core count raises.
     """
     ids = traces.machine_ids
-    # The machines of the segments before the first unknown one: checked first.
+    # The cluster rows of the segments before the first unknown machine:
+    # checked first.
     known = functools.partial(operator.is_not, None)
-    machines = list(itertools.takewhile(known, map(cluster._by_id.get, ids)))
-    ends = traces.ends[: len(machines)].tolist()
+    rows = list(itertools.takewhile(known, map(cluster._rows.get, ids)))
+    ends = traces.ends[: len(rows)].tolist()
+    cores = cluster.cores[rows]
     # float64 holds cores up to 2**53 exactly; larger ones are screened as
     # 2**53, and a sample the screen flags is then held to the int itself.
-    cores = list(map(operator.attrgetter("cores"), machines))
-    if max(cores, default=0) > 2**53:
-        cores = [min(count, 2**53) for count in cores]
-    limits = np.repeat(np.array(cores, np.float64), np.diff([0, *ends]))
+    limits = np.repeat(np.minimum(cores, 2**53).astype(np.float64), np.diff([0, *ends]))
     values = traces.samples.tolist()
     for row in np.flatnonzero(traces.samples[: len(limits)] > limits).tolist():
-        machine = machines[bisect.bisect_right(ends, row)]
-        if values[row] > machine.cores:
+        segment = bisect.bisect_right(ends, row)
+        if values[row] > (count := int(cores[segment])):
             raise SampleExceedsCoresError(
-                f"machine {machine.machine_id!r} has {machine.cores} cores but a "
+                f"machine {ids[segment]!r} has {count} cores but a "
                 f"sample at offset {traces.offsets[row]} claims {values[row]} CPU-seconds"
             )
-    if len(machines) < len(ids):
-        cluster.machine(ids[len(machines)])  # raises UnknownMachineError
+    if len(rows) < len(ids):
+        raise UnknownMachineError(f"machine {ids[len(rows)]!r} is not in the cluster spec")
     per_segment = map(math.fsum, map(values.__getitem__, map(slice, [0, *ends], ends)))
-    return math.fsum(map(operator.mul, per_segment, map(operator.attrgetter("clock_hz"), machines)))
+    return math.fsum(map(operator.mul, per_segment, cluster.clock_hz[rows].tolist()))
 
 
 def aggregate_repetitions(table: RunTable) -> ProfileTable:

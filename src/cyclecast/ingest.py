@@ -21,7 +21,7 @@ Line oriented, one machine per line:
 
 Fields are whitespace separated.  '#' starts a comment (whole-line or
 trailing), blank lines are ignored.  clock_hz is a finite positive
-decimal, cores a positive integer.
+decimal, cores an integer in [1, 2**63).
 
 Numbers
 -------
@@ -55,12 +55,13 @@ checks the whole spec against a narrower grammar: every line is either
 a whole-line '#' comment or ``machine_id SP clock_hz SP cores`` with
 single spaces, and every line ends in LF.  clock_hz has no sign, and
 cores is 1 to 18 digits without a leading zero.  One split then yields
-the three columns.  The line loop runs instead for any other spec (tabs,
-runs of spaces, blank lines, trailing comments, CRLF, a missing final
-newline, cores such as 04), and for specs the columns fail: a clock_hz
-that is 0 or overflows to infinity, a repeated machine_id, or no entries
-at all.  It raises the typed error of the first bad line, naming it, or
-parses the valid specs the narrower grammar leaves out.
+the three columns, which ClusterSpec checks whole.  The line loop runs
+instead for any other spec (tabs, runs of spaces, blank lines, trailing
+comments, CRLF, a missing final newline, cores such as 04), and for
+specs the columns fail: a clock_hz that is 0 or overflows to infinity, a
+repeated machine_id, or no entries at all.  It raises the typed error of
+the first bad line, naming it, or parses the valid specs the narrower
+grammar leaves out.
 
 Encoding
 --------
@@ -93,7 +94,7 @@ from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, Machine, TraceSet, _unchecked
+from .core import ClusterSpec, CyclecastError, TraceSet
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -369,23 +370,24 @@ def _entry_error(line_no: int, reason: str) -> MalformedEntryError:
 def _fast_cluster(text: str) -> ClusterSpec | None:
     """The cluster of a spec in the fast grammar, or None to fall back.
 
-    Every rule Machine and ClusterSpec check is proven on whole columns
-    first: ids in the grammar and unique, clock_hz finite and > 0, cores
-    >= 1 (no sign, no leading zero).
+    The grammar proves the ids and cores in [1, 10**18).  The columns go
+    to ClusterSpec whole, which checks clock_hz finite and > 0 and the ids
+    unique; a spec it refuses, or one with no entries, falls back.
     """
     if _FAST_SPEC.fullmatch(text) is None:
         return None
     if "#" in text:
         text = _COMMENT_LINE.sub("", text)
     fields = text.split()
-    ids = fields[0::3]
-    clocks = list(map(float, fields[1::3]))
-    cores = list(map(int, fields[2::3]))
-    if not ids or min(clocks) <= 0 or max(clocks) == math.inf or len(set(ids)) != len(ids):
+    if not fields:
         return None
-    machines = tuple(_unchecked(Machine, machine_id=ids, clock_hz=clocks, cores=cores))
-    by_id = dict(zip(ids, machines))
-    return _unchecked(ClusterSpec, machines=[machines], _by_id=[by_id])[0]
+    rows = len(fields) // 3
+    clocks = np.fromiter(map(float, fields[1::3]), np.float64, rows)
+    cores = np.fromiter(map(int, fields[2::3]), np.int64, rows)
+    try:
+        return ClusterSpec(fields[0::3], clocks, cores)
+    except ValueError:
+        return None
 
 
 def _line_cluster(text: str) -> ClusterSpec:
@@ -395,7 +397,9 @@ def _line_cluster(text: str) -> ClusterSpec:
     _fast_cluster declines reach here: bad ones, and good ones in the
     documented grammar but not the fast one.
     """
-    machines: list[Machine] = []
+    ids: list[str] = []
+    clocks: list[float] = []
+    counts: list[int] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -433,8 +437,12 @@ def _line_cluster(text: str) -> ClusterSpec:
         cores = int(cores_text)
         if cores < 1:
             raise MalformedEntryError(f"line {line_no}: cores must be >= 1, got {cores}")
+        if cores >= 2**63:
+            raise MalformedEntryError(f"line {line_no}: cores must be < 2**63, got {cores}")
         seen.add(machine_id)
-        machines.append(Machine(machine_id=machine_id, clock_hz=clock_hz, cores=cores))
-    if not machines:
+        ids.append(machine_id)
+        clocks.append(clock_hz)
+        counts.append(cores)
+    if not ids:
         raise MalformedEntryError("cluster spec has no machine entries")
-    return ClusterSpec(machines=tuple(machines))
+    return ClusterSpec(ids, clocks, counts)

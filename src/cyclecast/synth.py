@@ -122,6 +122,8 @@ def generate_trace(
     stream keyed by (seed, run_id), so regenerating any single run's traces
     is deterministic and independent of other runs.  A zero-cycle run
     yields an empty set.  Every sample satisfies 0 <= cpu_seconds <= cores.
+    A machine whose share would take infinitely many CPU-seconds, a clock
+    too slow for the total, is a ValueError.
     """
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")
@@ -135,9 +137,15 @@ def generate_trace(
     weights /= weights.sum()
 
     columns: list[np.ndarray] = []
-    for machine, weight in zip(cluster.machines, weights):
-        cpu_seconds = total_cycles * weight / machine.clock_hz
-        target_rate = _TARGET_UTILIZATION * machine.cores
+    machines = zip(cluster.machines, cluster.clock_hz.tolist(), cluster.cores.tolist())
+    for (machine_id, clock_hz, cores), weight in zip(machines, weights.tolist()):
+        cpu_seconds = total_cycles * weight / clock_hz
+        if not math.isfinite(cpu_seconds):
+            raise ValueError(
+                f"machine {machine_id!r} at {clock_hz!r} Hz would need {cpu_seconds} "
+                f"CPU-seconds for {total_cycles!r} cycles"
+            )
+        target_rate = _TARGET_UTILIZATION * cores
         n_samples = max(1, math.ceil(cpu_seconds / target_rate))
         base = cpu_seconds / n_samples  # <= target_rate by choice of n_samples
         jitter = rng.uniform(-1.0, 1.0, size=n_samples)
@@ -146,13 +154,12 @@ def generate_trace(
         trough = float(-np.min(jitter))
         if n_samples > 1 and peak > 0 and trough > 0:
             # Largest zero-sum wiggle keeping every sample in (0, cores).
-            amplitude = _JITTER_SAFETY * min(
-                (machine.cores - base) / peak, base / trough
-            )
+            amplitude = _JITTER_SAFETY * min((cores - base) / peak, base / trough)
             values = base + amplitude * jitter
         else:
             values = np.full(n_samples, base)
         columns.append(values)
-    ids = [machine.machine_id for machine in cluster.machines]
     offsets = np.concatenate([np.arange(len(values)) for values in columns])
-    return TraceSet(ids, np.cumsum(list(map(len, columns))), offsets, np.concatenate(columns))
+    return TraceSet(
+        cluster.machines, np.cumsum(list(map(len, columns))), offsets, np.concatenate(columns)
+    )

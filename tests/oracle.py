@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from cyclecast.core import SampleExceedsCoresError, TraceSet
+from cyclecast.core import SampleExceedsCoresError, TraceSet, UnknownMachineError
 
 
 def solve_normal_equations(rows, targets) -> np.ndarray:
@@ -94,16 +94,18 @@ def total_cpu_cycles(traces, cluster) -> float:
     """The fsum over (machine_id, offsets, samples) traces of each one's
     fsum times its machine's clock.  The first trace whose machine is
     unknown, or that has a sample above its machine's cores, raises."""
+    columns = zip(cluster.machines, cluster.clock_hz.tolist(), cluster.cores.tolist())
+    machines = {machine_id: (clock_hz, cores) for machine_id, clock_hz, cores in columns}
     per_trace = []
     for machine_id, offsets, samples in traces:
-        machine = cluster.machine(machine_id)
-        if samples and max(samples) > machine.cores:
-            offset, cpu_seconds = next(
-                (o, s) for o, s in zip(offsets, samples) if s > machine.cores
-            )
+        if machine_id not in machines:
+            raise UnknownMachineError(f"machine {machine_id!r} is not in the cluster spec")
+        clock_hz, cores = machines[machine_id]
+        if samples and max(samples) > cores:
+            offset, cpu_seconds = next((o, s) for o, s in zip(offsets, samples) if s > cores)
             raise SampleExceedsCoresError(
-                f"machine {machine.machine_id!r} has {machine.cores} cores but a "
+                f"machine {machine_id!r} has {cores} cores but a "
                 f"sample at offset {offset} claims {cpu_seconds} CPU-seconds"
             )
-        per_trace.append(math.fsum(samples) * machine.clock_hz)
+        per_trace.append(math.fsum(samples) * clock_hz)
     return math.fsum(per_trace)

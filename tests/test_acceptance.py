@@ -15,7 +15,6 @@ from oracle import solve_normal_equations, trace_set
 from cyclecast.cli import main
 from cyclecast.core import (
     ClusterSpec,
-    Machine,
     ProfileTable,
     aggregate_repetitions,
     total_cpu_cycles,
@@ -206,20 +205,16 @@ def test_05_accounting_invariances(capsys):
     worst = 0.0
     for _ in range(500):
         n_machines = int(rng.integers(1, 6))
-        machines = tuple(
-            Machine(
-                machine_id=f"m{i}",
-                clock_hz=float(rng.uniform(1e9, 4e9)),
-                cores=int(rng.integers(1, 17)),
-            )
-            for i in range(n_machines)
-        )
-        cluster = ClusterSpec(machines=machines)
+        # Per machine, its clock is drawn before its cores.
+        draws = [(float(rng.uniform(1e9, 4e9)), int(rng.integers(1, 17))) for _ in range(n_machines)]
+        ids = [f"m{i}" for i in range(n_machines)]
+        clocks, cores = zip(*draws)
+        cluster = ClusterSpec(ids, clocks, cores)
         traces = []
-        for machine in machines:
+        for machine_id, count in zip(ids, cores):
             n = int(rng.integers(1, 41))
-            values = rng.uniform(0.0, machine.cores, size=n)
-            traces.append((machine.machine_id, range(n), values.tolist()))
+            values = rng.uniform(0.0, count, size=n)
+            traces.append((machine_id, range(n), values.tolist()))
         total = total_cpu_cycles(trace_set(traces), cluster)
 
         parts = []
@@ -231,11 +226,7 @@ def test_05_accounting_invariances(capsys):
         worst = max(worst, _rel(split_total, total))
 
         factor = float(rng.uniform(0.25, 4.0))
-        scaled_cluster = ClusterSpec(
-            machines=tuple(
-                Machine(m.machine_id, m.clock_hz * factor, m.cores) for m in machines
-            )
-        )
+        scaled_cluster = ClusterSpec(ids, [clock * factor for clock in clocks], cores)
         scaled_total = total_cpu_cycles(trace_set(traces), scaled_cluster)
         worst = max(worst, _rel(scaled_total, factor * total))
     passed = worst <= 1e-12

@@ -285,6 +285,31 @@ class TestPipeline:
         # The spec is read first, so a bad one leaves no runs behind.
         assert not (tmp_path / "runs.jsonl").exists()
 
+    def test_a_clock_too_slow_for_a_run_is_a_data_error(self, tmp_path, truth_file, capsys):
+        (tmp_path / "cluster.txt").write_text("a 1e-300 4\n")
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            line for line in err.splitlines() if line.strip()
+        ]
+        assert err.startswith("error: machine 'a' at 1e-300 Hz would need inf CPU-seconds")
+        assert "Traceback" not in err
+
+    def test_cores_past_int64_name_their_line(self, tmp_path, truth_file, capsys):
+        (tmp_path / "cluster.txt").write_text(f"a 3e9 {2**63}\n")
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: MalformedEntryError: line 1: cores must be < 2**63, got {2**63}\n"
+        assert not (tmp_path / "runs.jsonl").exists()
+
 
 class TestParserReuse:
     """main parses with one parser built at import, and reads the

@@ -8,7 +8,6 @@ from oracle import rows, segments, table, trace_set
 from cyclecast.core import (
     ClusterSpec,
     EmptyInputError,
-    Machine,
     ProfileTable,
     RunTable,
     SampleExceedsCoresError,
@@ -29,12 +28,7 @@ def _one(offsets, samples):
     return TraceSet(("m",), [len(offsets)], offsets, samples)
 
 
-TWO_MACHINE_CLUSTER = ClusterSpec(
-    machines=(
-        Machine(machine_id="node-a", clock_hz=3.0e9, cores=4),
-        Machine(machine_id="node-b", clock_hz=2.0e9, cores=2),
-    )
-)
+TWO_MACHINE_CLUSTER = ClusterSpec(("node-a", "node-b"), clock_hz=[3.0e9, 2.0e9], cores=[4, 2])
 
 
 class TestTotalCpuCycles:
@@ -81,12 +75,8 @@ class TestTotalCpuCycles:
         st.floats(0.125, 8.0),
     )
     def test_frequency_linearity(self, values, factor):
-        base_cluster = ClusterSpec(
-            machines=(Machine(machine_id="m0", clock_hz=2.5e9, cores=2),)
-        )
-        scaled_cluster = ClusterSpec(
-            machines=(Machine(machine_id="m0", clock_hz=2.5e9 * factor, cores=2),)
-        )
+        base_cluster = ClusterSpec(("m0",), clock_hz=[2.5e9], cores=[2])
+        scaled_cluster = ClusterSpec(("m0",), clock_hz=[2.5e9 * factor], cores=[2])
         traces = trace_set([_trace("m0", values)])
         base = total_cpu_cycles(traces, base_cluster)
         scaled = total_cpu_cycles(traces, scaled_cluster)
@@ -94,11 +84,9 @@ class TestTotalCpuCycles:
 
     @given(st.permutations(range(5)))
     def test_trace_order_is_irrelevant(self, order):
-        machines = tuple(
-            Machine(machine_id=f"m{i}", clock_hz=1e9 * (i + 1), cores=8)
-            for i in range(5)
+        cluster = ClusterSpec(
+            [f"m{i}" for i in range(5)], [1e9 * (i + 1) for i in range(5)], [8] * 5
         )
-        cluster = ClusterSpec(machines=machines)
         traces = [_trace(f"m{i}", [0.1 * (i + 1), 0.7]) for i in range(5)]
         reference = total_cpu_cycles(trace_set(traces), cluster)
         shuffled = total_cpu_cycles(trace_set([traces[i] for i in order]), cluster)
@@ -116,17 +104,24 @@ class TestTotalCpuCycles:
 
     def test_core_counts_past_float_precision_compare_exactly(self):
         # float(2**53 + 3) rounds up to 2**53 + 4, which is still over.
-        cluster = ClusterSpec((Machine("m", 1.0, 2**53 + 3),))
+        cluster = ClusterSpec(("m",), [1.0], [2**53 + 3])
         for sample in (2.0**53, 2.0**53 + 2):
             assert total_cpu_cycles(trace_set([("m", [0], [sample])]), cluster) == sample
         with pytest.raises(SampleExceedsCoresError):
             total_cpu_cycles(trace_set([("m", [0], [2.0**53 + 4])]), cluster)
-        huge = ClusterSpec((Machine("m", 1.0, 10**400),))
-        assert total_cpu_cycles(trace_set([("m", [0], [1e308])]), huge) == 1e308
+        # float(2**63 - 1) rounds up to 2**63, which a sample may not reach.
+        widest = ClusterSpec(("m",), [1.0], [2**63 - 1])
+        below = math.nextafter(2.0**63, 0)
+        assert total_cpu_cycles(trace_set([("m", [0], [below])]), widest) == below
+        with pytest.raises(SampleExceedsCoresError, match=f"^machine 'm' has {2**63 - 1} cores"):
+            total_cpu_cycles(trace_set([("m", [0], [2.0**63])]), widest)
+        # Cores are int64, so a count of 2**63 or more is refused when built.
+        with pytest.raises(ValueError, match="cores must be < 2\\*\\*63"):
+            ClusterSpec(("m",), [1.0], [10**400])
 
 
 class TestTraceSet:
-    # Machine "a" in two segments, around an empty one on "b".
+    # "a" in two segments, around an empty one on "b".
     COLUMNS = {"machine_ids": ("a", "b", "a"), "ends": [2, 2, 3], "offsets": [0, 1, 0],
                "samples": [0.5, 1.5, 2.0]}
 
@@ -171,6 +166,44 @@ class TestTraceSet:
         assert segments(traces)[1] == ("b", [2, 3], [0.5, 0.5])
         with pytest.raises(ValueError, match="^sample offsets must be strictly increasing on 'b'$"):
             TraceSet(("a", "b", "c"), [1, 3, 4], [5, 2, 2, 0], [0.5] * 4)
+
+
+class TestClusterSpec:
+    COLUMNS = {"machines": ("a", "b"), "clock_hz": [3.0e9, 2.0e9], "cores": [4, 2]}
+
+    def test_columns_are_read_only_copies(self):
+        clocks, cores = np.array([3.0e9, 2.0e9]), np.array([4, 2])
+        cluster = ClusterSpec(["a", "b"], clocks, cores)
+        clocks[0], cores[0] = 1.0, 1
+        assert cluster.machines == ("a", "b")
+        assert cluster.clock_hz.tolist() == [3.0e9, 2.0e9] and cluster.cores.tolist() == [4, 2]
+        assert cluster.clock_hz.dtype == np.float64 and cluster.cores.dtype == np.int64
+        for column in (cluster.clock_hz, cluster.cores):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_an_empty_cluster_has_empty_columns(self):
+        cluster = ClusterSpec((), [], [])
+        assert cluster.machines == () and cluster.clock_hz.shape == cluster.cores.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"machines": ("a", "")}, ValueError, "every item of machines must be non-empty"),
+            ({"machines": ("a",)}, ShapeMismatchError, "column cores has shape"),
+            ({"clock_hz": [3.0e9, -1.0]}, ValueError, "clock_hz must be finite and >= 0"),
+            ({"clock_hz": [math.inf, 1.0]}, ValueError, "clock_hz must be finite"),
+            ({"clock_hz": [math.nan, 1.0]}, ValueError, "clock_hz must be finite"),
+            ({"clock_hz": ["3e9", 1.0]}, TypeError, "clock_hz must hold numbers, got str"),
+            ({"cores": [4, 0]}, ValueError, "cores must be >= 1, got 0$"),
+            ({"cores": [4, 2**63]}, ValueError, "cores must be < 2\\*\\*63"),
+            ({"cores": [4, 2.0]}, TypeError, "cores must be an int, got float"),
+            ({"cores": [4, True]}, TypeError, "cores must be an int, got bool"),
+        ],
+    )
+    def test_columns_obey_the_cluster_rules(self, change, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            ClusterSpec(**{**self.COLUMNS, **change})
 
 
 def _runs(*rows):
@@ -280,17 +313,14 @@ class TestValidation:
             _one(offsets, (0.5,) * len(offsets))
 
     def test_duplicate_machine_ids_in_cluster(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(
-                machines=(
-                    Machine("m", 1e9, 1),
-                    Machine("m", 2e9, 1),
-                )
-            )
+        with pytest.raises(ValueError, match="^duplicate machine_id 'm'$"):
+            ClusterSpec(("a", "m", "b", "m"), [1e9] * 4, [1] * 4)
 
     def test_non_positive_clock(self):
         with pytest.raises(ValueError):
-            Machine(machine_id="m", clock_hz=0.0, cores=1)
+            ClusterSpec(("m",), clock_hz=[0.0], cores=[1])
+        with pytest.raises(ValueError, match="^clock_hz must be > 0, got -0.0$"):
+            ClusterSpec(("a", "m"), clock_hz=[1.0, -0.0], cores=[1, 1])
 
     # One valid row of each table, as columns.
     COLUMNS = {

@@ -2,13 +2,14 @@ import io
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracle
 from oracle import segments, trace_set
 
 from cyclecast import ingest
-from cyclecast.core import ClusterSpec, CyclecastError, Machine, TraceSet, total_cpu_cycles
+from cyclecast.core import ClusterSpec, CyclecastError, TraceSet, total_cpu_cycles
 from cyclecast.ingest import (
     DuplicateMachineIdError,
     DuplicateSampleError,
@@ -291,7 +292,8 @@ def test_columnar_parse_and_accounting_follow_the_per_trace_rules(rows, threshol
     assert segments(traces) == per_trace
     assert all(w.kind is WarningKind.GAP_EXCEEDS_THRESHOLD for w in warnings)
     assert [(w.machine_id, w.detail) for w in warnings] == oracle.gap_warnings(per_trace, threshold)
-    cluster = ClusterSpec(tuple(Machine(i, clock, cores) for i, (clock, cores) in machines.items()))
+    specs = machines.values()
+    cluster = ClusterSpec(tuple(machines), [clock for clock, _ in specs], [n for _, n in specs])
     assert _accounted(total_cpu_cycles, traces, cluster) == _accounted(
         oracle.total_cpu_cycles, per_trace, cluster
     )
@@ -347,15 +349,21 @@ node-c 2.5e9 8
 
 def test_parse_cluster_spec():
     cluster = parse_cluster_spec(io.StringIO(CLUSTER_TEXT))
-    assert [m.machine_id for m in cluster.machines] == ["node-a", "node-b", "node-c"]
-    assert cluster.machine("node-a").clock_hz == 3.0e9
-    assert cluster.machine("node-b").clock_hz == 2.0e9
-    assert cluster.machine("node-c").cores == 8
+    assert _columns(cluster) == (("node-a", "node-b", "node-c"), [3.0e9, 2.0e9, 2.5e9], [4, 2, 8])
 
 
 def test_binary_streams_parse_like_text():
-    for parse, text in [(parse_cluster_spec, CLUSTER_TEXT), (_parse_trace_segments, GOOD_CSV)]:
+    for parse, text in [(_parse_cluster_columns, CLUSTER_TEXT), (_parse_trace_segments, GOOD_CSV)]:
         assert parse(io.BytesIO(text.encode())) == parse(io.StringIO(text))
+
+
+def _columns(cluster):
+    """A ClusterSpec's columns as Python values, which compare exactly."""
+    return cluster.machines, cluster.clock_hz.tolist(), cluster.cores.tolist()
+
+
+def _parse_cluster_columns(stream):
+    return _columns(parse_cluster_spec(stream))
 
 
 def _parse_trace_segments(stream):
@@ -379,9 +387,9 @@ def test_invalid_utf8_is_a_typed_error_naming_its_line(parse, data, error, line)
 
 
 def _cluster_outcome(text):
-    """What parse_cluster_spec makes of text: the spec's repr, or its error."""
+    """What parse_cluster_spec makes of text: the spec's columns, or its error."""
     try:
-        return repr(parse_cluster_spec(io.StringIO(text)))
+        return _parse_cluster_columns(io.StringIO(text))
     except CyclecastError as exc:
         return type(exc), str(exc)
 
@@ -434,6 +442,17 @@ def test_cluster_fast_path_agrees_with_the_line_loop(text):
     assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
 
 
+def test_large_specs_agree_with_the_line_loop():
+    # Past 1,000 rows numpy elides an array's repr; the columns compare whole.
+    lines = [f"m{i} {1e9 + i * 0.5!r} {i % 64 + 1}\n" for i in range(3000)]
+    text = "".join(lines)
+    assert ingest._fast_cluster(text) is not None
+    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+    lines[2000] = "m1500 2e9 4\n"
+    outcome = _cluster_outcome("".join(lines))
+    assert outcome == (DuplicateMachineIdError, "line 2001: duplicate machine_id 'm1500'")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -480,7 +499,8 @@ def test_canonical_specs_take_the_cluster_fast_path(text):
     cluster = ingest._fast_cluster(text)
     assert cluster is not None
     assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
-    assert all(cluster.machine(m.machine_id) is m for m in cluster.machines)
+    assert cluster.clock_hz.dtype == np.float64 and cluster.cores.dtype == np.int64
+    assert not (cluster.clock_hz.flags.writeable or cluster.cores.flags.writeable)
 
 
 @given(
@@ -491,16 +511,16 @@ def test_fast_machines_equal_their_checked_rebuilds(ids, data):
     lines = [f"{i} {data.draw(_FAST_CLOCKS)} {data.draw(_FAST_CORES)}\n" for i in ids]
     cluster = ingest._fast_cluster("".join(lines))
     assert cluster is not None
-    rebuilt = ClusterSpec(tuple(Machine(m.machine_id, m.clock_hz, m.cores) for m in cluster.machines))
-    assert rebuilt == cluster and repr(rebuilt) == repr(cluster)
-    assert all(cluster.machine(i) == rebuilt.machine(i) for i in ids)
+    rebuilt = ClusterSpec(*_columns(cluster))
+    assert _columns(rebuilt) == _columns(cluster) == _line_loop_cluster_outcome("".join(lines))
+    assert cluster.machines == tuple(ids)
 
 
 @pytest.mark.parametrize(
     "line",
     ["node-a 3e9", "node-a 3e9 4 junk", "bad id 3e9 4", "node-a hz 4", "node-a 3e9 x", "node-a 3e9 0", "node-a inf 4",
      "node-a 1e999 4", "node-a 3e9 1_6", "node-a 3_0e9 4", "node-a \u0663e9 4", "node-a 3e9 +4",
-     pytest.param("node-a 3e9 " + "1" * 4301, id="node-a 3e9 <4301 digits>")],
+     f"node-a 3e9 {2**63}", pytest.param("node-a 3e9 " + "1" * 4301, id="node-a 3e9 <4301 digits>")],
 )
 def test_malformed_cluster_entries(line):
     with pytest.raises(MalformedEntryError):

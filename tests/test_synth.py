@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import rows, segments
 
-from cyclecast.core import ClusterSpec, EmptyInputError, Machine, total_cpu_cycles
+from cyclecast.core import ClusterSpec, EmptyInputError, total_cpu_cycles
 from cyclecast.regression import ModelCoefficients, predict
 from cyclecast.scaling import CostModel, ScalingModel
 from cyclecast.synth import (
@@ -22,13 +22,7 @@ TRUTH = ModelCoefficients(
     ref_input_bytes=DEFAULT_INPUT_BYTES,
 )
 
-CLUSTER = ClusterSpec(
-    machines=(
-        Machine("fast-0", 3.2e9, 16),
-        Machine("fast-1", 3.2e9, 16),
-        Machine("slow-0", 1.8e9, 4),
-    )
-)
+CLUSTER = ClusterSpec(("fast-0", "fast-1", "slow-0"), clock_hz=[3.2e9, 3.2e9, 1.8e9], cores=[16, 16, 4])
 
 
 def _spec(**kwargs):
@@ -170,12 +164,12 @@ class TestGenerateTrace:
 
     def test_every_machine_appears(self):
         traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
-        assert {t.machine_id for t in traces} == {m.machine_id for m in CLUSTER.machines}
+        assert {t.machine_id for t in traces} == set(CLUSTER.machines)
 
     def test_samples_respect_core_bounds(self):
         traces = generate_trace("job-001", 9.9e14, CLUSTER, seed=5)
         for trace in traces:
-            cores = CLUSTER.machine(trace.machine_id).cores
+            cores = CLUSTER.cores[CLUSTER.machines.index(trace.machine_id)]
             for cpu_seconds in trace.samples:
                 assert 0.0 <= cpu_seconds <= cores
 
@@ -199,7 +193,13 @@ class TestGenerateTrace:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyInputError):
-            generate_trace("job-001", 1.0e12, ClusterSpec(machines=()), seed=5)
+            generate_trace("job-001", 1.0e12, ClusterSpec((), [], []), seed=5)
+
+    @pytest.mark.parametrize("clock_hz", [1e-300, 5e-324])
+    def test_a_clock_too_slow_for_the_total_names_its_machine(self, clock_hz):
+        cluster = ClusterSpec(("fast-0", "crawl"), clock_hz=[3.2e9, clock_hz], cores=[16, 4])
+        with pytest.raises(ValueError, match="^machine 'crawl' at .* Hz would need inf CPU-seconds"):
+            generate_trace("job-001", 1.0e12, cluster, seed=5)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -209,10 +209,9 @@ class TestGenerateTrace:
     )
     def test_closure_property(self, cycles, seed, n_machines):
         cluster = ClusterSpec(
-            machines=tuple(
-                Machine(f"m{i}", 1.5e9 + 0.7e9 * i, 2 ** (i + 2))
-                for i in range(n_machines)
-            )
+            [f"m{i}" for i in range(n_machines)],
+            [1.5e9 + 0.7e9 * i for i in range(n_machines)],
+            [2 ** (i + 2) for i in range(n_machines)],
         )
         traces = generate_trace("job-001", cycles, cluster, seed=seed)
         assert total_cpu_cycles(traces, cluster) == pytest.approx(cycles, rel=1e-9)
