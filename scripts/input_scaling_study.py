@@ -25,17 +25,16 @@ import numpy as np
 
 from cyclecast.core import RunTable, aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import ModelCoefficients, fit_least_squares, predict
-from cyclecast.scaling import CostModel
+from cyclecast.regression import CostModel, fit_least_squares, predict
 from cyclecast.synth import DEFAULT_GRID
 
 GIB = 2**30
 
-SURFACE = ModelCoefficients(
+SURFACE = CostModel(
+    app="study",
     a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
     condition_estimate=1.0,
     training_residual=0.0,
-    app="study",
     ref_input_bytes=12 * GIB,
 )
 
@@ -106,11 +105,11 @@ def main(argv=None) -> int:
     # is keyed by its own size.
     ref_runs = simulate_runs([args.ref_gib], args.reps, args.noise, args.seed, ref_bytes)
     surface = fit_least_squares(aggregate_repetitions(ref_runs))
-    model = CostModel(surface).with_size_line(aggregate_repetitions(train_runs))
+    model = surface.with_size_line(aggregate_repetitions(train_runs))
+    slope, intercept = model.line
     print(
-        f"# surface condition {model.surface.condition_estimate:.2e}, "
-        f"size line slope {model.scaling.slope:.4e} cycles/byte "
-        f"intercept {model.scaling.intercept:.4e}",
+        f"# surface condition {model.condition_estimate:.2e}, "
+        f"size line slope {slope:.4e} cycles/byte intercept {intercept:.4e}",
         file=sys.stderr,
     )
 

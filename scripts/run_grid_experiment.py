@@ -25,15 +25,14 @@ import numpy as np
 
 from cyclecast.core import aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import ModelCoefficients, fit_least_squares, predict
-from cyclecast.scaling import CostModel
+from cyclecast.regression import CostModel, fit_least_squares, predict
 from cyclecast.synth import SynthSpec, generate_profiles
 
-TRUTH = ModelCoefficients(
+TRUTH = CostModel(
+    app="synthetic",
     a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
     condition_estimate=1.0,
     training_residual=0.0,
-    app="synthetic",
     ref_input_bytes=12 * 2**30,
 )
 
@@ -57,9 +56,7 @@ def run_cell(noise: float, reps: int, seeds: int, n_holdout: int) -> dict:
     mapes = []
     all_within = 0
     for seed in range(seeds):
-        spec = SynthSpec(
-            truth=CostModel(TRUTH), repetitions=reps, noise_rel_sigma=noise, seed=seed
-        )
+        spec = SynthSpec(truth=TRUTH, repetitions=reps, noise_rel_sigma=noise, seed=seed)
         profiles = aggregate_repetitions(generate_profiles(spec))
         model = fit_least_squares(profiles)
         m, p = holdout_error(model, seed, n_holdout, noise)

@@ -40,22 +40,16 @@ from .metrics import (
     rmse,
 )
 from .regression import (
+    CostModel,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
-    ModelCoefficients,
     RankDeficientError,
     build_design_matrix,
     fit_least_squares,
     predict,
 )
-from .scaling import (
-    CostModel,
-    DegenerateInputError,
-    NonPositiveReferenceError,
-    ScalingModel,
-    fit_scaling,
-)
+from .scaling import DegenerateInputError, NonPositiveReferenceError, fit_scaling
 from .store import (
     CorruptRecordError,
     IoFailureError,
@@ -83,14 +77,12 @@ __all__ = [
     "IoFailureError",
     "MixedApplicationsError",
     "MixedInputSizesError",
-    "ModelCoefficients",
     "NegativePredictionWarning",
     "NonPositiveReferenceError",
     "ProfileTable",
     "RankDeficientError",
     "RunTable",
     "SampleExceedsCoresError",
-    "ScalingModel",
     "ShapeMismatchError",
     "SynthSpec",
     "TornRecordWarning",

@@ -34,7 +34,7 @@ from .core import CyclecastError, RunTable, aggregate_repetitions, total_cpu_cyc
 from .ingest import _INTEGER_RE, _decoded, parse_cluster_spec, parse_trace_csv, write_trace_csv
 from .metrics import evaluate
 from .regression import fit_least_squares
-from .scaling import CostModel, DegenerateInputError
+from .scaling import DegenerateInputError
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, generate_trace
 
@@ -191,7 +191,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     runs = load_runs(args.runs, app=args.app)
     profiles = aggregate_repetitions(runs)
     model = fit_least_squares(profiles)
-    save_model(args.out, CostModel(model))
+    save_model(args.out, model)
     print(
         f"fitted {args.app!r} over {len(profiles)} profiles "
         f"({len(runs)} runs): "
@@ -239,10 +239,11 @@ def _cmd_scale_fit(args: argparse.Namespace) -> int:
     profiles = aggregate_repetitions(load_runs(args.runs, app=args.app))
     model = load_model(args.model).with_size_line(profiles)
     save_model(args.model, model)
+    slope, intercept = model.line
     print(
         f"fitted size line over {len(set(profiles.input_bytes.tolist()))} sizes: "
-        f"slope={model.scaling.slope!r} cycles/byte intercept={model.scaling.intercept!r} "
-        f"ref_bytes={model.scaling.ref_bytes} -> {args.model}",
+        f"slope={slope!r} cycles/byte intercept={intercept!r} "
+        f"ref_bytes={model.ref_input_bytes} -> {args.model}",
         file=sys.stderr,
     )
     return 0
@@ -260,11 +261,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         input_bytes=args.input_bytes,
     )
     if args.emit_traces is not None:
-        # Before the append, so a bad spec leaves the store as it was.
         with open(args.cluster, "rb") as handle:
             cluster = parse_cluster_spec(handle)
     runs = generate_profiles(spec)
-    append_runs(args.out, runs)
+    # Every trace file before the append, so a bad spec or a failed trace
+    # leaves the store as it was.
     if args.emit_traces is not None:
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,6 +274,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             with open(out_dir / f"{run_id}.csv", "w", encoding="utf-8", newline="") as handle:
                 write_trace_csv(traces, handle)
         print(f"emitted {len(runs)} trace file(s) to {out_dir}", file=sys.stderr)
+    append_runs(args.out, runs)
     print(
         f"simulated {len(runs)} runs of {spec.app!r} "
         f"(grid {len(spec.grid_mappers)}x{len(spec.grid_reducers)}, "

@@ -20,8 +20,9 @@ import functools
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,20 @@ class SampleExceedsCoresError(CyclecastError):
 
 class NegativePredictionWarning(UserWarning):
     """A model produced a negative cycle count that was clamped to zero."""
+
+
+def _clamp_negative(value: np.ndarray, where: Callable[[int], str]) -> float | np.ndarray:
+    """value with negatives set to 0.0, a float when 0-d.  A clamp warns
+    once; where(i) describes the first clamped element, at flat index i."""
+    negative = value < 0
+    if negative.any():
+        warnings.warn(
+            f"{where(np.flatnonzero(negative)[0])}; clamping to 0",
+            NegativePredictionWarning,
+            stacklevel=3,
+        )
+        value = np.where(negative, 0.0, value)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_count(name: str, value, least: int = 1) -> None:

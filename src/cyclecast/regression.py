@@ -1,15 +1,19 @@
-"""Quadratic cost-surface model over (mappers, reducers).
+"""The cost model: a quadratic surface over (mappers, reducers) plus an
+optional input-size line.
 
-The model form is
+The surface is
 
     cycles(M, R) = a0 + a1*M + a2*M^2 + a3*R + a4*R^2
 
 fitted by least squares in fit_least_squares.  It rescales each design
 column by its max absolute value and solves via SVD (numpy.linalg.lstsq),
 which keeps the solve well conditioned even though M^2 and R^2 dwarf the
-constant column.  The result, ModelCoefficients, carries a condition
-estimate (ratio of extreme singular values of the scaled design matrix)
-and the training residual norm.
+constant column.  The fit returns a CostModel: the coefficients, a
+condition estimate (ratio of extreme singular values of the scaled
+design matrix), the training residual norm and the input size the
+profiles shared.  CostModel.with_size_line adds the line that carries
+predictions to other sizes (the math is in scaling), and
+CostModel.predict decides how every prediction is sized.
 
 build_design_matrix and predict take (M, R) as two scalars or two
 equal-length integer arrays, so a whole grid is one call.
@@ -19,8 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,10 +31,12 @@ from numpy.typing import ArrayLike
 from .core import (
     CyclecastError,
     EmptyInputError,
-    NegativePredictionWarning,
     ProfileTable,
     ShapeMismatchError,
+    _clamp_negative,
+    _ints,
 )
+from .scaling import NonPositiveReferenceError, fit_scaling, scale_prediction
 
 BASIS_TAG = "quad-mr-v1"
 N_COEFFS = 5
@@ -56,19 +61,23 @@ class IllConditionedError(CyclecastError):
 
 
 @dataclass(frozen=True)
-class ModelCoefficients:
-    """A fitted quadratic surface plus fit diagnostics.
+class CostModel:
+    """One application's fitted surface, its diagnostics, the input size
+    it was trained at, and the optional size line (slope in cycles per
+    byte, intercept in cycles) that carries it to other sizes.
 
-    ref_input_bytes is the input size the training profiles shared;
-    predictions at other sizes need a scaling model.
+    Validated once, here: five finite coefficients, a finite condition
+    estimate > 0, a finite residual >= 0, ref_input_bytes in [1, 2**63)
+    like a run's input_bytes, and a finite line that is positive at
+    ref_input_bytes (NonPositiveReferenceError otherwise).
     """
 
+    app: str
     a: tuple[float, float, float, float, float]
     condition_estimate: float
     training_residual: float
-    basis_tag: str = BASIS_TAG
-    app: str = ""
-    ref_input_bytes: int | None = None
+    ref_input_bytes: int
+    line: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         a = tuple(float(v) for v in self.a)
@@ -85,12 +94,66 @@ class ModelCoefficients:
                 f"training_residual must be finite and >= 0, "
                 f"got {self.training_residual}"
             )
-        # The upper bound is the count rule's: no run can have a larger size.
-        if self.ref_input_bytes is not None and not 1 <= self.ref_input_bytes < 2**63:
-            raise ValueError(
-                f"ref_input_bytes must be in [1, 2**63) or None, got {self.ref_input_bytes}"
-            )
+        ref = self.ref_input_bytes
+        if not 1 <= ref < 2**63:
+            raise ValueError(f"ref_input_bytes must be in [1, 2**63), got {ref}")
         object.__setattr__(self, "a", a)
+        if self.line is None:
+            return
+        slope, intercept = (float(v) for v in self.line)
+        if not math.isfinite(slope) or not math.isfinite(intercept):
+            raise ValueError("size line slope and intercept must be finite")
+        if slope * ref + intercept <= 0:
+            raise NonPositiveReferenceError(
+                f"size line evaluates to {slope * ref + intercept:.6g} cycles at "
+                f"ref_input_bytes={ref}; must be > 0"
+            )
+        object.__setattr__(self, "line", (slope, intercept))
+
+    def predict(
+        self, mappers: ArrayLike, reducers: ArrayLike, input_bytes: ArrayLike | None = None
+    ) -> float | np.ndarray:
+        """Cycles at (mappers, reducers), carried to input_bytes if given:
+        a float for scalars, an array for arrays.
+
+        Each argument is an int or an array of ints, each an int in
+        [1, 2**63).  mappers and reducers share one shape; input_bytes is one
+        size or has that shape too.  None or the reference size gives the
+        surface itself.  Other sizes are scaled along the size line;
+        without one, the surface is returned unscaled with one UserWarning.
+        """
+        ref = self.ref_input_bytes
+        m, r = _ints("mappers", mappers), _ints("reducers", reducers)
+        sizes = ref if input_bytes is None else _ints("input_bytes", input_bytes)
+        value = predict(self, m, r)
+        if np.all(sizes == ref):
+            return value
+        if self.line is None:
+            warnings.warn(
+                f"model has no scaling section; predicting as if at the "
+                f"reference size {ref} bytes",
+                stacklevel=2,
+            )
+            return value
+        return scale_prediction(value, self, sizes)
+
+    def with_size_line(self, profiles: ProfileTable) -> CostModel:
+        """This model with a size line fitted through per-size mean cycles.
+
+        A size's point is the fsum mean of its profiles' mean cycles.
+        Profiles of an app other than this model's raise
+        MixedApplicationsError.
+        """
+        others = sorted(set(profiles.apps) - {self.app})
+        if others:
+            raise MixedApplicationsError(
+                f"profiles of {others} cannot size the model of {self.app!r}"
+            )
+        by_size: dict[int, list[float]] = {}
+        for size, cycles in zip(profiles.input_bytes.tolist(), profiles.mean_cycles.tolist()):
+            by_size.setdefault(size, []).append(cycles)
+        points = [(size, math.fsum(v) / len(v)) for size, v in sorted(by_size.items())]
+        return replace(self, line=fit_scaling(points))
 
 
 def _pair(mappers: ArrayLike, reducers: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +171,11 @@ def build_design_matrix(mappers: ArrayLike, reducers: ArrayLike) -> np.ndarray:
     return rows
 
 
-def fit_least_squares(profiles: ProfileTable) -> ModelCoefficients:
+def fit_least_squares(profiles: ProfileTable) -> CostModel:
     """Fit the surface through the profiles' mean cycles.
 
     The profiles must share one app and one input size, which becomes the
-    surface's reference size.  Fewer than five distinct (M, R) points or
+    model's reference size.  Fewer than five distinct (M, R) points or
     a numerically rank-deficient design raise RankDeficientError, a
     condition estimate above CONDITION_LIMIT IllConditionedError.
     """
@@ -145,17 +208,17 @@ def fit_least_squares(profiles: ProfileTable) -> ModelCoefficients:
         )
     a = solution / scale
     residual = float(np.linalg.norm(rows @ a - y))
-    return ModelCoefficients(
+    return CostModel(
+        app=apps[0],
         a=tuple(float(v) for v in a),
         condition_estimate=condition,
         training_residual=residual,
-        app=apps[0],
         ref_input_bytes=sizes[0],
     )
 
 
 def predict(
-    model: ModelCoefficients, mappers: ArrayLike, reducers: ArrayLike
+    model: CostModel, mappers: ArrayLike, reducers: ArrayLike
 ) -> float | np.ndarray:
     """Evaluate the surface at (mappers, reducers): a float for scalars,
     an array for arrays.
@@ -174,17 +237,3 @@ def predict(
         lambda i: f"surface predicts {value.flat[i]:.6g} cycles at "
         f"(mappers={m_in.flat[i]}, reducers={r_in.flat[i]})",
     )
-
-
-def _clamp_negative(value: np.ndarray, where: Callable[[int], str]) -> float | np.ndarray:
-    """value with negatives set to 0.0, a float when 0-d.  A clamp warns
-    once; where(i) describes the first clamped element, at flat index i."""
-    negative = value < 0
-    if negative.any():
-        warnings.warn(
-            f"{where(np.flatnonzero(negative)[0])}; clamping to 0",
-            NegativePredictionWarning,
-            stacklevel=3,
-        )
-        value = np.where(negative, 0.0, value)
-    return float(value) if np.ndim(value) == 0 else value

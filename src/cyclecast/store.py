@@ -37,11 +37,13 @@ One JSON document:
     {"basis": "quad-mr-v1", "app": ..., "a": [a0, a1, a2, a3, a4],
      "condition": ..., "residual": ..., "ref_input_bytes": ...}
 
-plus an optional "scaling" section {"slope": ..., "intercept": ...,
-"ref_bytes": ...} added once an input-size line has been fitted.  The
-scaling section's ref_bytes must equal the integer ref_input_bytes, and
-both must be below 2**63, as a run's input_bytes is.  Every other number
-must fit a float.  save_model replaces the file whole: it writes a
+plus an optional "scaling" section, an object {"slope": ...,
+"intercept": ..., "ref_bytes": ...} added once an input-size line has
+been fitted.  The section's ref_bytes must equal the integer
+ref_input_bytes, and both must be in [1, 2**63), as a run's input_bytes
+is.  Every other number must fit a float.  The document maps to one
+CostModel; load_model type-checks each value, then builds the model,
+which checks the rest.  save_model replaces the file whole: it writes a
 temporary file beside it, syncs it and renames it over the old one.
 """
 
@@ -61,8 +63,8 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from .core import CyclecastError, RunTable, _check_count
-from .regression import BASIS_TAG, N_COEFFS, ModelCoefficients
-from .scaling import CostModel, NonPositiveReferenceError, ScalingModel
+from .regression import BASIS_TAG, N_COEFFS, CostModel
+from .scaling import NonPositiveReferenceError
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -323,20 +325,18 @@ def save_model(path: str | Path, model: CostModel) -> None:
     renamed over path, so a reader or a crash sees the old model or the
     new one, never a part of either.
     """
-    surface, scaling = model.surface, model.scaling
     doc: dict[str, Any] = {
-        "basis": surface.basis_tag,
-        "app": surface.app,
-        "a": list(surface.a),
-        "condition": surface.condition_estimate,
-        "residual": surface.training_residual,
-        "ref_input_bytes": surface.ref_input_bytes,
+        "basis": BASIS_TAG,
+        "app": model.app,
+        "a": list(model.a),
+        "condition": model.condition_estimate,
+        "residual": model.training_residual,
+        "ref_input_bytes": model.ref_input_bytes,
     }
-    if scaling is not None:
+    if model.line is not None:
+        slope, intercept = model.line
         doc["scaling"] = {
-            "slope": scaling.slope,
-            "intercept": scaling.intercept,
-            "ref_bytes": scaling.ref_bytes,
+            "slope": slope, "intercept": intercept, "ref_bytes": model.ref_input_bytes
         }
     target = Path(path)
     temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
@@ -379,9 +379,12 @@ def _number(value: Any, what: str) -> float:
         raise CorruptRecordError(f"{what} is too large for a float") from None
 
 
-def _integer(value: Any, what: str) -> int:
+def _size(value: Any, what: str) -> int:
+    """A JSON integer in [1, 2**63); other types and values are corrupt."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise CorruptRecordError(f"{what} must be an integer")
+    if not 1 <= value < 2**63:
+        raise CorruptRecordError(f"{what} must be in [1, 2**63), got {value}")
     return value
 
 
@@ -406,28 +409,25 @@ def _model_from_bytes(data: bytes) -> CostModel:
     app = doc.get("app")
     if not isinstance(app, str):
         raise CorruptRecordError("key 'app' must be a string")
-    try:
-        surface = ModelCoefficients(
-            a=tuple(_number(v, f"key 'a' item {i}") for i, v in enumerate(coeffs)),
-            condition_estimate=_number(doc.get("condition"), "key 'condition'"),
-            training_residual=_number(doc.get("residual"), "key 'residual'"),
-            app=app,
-            ref_input_bytes=_integer(doc.get("ref_input_bytes"), "key 'ref_input_bytes'"),
+    a = tuple(_number(v, f"key 'a' item {i}") for i, v in enumerate(coeffs))
+    condition = _number(doc.get("condition"), "key 'condition'")
+    residual = _number(doc.get("residual"), "key 'residual'")
+    ref = _size(doc.get("ref_input_bytes"), "key 'ref_input_bytes'")
+    line = None
+    if "scaling" in doc:
+        section = doc["scaling"]
+        if not isinstance(section, dict):
+            raise CorruptRecordError("key 'scaling' must be an object")
+        line = (
+            _number(section.get("slope"), "scaling key 'slope'"),
+            _number(section.get("intercept"), "scaling key 'intercept'"),
         )
-    except ValueError as exc:
-        raise CorruptRecordError(str(exc)) from None
-
-    section = doc.get("scaling")
-    if section is None:
-        return CostModel(surface)
-    if not isinstance(section, dict):
-        raise CorruptRecordError("key 'scaling' must be an object")
+        ref_bytes = _size(section.get("ref_bytes"), "scaling key 'ref_bytes'")
+        if ref_bytes != ref:
+            raise CorruptRecordError(
+                f"size line is anchored at {ref_bytes} bytes, not ref_input_bytes {ref}"
+            )
     try:
-        scaling = ScalingModel(
-            slope=_number(section.get("slope"), "scaling key 'slope'"),
-            intercept=_number(section.get("intercept"), "scaling key 'intercept'"),
-            ref_bytes=_integer(section.get("ref_bytes"), "scaling key 'ref_bytes'"),
-        )
-        return CostModel(surface, scaling)
+        return CostModel(app, a, condition, residual, ref, line)
     except (ValueError, NonPositiveReferenceError) as exc:
-        raise CorruptRecordError(f"invalid scaling section: {exc}") from None
+        raise CorruptRecordError(str(exc)) from None

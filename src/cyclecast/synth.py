@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet
-from .scaling import CostModel
+from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
 DEFAULT_INPUT_BYTES = 12 * 2**30

@@ -5,6 +5,7 @@ checklist.  Tolerances are part of the contract: loosening one here is a
 behavior change, not a test fix.
 """
 
+import dataclasses
 import json
 import time
 
@@ -21,22 +22,22 @@ from cyclecast.core import (
 )
 from cyclecast.metrics import mape, pred25, r2_paper, r2_standard, rmse
 from cyclecast.regression import (
-    ModelCoefficients,
+    CostModel,
     build_design_matrix,
     fit_least_squares,
     predict,
 )
-from cyclecast.scaling import CostModel, ScalingModel, fit_scaling, scale_prediction
+from cyclecast.scaling import fit_scaling, scale_prediction
 from cyclecast.store import save_model
 from cyclecast.synth import SynthSpec, generate_profiles
 
 TRUTH_A = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
 
-TRUTH_MODEL = ModelCoefficients(
+TRUTH_MODEL = CostModel(
+    app="synthetic",
     a=TRUTH_A,
     condition_estimate=1.0,
     training_residual=0.0,
-    app="synthetic",
     ref_input_bytes=12 * 2**30,
 )
 
@@ -58,7 +59,7 @@ def test_01_noiseless_grid_recovery(capsys):
     # coefficients to 1e-8 relative, in under a second.
     started = time.perf_counter()
     spec = SynthSpec(
-        truth=CostModel(TRUTH_MODEL), repetitions=1, noise_rel_sigma=0.0, seed=0
+        truth=TRUTH_MODEL, repetitions=1, noise_rel_sigma=0.0, seed=0
     )
     profiles = aggregate_repetitions(generate_profiles(spec))
     fitted = fit_least_squares(profiles)
@@ -88,7 +89,7 @@ def test_02_noisy_holdout_accuracy_across_seeds(capsys):
     worst_mape = 0.0
     for seed in range(100):
         spec = SynthSpec(
-            truth=CostModel(TRUTH_MODEL), repetitions=10, noise_rel_sigma=0.02, seed=seed
+            truth=TRUTH_MODEL, repetitions=10, noise_rel_sigma=0.02, seed=seed
         )
         profiles = aggregate_repetitions(generate_profiles(spec))
         model = fit_least_squares(profiles)
@@ -249,12 +250,12 @@ def test_06_size_scaling_recovery_and_transitivity(capsys):
         intercept = float(rng.uniform(0.0, 1e12)) if rng.integers(2) else 0.0
         sizes = sorted(rng.choice(np.arange(1, 65), size=4, replace=False))
         points = [(int(s) * gib, slope * int(s) * gib + intercept) for s in sizes]
-        fitted = fit_scaling(points, ref_bytes=points[0][0])
+        fitted_slope, fitted_intercept = fit_scaling(points)
         scale = max(abs(c) for _, c in points)
         worst_fit = max(
             worst_fit,
-            abs(fitted.slope - slope) / max(abs(slope), scale / (64 * gib)),
-            abs(fitted.intercept - intercept) / max(abs(intercept), scale),
+            abs(fitted_slope - slope) / max(abs(slope), scale / (64 * gib)),
+            abs(fitted_intercept - intercept) / max(abs(intercept), scale),
         )
 
     worst_chain = 0.0
@@ -263,8 +264,8 @@ def test_06_size_scaling_recovery_and_transitivity(capsys):
         intercept = float(rng.uniform(0.0, 1e12))
         ref, mid, target = (int(v) * gib for v in rng.integers(1, 65, size=3))
         base = float(rng.uniform(1e10, 1e14))
-        model = ScalingModel(slope=slope, intercept=intercept, ref_bytes=ref)
-        via = ScalingModel(slope=slope, intercept=intercept, ref_bytes=mid)
+        model = dataclasses.replace(TRUTH_MODEL, ref_input_bytes=ref, line=(slope, intercept))
+        via = dataclasses.replace(model, ref_input_bytes=mid)
         direct = scale_prediction(base, model, target)
         chained = scale_prediction(scale_prediction(base, model, mid), via, target)
         worst_chain = max(worst_chain, _rel(chained, direct))
@@ -281,7 +282,7 @@ def test_06_size_scaling_recovery_and_transitivity(capsys):
 def _run_cli_pipeline(root, capsys):
     root.mkdir()
     truth_path = root / "truth.json"
-    save_model(truth_path, CostModel(TRUTH_MODEL))
+    save_model(truth_path, TRUTH_MODEL)
     runs_path = root / "runs.jsonl"
     model_path = root / "model.json"
     codes = [

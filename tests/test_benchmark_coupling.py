@@ -16,16 +16,21 @@ import pytest
 
 from cyclecast.core import total_cpu_cycles
 from cyclecast.ingest import parse_cluster_spec, parse_trace_csv, write_trace_csv
+from cyclecast.regression import CostModel
 from cyclecast.synth import generate_trace
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
-def _layers():
+def _tracing():
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _layers():
+    return _tracing().LAYERS
 
 
 @pytest.mark.parametrize("module, function", [layer[:2] for layer in _layers()])
@@ -57,3 +62,28 @@ def test_trace_counters_count_rows_segments_and_machines():
     total = total_cpu_cycles(parsed[0], cluster)
     assert counters["core.total_cpu_cycles"]["traces"]((parsed[0], cluster), {}, total) == 3
     assert len(parsed[0]) == len(cluster.machines) == 3
+
+
+@pytest.mark.parametrize(
+    "input_bytes, layers",
+    [(2 * 2**30, ["regression.predict", "scaling.scale_prediction"]), (2**30, ["regression.predict"])],
+    ids=["other-size", "reference-size"],
+)
+def test_a_model_prediction_calls_each_traced_layer_once(input_bytes, layers):
+    # The tracer swaps the module attributes CostModel.predict calls
+    # through, so its calls counters count one per layer per prediction.
+    model = CostModel(
+        app="sort",
+        a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
+        condition_estimate=1.0,
+        training_residual=0.0,
+        ref_input_bytes=2**30,
+        line=(1.0e3, 1.0e11),
+    )
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        model.predict(4, 8, input_bytes)
+    finally:
+        tracer.uninstall()
+    assert sorted(span["name"] for span in tracer.take()) == layers

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,15 +11,15 @@ from oracle import rows, table
 from cyclecast import cli
 from cyclecast.cli import main
 from cyclecast.core import RunTable
-from cyclecast.regression import ModelCoefficients, predict
-from cyclecast.scaling import CostModel, ScalingModel
+from cyclecast.regression import CostModel, predict
 from cyclecast.store import load_model, load_runs, save_model
+from cyclecast.synth import generate_trace
 
-TRUTH = ModelCoefficients(
+TRUTH = CostModel(
+    app="synthetic",
     a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
     condition_estimate=1.0,
     training_residual=0.0,
-    app="synthetic",
     ref_input_bytes=12 * 2**30,
 )
 
@@ -35,7 +36,7 @@ CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
 @pytest.fixture
 def truth_file(tmp_path):
     path = tmp_path / "truth.json"
-    save_model(path, CostModel(TRUTH))
+    save_model(path, TRUTH)
     return path
 
 
@@ -145,10 +146,10 @@ class TestPipeline:
             "--app", "synthetic", "--out", str(model_path),
         ]) == 0
         model = load_model(model_path)
-        assert model.scaling is None
-        for got, want in zip(model.surface.a, TRUTH.a):
+        assert model.line is None
+        for got, want in zip(model.a, TRUTH.a):
             assert got == pytest.approx(want, rel=1e-8)
-        assert model.surface.ref_input_bytes == 12 * 2**30
+        assert model.ref_input_bytes == 12 * 2**30
         capsys.readouterr()
 
         assert main([
@@ -299,6 +300,44 @@ class TestPipeline:
         assert err.startswith("error: machine 'a' at 1e-300 Hz would need inf CPU-seconds")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-store", "existing-store"])
+    def test_a_failed_trace_leaves_the_store_as_it_was(self, tmp_path, truth_file, capsys, existing):
+        store = tmp_path / "runs.jsonl"
+        if existing:
+            assert main(_simulate(tmp_path)) == 0
+        before = store.read_bytes() if existing else None
+        (tmp_path / "cluster.txt").write_text("a 1e-300 4\n")
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        argv[argv.index("4:32:4")] = "4:8:4"
+        assert main(argv) == 2
+        assert "error: machine 'a' at 1e-300 Hz" in capsys.readouterr().err
+        assert (store.read_bytes() if store.exists() else None) == before
+        assert list((tmp_path / "traces").iterdir()) == []
+
+    def test_trace_files_written_before_a_failure_remain(self, tmp_path, truth_file, monkeypatch):
+        made = []
+
+        def third_fails(run_id, *args):
+            if len(made) == 2:
+                raise ValueError(f"cannot trace {run_id}")
+            made.append(run_id)
+            return generate_trace(run_id, *args)
+
+        monkeypatch.setattr(cli, "generate_trace", third_fails)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        assert main(argv) == 2
+        assert not (tmp_path / "runs.jsonl").exists()
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == [
+            f"{run_id}.csv" for run_id in made
+        ]
+
     def test_cores_past_int64_name_their_line(self, tmp_path, truth_file, capsys):
         (tmp_path / "cluster.txt").write_text(f"a 3e9 {2**63}\n")
         argv = _simulate(
@@ -395,9 +434,10 @@ class TestScaleFit:
             "scale-fit", "--runs", str(sized), "--app", "synthetic",
             "--model", str(model_path),
         ]) == 0
-        scaling = load_model(model_path).scaling
-        assert scaling is not None
-        assert scaling.ref_bytes == 12 * 2**30
+        sized_model = load_model(model_path)
+        assert sized_model.line is not None
+        assert sized_model.ref_input_bytes == 12 * 2**30
+        assert json.loads(model_path.read_text())["scaling"]["ref_bytes"] == 12 * 2**30
         capsys.readouterr()
 
         assert main([
@@ -413,6 +453,23 @@ class TestScaleFit:
         scaled = float(capsys.readouterr().out)
         # The sized store doubles from 12 GiB to 24 GiB.
         assert scaled == pytest.approx(2.0 * base, rel=1e-9)
+
+    def test_scale_fit_refuses_another_app_s_runs(self, tmp_path, truth_file, capsys):
+        runs, model_path = tmp_path / "runs.jsonl", tmp_path / "model.json"
+        assert main(_simulate(tmp_path, extra=["--app", "aaa"])) == 0
+        assert main(["fit", "--runs", str(runs), "--app", "aaa", "--out", str(model_path)]) == 0
+        for gib in (6, 24):
+            size = str(gib * 2**30)
+            assert main(_simulate(tmp_path, extra=["--app", "bbb", "--input-bytes", size])) == 0
+        before = model_path.read_bytes()
+        capsys.readouterr()
+        assert main([
+            "scale-fit", "--runs", str(runs), "--app", "bbb", "--model", str(model_path),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: MixedApplicationsError: profiles of ['bbb'] cannot size the model of 'aaa'\n"
+        )
+        assert model_path.read_bytes() == before
 
     def test_scale_fit_needs_a_reference_size(self, tmp_path, truth_file, capsys):
         # fit refuses runs of mixed sizes, so it never writes a surface
@@ -455,8 +512,7 @@ class TestScaleFit:
 
     def test_simulate_follows_the_truth_size_line(self, tmp_path, capsys):
         truth_path = tmp_path / "truth.json"
-        line = ScalingModel(slope=150.0, intercept=5.0e11, ref_bytes=12 * 2**30)
-        save_model(truth_path, CostModel(TRUTH, line))
+        save_model(truth_path, dataclasses.replace(TRUTH, line=(150.0, 5.0e11)))
         size = str(24 * 2**30)
         assert main(_simulate(tmp_path, extra=["--input-bytes", size])) == 0
         capsys.readouterr()

@@ -13,14 +13,12 @@ EXPORTS = [
     "IoFailureError",
     "MixedApplicationsError",
     "MixedInputSizesError",
-    "ModelCoefficients",
     "NegativePredictionWarning",
     "NonPositiveReferenceError",
     "ProfileTable",
     "RankDeficientError",
     "RunTable",
     "SampleExceedsCoresError",
-    "ScalingModel",
     "ShapeMismatchError",
     "SynthSpec",
     "TornRecordWarning",
@@ -54,7 +52,7 @@ EXPORTS = [
 
 
 def test_the_public_surface_is_pinned():
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 47
     assert sorted(cyclecast.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(cyclecast, name) is not None

@@ -12,11 +12,10 @@ from cyclecast.core import (
     ShapeMismatchError,
 )
 from cyclecast.regression import (
-    BASIS_TAG,
+    CostModel,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
-    ModelCoefficients,
     RankDeficientError,
     build_design_matrix,
     fit_least_squares,
@@ -27,9 +26,9 @@ TRUTH = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
 
 
 def _model(a, **kwargs):
-    defaults = dict(condition_estimate=1.0, training_residual=0.0)
+    defaults = dict(app="bench", condition_estimate=1.0, training_residual=0.0, ref_input_bytes=1)
     defaults.update(kwargs)
-    return ModelCoefficients(a=tuple(a), **defaults)
+    return CostModel(a=tuple(a), **defaults)
 
 
 def _profiles_for(pairs, app="bench", input_bytes=1):
@@ -109,7 +108,7 @@ def test_noiseless_grid_recovery_is_nearly_exact():
         assert got == pytest.approx(want, rel=1e-12)
     assert fitted.app == "bench"
     assert fitted.ref_input_bytes == 1024
-    assert fitted.basis_tag == BASIS_TAG
+    assert fitted.line is None
     assert fitted.condition_estimate < 100
     assert fitted.training_residual < 1e-3 * abs(TRUTH[0]) ** 0.5
 
@@ -180,7 +179,7 @@ def test_mixed_input_sizes_have_no_reference():
 
 def test_model_coefficients_validation():
     with pytest.raises(ShapeMismatchError):
-        ModelCoefficients(a=(1.0, 2.0), condition_estimate=1.0, training_residual=0.0)
+        _model((1.0, 2.0))
     with pytest.raises(ValueError):
         _model(TRUTH, condition_estimate=0.0)
     with pytest.raises(ValueError):

@@ -1,79 +1,91 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecast.core import NegativePredictionWarning, ShapeMismatchError
-from cyclecast.regression import ModelCoefficients, predict
+from cyclecast.core import NegativePredictionWarning, ProfileTable, ShapeMismatchError
+from cyclecast.regression import CostModel, MixedApplicationsError, predict
 from cyclecast.scaling import (
-    CostModel,
     DegenerateInputError,
     NonPositiveReferenceError,
-    ScalingModel,
     fit_scaling,
     scale_prediction,
 )
 
 GIB = 2**30
 
+SURFACE = CostModel(
+    app="sort",
+    a=(1.0e12 / 3.0, 2.0e10, 3.0e8 / 7.0, 4.0e10, 5.0e8),
+    condition_estimate=1.0,
+    training_residual=0.0,
+    ref_input_bytes=12 * GIB,
+)
+
+
+def _sized(slope, intercept, ref_bytes):
+    """SURFACE with the line (slope, intercept) anchored at ref_bytes."""
+    return dataclasses.replace(SURFACE, ref_input_bytes=ref_bytes, line=(slope, intercept))
+
 
 def test_two_point_hand_example():
     # Line through (1e9, 2e12) and (2e9, 3e12): slope 1e3, intercept 1e12.
-    model = fit_scaling([(10**9, 2.0e12), (2 * 10**9, 3.0e12)], ref_bytes=10**9)
-    assert model.slope == pytest.approx(1.0e3, rel=1e-10)
-    assert model.intercept == pytest.approx(1.0e12, rel=1e-10)
+    slope, intercept = fit_scaling([(10**9, 2.0e12), (2 * 10**9, 3.0e12)])
+    assert slope == pytest.approx(1.0e3, rel=1e-10)
+    assert intercept == pytest.approx(1.0e12, rel=1e-10)
 
 
 def test_exact_proportional_points_recover_zero_intercept():
     points = [(10**9, 1.0e12), (2 * 10**9, 2.0e12), (3 * 10**9, 3.0e12)]
-    model = fit_scaling(points, ref_bytes=10**9)
-    assert model.slope == pytest.approx(1.0e3, rel=1e-10)
+    slope, intercept = fit_scaling(points)
+    assert slope == pytest.approx(1.0e3, rel=1e-10)
     # True intercept is 0; allow only rounding at the scale of the data.
-    assert abs(model.intercept) <= 1e-10 * 3.0e12
+    assert abs(intercept) <= 1e-10 * 3.0e12
 
 
 def test_scale_factor_hand_example():
     # line(2e9)/line(1e9) = 3e12/2e12 = 1.5.
-    model = ScalingModel(slope=1.0e3, intercept=1.0e12, ref_bytes=10**9)
+    model = _sized(1.0e3, 1.0e12, 10**9)
     assert scale_prediction(1.0e13, model, 2 * 10**9) == pytest.approx(
         1.5e13, rel=1e-15
     )
 
 
 def test_pure_proportional_scaling_is_exact():
-    model = ScalingModel(slope=1.0e3, intercept=0.0, ref_bytes=10**9)
+    model = _sized(1.0e3, 0.0, 10**9)
     assert scale_prediction(1.0e13, model, 2 * 10**9) == 2.0e13
 
 
 def test_identity_at_reference_size():
-    model = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB)
+    model = _sized(7.3e2, 4.2e11, 12 * GIB)
     base = 9.87654321e12
     assert scale_prediction(base, model, 12 * GIB) == base
 
 
 def test_single_size_is_degenerate():
     with pytest.raises(DegenerateInputError):
-        fit_scaling([(GIB, 1.0e12), (GIB, 1.1e12)], ref_bytes=GIB)
+        fit_scaling([(GIB, 1.0e12), (GIB, 1.1e12)])
 
 
 def test_non_positive_reference_rejected_at_construction():
     with pytest.raises(NonPositiveReferenceError):
-        ScalingModel(slope=-1.0e3, intercept=0.0, ref_bytes=10**9)
+        _sized(-1.0e3, 0.0, 10**9)
     with pytest.raises(NonPositiveReferenceError):
-        ScalingModel(slope=0.0, intercept=0.0, ref_bytes=10**9)
+        _sized(0.0, 0.0, 10**9)
 
 
 def test_negative_scaled_prediction_clamps_with_warning():
     # Line is positive at ref but crosses zero before the target size.
-    model = ScalingModel(slope=-1.0, intercept=2.0e9, ref_bytes=10**9)
+    model = _sized(-1.0, 2.0e9, 10**9)
     with pytest.warns(NegativePredictionWarning):
         assert scale_prediction(5.0e12, model, 3 * 10**9) == 0.0
 
 
 def test_scale_prediction_over_arrays_warns_once_naming_the_first_clamp():
     # Positive up to 2e9 bytes, negative beyond.
-    model = ScalingModel(slope=-1.0, intercept=2.0e9, ref_bytes=10**9)
+    model = _sized(-1.0, 2.0e9, 10**9)
     targets = np.array([10**9, 3 * 10**9, 4 * 10**9])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -87,7 +99,7 @@ def test_scale_prediction_over_arrays_warns_once_naming_the_first_clamp():
 @pytest.mark.parametrize("intercept", [0.0, 4.2e11])
 def test_scale_prediction_over_arrays_is_the_per_point_ratio_bit_for_bit(intercept):
     slope, ref = 7.3e2, 12 * GIB
-    model = ScalingModel(slope=slope, intercept=intercept, ref_bytes=ref)
+    model = _sized(slope, intercept, ref)
     targets = np.arange(1, 200) * (GIB // 7)
     base = 9.87654321e12 / np.arange(1, 200)
     scaled = scale_prediction(base, model, targets)
@@ -103,7 +115,7 @@ def test_scale_prediction_over_arrays_is_the_per_point_ratio_bit_for_bit(interce
 
 
 def test_scale_prediction_input_validation():
-    model = ScalingModel(slope=1.0, intercept=0.0, ref_bytes=GIB)
+    model = _sized(1.0, 0.0, GIB)
     with pytest.raises(ValueError):
         scale_prediction(-1.0, model, GIB)
     with pytest.raises(ValueError):
@@ -116,9 +128,9 @@ def test_scale_prediction_input_validation():
 
 def test_fit_scaling_validation():
     with pytest.raises(ValueError):
-        fit_scaling([(GIB, 1.0), (2 * GIB, 2.0)], ref_bytes=0)
+        fit_scaling([(0, 1.0), (GIB, 2.0)])
     with pytest.raises(ValueError):
-        fit_scaling([(0, 1.0), (GIB, 2.0)], ref_bytes=GIB)
+        fit_scaling([(GIB, 1.0), (2 * GIB, float("nan"))])
 
 
 @given(
@@ -130,8 +142,8 @@ def test_fit_scaling_validation():
     st.floats(1e10, 1e14),
 )
 def test_transitivity(slope, intercept, ref, mid, target, base):
-    model = ScalingModel(slope=slope, intercept=intercept, ref_bytes=ref)
-    via_mid_model = ScalingModel(slope=slope, intercept=intercept, ref_bytes=mid)
+    model = _sized(slope, intercept, ref)
+    via_mid_model = _sized(slope, intercept, mid)
     direct = scale_prediction(base, model, target)
     chained = scale_prediction(
         scale_prediction(base, model, mid), via_mid_model, target
@@ -146,7 +158,7 @@ def test_transitivity(slope, intercept, ref, mid, target, base):
     st.floats(0.0, 1e14),
 )
 def test_intercept_zero_reduces_to_byte_ratio_exactly(slope, ref, target, base):
-    model = ScalingModel(slope=slope, intercept=0.0, ref_bytes=ref)
+    model = _sized(slope, 0.0, ref)
     assert scale_prediction(base, model, target) == base * (target / ref)
 
 
@@ -154,39 +166,32 @@ def test_recovery_from_synthetic_line_with_many_points():
     slope, intercept = 2.5e2, 7.0e11
     sizes = [g * GIB for g in (1, 2, 4, 8, 16, 32)]
     points = [(s, slope * s + intercept) for s in sizes]
-    model = fit_scaling(points, ref_bytes=sizes[0])
-    assert model.slope == pytest.approx(slope, rel=1e-10)
-    assert model.intercept == pytest.approx(intercept, rel=1e-10)
-
-
-SURFACE = ModelCoefficients(
-    a=(1.0e12 / 3.0, 2.0e10, 3.0e8 / 7.0, 4.0e10, 5.0e8),
-    condition_estimate=1.0,
-    training_residual=0.0,
-    ref_input_bytes=12 * GIB,
-)
+    fitted_slope, fitted_intercept = fit_scaling(points)
+    assert fitted_slope == pytest.approx(slope, rel=1e-10)
+    assert fitted_intercept == pytest.approx(intercept, rel=1e-10)
 
 
 @pytest.mark.parametrize("input_bytes", [None, 12 * GIB])
 def test_cost_model_at_reference_is_the_surface(input_bytes):
-    line = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB)
-    for model in (CostModel(SURFACE), CostModel(SURFACE, line)):
+    for model in (SURFACE, _sized(7.3e2, 4.2e11, 12 * GIB)):
         for mappers, reducers in ((1, 1), (6, 10), (32, 3)):
             want = predict(SURFACE, mappers, reducers)
             assert model.predict(mappers, reducers, input_bytes) == want
 
 
 def test_cost_model_needs_one_reference_size():
-    with pytest.raises(ValueError):
-        CostModel(ModelCoefficients(a=SURFACE.a, condition_estimate=1.0, training_residual=0.0))
-    with pytest.raises(ValueError):
-        CostModel(SURFACE, ScalingModel(slope=1.0, intercept=0.0, ref_bytes=6 * GIB))
+    # A model cannot lack a reference size, or hold one outside the count
+    # rule's [1, 2**63).  A file's second, disagreeing size is a store test.
+    with pytest.raises(TypeError, match="ref_input_bytes"):
+        CostModel(app="sort", a=SURFACE.a, condition_estimate=1.0, training_residual=0.0)
+    for size in (0, -GIB, 2**63):
+        with pytest.raises(ValueError, match=r"ref_input_bytes must be in \[1, 2\*\*63\)"):
+            dataclasses.replace(SURFACE, ref_input_bytes=size)
 
 
 @pytest.mark.parametrize("scaled", [False, True])
 def test_cost_model_over_arrays_is_the_scalar_one_bit_for_bit(scaled):
-    line = ScalingModel(slope=7.3e2, intercept=4.2e11, ref_bytes=12 * GIB) if scaled else None
-    model = CostModel(SURFACE, line)
+    model = _sized(7.3e2, 4.2e11, 12 * GIB) if scaled else SURFACE
     mappers = np.array([1, 6, 32, 7, 40])
     reducers = np.array([1, 10, 3, 7, 2])
     sizes = np.array([12, 24, 12, 6, 48]) * GIB
@@ -220,12 +225,44 @@ def test_cost_model_over_arrays_is_the_scalar_one_bit_for_bit(scaled):
 )
 def test_cost_model_holds_arrays_to_job_config_rules(args, error):
     with pytest.raises(error):
-        CostModel(SURFACE).predict(*args)
+        SURFACE.predict(*args)
 
 
 def test_cost_model_takes_numpy_integer_scalars():
-    model = CostModel(SURFACE)
+    model = SURFACE
     assert model.predict(np.arange(4, 9)[0], 8) == model.predict(4, 8)
     assert model.predict(np.uint8(4), np.int32(8), np.int64(SURFACE.ref_input_bytes)) == model.predict(4, 8)
     with pytest.raises(TypeError, match="^mappers must be an int"):
         model.predict(np.bool_(True), 8)
+
+
+def test_a_size_line_must_be_finite():
+    for line in ((float("inf"), 0.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="size line slope and intercept must be finite"):
+            _sized(*line, GIB)
+
+
+def _profiles(apps, sizes):
+    """One profile per (app, size), on the line 1e3 cycles/byte + 1e12."""
+    n = len(sizes)
+    return ProfileTable(
+        apps=tuple(apps),
+        mappers=[4] * n,
+        reducers=[4] * n,
+        input_bytes=list(sizes),
+        mean_cycles=[1.0e3 * size + 1.0e12 for size in sizes],
+        repetitions=[1] * n,
+    )
+
+
+def test_with_size_line_adds_the_line_through_the_profiles():
+    sizes = [6 * GIB, 12 * GIB, 24 * GIB]
+    sized = SURFACE.with_size_line(_profiles(["sort"] * 3, sizes))
+    assert sized.line == pytest.approx((1.0e3, 1.0e12), rel=1e-10)
+    assert dataclasses.replace(sized, line=None) == SURFACE
+
+
+@pytest.mark.parametrize("apps", [["grep", "grep"], ["sort", "grep"]], ids=["other", "mixed"])
+def test_with_size_line_refuses_another_application(apps):
+    with pytest.raises(MixedApplicationsError, match=r"\['grep'\] cannot size the model of 'sort'"):
+        SURFACE.with_size_line(_profiles(apps, [6 * GIB, 12 * GIB]))

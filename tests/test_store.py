@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import json
 import os
@@ -16,8 +17,7 @@ from oracle import record, rows, table
 
 from cyclecast import store
 from cyclecast.core import CyclecastError, RunTable
-from cyclecast.regression import ModelCoefficients
-from cyclecast.scaling import CostModel, ScalingModel
+from cyclecast.regression import CostModel
 from cyclecast.store import (
     CorruptRecordError,
     IoFailureError,
@@ -194,33 +194,33 @@ def test_future_schema_version_is_refused(tmp_path):
         load_runs(path)
 
 
-MODEL = ModelCoefficients(
+MODEL = CostModel(
+    app="sort",
     a=(1.0e12 / 3.0, 2.0e10, 3.0e8 / 7.0, 4.0e10, 5.0e8),
     condition_estimate=31.0919,
     training_residual=1.5e7 / 3.0,
-    app="sort",
     ref_input_bytes=12 * 2**30,
 )
+SIZED = dataclasses.replace(MODEL, line=(1.0e3 / 7.0, 1.0e11))
 
 
 def test_model_round_trip_without_scaling(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     loaded = load_model(path)
-    assert loaded.surface == MODEL
-    assert loaded.scaling is None
+    assert loaded == MODEL
+    assert loaded.line is None
 
 
 def test_model_round_trip_with_scaling(tmp_path):
     path = tmp_path / "model.json"
-    line = ScalingModel(slope=1.0e3 / 7.0, intercept=1.0e11, ref_bytes=12 * 2**30)
-    save_model(path, CostModel(MODEL, line))
-    assert load_model(path) == CostModel(MODEL, line)
+    save_model(path, SIZED)
+    assert load_model(path) == SIZED
 
 
 def test_model_document_shape(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     doc = json.loads(path.read_text())
     assert set(doc) == {"basis", "app", "a", "condition", "residual", "ref_input_bytes"}
     assert doc["basis"] == "quad-mr-v1"
@@ -229,7 +229,7 @@ def test_model_document_shape(tmp_path):
 
 def test_model_with_wrong_coefficient_count_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     doc = json.loads(path.read_text())
     doc["a"] = doc["a"][:4]
     path.write_text(json.dumps(doc))
@@ -239,7 +239,7 @@ def test_model_with_wrong_coefficient_count_is_corrupt(tmp_path):
 
 def test_model_with_unknown_basis_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     doc = json.loads(path.read_text())
     doc["basis"] = "cubic-mr-v2"
     path.write_text(json.dumps(doc))
@@ -249,12 +249,18 @@ def test_model_with_unknown_basis_is_corrupt(tmp_path):
 
 def test_model_with_invalid_scaling_section_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     doc = json.loads(path.read_text())
-    doc["scaling"] = {"slope": -1.0, "intercept": 0.0, "ref_bytes": 100}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptRecordError):
-        load_model(path)
+    # The section is optional, but when present it is an object.
+    for section, message in [
+        ({"slope": -1.0, "intercept": 0.0, "ref_bytes": 100}, "size line is anchored at 100"),
+        ({"slope": -1.0, "intercept": 0.0, "ref_bytes": 12 * 2**30}, "size line evaluates to"),
+        (None, "key 'scaling' must be an object"),
+    ]:
+        doc["scaling"] = section
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: {message}"):
+            load_model(path)
 
 
 def test_model_not_json(tmp_path):
@@ -279,7 +285,7 @@ def test_model_missing_file(tmp_path):
 )
 def test_model_without_one_reference_size_is_corrupt(tmp_path, change):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     doc = json.loads(path.read_text())
     doc.update(change)
     path.write_text(json.dumps(doc))
@@ -298,22 +304,19 @@ def test_invalid_utf8_in_the_store_names_its_line(tmp_path):
 
 def test_invalid_utf8_in_a_model_names_its_file(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     path.write_bytes(path.read_bytes().replace(b'"sort"', b'"s\xffrt"'))
     with pytest.raises(CorruptRecordError, match=f"{path}: not UTF-8"):
         load_model(path)
 
 
-LINE = ScalingModel(slope=1.0e3 / 7.0, intercept=1.0e11, ref_bytes=12 * 2**30)
-
-
 def _model_with(path, field, text):
-    """Save MODEL with LINE at path, then spell field's number as text.
+    """Save SIZED at path, then spell field's number as text.
 
     field is a top-level key or "scaling.<key>"; for "a" the middle
     coefficient is replaced.
     """
-    save_model(path, CostModel(MODEL, LINE))
+    save_model(path, SIZED)
     doc = json.loads(path.read_text())
     section, _, key = field.rpartition(".")
     holder = doc[section] if section else doc
@@ -368,10 +371,12 @@ def test_a_reference_size_of_2_63_or_more_is_corrupt(tmp_path, field, size):
 
 def test_the_largest_reference_size_loads(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL, LINE))
-    path.write_text(path.read_text().replace(str(LINE.ref_bytes), str(2**63 - 1)))
+    save_model(path, SIZED)
+    path.write_text(path.read_text().replace(str(SIZED.ref_input_bytes), str(2**63 - 1)))
+    assert json.loads(path.read_text())["scaling"]["ref_bytes"] == 2**63 - 1
     model = load_model(path)
-    assert model.surface.ref_input_bytes == model.scaling.ref_bytes == 2**63 - 1
+    assert model.ref_input_bytes == 2**63 - 1
+    assert model.line == SIZED.line
 
 
 def _fail_writing_halfway(file, *args, **kwargs):
@@ -397,17 +402,17 @@ def _fail(*args):
 )
 def test_a_failed_save_leaves_the_old_model_and_no_temp_file(tmp_path, monkeypatch, target, failure):
     path = tmp_path / "model.json"
-    save_model(path, CostModel(MODEL))
+    save_model(path, MODEL)
     before = path.read_bytes()
     if target == "open":
         monkeypatch.setattr(store, "open", failure, raising=False)
     else:
         monkeypatch.setattr(store.os, target.split(".")[1], failure)
     with pytest.raises(IoFailureError, match="No space left on device"):
-        save_model(path, CostModel(MODEL, LINE))
+        save_model(path, SIZED)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert load_model(path) == CostModel(MODEL)
+    assert load_model(path) == MODEL
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
@@ -423,7 +428,7 @@ for i in range(int(count)):
 
 def test_a_reader_never_sees_a_model_being_saved(tmp_path):
     # One process rewrites the model in a loop while this one reads it.
-    models = (CostModel(MODEL), CostModel(MODEL, LINE))
+    models = (MODEL, SIZED)
     for name, model in zip(("first.json", "second.json", "model.json"), models + models[:1]):
         save_model(tmp_path / name, model)
     src = str(Path(store.__file__).parents[1])

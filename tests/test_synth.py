@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import rows, segments
 
 from cyclecast.core import ClusterSpec, EmptyInputError, total_cpu_cycles
-from cyclecast.regression import ModelCoefficients, predict
-from cyclecast.scaling import CostModel, ScalingModel
+from cyclecast.regression import CostModel, predict
 from cyclecast.synth import (
     DEFAULT_GRID,
     DEFAULT_INPUT_BYTES,
@@ -15,7 +16,8 @@ from cyclecast.synth import (
     generate_trace,
 )
 
-TRUTH = ModelCoefficients(
+TRUTH = CostModel(
+    app="synthetic",
     a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
     condition_estimate=1.0,
     training_residual=0.0,
@@ -26,7 +28,7 @@ CLUSTER = ClusterSpec(("fast-0", "fast-1", "slow-0"), clock_hz=[3.2e9, 3.2e9, 1.
 
 
 def _spec(**kwargs):
-    defaults = dict(truth=CostModel(TRUTH), repetitions=2, noise_rel_sigma=0.02, seed=11)
+    defaults = dict(truth=TRUTH, repetitions=2, noise_rel_sigma=0.02, seed=11)
     defaults.update(kwargs)
     return SynthSpec(**defaults)
 
@@ -61,8 +63,7 @@ def test_noiseless_runs_equal_the_surface_exactly():
 
 
 def test_noiseless_runs_follow_the_truth_size_line():
-    line = ScalingModel(slope=150.0, intercept=5.0e11, ref_bytes=DEFAULT_INPUT_BYTES)
-    truth = CostModel(TRUTH, line)
+    truth = dataclasses.replace(TRUTH, line=(150.0, 5.0e11))
     spec = _spec(truth=truth, noise_rel_sigma=0.0, input_bytes=2 * DEFAULT_INPUT_BYTES)
     table = generate_profiles(spec)
     expected = truth.predict(table.mappers, table.reducers, spec.input_bytes)
