@@ -66,7 +66,8 @@ class CostModel:
     it was trained at, and the optional size line (slope in cycles per
     byte, intercept in cycles) that carries it to other sizes.
 
-    Validated once, here: five finite coefficients, a finite condition
+    Validated once, here: a non-empty app like a run's, five finite
+    coefficients, a finite condition
     estimate > 0, a finite residual >= 0, ref_input_bytes in [1, 2**63)
     like a run's input_bytes, and a finite line that is positive at
     ref_input_bytes (NonPositiveReferenceError otherwise).
@@ -80,6 +81,8 @@ class CostModel:
     line: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if not self.app:
+            raise ValueError("app must be non-empty")
         a = tuple(float(v) for v in self.a)
         if len(a) != N_COEFFS:
             raise ShapeMismatchError(f"need {N_COEFFS} coefficients, got {len(a)}")

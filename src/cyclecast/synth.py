@@ -7,22 +7,32 @@ cycles = truth(config) * max(0, 1 + eps) with eps ~ Normal(0, sigma).
 Randomness contract: every (config, repetition) cell gets its own PCG64
 substream keyed by SeedSequence([seed, mappers, reducers, repetition]),
 so the order the grid is enumerated in can never change a draw, and any
-cell can be regenerated in isolation.  The key is passed as the uint32
-words SeedSequence derives from that int list: each int's little-endian
-32-bit words, [0] for 0.  Trace synthesis keys its stream by
+cell can be regenerated in isolation.  The key is the uint32 words
+SeedSequence derives from that int list: each int's little-endian 32-bit
+words, [0] for 0.  Trace synthesis keys its stream by
 [seed, digest(run_id)].
+
+The draws are made in bulk, bit for bit the same as seeding one
+Generator per cell: _pcg64_states derives every cell's PCG64 state from
+its key in one array pass (SeedSequence's entropy pool and
+generate_state, then PCG64's seeding step), and one reused Generator
+takes each state in turn through the public state dict and draws that
+cell's noise.  A trace's jitter for all machines is one uniform draw,
+cut into per-machine segments.
 
 Trace synthesis works backwards from a run's total: the total is split
 across machines by random weights, converted to per-machine CPU-seconds
 through each clock rate, and spread over enough one-second samples that
 no sample exceeds its machine's core count.  Re-accounting the emitted
-traces reproduces the run's total to ~1e-12 relative.
+traces reproduces the run's total to ~1e-12 relative.  A machine whose
+share would need 2**63 or more samples is a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +47,14 @@ DEFAULT_INPUT_BYTES = 12 * 2**30
 # headroom so jitter never pushes a sample past the core count.
 _TARGET_UTILIZATION = 0.6
 _JITTER_SAFETY = 0.9
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's default 128-bit multiplier (pcg64.h), as numpy publishes them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,68 @@ def _words(value: int) -> list[int]:
     return words
 
 
+def _hasher(init: int, multiplier: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash of uint32 columns: each call mixes in the
+    current hash constant, then steps it by multiplier."""
+    hash_const = init
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    return hash_words
+
+
+def _pcg64_block(keys: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(row)) for each row of keys, an
+    (n, w) uint32 array with w >= 4, so no row needs zero padding."""
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    # SeedSequence.mix_entropy with its pool of 4 words.
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(keys[:, i]) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(4, keys.shape[1]):
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(keys[:, i_src]))
+    # generate_state(4, uint64): 8 words from the cycled pool, paired
+    # little-endian into 4 uint64s.
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    words = [hash_state(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seed_high, seed_low, seq_high, seq_low = (
+        (words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2)
+    )
+    # pcg64_set_seed then pcg_setseq_128_srandom_r: state 0, one step, add
+    # the seed, one more step.
+    states = []
+    for high, low, inc_high, inc_low in zip(seed_high, seed_low, seq_high, seq_low):
+        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+        states.append((((inc + (high << 64 | low)) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
+    return states
+
+
+def _pcg64_states(keys: list[list[int]]) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(key)) for each key, a list of
+    at least 4 uint32 words, in order; keys of one width share one pass."""
+    widths = np.fromiter(map(len, keys), np.intp, len(keys))
+    states: list[tuple[int, int]] = [(0, 0)] * len(keys)
+    for width in set(widths.tolist()):
+        rows = np.flatnonzero(widths == width).tolist()
+        block = np.array([keys[row] for row in rows], dtype=np.uint32)
+        for row, state in zip(rows, _pcg64_block(block)):
+            states[row] = state
+    return states
+
+
 def generate_profiles(spec: SynthSpec) -> RunTable:
     """Simulate every grid cell, repetitions times, in deterministic order.
 
@@ -92,23 +172,33 @@ def generate_profiles(spec: SynthSpec) -> RunTable:
     """
     cells = [(m, r) for m in spec.grid_mappers for r in spec.grid_reducers]
     mappers, reducers = zip(*cells)
-    truth = spec.truth.predict(mappers, reducers, spec.input_bytes).tolist()
+    truth = spec.truth.predict(mappers, reducers, spec.input_bytes)
     reps = range(spec.repetitions)
     seed, rep_words = _words(spec.seed), [_words(rep) for rep in reps]
-    cycles = []
-    for (m, r), true_cycles in zip(cells, truth):
-        cell = seed + _words(m) + _words(r)
-        for words in rep_words:
-            entropy = np.random.SeedSequence(np.array(cell + words, dtype=np.uint32))
-            eps = np.random.Generator(np.random.PCG64(entropy)).normal(0.0, spec.noise_rel_sigma)
-            cycles.append(true_cycles * max(0.0, 1.0 + eps))
+    cell_words = [seed + _words(m) + _words(r) for m, r in cells]
+    keys = [cell + words for cell in cell_words for words in rep_words]
+    # One bit generator and Generator take every run's state in turn; the
+    # seed they are built with is overwritten before the first draw.
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    eps = []
+    for state, inc in _pcg64_states(keys):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        eps.append(generator.normal(0.0, spec.noise_rel_sigma))
+    prefixes = [f"{spec.app}-m{m:03d}-r{r:03d}-rep" for m, r in cells]
+    suffixes = [f"{rep:02d}" for rep in reps]
     return RunTable(
-        apps=(spec.app,) * len(cycles),
-        run_ids=[f"{spec.app}-m{m:03d}-r{r:03d}-rep{rep:02d}" for m, r in cells for rep in reps],
+        apps=(spec.app,) * len(keys),
+        run_ids=[prefix + suffix for prefix in prefixes for suffix in suffixes],
         mappers=np.repeat(mappers, spec.repetitions),
         reducers=np.repeat(reducers, spec.repetitions),
-        input_bytes=np.full(len(cycles), spec.input_bytes),
-        total_cycles=cycles,
+        input_bytes=np.full(len(keys), spec.input_bytes),
+        total_cycles=np.repeat(truth, spec.repetitions) * np.maximum(0.0, 1.0 + np.array(eps)),
     )
 
 
@@ -123,7 +213,9 @@ def generate_trace(
     is deterministic and independent of other runs.  A zero-cycle run
     yields an empty set.  Every sample satisfies 0 <= cpu_seconds <= cores.
     A machine whose share would take infinitely many CPU-seconds, a clock
-    too slow for the total, is a ValueError.
+    too slow for the total, or 2**63 or more samples is a ValueError, and
+    so is a trace of 2**63 or more samples in all; each is raised before
+    any jitter is drawn.
     """
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")
@@ -136,30 +228,46 @@ def generate_trace(
     weights = rng.uniform(0.5, 1.5, size=len(cluster.machines))
     weights /= weights.sum()
 
-    columns: list[np.ndarray] = []
-    machines = zip(cluster.machines, cluster.clock_hz.tolist(), cluster.cores.tolist())
-    for (machine_id, clock_hz, cores), weight in zip(machines, weights.tolist()):
-        cpu_seconds = total_cycles * weight / clock_hz
-        if not math.isfinite(cpu_seconds):
+    # A clock too slow for the total overflows to inf, reported below.
+    with np.errstate(over="ignore"):
+        cpu_seconds = total_cycles * weights / cluster.clock_hz
+        needed = np.maximum(1.0, np.ceil(cpu_seconds / (_TARGET_UTILIZATION * cluster.cores)))
+    bad = ~np.isfinite(cpu_seconds) | (needed >= 2**63)
+    if bad.any():
+        i = int(bad.argmax())
+        machine_id, share = cluster.machines[i], float(cpu_seconds[i])
+        if not math.isfinite(share):
             raise ValueError(
-                f"machine {machine_id!r} at {clock_hz!r} Hz would need {cpu_seconds} "
-                f"CPU-seconds for {total_cycles!r} cycles"
+                f"machine {machine_id!r} at {float(cluster.clock_hz[i])!r} Hz would need "
+                f"{share} CPU-seconds for {total_cycles!r} cycles"
             )
-        target_rate = _TARGET_UTILIZATION * cores
-        n_samples = max(1, math.ceil(cpu_seconds / target_rate))
-        base = cpu_seconds / n_samples  # <= target_rate by choice of n_samples
-        jitter = rng.uniform(-1.0, 1.0, size=n_samples)
-        jitter -= jitter.mean()
-        peak = float(np.max(jitter))
-        trough = float(-np.min(jitter))
-        if n_samples > 1 and peak > 0 and trough > 0:
-            # Largest zero-sum wiggle keeping every sample in (0, cores).
-            amplitude = _JITTER_SAFETY * min((cores - base) / peak, base / trough)
-            values = base + amplitude * jitter
-        else:
-            values = np.full(n_samples, base)
-        columns.append(values)
-    offsets = np.concatenate([np.arange(len(values)) for values in columns])
-    return TraceSet(
-        cluster.machines, np.cumsum(list(map(len, columns))), offsets, np.concatenate(columns)
+        raise ValueError(
+            f"machine {machine_id!r} with {int(cluster.cores[i])} cores would need "
+            f"{needed[i]:.6g} samples for {share!r} CPU-seconds; at most 2**63 - 1"
+        )
+    counts = needed.astype(np.int64)
+    rows = sum(counts.tolist())  # exact, where an int64 cumsum could wrap
+    if rows >= 2**63:
+        raise ValueError(f"the trace would need {rows} samples in all; at most 2**63 - 1")
+    base = cpu_seconds / needed  # <= target rate by choice of the count
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    jitter = rng.uniform(-1.0, 1.0, size=rows)
+    # Each segment's mean as ndarray.mean takes it: a pairwise sum per
+    # segment (np.add.reduceat sums in another order), then one division.
+    sums = [np.add.reduce(jitter[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())]
+    jitter -= np.repeat(np.divide(sums, counts), counts)
+    peaks = np.maximum.reduceat(jitter, starts)
+    troughs = -np.minimum.reduceat(jitter, starts)
+    wiggles = (counts > 1) & (peaks > 0) & (troughs > 0)
+    # Largest zero-sum wiggle keeping every sample in (0, cores).
+    amplitude = np.zeros(len(counts))
+    amplitude[wiggles] = _JITTER_SAFETY * np.minimum(
+        (cluster.cores[wiggles] - base[wiggles]) / peaks[wiggles],
+        base[wiggles] / troughs[wiggles],
     )
+    bases = np.repeat(base, counts)
+    samples = np.where(
+        np.repeat(wiggles, counts), bases + np.repeat(amplitude, counts) * jitter, bases
+    )
+    return TraceSet(cluster.machines, ends, np.arange(rows) - np.repeat(starts, counts), samples)

@@ -8,9 +8,12 @@ and back, and record spells a run row as the store's wire dict.
 trace_set and segments do the same for a TraceSet, and gap_warnings and
 total_cpu_cycles are the per-trace rules the columnar parser and
 accounting replace, one Python loop over the traces each.
+generate_trace is trace synthesis as one jitter draw per machine, the
+formula the package's single draw for all machines must reproduce.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -109,3 +112,32 @@ def total_cpu_cycles(traces, cluster) -> float:
             )
         per_trace.append(math.fsum(samples) * clock_hz)
     return math.fsum(per_trace)
+
+
+def generate_trace(run_id, total_cycles, cluster, seed) -> TraceSet:
+    """cyclecast.synth.generate_trace's set, machine by machine: the same
+    stream and weights, then each machine's count, its own uniform draw of
+    that many jitter values, centred by its mean, and its amplitude."""
+    if total_cycles == 0:
+        return TraceSet((), [], [], [])
+    digest = int.from_bytes(hashlib.sha256(run_id.encode("utf-8")).digest()[:8], "big")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, digest]))
+    weights = rng.uniform(0.5, 1.5, size=len(cluster.machines))
+    weights /= weights.sum()
+    traces = []
+    machines = zip(cluster.machines, cluster.clock_hz.tolist(), cluster.cores.tolist())
+    for (machine_id, clock_hz, cores), weight in zip(machines, weights.tolist()):
+        cpu_seconds = total_cycles * weight / clock_hz
+        n_samples = max(1, math.ceil(cpu_seconds / (0.6 * cores)))
+        base = cpu_seconds / n_samples
+        jitter = rng.uniform(-1.0, 1.0, size=n_samples)
+        jitter -= jitter.mean()
+        peak = float(np.max(jitter))
+        trough = float(-np.min(jitter))
+        if n_samples > 1 and peak > 0 and trough > 0:
+            amplitude = 0.9 * min((cores - base) / peak, base / trough)
+            values = base + amplitude * jitter
+        else:
+            values = np.full(n_samples, base)
+        traces.append((machine_id, range(n_samples), values.tolist()))
+    return trace_set(traces)

@@ -300,6 +300,19 @@ class TestPipeline:
         assert err.startswith("error: machine 'a' at 1e-300 Hz would need inf CPU-seconds")
         assert "Traceback" not in err
 
+    def test_a_share_of_2_63_or_more_samples_is_a_data_error(self, tmp_path, truth_file, capsys):
+        # About 1e21 CPU-seconds at 1e-9 Hz, past 2**63 samples: nothing is allocated.
+        (tmp_path / "cluster.txt").write_text("a 1e-9 4\n")
+        argv = _simulate(
+            tmp_path,
+            extra=["--emit-traces", str(tmp_path / "traces"), "--cluster", str(tmp_path / "cluster.txt")],
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: machine 'a' with 4 cores would need ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs.jsonl").exists()
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new-store", "existing-store"])
     def test_a_failed_trace_leaves_the_store_as_it_was(self, tmp_path, truth_file, capsys, existing):
         store = tmp_path / "runs.jsonl"
@@ -670,6 +683,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: CorruptRecordError: {model_path}: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_model_with_an_empty_app_is_data_error(self, tmp_path, truth_file, capsys, command):
+        model_path = tmp_path / "truth.json"
+        model_path.write_text(truth_file.read_text().replace('"app": "synthetic"', '"app": ""'))
+        argv = {
+            "simulate": _simulate(tmp_path),
+            "predict": ["predict", "--model", str(model_path), "--mappers", "4", "--reducers", "8"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: CorruptRecordError: {model_path}: app must be non-empty"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "runs.jsonl").exists()
 
     @pytest.mark.parametrize("text", ["Infinity", "1e999", "NaN"])
     def test_model_with_a_condition_that_is_not_finite_is_data_error(

@@ -27,6 +27,11 @@ TRUTH_A = (1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8)
 # input bytes that does not pass through the origin.
 SIZE_FACTORS = {6: 0.55, 12: 1.0, 18: 1.45, 24: 1.9}
 CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
+# A truth small enough that each trace holds a few samples, on machines
+# whose core counts send one to many samples, one to a few, and one (at
+# 2**40 cores) to a single sample for every run.
+TINY_A = (2.0e10, 1.0e8, 1.0e6, 1.0e8, 1.0e6)
+TINY_CLUSTER_TXT = "one-core 1.0e9 1\nfour-core 2.0e9 4\nhuge 3.0e9 1099511627776\n"
 # Interleaved machines, offsets out of order, decimal forms with and
 # without exponents, and no newline after the last row.
 HAND_TRACE = (
@@ -51,6 +56,8 @@ GOLDEN = {
     "surface.tsv": "50fbc8cfd2170c743896c947e1ef9519d9a3ae0d6887ce7ddba20fe89bce1843",
     "emitted.jsonl": "b2ca411e57f86a46c16ff008c1d881dd6fe2aa23c4b0ef5384362c8b53b0c93b",
     "trace.csv": "ead48d89b6c9b8c6e77350c5c48dc9a12d2d1c05a1e3c509871fed6e8cd27794",
+    "tiny.jsonl": "af728182036e72c3290cb5d668ffea31c0919162d9418c4600c22c912a44ef32",
+    "tiny-traces.csv": "cad1e8706216a704284e803c004bde5ecccc18ea020a1197ebbf084605837be4",
     "ingest.jsonl": "6c41a64033b67e985044a2e098b78fb079f900319215f2af1cff0faf7fcf7100",
     "ingest-hand.jsonl": "c5e30acc2b7f9bfc60f3db4f26604e7477a5d393875ebacb76f8ba36f8b9bc0a",
     "seed-max.jsonl": "dbcedf58787b08fd4463b3c988ab19dae36336658718606c6935de46afec02f0",
@@ -80,11 +87,11 @@ HELP_GOLDEN = {
 }
 
 
-def _truth(path, gib, scaling=None):
+def _truth(path, gib, scaling=None, a=TRUTH_A):
     doc = {
         "basis": "quad-mr-v1",
         "app": "synthetic",
-        "a": [v * SIZE_FACTORS[gib] for v in TRUTH_A],
+        "a": [v * SIZE_FACTORS[gib] for v in a],
         "condition": 1.0,
         "residual": 0.0,
         "ref_input_bytes": gib * GIB,
@@ -144,6 +151,18 @@ def outputs(tmp_path_factory):
           "--seed", "5", "--out", emitted, "--emit-traces", root / "traces",
           "--cluster", cluster])
 
+    # Every trace of a tiny truth on machines that take one sample or many.
+    tiny_cluster = root / "tiny-cluster.txt"
+    tiny_cluster.write_text(TINY_CLUSTER_TXT, encoding="utf-8")
+    _run(["simulate", "--truth", _truth(root / "tiny-truth.json", 12, a=TINY_A),
+          "--grid", "4:8:4", "--reps", "2", "--noise", "0.02", "--seed", "9",
+          "--out", root / "tiny.jsonl", "--emit-traces", root / "tiny-traces",
+          "--cluster", tiny_cluster])
+    got["tiny-traces.csv"] = b"".join(
+        path.name.encode("utf-8") + b"\n" + path.read_bytes()
+        for path in sorted((root / "tiny-traces").iterdir())
+    )
+
     # The emitted trace and a hand-written one, each ingested into its own store.
     hand = root / "hand.csv"
     hand.write_text(HAND_TRACE, encoding="utf-8")
@@ -169,6 +188,7 @@ def outputs(tmp_path_factory):
         ("surface.tsv", root / "report" / "surface.tsv"),
         ("emitted.jsonl", emitted),
         ("trace.csv", root / "traces" / "synthetic-m004-r008-rep00.csv"),
+        ("tiny.jsonl", root / "tiny.jsonl"),
         ("seed-max.jsonl", root / "seed-max.jsonl"),
         ("seed-two-words.jsonl", root / "seed-two-words.jsonl"),
     ):

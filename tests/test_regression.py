@@ -190,6 +190,8 @@ def test_model_coefficients_validation():
         _model(TRUTH, training_residual=-1.0)
     with pytest.raises(ValueError):
         _model(TRUTH, ref_input_bytes=0)
+    with pytest.raises(ValueError, match="^app must be non-empty$"):
+        _model(TRUTH, app="")
 
 
 @settings(max_examples=25, deadline=None)

@@ -263,6 +263,16 @@ def test_model_with_invalid_scaling_section_is_corrupt(tmp_path):
             load_model(path)
 
 
+def test_model_with_an_empty_app_is_corrupt(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, MODEL)
+    doc = json.loads(path.read_text())
+    doc["app"] = ""
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: app must be non-empty$"):
+        load_model(path)
+
+
 def test_model_not_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("}{")

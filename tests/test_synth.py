@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import oracle
 from oracle import rows, segments
 
 from cyclecast.core import ClusterSpec, EmptyInputError, total_cpu_cycles
@@ -11,6 +12,7 @@ from cyclecast.synth import (
     DEFAULT_GRID,
     DEFAULT_INPUT_BYTES,
     SynthSpec,
+    _pcg64_states,
     _words,
     generate_profiles,
     generate_trace,
@@ -109,6 +111,22 @@ def test_cell_words_seed_as_the_int_list_does(seed, mappers, reducers, rep):
     )
 
 
+_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(4, 8).flatmap(lambda width: st.lists(_WORDS, min_size=width,
+                                                                max_size=width)),
+                min_size=1, max_size=12))
+def test_bulk_states_are_pcg64_s_seeding_of_each_key(keys):
+    expected = []
+    for key in keys:
+        state = np.random.PCG64(np.random.SeedSequence(np.array(key, dtype=np.uint32))).state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+        expected.append((state["state"]["state"], state["state"]["inc"]))
+    assert _pcg64_states(keys) == expected
+
+
 def _oracle_cycles(spec):
     """The per-cell formula: one default_rng per (mappers, reducers, rep),
     seeded from the Python int list."""
@@ -201,6 +219,47 @@ class TestGenerateTrace:
         cluster = ClusterSpec(("fast-0", "crawl"), clock_hz=[3.2e9, clock_hz], cores=[16, 4])
         with pytest.raises(ValueError, match="^machine 'crawl' at .* Hz would need inf CPU-seconds"):
             generate_trace("job-001", 1.0e12, cluster, seed=5)
+
+    def test_a_share_of_2_63_or_more_samples_names_its_machine(self):
+        # 1e300 cycles at 1 Hz: about 1e300 samples, which nothing allocates.
+        cluster = ClusterSpec(("fast-0", "crawl"), clock_hz=[1e300, 1.0], cores=[16, 4])
+        with pytest.raises(ValueError, match="^machine 'crawl' with 4 cores would need .* samples"):
+            generate_trace("job-001", 1.0e300, cluster, seed=5)
+
+    def test_a_trace_of_2_63_or_more_samples_in_all_is_refused(self):
+        # Every share is below 2**63 samples; together they are not.
+        cluster = ClusterSpec([f"crawl-{i}" for i in range(4)], clock_hz=[1.0] * 4, cores=[1] * 4)
+        with pytest.raises(ValueError, match="^the trace would need .* samples in all"):
+            generate_trace("job-001", 8.0e18, cluster, seed=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e8, 5e9), st.sampled_from([1, 2, 4, 16, 2**40, 2**62])),
+            min_size=1,
+            max_size=6,
+        ),
+        # At most about 2e4 samples a machine; small totals take one sample.
+        st.sampled_from([1e7, 1e10, 1e12]) | st.floats(1e6, 1e12),
+        st.integers(0, 2**64 - 1),
+        st.text(min_size=1, max_size=8),
+    )
+    # Segments of thousands of samples, a few, and one.
+    @example([(1e8, 1), (2e9, 4), (3e9, 2**40)], 1e12, 0, "job-001")
+    def test_one_draw_for_all_machines_is_the_per_machine_formula(
+        self, machines, total_cycles, seed, run_id
+    ):
+        cluster = ClusterSpec(
+            [f"m{i}" for i in range(len(machines))],
+            [clock_hz for clock_hz, _ in machines],
+            [cores for _, cores in machines],
+        )
+        got = generate_trace(run_id, total_cycles, cluster, seed)
+        expected = oracle.generate_trace(run_id, total_cycles, cluster, seed)
+        assert got.machine_ids == expected.machine_ids
+        assert got.ends.tolist() == expected.ends.tolist()
+        assert got.offsets.tolist() == expected.offsets.tolist()
+        assert got.samples.tobytes() == expected.samples.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
