@@ -3,9 +3,14 @@ cost surfaces, evaluate them, and generate synthetic workloads.
 
 Conventions
 -----------
-* exit 0: success.  exit 1: usage error (bad flags, malformed flag
-  values).  exit 2: data or validation error (malformed files, rank
-  deficiency, unknown machines, ...).
+* exit 0: success.  exit 1: usage error (bad flags, malformed or
+  out-of-range flag values).  exit 2: data or validation error
+  (malformed files, rank deficiency, unknown machines, ...).
+* Flag values and CYCLECAST_SEED spell numbers in the Numbers grammar of
+  the ingest module (README "File formats"): no sign but '-', no space,
+  underscore or non-ASCII digit.  Counts are integers in [1, 2**63), the
+  seed in [0, 2**64), --noise a decimal in [0, inf) and --gap-threshold
+  one in [0, 1].
 * Diagnostics and progress go to stderr.  Data goes to stdout or to files
   named by flags; no subcommand touches a file its flags do not name.
 * Library warnings go to stderr as "warning: <message>", at most one
@@ -23,15 +28,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .core import CyclecastError, RunTable, aggregate_repetitions, total_cpu_cycles
-from .ingest import _INTEGER_RE, _decoded, parse_cluster_spec, parse_trace_csv, write_trace_csv
+from .ingest import (
+    parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list, write_trace_csv,
+)
 from .metrics import evaluate
 from .regression import fit_least_squares
 from .scaling import DegenerateInputError
@@ -53,52 +62,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    if value >= 2**63:  # the count rule's bound, which the run store's columns take
-        raise argparse.ArgumentTypeError(f"expected a value below 2**63, got {value}")
-    return value
+def _number(integer: bool, lo: float, hi: float) -> Callable[[str], float]:
+    """A flag type: a value in ingest's Numbers grammar within [lo, hi]."""
+
+    def convert(text: str) -> float:
+        try:
+            value = parse_number(text, integer)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text}")
+        return value
+
+    return convert
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {text}")
-    return value
-
-
-def _uint64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in a uint64, got {value}")
-    return value
+_COUNT = _number(True, 1, 2**63 - 1)  # the run store's int64 columns
+_SEED = _number(True, 0, 2**64 - 1)
+_SIGMA = _number(False, 0, math.inf)  # a decimal is finite
+_SHARE = _number(False, 0, 1)
 
 
 def _grid(text: str) -> tuple[int, ...]:
     """Parse 'lo:hi:step' into the inclusive range (lo, lo+step, ..., <=hi)."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (int(p) for p in parts)
+    try:  # a ValueError too when there are not three parts to unpack
+        lo, hi, step = (parse_number(part, integer=True) for part in text.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in lo:hi:step, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected integers lo:hi:step, got {text!r}") from None
     if lo < 1 or step < 1 or hi < lo:
         raise argparse.ArgumentTypeError(
             f"need 1 <= lo <= hi and step >= 1, got {text!r}"
         )
-    if hi >= 2**63:  # _positive_int's bound
+    if hi >= 2**63:  # _COUNT's bound
         raise argparse.ArgumentTypeError(f"expected hi below 2**63, got {text!r}")
     values = range(lo, hi + 1, step)
     if len(values) > _GRID_LIMIT:
@@ -106,35 +101,6 @@ def _grid(text: str) -> tuple[int, ...]:
             f"expected at most {_GRID_LIMIT} values per axis, got {len(values)} from {text!r}"
         )
     return tuple(values)
-
-
-def _read_holdout_list(path: str) -> set[tuple[int, int]]:
-    """Parse lines of 'mappers reducers' (whitespace or comma separated).
-
-    Numbers are spelled in the ingest module's integer grammar.
-    """
-
-    def error(line_no: int, reason: str) -> CyclecastError:
-        return CyclecastError(f"{path}:{line_no}: {reason}")
-
-    text = _decoded(Path(path).read_bytes(), error)
-    pairs: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise CyclecastError(
-                f"{path}:{line_no}: expected 'mappers reducers', got {raw!r}"
-            )
-        if not all(_INTEGER_RE.fullmatch(part) for part in parts):
-            raise CyclecastError(f"{path}:{line_no}: expected integers, got {raw!r}")
-        mappers, reducers = int(parts[0]), int(parts[1])
-        if mappers < 1 or reducers < 1:
-            raise CyclecastError(f"{path}:{line_no}: values must be >= 1")
-        pairs.add((mappers, reducers))
-    return pairs
 
 
 def _fmt_opt(value: float | None, spec: str) -> str:
@@ -213,7 +179,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     table = load_runs(args.runs, app=args.app)
     columns = (table.mappers, table.reducers, table.input_bytes, table.total_cycles)
     if args.holdout_list is not None:
-        keep = _read_holdout_list(args.holdout_list)
+        keep = read_holdout_list(args.holdout_list)
         pairs = zip(table.mappers.tolist(), table.reducers.tolist())
         mask = np.fromiter((pair in keep for pair in pairs), bool, len(table))
         columns = tuple(column[mask] for column in columns)
@@ -317,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="trace CSV file")
     p.add_argument("--cluster", required=True, help="cluster spec file")
     p.add_argument("--app", required=True, help="application name")
-    p.add_argument("--mappers", required=True, type=_positive_int)
-    p.add_argument("--reducers", required=True, type=_positive_int)
-    p.add_argument("--input-bytes", required=True, type=_positive_int)
+    p.add_argument("--mappers", required=True, type=_COUNT)
+    p.add_argument("--reducers", required=True, type=_COUNT)
+    p.add_argument("--input-bytes", required=True, type=_COUNT)
     p.add_argument("--out", required=True, help="run store to append to")
     p.add_argument("--run-id", default=None, help="default: digest of the trace file")
     p.add_argument(
         "--gap-threshold",
-        type=_nonnegative_float,
+        type=_SHARE,
         default=0.05,
         help="tolerated missing fraction of a trace span before warning (default 0.05)",
     )
@@ -338,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict cycles at one configuration")
     p.add_argument("--model", required=True)
-    p.add_argument("--mappers", required=True, type=_positive_int)
-    p.add_argument("--reducers", required=True, type=_positive_int)
+    p.add_argument("--mappers", required=True, type=_COUNT)
+    p.add_argument("--reducers", required=True, type=_COUNT)
     p.add_argument(
         "--input-bytes",
-        type=_positive_int,
+        type=_COUNT,
         default=None,
         help="target size; scales via the model's size line when present",
     )
@@ -368,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic runs from a truth model")
     p.add_argument("--truth", required=True, help="model file used as ground truth")
     p.add_argument("--grid", required=True, type=_grid, help="lo:hi:step, e.g. 4:32:4")
-    p.add_argument("--reps", type=_positive_int, default=10)
-    p.add_argument("--noise", type=_nonnegative_float, default=0.02,
+    p.add_argument("--reps", type=_COUNT, default=10)
+    p.add_argument("--noise", type=_SIGMA, default=0.02,
                    help="relative noise sigma (default 0.02)")
     # None: main reads the environment on each call.
-    p.add_argument("--seed", type=_uint64, default=None,
+    p.add_argument("--seed", type=_SEED, default=None,
                    help=f"default: ${SEED_ENV_VAR}, then 0")
     p.add_argument("--out", required=True, help="run store to append to")
     p.add_argument("--app", default="synthetic")
-    p.add_argument("--input-bytes", type=_positive_int, default=DEFAULT_INPUT_BYTES)
+    p.add_argument("--input-bytes", type=_COUNT, default=DEFAULT_INPUT_BYTES)
     p.add_argument("--emit-traces", default=None, metavar="DIR",
                    help="also fabricate one trace CSV per run into DIR")
     p.add_argument("--cluster", default=None,
@@ -403,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             if args.seed is None:
                 try:
-                    args.seed = _uint64(os.environ.get(SEED_ENV_VAR, "0"))
+                    args.seed = _SEED(os.environ.get(SEED_ENV_VAR, "0"))
                 except argparse.ArgumentTypeError as exc:
                     _PARSER.error(f"argument --seed: {exc}")
             if args.emit_traces is not None and args.cluster is None:

@@ -1,4 +1,4 @@
-r"""On-disk formats for CPU traces and cluster inventories.
+r"""On-disk formats for CPU traces, cluster inventories and holdout lists.
 
 Trace CSV
 ---------
@@ -23,14 +23,19 @@ Fields are whitespace separated.  '#' starts a comment (whole-line or
 trailing), blank lines are ignored.  clock_hz is a finite positive
 decimal, cores an integer in [1, 2**63).
 
+Holdout list
+------------
+Lines of 'mappers reducers': two integers in [1, 2**63), separated by
+whitespace or a comma.  Comments and blank lines are as in a cluster spec.
+
 Numbers
 -------
-Both formats spell numbers in one ASCII grammar: an integer is
-``[0-9]+`` (at most 4300 digits), a decimal
-``([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?``.
+Every format here, and every number the command line reads, spells
+numbers in one ASCII grammar: an integer is ``[0-9]+`` (at most 4300
+digits), a decimal ``([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?``.
 Nothing else is: no leading '+', space, underscore or non-ASCII digit.
 A leading '-' is read only so that a negative value is reported as
-negative rather than as a malformed number.
+negative rather than as a malformed number.  parse_number reads one.
 
 Trace parsing
 -------------
@@ -67,7 +72,8 @@ Encoding
 --------
 Both parsers take a text stream, or a binary one whose bytes they decode
 as UTF-8.  A byte that is not UTF-8 is a MalformedRowError or a
-MalformedEntryError naming its line.
+MalformedEntryError naming its line.  read_holdout_list takes a path,
+and names the path and the line in each of its errors.
 
 Warnings
 --------
@@ -90,11 +96,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence, TextIO
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, TraceSet
+from .core import ClusterSpec, CyclecastError, TraceSet, _check_count
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -118,6 +125,8 @@ _FAST_SPEC = re.compile(
     r"(?:#[^\n]*+\n|[A-Za-z0-9_-]++ " + _FAST_DECIMAL + r" [1-9][0-9]{0,17}+\n)*+"
 )
 _COMMENT_LINE = re.compile(r"^#[^\n]*\n", re.MULTILINE)
+
+_Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
 
 
 class MalformedHeaderError(CyclecastError):
@@ -217,7 +226,30 @@ def parse_trace_csv(
     return traces, warnings
 
 
-def _decoded(data: str | bytes, error: Callable[[int, str], CyclecastError]) -> str:
+def parse_number(text: str, integer: bool = False) -> int | float:
+    """text in the Numbers grammar, as an int if integer, else as a finite
+    float; any other text is a ValueError."""
+    if integer:
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
+        raise ValueError(f"expected an integer, got {text!r}")
+    if _DECIMAL_RE.fullmatch(text) and not math.isinf(value := float(text)):
+        return value
+    raise ValueError(f"expected a finite number, got {text!r}")
+
+
+def _count(name: str, text: str, error: _Error, line_no: int, least: int = 1) -> int:
+    """text as an int in [least, 2**63) in the integer grammar, else error(line_no, reason)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise error(line_no, f"{name} must be an integer, got {text!r}")
+    try:
+        _check_count(name, value := int(text), least)
+    except ValueError as exc:
+        raise error(line_no, str(exc)) from None
+    return value
+
+
+def _decoded(data: str | bytes, error: _Error) -> str:
     """data as text: bytes are decoded as UTF-8, a bad one raising error(line, reason)."""
     if isinstance(data, str):
         return data
@@ -303,11 +335,7 @@ def _row_columns(text: str) -> _Columns:
         if row is None:
             raise _malformed_row(line_no, line)
         machine_id, offset_text, cpu_text = row.groups()
-        offset_s = int(offset_text)
-        if offset_s < 0:
-            raise MalformedRowError(line_no, f"offset_s must be >= 0, got {offset_s}")
-        if offset_s >= 2**63:
-            raise MalformedRowError(line_no, f"offset_s must be < 2**63, got {offset_s}")
+        offset_s = _count("offset_s", offset_text, MalformedRowError, line_no, least=0)
         cpu_seconds = float(cpu_text)
         if cpu_seconds == math.inf:
             raise MalformedRowError(
@@ -390,6 +418,22 @@ def _fast_cluster(text: str) -> ClusterSpec | None:
         return None
 
 
+def _entries(text: str, names: str, error: _Error, commas: bool = False) -> Iterator[tuple]:
+    """(line number, line, fields) of each entry line of text.
+
+    '#' starts a comment and blank lines are skipped.  Fields are split at
+    whitespace, and at commas too if commas; a line without one field per
+    word of names is error(line number, reason).
+    """
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            fields = (line.replace(",", " ") if commas else line).split()
+            if len(fields) != len(names.split()):
+                raise error(line_no, f"expected {names!r}, got {raw!r}")
+            yield line_no, raw, fields
+
+
 def _line_cluster(text: str) -> ClusterSpec:
     """Check a cluster spec one line at a time.
 
@@ -401,48 +445,47 @@ def _line_cluster(text: str) -> ClusterSpec:
     clocks: list[float] = []
     counts: list[int] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise MalformedEntryError(
-                f"line {line_no}: expected 'machine_id clock_hz cores', got {raw!r}"
-            )
+    for line_no, _, parts in _entries(text, "machine_id clock_hz cores", _entry_error):
         machine_id, clock_text, cores_text = parts
         if not _MACHINE_ID_RE.fullmatch(machine_id):
-            raise MalformedEntryError(
-                f"line {line_no}: machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
-            )
+            raise _entry_error(line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+")
         if machine_id in seen:
             raise DuplicateMachineIdError(
                 f"line {line_no}: duplicate machine_id {machine_id!r}"
             )
         if not _DECIMAL_RE.fullmatch(clock_text):
-            raise MalformedEntryError(
-                f"line {line_no}: clock_hz must be a number, got {clock_text!r}"
-            )
+            raise _entry_error(line_no, f"clock_hz must be a number, got {clock_text!r}")
         clock_hz = float(clock_text)
         if not math.isfinite(clock_hz):
-            raise MalformedEntryError(f"line {line_no}: clock_hz must be finite")
+            raise _entry_error(line_no, "clock_hz must be finite")
         if clock_hz <= 0:
             raise NonPositiveClockError(
                 f"line {line_no}: clock_hz must be > 0, got {clock_text}"
             )
-        if not _INTEGER_RE.fullmatch(cores_text):
-            raise MalformedEntryError(
-                f"line {line_no}: cores must be an integer, got {cores_text!r}"
-            )
-        cores = int(cores_text)
-        if cores < 1:
-            raise MalformedEntryError(f"line {line_no}: cores must be >= 1, got {cores}")
-        if cores >= 2**63:
-            raise MalformedEntryError(f"line {line_no}: cores must be < 2**63, got {cores}")
         seen.add(machine_id)
         ids.append(machine_id)
         clocks.append(clock_hz)
-        counts.append(cores)
+        counts.append(_count("cores", cores_text, _entry_error, line_no))
     if not ids:
         raise MalformedEntryError("cluster spec has no machine entries")
     return ClusterSpec(ids, clocks, counts)
+
+
+def read_holdout_list(path: str | Path) -> set[tuple[int, int]]:
+    """The (mappers, reducers) pairs of the holdout list at path.  A bad
+    line is a CyclecastError naming path and the line."""
+
+    def error(line_no: int, reason: str) -> CyclecastError:
+        return CyclecastError(f"{path}:{line_no}: {reason}")
+
+    pairs: set[tuple[int, int]] = set()
+    text = _decoded(Path(path).read_bytes(), error)
+    entries = _entries(text, "mappers reducers", error, commas=True)
+    for line_no, raw, (mappers, reducers) in entries:
+        if not (_INTEGER_RE.fullmatch(mappers) and _INTEGER_RE.fullmatch(reducers)):
+            raise error(line_no, f"expected integers, got {raw!r}")
+        pairs.add((
+            _count("mappers", mappers, error, line_no),
+            _count("reducers", reducers, error, line_no),
+        ))
+    return pairs

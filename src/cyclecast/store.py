@@ -63,6 +63,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from .core import CyclecastError, RunTable, _check_count
+from .ingest import _decoded
 from .regression import BASIS_TAG, N_COEFFS, CostModel
 from .scaling import NonPositiveReferenceError
 
@@ -248,13 +249,7 @@ def load_runs(path: str | Path, app: str | None = None) -> RunTable:
             data = handle.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise CorruptRecordError(
-            f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
+    text = _decoded(data, lambda line_no, reason: CorruptRecordError(f"line {line_no}: {reason}"))
     del data
     rows = _fast_rows(text, app)
     if rows is None:
@@ -389,10 +384,7 @@ def _size(value: Any, what: str) -> int:
 
 
 def _model_from_bytes(data: bytes) -> CostModel:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptRecordError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    text = _decoded(data, lambda _line_no, reason: CorruptRecordError(reason))
     try:
         doc = json.loads(text)
     # ValueError: also an integer of over 4300 digits; RecursionError: deep nesting.

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet
+from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count
 from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -75,11 +75,11 @@ class SynthSpec:
             grid = tuple(getattr(self, name))
             if not grid:
                 raise ValueError(f"{name} must be non-empty")
-            if any(v < 1 for v in grid):
-                raise ValueError(f"{name} values must be >= 1, got {grid}")
+            for value in grid:
+                _check_count(name, value)
             object.__setattr__(self, name, grid)
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _check_count("repetitions", self.repetitions)
+        _check_count("input_bytes", self.input_bytes)
         if not math.isfinite(self.noise_rel_sigma) or self.noise_rel_sigma < 0:
             raise ValueError(
                 f"noise_rel_sigma must be finite and >= 0, got {self.noise_rel_sigma}"
@@ -88,8 +88,6 @@ class SynthSpec:
             raise ValueError(f"seed must be a uint64, got {self.seed}")
         if not self.app:
             raise ValueError("app must be non-empty")
-        if self.input_bytes < 1:
-            raise ValueError(f"input_bytes must be >= 1, got {self.input_bytes}")
 
 
 def _words(value: int) -> list[int]:

@@ -184,7 +184,9 @@ class TestPipeline:
         assert main(_simulate(tmp_path, out="flag.jsonl", seed="7")) == 0
         assert (tmp_path / "env.jsonl").read_bytes() == (tmp_path / "flag.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("value", ["abc", str(2**64)])
+    @pytest.mark.parametrize(
+        "value", ["abc", str(2**64), " +7", "1_0", "+10", " 10", "10 ", "\u0661\u0660"]
+    )
     def test_bad_seed_env_is_usage(self, tmp_path, truth_file, monkeypatch, capsys, value):
         monkeypatch.setenv("CYCLECAST_SEED", value)
         assert main(_simulate(tmp_path, seed=None)) == 1
@@ -223,6 +225,30 @@ class TestPipeline:
             "--holdout-list", str(holdout),
         ]) == 2
         assert f"{holdout}:2: expected integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("99999999999999999999 4", "mappers must be < 2**63, got 99999999999999999999"),
+         ("4, 0", "reducers must be >= 1, got 0"),
+         ("-4 8", "mappers must be >= 1, got -4")],
+        ids=["beyond-int64", "zero", "negative"],
+    )
+    def test_holdout_list_values_follow_the_count_rule(
+        self, tmp_path, truth_file, capsys, line, reason
+    ):
+        main(_simulate(tmp_path))
+        model_path = tmp_path / "model.json"
+        main(["fit", "--runs", str(tmp_path / "runs.jsonl"),
+              "--app", "synthetic", "--out", str(model_path)])
+        holdout = tmp_path / "holdout.txt"
+        holdout.write_text(f"4 8\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--model", str(model_path),
+            "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic",
+            "--holdout-list", str(holdout),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: CyclecastError: {holdout}:2: {reason}\n"
 
     def test_invalid_utf8_in_the_holdout_list_names_its_line(self, tmp_path, truth_file, capsys):
         main(_simulate(tmp_path))
@@ -594,6 +620,50 @@ class TestExitCodes:
     def test_grid_of_1024_values_parses(self):
         assert cli._grid("1:1024:1") == tuple(range(1, 1025))
         assert cli._grid("3:2049:2") == tuple(range(3, 2050, 2))
+
+    @pytest.mark.parametrize("value", ["1_0", "+10", " 10", "10 ", "\u0661\u0660"])
+    @pytest.mark.parametrize(
+        "flag", ["--mappers", "--reducers", "--input-bytes", "--reps", "--seed"]
+    )
+    def test_a_count_outside_the_number_grammar_is_usage(
+        self, tmp_path, truth_file, capsys, flag, value
+    ):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        if flag in ("--mappers", "--reducers"):
+            argv = ["ingest"] + _ingest_args(tmp_path, **{flag: value})
+        else:
+            argv = _simulate(tmp_path, extra=[flag, value])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {flag}: expected an integer, got {value!r}\n"
+        )
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [("--grid", "4:1_6:4", "expected integers lo:hi:step, got '4:1_6:4'"),
+         ("--noise", "1_0e-2", "expected a finite number, got '1_0e-2'"),
+         ("--noise", "inf", "expected a finite number, got 'inf'"),
+         ("--noise", "1e999", "expected a finite number, got '1e999'"),
+         ("--noise", "-0.5", "expected a value in [0, inf], got -0.5"),
+         ("--gap-threshold", "2", "expected a value in [0, 1], got 2"),
+         ("--gap-threshold", "1.5e0", "expected a value in [0, 1], got 1.5e0")],
+        ids=["grid-separator", "noise-separator", "noise-inf", "noise-overflow",
+             "noise-negative", "gap-threshold-2", "gap-threshold-exponent"],
+    )
+    def test_a_flag_value_outside_its_grammar_or_range_is_usage(
+        self, tmp_path, truth_file, capsys, flag, value, reason
+    ):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        if flag == "--gap-threshold":
+            argv = ["ingest"] + _ingest_args(tmp_path, **{flag: value})
+        else:
+            argv = _simulate(tmp_path, extra=[flag, value])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: {reason}\n"
+        assert not (tmp_path / "runs.jsonl").exists()
 
     def test_nonpositive_mappers_is_usage(self, tmp_path):
         assert main([

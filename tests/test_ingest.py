@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,9 @@ from cyclecast.ingest import (
     NonPositiveClockError,
     WarningKind,
     parse_cluster_spec,
+    parse_number,
     parse_trace_csv,
+    read_holdout_list,
     write_trace_csv,
 )
 
@@ -572,3 +575,39 @@ def test_any_cluster_text_parses_or_raises_a_typed_error(text):
         parse_cluster_spec(io.StringIO(text))
     except CyclecastError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text, integer, value",
+    [("10", True, 10), ("0", True, 0), ("-3", True, -3), (str(2**64), True, 2**64),
+     ("10", False, 10.0), ("1.5e-2", False, 0.015), (".5", False, 0.5), ("5.", False, 5.0),
+     ("-0.5", False, -0.5)],
+)
+def test_parse_number_reads_the_numbers_grammar(text, integer, value):
+    got = parse_number(text, integer)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    ["", "1_0", "+10", " 10", "10 ", "10\n", "\u0661\u0660", "inf", "nan", "0x10", "1e999"],
+)
+def test_parse_number_refuses_every_other_spelling(text, integer):
+    with pytest.raises(ValueError, match="^expected an? (integer|finite number), got "):
+        parse_number(text, integer)
+
+
+def test_parse_number_refuses_decimals_where_an_integer_is_expected():
+    for text in ("1.0", "1e3", "9" * 4301):
+        with pytest.raises(ValueError, match="^expected an integer, got "):
+            parse_number(text, integer=True)
+
+
+def test_holdout_list_reads_pairs_with_comments_and_commas(tmp_path):
+    path = tmp_path / "holdout.txt"
+    path.write_bytes(b"# cells\n4 8\n\n12,16  # trailing\r\n4\t8\n")
+    assert read_holdout_list(path) == {(4, 8), (12, 16)}
+    path.write_text("4 8 12\n")
+    with pytest.raises(CyclecastError, match=f"^{re.escape(str(path))}:1: expected 'mappers "):
+        read_holdout_list(path)

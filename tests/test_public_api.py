@@ -1,4 +1,8 @@
+import ast
+from pathlib import Path
+
 import cyclecast
+from cyclecast import cli
 
 EXPORTS = [
     "ClusterSpec",
@@ -56,3 +60,18 @@ def test_the_public_surface_is_pinned():
     assert sorted(cyclecast.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(cyclecast, name) is not None
+
+
+def test_the_cli_imports_no_private_name_of_the_library():
+    # Parsing and validation policy lives in the library; cli.py wires
+    # argparse to it through public names only.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("cyclecast"))
+        for alias in node.names
+    ]
+    assert imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []

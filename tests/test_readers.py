@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import record
 
 from cyclecast import store
-from cyclecast.cli import _read_holdout_list
 from cyclecast.core import CyclecastError
-from cyclecast.ingest import TRACE_HEADER, parse_cluster_spec, parse_trace_csv
+from cyclecast.ingest import TRACE_HEADER, parse_cluster_spec, parse_trace_csv, read_holdout_list
 
 # Bytes that sit near the edges of the grammars: separators, signs,
 # bytes that are not UTF-8, the line breaks str.splitlines knows, and
@@ -124,7 +123,7 @@ READERS = {
     ),
     "load_runs": (_load_runs_both_ways, _STORES),
     "load_model": (store.load_model, _models()),
-    "_read_holdout_list": (_read_holdout_list, _HOLDOUTS),
+    "read_holdout_list": (read_holdout_list, _HOLDOUTS),
 }
 
 

@@ -163,8 +163,17 @@ def test_spec_validation():
         _spec(grid_mappers=())
     with pytest.raises(ValueError):
         _spec(grid_mappers=(0, 4))
+    with pytest.raises(ValueError, match="grid_reducers must be < 2"):
+        _spec(grid_reducers=(2**63,))
+    for grid in ((True, 4), (4.5, 8)):
+        with pytest.raises(TypeError, match="grid_mappers must be an int"):
+            _spec(grid_mappers=grid)
     with pytest.raises(ValueError):
         _spec(repetitions=0)
+    with pytest.raises(TypeError, match="repetitions must be an int"):
+        _spec(repetitions=2.5)
+    with pytest.raises(ValueError, match="input_bytes must be < 2"):
+        _spec(input_bytes=2**63)
     with pytest.raises(ValueError):
         _spec(noise_rel_sigma=-0.1)
     with pytest.raises(ValueError):
