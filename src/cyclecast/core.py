@@ -65,16 +65,21 @@ def _clamp_negative(value: np.ndarray, where: Callable[[int], str]) -> float | n
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """The rule for every count in a table: an int in [least, 2**63)."""
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _check_count(name: str, value, least: int = 1, below: int = 2**63) -> int:
+    """The rule for every count: an int in [least, below), returned as a
+    Python int.  below is a power of two; the default is the bound of a
+    table's int64 column."""
     # bool is an int subclass, but True is not a degree of parallelism.
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    # Table count columns are int64.
-    if value >= 2**63:
-        raise ValueError(f"{name} must be < 2**63, got {value}")
+    if value >= below:
+        raise ValueError(f"{name} must be < 2**{below.bit_length() - 1}, got {value}")
+    return int(value)
 
 
 def _ints(name: str, value, least: int = 1) -> np.ndarray:
@@ -95,19 +100,61 @@ def _ints(name: str, value, least: int = 1) -> np.ndarray:
     return column
 
 
-def _reals(name: str, value) -> np.ndarray:
-    """value as a new read-only float64 array of finite values >= 0.  A
-    str, bytes or bool item (numpy's too) is a TypeError, as in a count."""
+def _real(name: str, value, least: float = 0.0, strict: bool = False) -> float:
+    """The rule for every real: a number, not a bool, str or bytes (nor
+    numpy's), that is finite and >= least (> least if strict), returned
+    as a Python float.  An int too large for a float is a ValueError."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+    if not (math.isfinite(value) and (value > least if strict else value >= least)):
+        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return value
+
+
+def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
+    """A number, or a numeric array or sequence of numbers, as a new
+    read-only float64 array (0-d for a scalar), each value held to
+    _real's rule.  A numeric array is checked whole; anything else has
+    the types of its items checked first."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = np.array(value, dtype=object)
         for kind in set(map(type, value.flat)):
-            if issubclass(kind, (str, bytes, bool, np.bool_)):
+            if issubclass(kind, bool) or not issubclass(kind, _NUMBERS):
                 raise TypeError(f"{name} must hold numbers, got {kind.__name__}")
-    column = np.array(value, dtype=np.float64)
-    bad = column[~((column >= 0.0) & (column < math.inf))]  # NaN fails both
+    try:
+        column = np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    bad = column[~(np.isfinite(column) & (column >= least))]
     if bad.size:
-        raise ValueError(f"{name} must be finite and >= 0, got {bad[0].item()}")
+        _real(name, bad[0].item(), least)
     column.setflags(write=False)
+    return column
+
+
+def _text(name: str, value) -> str:
+    """The rule for every text: a non-empty str."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a str, got {type(value).__name__}")
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+    return value
+
+
+def _texts(name: str, value) -> tuple[str, ...]:
+    """value as a tuple, each item held to _text's rule under name.  The
+    item types and emptiness are checked whole; a failure is then found
+    one item at a time."""
+    column = tuple(value)
+    if not all(issubclass(kind, str) for kind in set(map(type, column))) or not all(column):
+        for item in column:
+            _text(name, item)
     return column
 
 
@@ -116,18 +163,16 @@ def _set_columns(
 ) -> None:
     """Check a frozen table's columns and store each in its one form.
 
-    Each text column becomes a tuple of non-empty strings, each count
+    Each text column becomes a tuple under _texts' rule, each count
     column a read-only int64 array under _check_count's rule, and the
     real column a read-only float64 array under _reals' rule.  Every
     column has as many rows as the first text column.
     """
-    strings = {name: tuple(getattr(table, name)) for name in texts}
+    strings = {name: _texts(f"every item of {name}", getattr(table, name)) for name in texts}
     rows = len(strings[texts[0]])
     for name, column in strings.items():
         if len(column) != rows:
             raise ShapeMismatchError(f"column {name} has {len(column)} rows, not {rows}")
-        if not all(column):
-            raise ValueError(f"every item of {name} must be non-empty")
         object.__setattr__(table, name, column)
     arrays = {name: _ints(name, getattr(table, name)) for name in counts}
     arrays[real] = _reals(real, getattr(table, real))
@@ -144,7 +189,8 @@ class RunTable:
     apps and run_ids are tuples of non-empty strings.  mappers, reducers
     and input_bytes are read-only int64 arrays of ints in [1, 2**63), and
     total_cycles a read-only float64 array of finite values >= 0.  A
-    float, a bool or a string in a count column is a TypeError.
+    float, a bool or a string in a count column is a TypeError, and so is
+    an item of a text column that is not a str.
     """
 
     apps: tuple[str, ...]
@@ -245,9 +291,7 @@ class TraceSet:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = tuple(self.machine_ids)
-        if not all(ids):
-            raise ValueError("machine_id must be non-empty")
+        ids = _texts("machine_id", self.machine_ids)
         ends, offsets = _ints("ends", self.ends, 0), _ints("offsets", self.offsets, 0)
         samples = _reals("samples", self.samples)
         if ends.shape != (len(ids),) or (ends[1:] < ends[:-1]).any():

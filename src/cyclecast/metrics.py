@@ -10,13 +10,12 @@ denominator is degenerate, and report serialization maps None to null.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .core import CyclecastError, ShapeMismatchError
+from .core import CyclecastError, ShapeMismatchError, _check_count, _real
 
 DEFAULT_PRED_THRESHOLD = 0.25
 
@@ -107,14 +106,11 @@ class EvaluationReport:
     r2_standard: float | None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        _check_count("n", self.n, 2)
         if not 0 <= self.pred25 <= 1:
             raise ValueError(f"pred25 must be in [0, 1], got {self.pred25}")
         for name in ("mape", "rmse"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _real(name, getattr(self, name))
 
     def to_json_dict(self) -> dict[str, Any]:
         """Plain dict of the fields, in order; None becomes null downstream."""

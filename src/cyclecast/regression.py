@@ -33,8 +33,11 @@ from .core import (
     EmptyInputError,
     ProfileTable,
     ShapeMismatchError,
+    _check_count,
     _clamp_negative,
     _ints,
+    _real,
+    _text,
 )
 from .scaling import NonPositiveReferenceError, fit_scaling, scale_prediction
 
@@ -60,17 +63,27 @@ class IllConditionedError(CyclecastError):
     """The scaled design matrix's condition estimate exceeds the limit."""
 
 
+def _finite_floats(name: str, value, count: int) -> tuple[float, ...]:
+    """A sequence of count numbers as a tuple of floats, each held to
+    core's real rule, any sign allowed."""
+    if not isinstance(value, (tuple, list, np.ndarray)):
+        raise TypeError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
+    if len(value) != count:
+        raise ShapeMismatchError(f"{name} must hold {count} numbers, got {len(value)}")
+    return tuple([_real(name, v, -math.inf) for v in value])
+
+
 @dataclass(frozen=True)
 class CostModel:
     """One application's fitted surface, its diagnostics, the input size
     it was trained at, and the optional size line (slope in cycles per
     byte, intercept in cycles) that carries it to other sizes.
 
-    Validated once, here: a non-empty app like a run's, five finite
-    coefficients, a finite condition
-    estimate > 0, a finite residual >= 0, ref_input_bytes in [1, 2**63)
-    like a run's input_bytes, and a finite line that is positive at
-    ref_input_bytes (NonPositiveReferenceError otherwise).
+    Checked once, here, by core's rules, and each field stored as a plain
+    Python value: app a non-empty str, a five finite floats, a condition
+    > 0 and a residual >= 0, ref_input_bytes a count like a run's, and a
+    line of two finite floats that is positive at ref_input_bytes
+    (NonPositiveReferenceError otherwise).
     """
 
     app: str
@@ -81,37 +94,26 @@ class CostModel:
     line: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.app:
-            raise ValueError("app must be non-empty")
-        a = tuple(float(v) for v in self.a)
-        if len(a) != N_COEFFS:
-            raise ShapeMismatchError(f"need {N_COEFFS} coefficients, got {len(a)}")
-        if not all(math.isfinite(v) for v in a):
-            raise ValueError("coefficients must be finite")
-        if not 0 < self.condition_estimate < math.inf:
-            raise ValueError(
-                f"condition_estimate must be finite and > 0, got {self.condition_estimate}"
-            )
-        if not math.isfinite(self.training_residual) or self.training_residual < 0:
-            raise ValueError(
-                f"training_residual must be finite and >= 0, "
-                f"got {self.training_residual}"
-            )
-        ref = self.ref_input_bytes
-        if not 1 <= ref < 2**63:
-            raise ValueError(f"ref_input_bytes must be in [1, 2**63), got {ref}")
-        object.__setattr__(self, "a", a)
-        if self.line is None:
-            return
-        slope, intercept = (float(v) for v in self.line)
-        if not math.isfinite(slope) or not math.isfinite(intercept):
-            raise ValueError("size line slope and intercept must be finite")
-        if slope * ref + intercept <= 0:
-            raise NonPositiveReferenceError(
-                f"size line evaluates to {slope * ref + intercept:.6g} cycles at "
-                f"ref_input_bytes={ref}; must be > 0"
-            )
-        object.__setattr__(self, "line", (slope, intercept))
+        _text("app", self.app)
+        ref = _check_count("ref_input_bytes", self.ref_input_bytes)
+        fields = {
+            "a": _finite_floats("a", self.a, N_COEFFS),
+            "condition_estimate": _real(
+                "condition_estimate", self.condition_estimate, strict=True
+            ),
+            "training_residual": _real("training_residual", self.training_residual),
+            "ref_input_bytes": ref,
+        }
+        if self.line is not None:
+            slope, intercept = _finite_floats("size line slope and intercept", self.line, 2)
+            if slope * ref + intercept <= 0:
+                raise NonPositiveReferenceError(
+                    f"size line evaluates to {slope * ref + intercept:.6g} cycles at "
+                    f"ref_input_bytes={ref}; must be > 0"
+                )
+            fields["line"] = (slope, intercept)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def predict(
         self, mappers: ArrayLike, reducers: ArrayLike, input_bytes: ArrayLike | None = None
@@ -213,7 +215,7 @@ def fit_least_squares(profiles: ProfileTable) -> CostModel:
     residual = float(np.linalg.norm(rows @ a - y))
     return CostModel(
         app=apps[0],
-        a=tuple(float(v) for v in a),
+        a=a,
         condition_estimate=condition,
         training_residual=residual,
         ref_input_bytes=sizes[0],

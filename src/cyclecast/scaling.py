@@ -18,13 +18,12 @@ and checked by the model (see regression).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import CyclecastError, _clamp_negative
+from .core import CyclecastError, _check_count, _clamp_negative, _ints, _real, _reals
 
 if TYPE_CHECKING:
     from .regression import CostModel
@@ -44,19 +43,15 @@ def fit_scaling(points: Sequence[tuple[int, float]]) -> tuple[float, float]:
 
     Solved by least squares on a column-scaled design so byte counts in the
     gigabytes do not wreck conditioning.  Needs at least two distinct sizes.
+    Each size is held to core's count rule and each cycle value to its
+    real rule: an int in [1, 2**63), a finite number >= 0.
     """
-    sizes = np.array([float(b) for b, _ in points])
-    cycles = np.array([float(c) for _, c in points])
-    if len({b for b, _ in points}) < 2:
-        raise DegenerateInputError(
-            f"need >= 2 distinct input sizes, got {len(set(b for b, _ in points))}"
-        )
-    if np.any(sizes < 1):
-        raise ValueError("input sizes must be >= 1 byte")
-    if not np.all(np.isfinite(cycles)):
-        raise ValueError("cycle values must be finite")
-    size_scale = float(np.max(sizes))
-    design = np.column_stack([sizes / size_scale, np.ones_like(sizes)])
+    sizes = [_check_count("input_bytes", b) for b, _ in points]
+    cycles = [_real("cycles", c) for _, c in points]
+    if len(set(sizes)) < 2:
+        raise DegenerateInputError(f"need >= 2 distinct input sizes, got {len(set(sizes))}")
+    size_scale = float(max(sizes))
+    design = np.column_stack([np.array(sizes) / size_scale, np.ones(len(sizes))])
     (scaled_slope, intercept), _, _, _ = np.linalg.lstsq(design, cycles, rcond=None)
     return float(scaled_slope) / size_scale, float(intercept)
 
@@ -70,19 +65,17 @@ def scale_prediction(
     target_bytes == ref_input_bytes returns base_cycles unchanged, exactly.
     A negative result (possible when the line crosses zero below the
     target) is clamped to 0.0; one NegativePredictionWarning per call
-    names the first clamped point.  A model without a line is a ValueError.
+    names the first clamped point.  A model without a line is a ValueError,
+    and so is a base_cycles outside core's real rule (finite, >= 0) or a
+    target_bytes outside its count rule (an int in [1, 2**63)).
     """
     if model.line is None:
         raise ValueError("model has no size line")
     slope, intercept = model.line
     ref = model.ref_input_bytes
-    base, target = np.broadcast_arrays(np.asarray(base_cycles, dtype=float), target_bytes)
-    bad = base[~((base >= 0) & (base < math.inf))]
-    if bad.size:
-        raise ValueError(f"base_cycles must be finite and >= 0, got {bad[0]}")
-    bad = target[target < 1]
-    if bad.size:
-        raise ValueError(f"target_bytes must be >= 1, got {bad[0]}")
+    base, target = np.broadcast_arrays(
+        _reals("base_cycles", base_cycles), _ints("target_bytes", target_bytes)
+    )
     if intercept == 0.0:
         # Slope cancels from the ratio when the line passes through the
         # origin; folding it out keeps the pure-proportional case exact.

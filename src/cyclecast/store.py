@@ -39,33 +39,33 @@ One JSON document:
 
 plus an optional "scaling" section, an object {"slope": ...,
 "intercept": ..., "ref_bytes": ...} added once an input-size line has
-been fitted.  The section's ref_bytes must equal the integer
-ref_input_bytes, and both must be in [1, 2**63), as a run's input_bytes
-is.  Every other number must fit a float.  The document maps to one
-CostModel; load_model type-checks each value, then builds the model,
-which checks the rest.  save_model replaces the file whole: it writes a
-temporary file beside it, syncs it and renames it over the old one.
+been fitted.  load_model checks only the format: the basis tag, the
+section being an object, and its ref_bytes being the same integer as
+ref_input_bytes.  It hands every value to CostModel as JSON decoded it,
+and the model's own rules check them, so a value the model refuses
+makes the file a CorruptRecordError naming it.  save_model replaces the
+file whole: it writes a temporary file beside it, syncs it and renames
+it over the old one.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 import re
 import secrets
 import warnings
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, BinaryIO
 
 import numpy as np
 
-from .core import CyclecastError, RunTable, _check_count
+from .core import CyclecastError, RunTable, _check_count, _real, _text
 from .ingest import _decoded
-from .regression import BASIS_TAG, N_COEFFS, CostModel
-from .scaling import NonPositiveReferenceError
+from .regression import BASIS_TAG, CostModel
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -126,48 +126,35 @@ class TornRecordWarning(UserWarning):
     """The run store's unterminated last line does not parse and was skipped or dropped."""
 
 
-def _require(obj: dict[str, Any], key: str, kinds: tuple[type, ...], line_no: int) -> Any:
-    if key not in obj:
-        raise CorruptRecordError(f"line {line_no}: missing key {key!r}")
-    value = obj[key]
-    # bool is an int subclass; never acceptable where a number is expected.
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise CorruptRecordError(
-            f"line {line_no}: key {key!r} has type {type(value).__name__}"
-        )
-    return value
-
-
 _COUNT_KEYS = ("mappers", "reducers", "input_bytes")
+_RECORD_KEYS = ("schema_version", "app", "run_id", *_COUNT_KEYS, "total_cycles")
 
 
 def _record_row(obj: Any, line_no: int) -> tuple[str, str, int, int, int, float]:
     """A decoded record's fields, in RunTable column order, once each passes
-    its check; the first that fails is a typed error naming line_no."""
+    core's rule for its kind; the first that fails is a typed error naming
+    line_no."""
     if not isinstance(obj, dict):
         raise CorruptRecordError(f"line {line_no}: record is not an object")
-    version = _require(obj, "schema_version", (int,), line_no)
-    if version != RUNS_SCHEMA_VERSION:
+    # The version first: a record of another schema may lack this one's keys.
+    version = obj.get("schema_version", RUNS_SCHEMA_VERSION)
+    if type(version) is not int or version != RUNS_SCHEMA_VERSION:
         raise UnsupportedSchemaError(
-            f"line {line_no}: schema_version {version} is not supported "
+            f"line {line_no}: schema_version {version!r} is not supported "
             f"(this code speaks {RUNS_SCHEMA_VERSION})"
         )
-    app = _require(obj, "app", (str,), line_no)
-    run_id = _require(obj, "run_id", (str,), line_no)
-    counts = [_require(obj, key, (int,), line_no) for key in _COUNT_KEYS]
+    missing = [key for key in _RECORD_KEYS if key not in obj]
+    if missing:
+        raise CorruptRecordError(f"line {line_no}: missing key {missing[0]!r}")
     try:
-        for key, count in zip(_COUNT_KEYS, counts):
-            _check_count(key, count)
-        cycles = float(_require(obj, "total_cycles", (int, float), line_no))
-        for key, text in (("app", app), ("run_id", run_id)):
-            if not text:
-                raise ValueError(f"{key} must be non-empty")
-        if not 0.0 <= cycles < math.inf:
-            raise ValueError(f"total_cycles must be finite and >= 0, got {cycles}")
-    # OverflowError: an integer total_cycles too large for a float.
-    except (ValueError, OverflowError) as exc:
+        return (
+            _text("app", obj["app"]),
+            _text("run_id", obj["run_id"]),
+            *[_check_count(key, obj[key]) for key in _COUNT_KEYS],
+            _real("total_cycles", obj["total_cycles"]),
+        )
+    except (TypeError, ValueError) as exc:
         raise CorruptRecordError(f"line {line_no}: {exc}") from None
-    return (app, run_id, *counts, cycles)
 
 
 def append_runs(path: str | Path, table: RunTable) -> int:
@@ -364,25 +351,6 @@ def load_model(path: str | Path) -> CostModel:
         raise CorruptRecordError(f"{path}: {exc}") from None
 
 
-def _number(value: Any, what: str) -> float:
-    """A JSON number as a float; bool, other types and overflow are corrupt."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CorruptRecordError(f"{what} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise CorruptRecordError(f"{what} is too large for a float") from None
-
-
-def _size(value: Any, what: str) -> int:
-    """A JSON integer in [1, 2**63); other types and values are corrupt."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CorruptRecordError(f"{what} must be an integer")
-    if not 1 <= value < 2**63:
-        raise CorruptRecordError(f"{what} must be in [1, 2**63), got {value}")
-    return value
-
-
 def _model_from_bytes(data: bytes) -> CostModel:
     text = _decoded(data, lambda _line_no, reason: CorruptRecordError(reason))
     try:
@@ -395,31 +363,22 @@ def _model_from_bytes(data: bytes) -> CostModel:
     basis = doc.get("basis")
     if basis != BASIS_TAG:
         raise CorruptRecordError(f"unknown basis {basis!r}, expected {BASIS_TAG!r}")
-    coeffs = doc.get("a")
-    if not isinstance(coeffs, list) or len(coeffs) != N_COEFFS:
-        raise CorruptRecordError(f"key 'a' must be a list of {N_COEFFS} numbers")
-    app = doc.get("app")
-    if not isinstance(app, str):
-        raise CorruptRecordError("key 'app' must be a string")
-    a = tuple(_number(v, f"key 'a' item {i}") for i, v in enumerate(coeffs))
-    condition = _number(doc.get("condition"), "key 'condition'")
-    residual = _number(doc.get("residual"), "key 'residual'")
-    ref = _size(doc.get("ref_input_bytes"), "key 'ref_input_bytes'")
-    line = None
-    if "scaling" in doc:
+    # CostModel checks every field.  A value it refuses, like a broken
+    # scaling section, makes the file corrupt.
+    fields = [doc.get(key) for key in ("app", "a", "condition", "residual", "ref_input_bytes")]
+    try:
+        model = CostModel(*fields)
+        if "scaling" not in doc:
+            return model
         section = doc["scaling"]
         if not isinstance(section, dict):
-            raise CorruptRecordError("key 'scaling' must be an object")
-        line = (
-            _number(section.get("slope"), "scaling key 'slope'"),
-            _number(section.get("intercept"), "scaling key 'intercept'"),
-        )
-        ref_bytes = _size(section.get("ref_bytes"), "scaling key 'ref_bytes'")
-        if ref_bytes != ref:
-            raise CorruptRecordError(
-                f"size line is anchored at {ref_bytes} bytes, not ref_input_bytes {ref}"
+            raise TypeError("key 'scaling' must be an object")
+        ref_bytes = section.get("ref_bytes")
+        if type(ref_bytes) is not int or ref_bytes != model.ref_input_bytes:
+            raise ValueError(
+                f"size line is anchored at {ref_bytes!r} bytes, "
+                f"not ref_input_bytes {model.ref_input_bytes}"
             )
-    try:
-        return CostModel(app, a, condition, residual, ref, line)
-    except (ValueError, NonPositiveReferenceError) as exc:
+        return replace(model, line=(section.get("slope"), section.get("intercept")))
+    except (TypeError, ValueError, CyclecastError) as exc:
         raise CorruptRecordError(str(exc)) from None

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count
+from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count, _real, _text
 from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -59,7 +59,13 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Everything that determines a synthetic workload, including the seed."""
+    """Everything that determines a synthetic workload, including the seed.
+
+    Checked once, here, by core's rules, and each field stored as a plain
+    Python value: the grids non-empty tuples of counts, repetitions and
+    input_bytes counts, seed an int in [0, 2**64), noise_rel_sigma a
+    real >= 0 and app a non-empty str.
+    """
 
     truth: CostModel
     grid_mappers: tuple[int, ...] = DEFAULT_GRID
@@ -72,22 +78,18 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         for name in ("grid_mappers", "grid_reducers"):
-            grid = tuple(getattr(self, name))
+            grid = tuple([_check_count(name, value) for value in getattr(self, name)])
             if not grid:
                 raise ValueError(f"{name} must be non-empty")
-            for value in grid:
-                _check_count(name, value)
             object.__setattr__(self, name, grid)
-        _check_count("repetitions", self.repetitions)
-        _check_count("input_bytes", self.input_bytes)
-        if not math.isfinite(self.noise_rel_sigma) or self.noise_rel_sigma < 0:
-            raise ValueError(
-                f"noise_rel_sigma must be finite and >= 0, got {self.noise_rel_sigma}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a uint64, got {self.seed}")
-        if not self.app:
-            raise ValueError("app must be non-empty")
+        for name, value in [
+            ("repetitions", _check_count("repetitions", self.repetitions)),
+            ("noise_rel_sigma", _real("noise_rel_sigma", self.noise_rel_sigma)),
+            ("seed", _check_count("seed", self.seed, 0, 2**64)),
+            ("app", _text("app", self.app)),
+            ("input_bytes", _check_count("input_bytes", self.input_bytes)),
+        ]:
+            object.__setattr__(self, name, value)
 
 
 def _words(value: int) -> list[int]:

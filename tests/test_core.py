@@ -373,6 +373,11 @@ class TestValidation:
                     self._with(cls, **{real: column})
             assert getattr(self._with(cls, **{real: [3]}), real).tolist() == [3.0]
 
+    def test_a_real_too_large_for_a_float_is_a_value_error(self):
+        for cls, real in ((RunTable, "total_cycles"), (ProfileTable, "mean_cycles")):
+            with pytest.raises(ValueError, match=f"^{real} is too large for a float$"):
+                self._with(cls, **{real: [1.0, 10**400]})
+
     def test_run_cycles_become_a_plain_float(self):
         runs = self._with(RunTable, total_cycles=[np.float64(0.1)])
         (cycles,) = runs.total_cycles.tolist()
@@ -383,6 +388,26 @@ class TestValidation:
             self._with(RunTable, total_cycles=[-1.0])
         with pytest.raises(ValueError):
             self._with(ProfileTable, mean_cycles=[-1.0])
+
+    @pytest.mark.parametrize(
+        "cls, change, column",
+        [
+            (RunTable, {"apps": [5]}, "apps"),
+            (RunTable, {"run_ids": [b"r"]}, "run_ids"),
+            (RunTable, {"run_ids": [None]}, "run_ids"),
+            (ProfileTable, {"apps": [np.int64(1)]}, "apps"),
+        ],
+    )
+    def test_text_columns_hold_str(self, cls, change, column):
+        with pytest.raises(TypeError, match=f"^every item of {column} must be a str, got "):
+            self._with(cls, **change)
+
+    @pytest.mark.parametrize("machine", [7, b"a", None, ("a",)])
+    def test_machine_ids_are_str(self, machine):
+        with pytest.raises(TypeError, match="^every item of machines must be a str, got "):
+            ClusterSpec(("a", machine), [1.0, 1.0], [1, 1])
+        with pytest.raises(TypeError, match="^machine_id must be a str, got "):
+            TraceSet(("a", machine), [1, 2], [0, 0], [0.5, 0.5])
 
     def test_profile_rejects_zero_repetitions(self):
         for repetitions in ([0], np.array([0]), [1.0], [True], [2**63]):

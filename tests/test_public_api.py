@@ -75,3 +75,33 @@ def test_the_cli_imports_no_private_name_of_the_library():
     ]
     assert imported
     assert [pair for pair in imported if pair[1].startswith("_")] == []
+
+
+# The bounds of the count rule, as a literal may spell them.
+_COUNT_BOUNDS = {"2 ** 63", "2 ** 64", str(2**63), str(2**64)}
+
+
+def test_constructors_outside_core_keep_no_rules_of_their_own():
+    # The count, real and text rules live in core; every other
+    # __post_init__ calls them rather than checking finiteness or the
+    # 2**63 and 2**64 bounds by hand.
+    source = Path(cli.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not (isinstance(function, ast.FunctionDef) and function.name == "__post_init__"):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "isfinite"
+                ) or (
+                    isinstance(node, ast.Compare)
+                    and {ast.unparse(part) for part in [node.left, *node.comparators]} & _COUNT_BOUNDS
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -184,8 +184,8 @@ def test_cost_model_needs_one_reference_size():
     # rule's [1, 2**63).  A file's second, disagreeing size is a store test.
     with pytest.raises(TypeError, match="ref_input_bytes"):
         CostModel(app="sort", a=SURFACE.a, condition_estimate=1.0, training_residual=0.0)
-    for size in (0, -GIB, 2**63):
-        with pytest.raises(ValueError, match=r"ref_input_bytes must be in \[1, 2\*\*63\)"):
+    for size, message in ((0, ">= 1, got 0"), (-GIB, ">= 1, got -"), (2**63, r"< 2\*\*63, got")):
+        with pytest.raises(ValueError, match=f"^ref_input_bytes must be {message}"):
             dataclasses.replace(SURFACE, ref_input_bytes=size)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import fcntl
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,9 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracle import record, rows, table
 
 from cyclecast import store
@@ -191,6 +193,23 @@ def test_future_schema_version_is_refused(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text(json.dumps({**record(*_rows(1)[0]), "schema_version": 999}) + "\n")
     with pytest.raises(UnsupportedSchemaError):
+        load_runs(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"app": 5}, "app must be a str, got int"),
+        ({"run_id": ""}, "run_id must be non-empty"),
+        ({"mappers": True}, "mappers must be an int, got bool"),
+        ({"total_cycles": "1"}, "total_cycles must be a number, got str"),
+        ({"total_cycles": 10**400}, "total_cycles is too large for a float"),
+    ],
+)
+def test_a_record_field_is_held_to_the_rule_of_its_kind(tmp_path, change, message):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps({**record(*_rows(1)[0]), **change}) + "\n")
+    with pytest.raises(CorruptRecordError, match=f"^line 1: {message}$"):
         load_runs(path)
 
 
@@ -375,7 +394,12 @@ def test_an_integer_beyond_int_s_digit_limit_is_corrupt(tmp_path, field):
 def test_a_reference_size_of_2_63_or_more_is_corrupt(tmp_path, field, size):
     path = tmp_path / "model.json"
     _model_with(path, field, str(size))
-    with pytest.raises(CorruptRecordError, match=rf"^{_named(path)}: .*must be in \[1, 2\*\*63\)"):
+    # The model's own size breaks the count rule; the section's breaks its anchor.
+    if field == "ref_input_bytes":
+        message = r"ref_input_bytes must be < 2\*\*63, got "
+    else:
+        message = f"size line is anchored at {size} bytes, not ref_input_bytes "
+    with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: {message}"):
         load_model(path)
 
 
@@ -387,6 +411,106 @@ def test_the_largest_reference_size_loads(tmp_path):
     model = load_model(path)
     assert model.ref_input_bytes == 2**63 - 1
     assert model.line == SIZED.line
+
+
+# Each CostModel field in the forms a caller may hand it: Python and
+# numpy ints and floats.  _REFUSED adds what a number field refuses.
+def _forms(values, *casts):
+    return st.tuples(values, st.sampled_from(casts)).map(lambda pair: pair[1](pair[0]))
+
+
+def _reals_from(least, exclude_min=False):
+    """Finite numbers >= least (> least if exclude_min), least 0 or -inf."""
+    f32 = float(np.finfo(np.float32).max)
+    lowest = -(2**64) if least < 0 else int(exclude_min)
+    return (
+        _forms(st.floats(max(least, -1e300), 1e300, exclude_min=exclude_min), float, np.float64)
+        | st.floats(max(least, -f32), f32, width=32, exclude_min=exclude_min).map(np.float32)
+        | _forms(st.integers(lowest, 2**64), int, np.float64)
+        | st.integers(max(lowest, -(2**63)), 2**63 - 1).map(np.int64)
+    )
+
+
+_REFUSED = st.sampled_from(
+    [True, np.bool_(False), "1.0", b"1", None, math.nan, math.inf, -math.inf, np.float64("nan"),
+     10**400]
+)
+_COEFFS = st.lists(_reals_from(-math.inf), min_size=5, max_size=5)
+_SIZES = _forms(st.integers(1, 2**63 - 1), int, np.int64, np.uint64)
+# Per field: (valid values, refused values, the start of a refusal's message).
+_MODEL_FIELDS = {
+    "app": (st.text(min_size=1), st.sampled_from(["", b"sort", 5, None, True]), "app "),
+    "a": (
+        st.one_of(_COEFFS.map(tuple), _COEFFS, _COEFFS.map(lambda a: np.array(a, dtype=float))),
+        st.tuples(_COEFFS, st.integers(0, 4), _REFUSED).map(
+            lambda d: tuple(d[0][: d[1]] + [d[2]] + d[0][d[1] + 1 :])
+        ),
+        "a ",
+    ),
+    "condition_estimate": (
+        _reals_from(0.0, exclude_min=True),
+        _REFUSED | st.sampled_from([0, 0.0, -1.0, np.float32(-2)]),
+        "condition_estimate ",
+    ),
+    "training_residual": (
+        _reals_from(0.0),
+        _REFUSED | st.sampled_from([-1, -1e-300, np.int64(-3)]),
+        "training_residual ",
+    ),
+    "ref_input_bytes": (
+        _SIZES,
+        _REFUSED | st.sampled_from([0, -1, 2**63, 2**64, 1.5e9, float(2**30), np.float64(3)]),
+        "ref_input_bytes ",
+    ),
+    # A non-negative slope and positive intercept keep the line positive
+    # at every reference size.
+    "line": (
+        st.none() | st.tuples(_reals_from(0.0), _reals_from(0.0, exclude_min=True)),
+        st.tuples(_reals_from(0.0), _REFUSED) | st.tuples(_REFUSED, _reals_from(0.0, exclude_min=True)),
+        "size line ",
+    ),
+}
+
+
+@st.composite
+def _model_fields(draw):
+    """Every field valid in one of its forms, and at most one, named, refused."""
+    fields = {name: draw(valid) for name, (valid, _, _) in _MODEL_FIELDS.items()}
+    refused = draw(st.none() | st.sampled_from(sorted(_MODEL_FIELDS)))
+    if refused is not None:
+        fields[refused] = draw(_MODEL_FIELDS[refused][1])
+    return fields, refused
+
+
+def _motivating(**change):
+    return {**dataclasses.asdict(SIZED), **change}
+
+
+@given(_model_fields())
+@example(({**_motivating(ref_input_bytes=1.5e9), "line": None}, "ref_input_bytes"))
+@example((_motivating(ref_input_bytes=True), "ref_input_bytes"))
+@example((_motivating(condition_estimate=True), "condition_estimate"))
+@example((_motivating(ref_input_bytes=np.int64(2**30)), None))
+@example((_motivating(training_residual=np.float32(0)), None))
+@settings(deadline=None)
+def test_a_model_that_constructs_saves_and_loads_back(drawn):
+    fields, refused = drawn
+    if refused is not None:
+        with pytest.raises((TypeError, ValueError), match=f"^{_MODEL_FIELDS[refused][2]}"):
+            CostModel(**fields)
+        return
+    model = CostModel(**fields)
+    # One canonical Python form per field, equal to the value given.
+    assert type(model.a) is tuple and all(type(v) is float for v in model.a)
+    assert list(model.a) == [float(v) for v in fields["a"]]
+    for name, kind in [("condition_estimate", float), ("training_residual", float),
+                       ("ref_input_bytes", int)]:
+        assert type(getattr(model, name)) is kind and getattr(model, name) == fields[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(path, model)
+        loaded = load_model(path)
+    assert dataclasses.astuple(loaded) == dataclasses.astuple(model)
 
 
 def _fail_writing_halfway(file, *args, **kwargs):

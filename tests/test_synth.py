@@ -176,8 +176,9 @@ def test_spec_validation():
         _spec(input_bytes=2**63)
     with pytest.raises(ValueError):
         _spec(noise_rel_sigma=-0.1)
-    with pytest.raises(ValueError):
-        _spec(seed=-1)
+    for seed in (2.5, True, np.float64(3), -1, 2**64):
+        with pytest.raises((TypeError, ValueError), match="^seed must be"):
+            _spec(seed=seed)
     with pytest.raises(ValueError):
         _spec(app="")
     with pytest.raises(ValueError):
