@@ -53,7 +53,11 @@ class NegativePredictionWarning(UserWarning):
 
 def _clamp_negative(value: np.ndarray, where: Callable[[int], str]) -> float | np.ndarray:
     """value with negatives set to 0.0, a float when 0-d.  A clamp warns
-    once; where(i) describes the first clamped element, at flat index i."""
+    once; where(i) describes the first clamped element, at flat index i.
+    A value that is not finite is a CyclecastError naming the first."""
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise CyclecastError(f"{where(np.flatnonzero(bad)[0])}; a cycle count must be finite")
     negative = value < 0
     if negative.any():
         warnings.warn(

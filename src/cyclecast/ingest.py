@@ -19,7 +19,9 @@ Line oriented, one machine per line:
 
     machine_id clock_hz cores
 
-Fields are whitespace separated.  '#' starts a comment (whole-line or
+Fields are separated by whitespace: any run of the characters
+str.split() splits at, other than the LF that ends a line (so a CR
+before it is whitespace too).  '#' starts a comment (whole-line or
 trailing), blank lines are ignored.  clock_hz is a finite positive
 decimal, cores an integer in [1, 2**63).
 
@@ -37,36 +39,19 @@ Nothing else is: no leading '+', space, underscore or non-ASCII digit.
 A leading '-' is read only so that a negative value is reported as
 negative rather than as a malformed number.  parse_number reads one.
 
-Trace parsing
--------------
-A trace parses into one TraceSet, with no per-machine object: an int64
-offset and a float64 CPU-seconds column, one segment per machine, ids
-sorted.  One regular-expression pass checks the whole body against a
-narrower grammar: no '-', offsets of at most 18 digits (they fit int64).
-The body is then converted in chunks of lines into the two columns and
-a machine index; one stable sort on (machine, offset) groups them.  The
-row loop runs instead when this fast path cannot vouch for the body: a
-row outside the narrower grammar, a cpu_seconds that overflows to
-infinity, or a repeated (machine_id, offset_s) pair.  It raises the
-typed error of the first bad row, naming its line, or parses the valid
-rows the narrower grammar leaves out, such as offset -0.  Either way the
-set's constructor checks the columns once, and the gap rule below is one
-operation over them.
-
-Cluster spec parsing
---------------------
-The cluster parser takes a fast path too.  One regular-expression pass
-checks the whole spec against a narrower grammar: every line is either
-a whole-line '#' comment or ``machine_id SP clock_hz SP cores`` with
-single spaces, and every line ends in LF.  clock_hz has no sign, and
-cores is 1 to 18 digits without a leading zero.  One split then yields
-the three columns, which ClusterSpec checks whole.  The line loop runs
-instead for any other spec (tabs, runs of spaces, blank lines, trailing
-comments, CRLF, a missing final newline, cores such as 04), and for
-specs the columns fail: a clock_hz that is 0 or overflows to infinity, a
-repeated machine_id, or no entries at all.  It raises the typed error of
-the first bad line, naming it, or parses the valid specs the narrower
-grammar leaves out.
+Parsing
+-------
+The trace and cluster formats each have one grammar, the one above,
+written once as a regular expression over the whole body.  A body that
+matches is converted in one columnar pass: a trace into one TraceSet
+(an int64 offset and a float64 CPU-seconds column, converted in chunks
+of lines and grouped by one stable sort on (machine, offset)), a cluster
+spec into the columns of one ClusterSpec.  The pass declines a body that
+does not match, or whose columns fail a check the grammar cannot make: a
+value past int64 or below zero, a number that overflows to infinity, a
+repeated key, a cluster with no entries.  A line loop then names the
+first bad line of a declined body with its typed error; it builds no
+columns.
 
 Encoding
 --------
@@ -91,40 +76,38 @@ because the remaining rows are still internally consistent:
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, TraceSet, _check_count
+from .core import ClusterSpec, CyclecastError, TraceSet, _check_count, _real
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
-_MACHINE_ID = r"[A-Za-z0-9_-]+"
-# 4300 digits is the most that int() converts under Python's default limit.
-_INTEGER = r"-?[0-9]{1,4300}"
-_DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# The documented grammar, written once.  Every field is followed by a
+# character its class excludes (a separator, a line end or the end of the
+# text), so the possessive forms accept the same text as plain ones
+# without keeping backtracking state across a body.  4300 digits is the
+# most that int() converts under Python's default limit.
+_MACHINE_ID = r"[A-Za-z0-9_-]++"
+_INTEGER = r"-?+[0-9]{1,4300}+"
+_DECIMAL = r"-?+(?>[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?[0-9]++)?+"
 _MACHINE_ID_RE = re.compile(_MACHINE_ID)
 _INTEGER_RE = re.compile(_INTEGER)
 _DECIMAL_RE = re.compile(_DECIMAL)
-_ROW_RE = re.compile(f"({_MACHINE_ID}),({_INTEGER}),({_DECIMAL})")
-# The fast paths' fields: no sign, integers of at most 18 digits (they
-# fit int64).  Every field is followed by a character its class excludes,
-# so the possessive forms accept the same text as plain ones, without
-# keeping backtracking state across the body.
-_FAST_DECIMAL = r"(?>[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?[0-9]++)?+"
-_FAST_ROW = r"[A-Za-z0-9_-]++,[0-9]{1,18}+," + _FAST_DECIMAL
-_FAST_BODY = re.compile(f"(?:{_FAST_ROW}\n)*+(?:{_FAST_ROW})?")
+_ROW = f"{_MACHINE_ID},{_INTEGER},{_DECIMAL}"
+_BODY = re.compile(f"(?:{_ROW}\n)*+(?:{_ROW})?+")
+# _SPACE is the whitespace str.split() splits at, less the line end.
+_SPACE = r"[^\S\n]"
+_ENTRY = f"{_MACHINE_ID}{_SPACE}++{_DECIMAL}{_SPACE}++{_INTEGER}"
+_SPEC_LINE = f"{_SPACE}*+(?:{_ENTRY}{_SPACE}*+)?+(?:#[^\n]*+)?+"
+_SPEC = re.compile(f"(?:{_SPEC_LINE}\n)*+{_SPEC_LINE}")
 _CHUNK_CHARS = 1 << 18
-_FAST_SPEC = re.compile(
-    r"(?:#[^\n]*+\n|[A-Za-z0-9_-]++ " + _FAST_DECIMAL + r" [1-9][0-9]{0,17}+\n)*+"
-)
-_COMMENT_LINE = re.compile(r"^#[^\n]*\n", re.MULTILINE)
 
 _Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
 
@@ -196,7 +179,7 @@ def parse_trace_csv(
     gap_threshold is the tolerated missing fraction of each machine's
     offset span before a GAP_EXCEEDS_THRESHOLD warning is attached.
     """
-    if not 0 <= gap_threshold <= 1:
+    if not 0 <= _real("gap_threshold", gap_threshold, -math.inf) <= 1:
         raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
     text = _decoded(stream.read(), MalformedRowError)
     if not text:
@@ -206,7 +189,7 @@ def parse_trace_csv(
     if header != TRACE_HEADER:
         raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
 
-    traces = TraceSet(*(_fast_columns(text) or _row_columns(text)))
+    traces = TraceSet(*(_columns(text) or _raise_first_bad_row(text)))
     warnings: list[IngestWarning] = []
     if header_end >= 0 and not text.endswith("\n"):
         detail = "last line has no trailing newline; the final row may be truncated"
@@ -263,22 +246,22 @@ def _decoded(data: str | bytes, error: _Error) -> str:
 _Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
 
 
-def _fast_columns(text: str) -> _Columns | None:
-    """The sorted TraceSet columns of a trace body in the fast grammar,
-    or None to fall back.
+def _columns(text: str) -> _Columns | None:
+    """The sorted TraceSet columns of a trace body, or None if it has a
+    bad row.
 
     text is a whole trace stream whose header has been checked.  Rows are
     converted in chunks of about _CHUNK_CHARS characters, so the
     per-field strings never exist for the whole file at once.  The
-    columns pass every check of the set's constructor: ids in the
-    grammar, offsets >= 0 and strictly increasing per machine (no sign,
-    the sort and the duplicate check), samples finite and >= 0 (no sign,
-    the infinity check).
+    grammar vouches for the ids and the spelling of every number; the
+    columns then decline an offset past int64, a negative offset or
+    cpu_seconds, a cpu_seconds that overflows to infinity, and, once
+    sorted, a repeated (machine_id, offset_s) pair.
     """
     start, end = len(TRACE_HEADER) + 1, len(text)
     if start >= end:
         return [], [], [], []
-    if _FAST_BODY.fullmatch(text, start) is None:
+    if _BODY.fullmatch(text, start) is None:
         return None
     if text.endswith("\n"):
         end -= 1
@@ -299,10 +282,13 @@ def _fast_columns(text: str) -> _Columns | None:
             index.setdefault(machine_id, len(index))
         chunk = slice(row, row + n)
         codes[chunk] = np.fromiter(map(index.__getitem__, ids), np.intp, n)
-        offsets[chunk] = np.fromiter(map(int, fields[1::3]), np.int64, n)
+        try:
+            offsets[chunk] = np.fromiter(map(int, fields[1::3]), np.int64, n)
+        except OverflowError:  # an offset past int64
+            return None
         samples[chunk] = np.fromiter(map(float, fields[2::3]), np.float64, n)
         row += n
-    if samples.max() == math.inf:  # a cpu_seconds such as 1e999 overflowed
+    if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
         return None
 
     names = sorted(index)
@@ -319,22 +305,28 @@ def _fast_columns(text: str) -> _Columns | None:
     return names, np.cumsum(np.bincount(codes)), offsets, samples
 
 
-def _row_columns(text: str) -> _Columns:
-    """Check and group a trace body one row at a time.
-
-    Raises the typed error of the first bad row, naming its line.  Only
-    bodies _fast_columns declines reach here: bad ones, and good ones in
-    the documented grammar but not the fast one.
-    """
+def _raise_first_bad_row(text: str) -> NoReturn:
+    """Raise the typed error of the first bad row of a trace body that
+    _columns declines, naming its line."""
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()
-    per_machine: dict[str, dict[int, float]] = {}
+    seen: set[tuple[str, int]] = set()
     for line_no, line in enumerate(lines[1:], start=2):
-        row = _ROW_RE.fullmatch(line)
-        if row is None:
-            raise _malformed_row(line_no, line)
-        machine_id, offset_text, cpu_text = row.groups()
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise MalformedRowError(line_no, f"expected 3 fields, got {len(fields)}")
+        machine_id, offset_text, cpu_text = fields
+        if not _MACHINE_ID_RE.fullmatch(machine_id):
+            raise MalformedRowError(
+                line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
+            )
+        if not _INTEGER_RE.fullmatch(offset_text):
+            raise MalformedRowError(
+                line_no, f"offset_s must be an integer, got {offset_text!r}"
+            )
+        if not _DECIMAL_RE.fullmatch(cpu_text):
+            raise MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
         offset_s = _count("offset_s", offset_text, MalformedRowError, line_no, least=0)
         cpu_seconds = float(cpu_text)
         if cpu_seconds == math.inf:
@@ -343,31 +335,10 @@ def _row_columns(text: str) -> _Columns:
             )
         if cpu_seconds < 0:
             raise NegativeCpuSecondsError(line_no, cpu_text)
-        bucket = per_machine.setdefault(machine_id, {})
-        if offset_s in bucket:
+        if (machine_id, offset_s) in seen:
             raise DuplicateSampleError(line_no, machine_id, offset_s)
-        bucket[offset_s] = cpu_seconds
-    names = sorted(per_machine)
-    rows = [sorted(per_machine[name].items()) for name in names]
-    offsets, samples = zip(*itertools.chain.from_iterable(rows)) if names else ((), ())
-    return names, list(itertools.accumulate(map(len, rows))), offsets, samples
-
-
-def _malformed_row(line_no: int, line: str) -> MalformedRowError:
-    """Name the first field of a row that does not match the trace grammar."""
-    parts = line.split(",")
-    if len(parts) != 3:
-        return MalformedRowError(line_no, f"expected 3 fields, got {len(parts)}")
-    machine_id, offset_text, cpu_text = parts
-    if not _MACHINE_ID_RE.fullmatch(machine_id):
-        return MalformedRowError(
-            line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
-        )
-    if not _INTEGER_RE.fullmatch(offset_text):
-        return MalformedRowError(
-            line_no, f"offset_s must be an integer, got {offset_text!r}"
-        )
-    return MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
+        seen.add((machine_id, offset_s))
+    raise AssertionError("a trace body that _columns declines has a bad row")
 
 
 def write_trace_csv(traces: TraceSet, stream: TextIO) -> None:
@@ -387,34 +358,31 @@ def write_trace_csv(traces: TraceSet, stream: TextIO) -> None:
 def parse_cluster_spec(stream: TextIO | BinaryIO) -> ClusterSpec:
     """Parse a cluster spec stream; entries keep their file order."""
     text = _decoded(stream.read(), _entry_error)
-    cluster = _fast_cluster(text)
-    return _line_cluster(text) if cluster is None else cluster
+    return _cluster(text) or _raise_first_bad_entry(text)
 
 
 def _entry_error(line_no: int, reason: str) -> MalformedEntryError:
     return MalformedEntryError(f"line {line_no}: {reason}")
 
 
-def _fast_cluster(text: str) -> ClusterSpec | None:
-    """The cluster of a spec in the fast grammar, or None to fall back.
+def _cluster(text: str) -> ClusterSpec | None:
+    """The cluster of a spec, or None if it has a bad entry or none.
 
-    The grammar proves the ids and cores in [1, 10**18).  The columns go
-    to ClusterSpec whole, which checks clock_hz finite and > 0 and the ids
-    unique; a spec it refuses, or one with no entries, falls back.
+    The grammar vouches for the ids and the spelling of every number.
+    The columns go to ClusterSpec whole, which checks clock_hz finite and
+    > 0, cores in [1, 2**63) and the ids unique.
     """
-    if _FAST_SPEC.fullmatch(text) is None:
+    if _SPEC.fullmatch(text) is None:
         return None
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
-    fields = text.split()
+    fields = re.sub("#[^\n]*", "", text).split()
     if not fields:
         return None
     rows = len(fields) // 3
     clocks = np.fromiter(map(float, fields[1::3]), np.float64, rows)
-    cores = np.fromiter(map(int, fields[2::3]), np.int64, rows)
-    try:
+    try:  # cores past int64, or columns ClusterSpec refuses
+        cores = np.fromiter(map(int, fields[2::3]), np.int64, rows)
         return ClusterSpec(fields[0::3], clocks, cores)
-    except ValueError:
+    except (OverflowError, ValueError):
         return None
 
 
@@ -434,16 +402,9 @@ def _entries(text: str, names: str, error: _Error, commas: bool = False) -> Iter
             yield line_no, raw, fields
 
 
-def _line_cluster(text: str) -> ClusterSpec:
-    """Check a cluster spec one line at a time.
-
-    Raises the typed error of the first bad line, naming it.  Only specs
-    _fast_cluster declines reach here: bad ones, and good ones in the
-    documented grammar but not the fast one.
-    """
-    ids: list[str] = []
-    clocks: list[float] = []
-    counts: list[int] = []
+def _raise_first_bad_entry(text: str) -> NoReturn:
+    """Raise the typed error of the first bad line of a cluster spec that
+    _cluster declines, naming it."""
     seen: set[str] = set()
     for line_no, _, parts in _entries(text, "machine_id clock_hz cores", _entry_error):
         machine_id, clock_text, cores_text = parts
@@ -462,13 +423,11 @@ def _line_cluster(text: str) -> ClusterSpec:
             raise NonPositiveClockError(
                 f"line {line_no}: clock_hz must be > 0, got {clock_text}"
             )
+        _count("cores", cores_text, _entry_error, line_no)
         seen.add(machine_id)
-        ids.append(machine_id)
-        clocks.append(clock_hz)
-        counts.append(_count("cores", cores_text, _entry_error, line_no))
-    if not ids:
+    if not seen:
         raise MalformedEntryError("cluster spec has no machine entries")
-    return ClusterSpec(ids, clocks, counts)
+    raise AssertionError("a cluster spec that _cluster declines has a bad entry")
 
 
 def read_holdout_list(path: str | Path) -> set[tuple[int, int]]:

@@ -10,12 +10,13 @@ denominator is degenerate, and report serialization maps None to null.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .core import CyclecastError, ShapeMismatchError, _check_count, _real
+from .core import CyclecastError, ShapeMismatchError, _check_count, _real, _reals
 
 DEFAULT_PRED_THRESHOLD = 0.25
 
@@ -30,8 +31,8 @@ class ZeroActualError(CyclecastError):
 def _paired(
     actual: Sequence[float], predicted: Sequence[float], min_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
+    a = _reals("actual", actual, -math.inf)
+    p = _reals("predicted", predicted, -math.inf)
     if a.ndim != 1 or p.ndim != 1:
         raise ShapeMismatchError("actual and predicted must be 1-d")
     if a.shape != p.shape:

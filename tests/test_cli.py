@@ -784,6 +784,44 @@ class TestExitCodes:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "a, command, point",
+        [
+            # inf - inf at (2**62, 2**62) is nan; at (2**62, 1) the sum is inf.
+            ([0.0, 1e300, 0.0, 0.0, -1e300], "predict", ("nan", 2**62, 2**62)),
+            ([0.0, 1e300, 0.0, 0.0, -1e300], "predict", ("inf", 2**62, 1)),
+            ([0.0, 1e300, 0.0, 0.0, -1e300], "report", ("nan", 2**62, 2**62)),
+            ([0.0, 1e307, 1e307, 0.0, 0.0], "evaluate", ("inf", 4, 4)),
+            ([0.0, 1e307, 1e307, 0.0, 0.0], "simulate", ("inf", 4, 4)),
+        ],
+        ids=["predict-nan", "predict-inf", "report-nan", "evaluate-inf", "simulate-inf"],
+    )
+    def test_a_prediction_that_is_not_finite_is_data_error(
+        self, tmp_path, truth_file, capsys, a, command, point
+    ):
+        assert main(_simulate(tmp_path, out="truth-runs.jsonl")) == 0
+        doc = json.loads(truth_file.read_text())
+        doc["a"] = a
+        truth_file.write_text(json.dumps(doc))
+        value, mappers, reducers = point
+        model = ["--model", str(truth_file)]
+        argv = {
+            "predict": ["predict", *model, "--mappers", str(mappers), "--reducers", str(reducers)],
+            "report": ["report", *model, "--grid", f"{2**62}:{2**62}:1",
+                       "--out", str(tmp_path / "r")],
+            "evaluate": ["evaluate", *model, "--runs", str(tmp_path / "truth-runs.jsonl"),
+                         "--app", "synthetic"],
+            "simulate": _simulate(tmp_path),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        where = f"surface predicts {value} cycles at (mappers={mappers}, reducers={reducers})"
+        assert f"error: CyclecastError: {where}; a cycle count must be finite\n" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r" / "surface.tsv").exists()
+        assert not (tmp_path / "runs.jsonl").exists()
+
     def test_torn_store_tail_is_skipped_with_one_warning(self, tmp_path, truth_file, capsys):
         assert main(_simulate(tmp_path)) == 0
         with open(tmp_path / "runs.jsonl", "a") as handle:

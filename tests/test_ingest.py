@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from cyclecast.ingest import (
     MalformedRowError,
     NegativeCpuSecondsError,
     NonPositiveClockError,
+    IngestWarning,
     WarningKind,
     parse_cluster_spec,
     parse_number,
@@ -130,6 +132,22 @@ def test_gap_threshold_is_tunable():
     assert [w.kind for w in warnings] == [WarningKind.GAP_EXCEEDS_THRESHOLD]
 
 
+@pytest.mark.parametrize(
+    "threshold, error, message",
+    [
+        (True, TypeError, "gap_threshold must be a number, got bool"),
+        ("0.5", TypeError, "gap_threshold must be a number, got str"),
+        (math.nan, ValueError, "gap_threshold must be finite, got nan"),
+        (-0.1, ValueError, "gap_threshold must be in [0, 1], got -0.1"),
+        (1.5, ValueError, "gap_threshold must be in [0, 1], got 1.5"),
+    ],
+    ids=["bool", "str", "nan", "negative", "above-one"],
+)
+def test_gap_threshold_is_a_real_in_0_1(threshold, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_trace_csv(io.StringIO(GOOD_CSV), gap_threshold=threshold)
+
+
 @given(
     st.lists(
         st.floats(0.0, 16.0).map(lambda v: float(v)),
@@ -151,6 +169,7 @@ def test_write_parse_round_trip_is_bit_exact(values, offsets):
 
 
 HEADER = "machine_id,offset_s,cpu_seconds\n"
+TRUNCATED = "last line has no trailing newline; the final row may be truncated"
 
 
 def _outcome(text):
@@ -165,100 +184,162 @@ def _outcome(text):
     return repr(segments(traces)), warnings
 
 
-def _row_loop_outcome(text):
-    with mock.patch.object(ingest, "_fast_columns", return_value=None):
-        return _outcome(text)
+def _parsed(rows, terminated=True):
+    """The outcome a valid body of (machine_id, offset_s, cpu_seconds) rows
+    parses to: segments grouped and sorted, and the default warnings."""
+    per_machine: dict[str, tuple[list, list]] = {}
+    for machine_id, offset, cpu in sorted(rows, key=lambda row: row[:2]):
+        per_machine.setdefault(machine_id, ([], []))
+        per_machine[machine_id][0].append(offset)
+        per_machine[machine_id][1].append(cpu)
+    expected = [(machine_id, *columns) for machine_id, columns in per_machine.items()]
+    warnings = [] if terminated else [IngestWarning(WarningKind.TRUNCATED_TAIL, "", TRUNCATED)]
+    warnings += [
+        IngestWarning(WarningKind.GAP_EXCEEDS_THRESHOLD, machine_id, detail)
+        for machine_id, detail in oracle.gap_warnings(expected, 0.05)
+    ]
+    return repr(expected), warnings
 
 
-# Fields in the fast grammar; valid fields outside it, which the row loop
-# still parses; and bad fields of every kind.
-_FAST_OFFSETS = st.integers(0, 30).map(str) | st.sampled_from(["007", "9" * 18])
-_SLOW_OFFSETS = st.just("-0") | st.integers(19, 4300).map(lambda n: "1" + "0" * (n - 1))
-_BAD_OFFSETS = st.sampled_from(["-1", "\u0665", "1_0", "+5", " 5", "", "1" * 4301])
-_FAST_CPUS = st.floats(0.0, 16.0).map(repr) | st.sampled_from([".5", "2.", "1E3", "3e-2"])
-_SLOW_CPUS = st.just("-0.0")
-_BAD_CPUS = st.sampled_from(["1e999", "-0.5", "nan", "inf", "1_0.5", "\u0665", ""])
+def _decimals(value):
+    """Spellings of a float in the decimal grammar, each read back as value exactly."""
+    text = repr(value)
+    spellings = [text, f"{value:.17e}", f"{value:.17E}"]
+    if text.startswith("0."):
+        spellings.append(text[1:])
+    if text.endswith(".0"):
+        spellings.append(text[:-1])
+    if not text.startswith("-"):
+        spellings.append("00" + text)
+    return spellings
+
+
+def _integers(value):
+    """Spellings of an int >= 0 in the integer grammar."""
+    return [str(value), f"00{value}"] + (["-0", "-00"] if value == 0 else [])
+
+
 _MACHINES = st.sampled_from(["node-a", "node-b", "b_1"])
+_OFFSETS = st.integers(0, 30) | st.integers(0, 2**63 - 1)
+_CPUS = st.floats(0.0, 16.0) | st.sampled_from([-0.0, 5e-324, 1e-300])
+# One bad row of each kind, and the reason its error gives.
+_BAD_ROWS = [
+    ("node-a,0", MalformedRowError, "expected 3 fields, got 2"),
+    ("node-a,0,1.0,extra", MalformedRowError, "expected 3 fields, got 4"),
+    ("", MalformedRowError, "expected 3 fields, got 1"),
+    ("bad id,0,1.0", MalformedRowError, "machine_id 'bad id' must match [A-Za-z0-9_-]+"),
+    ("node-a,+5,1.0", MalformedRowError, "offset_s must be an integer, got '+5'"),
+    ("node-a,1.5,1.0", MalformedRowError, "offset_s must be an integer, got '1.5'"),
+    ("node-a,-1,1.0", MalformedRowError, "offset_s must be >= 0, got -1"),
+    (f"node-a,{2**63},1.0", MalformedRowError, f"offset_s must be < 2**63, got {2**63}"),
+    ("node-a,0,1_0.5", MalformedRowError, "cpu_seconds must be a number, got '1_0.5'"),
+    ("node-a,0,1.0\r", MalformedRowError, "cpu_seconds must be a number, got '1.0\\r'"),
+    ("node-a,0,1e999", MalformedRowError, "cpu_seconds must be finite, got '1e999'"),
+    ("node-a,0,-0.5", NegativeCpuSecondsError, "cpu_seconds must be >= 0, got -0.5"),
+]
 
 
 @st.composite
-def _bodies(draw, modes=("fast", "documented", "any")):
-    """Rows that interleave machines and repeat or misorder offsets.
+def _bodies(draw, bad=True):
+    """A trace body and the outcome it must parse to.
 
-    A body keeps to the fast grammar, or to the documented one, or mixes
-    in bad fields, stray text and CRLF line ends.  The last line may lack
-    its end; no rows at all is a header-only body.
+    Rows are drawn as values first, one per (machine_id, offset_s), in any
+    order, then each number is spelled in any way the grammar allows: an
+    offset with leading zeros, as -0 or of 19 digits, a cpu_seconds as
+    -0.0, with an exponent or leading zeros.  The last row may lack its
+    line end.  If bad, one bad row of a drawn kind, or a row repeating an
+    earlier key, may go in at a known line.
     """
-    mode = draw(st.sampled_from(modes))
-    offsets, cpus, end = _FAST_OFFSETS, _FAST_CPUS, st.just("\n")
-    if mode != "fast":
-        offsets = st.one_of(offsets, offsets, _SLOW_OFFSETS)
-        cpus = st.one_of(cpus, cpus, _SLOW_CPUS)
-    if mode == "any":
-        offsets = st.one_of(offsets, offsets, _BAD_OFFSETS)
-        cpus = st.one_of(cpus, cpus, _BAD_CPUS)
-        end = st.sampled_from(["\n", "\n", "\n", "\r\n"])
-    row = st.tuples(_MACHINES, offsets, cpus).map(",".join)
-    if mode == "any":
-        row = st.one_of(row, row, st.text(max_size=6), st.just("bad id,0,1.0"))
-    rows = draw(st.lists(row, max_size=10))
-    ends = [draw(end) for _ in rows]
-    if rows and draw(st.booleans()):
-        ends[-1] = ""
-    return "".join(row + end for row, end in zip(rows, ends))
+    keys = draw(st.lists(st.tuples(_MACHINES, _OFFSETS), unique=True, max_size=10))
+    rows = [(machine_id, offset, draw(_CPUS)) for machine_id, offset in keys]
+    lines = [
+        f"{machine_id},{draw(st.sampled_from(_integers(offset)))},"
+        f"{draw(st.sampled_from(_decimals(cpu)))}"
+        for machine_id, offset, cpu in rows
+    ]
+    outcome = None
+    if bad and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        if at and draw(st.booleans()):
+            machine_id, offset, _ = rows[draw(st.integers(0, at - 1))]
+            line = f"{machine_id},{draw(st.sampled_from(_integers(offset)))},{draw(_CPUS)!r}"
+            error, reason = DuplicateSampleError, (
+                f"duplicate sample for machine {machine_id!r} at offset {offset}"
+            )
+        else:
+            line, error, reason = draw(st.sampled_from(_BAD_ROWS))
+        lines.insert(at, line)
+        outcome = error, f"line {at + 2}: {reason}"
+    terminated = not (lines and lines[-1] and draw(st.booleans()))
+    body = "\n".join(lines) + ("\n" if lines and terminated else "")
+    return body, outcome or _parsed(rows, terminated)
 
 
 @given(_bodies(), st.integers(1, 64))
-def test_fast_path_agrees_with_the_row_loop(body, chunk_chars):
-    # A small chunk size puts chunk boundaries inside these short bodies.
+def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
+    # The parse gives the drawn rows or names the bad line.  The columnar
+    # pass declines exactly the bodies in which the row loop finds a bad
+    # row.  A small chunk size puts chunk boundaries inside these bodies.
+    body, outcome = body_and_outcome
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+        assert _outcome(HEADER + body) == outcome
+        declined = ingest._columns(HEADER + body) is None
+    assert declined == isinstance(outcome[0], type)
+    if not declined:
+        with pytest.raises(AssertionError, match="has a bad row$"):
+            ingest._raise_first_bad_row(HEADER + body)
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, error, message",
     [
-        "node-a,-0,1.0\n",
-        "node-a,0,-0.0\n",
-        "node-a,1000000000000000000,1.0\n",
-        "node-a,x,1.0\n",
-        "node-a,0,1e999\n",
-        "node-a,3,0.5\nnode-b,3,0.5\nnode-a,3,0.6\n",
-        "node-a,0,1.0\r\n",
-        "node-a,0,1.0\n\n",
+        ("node-a,x,1.0\n", MalformedRowError, "line 2: offset_s must be an integer, got 'x'"),
+        ("node-a,0,1e999\n", MalformedRowError, "line 2: cpu_seconds must be finite, got '1e999'"),
+        ("node-a,3,0.5\nnode-b,3,0.5\nnode-a,3,0.6\n", DuplicateSampleError,
+         "line 4: duplicate sample for machine 'node-a' at offset 3"),
+        ("node-a,0,1.0\r\n", MalformedRowError,
+         "line 2: cpu_seconds must be a number, got '1.0\\r'"),
+        ("node-a,0,1.0\n\n", MalformedRowError, "line 3: expected 3 fields, got 1"),
     ],
-    ids=["negative-zero-offset", "negative-zero-cpu", "19-digit-offset", "malformed",
-         "infinite-cpu", "duplicate", "crlf", "empty-line"],
+    ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line"],
 )
-def test_each_fallback_trigger_reaches_the_row_loop(body):
-    assert ingest._fast_columns(HEADER + body) is None
-    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
+    assert ingest._columns(HEADER + body) is None
+    assert _outcome(HEADER + body) == (error, message)
 
 
 @pytest.mark.parametrize(
-    "body",
-    ["", GOOD_CSV[len(HEADER):], "node-a,999999999999999999,1e-3", "n,2,.5\nn,0,2.\nm,1,1E3\n"],
-    ids=["header-only", "good", "18-digit-offset-unterminated", "exponents"],
+    "body, expected, warnings",
+    [
+        ("", [], []),
+        (GOOD_CSV[len(HEADER):], [("node-a", [0, 1], [0.5, 1.5]), ("node-b", [0], [1.0])], []),
+        ("node-a,999999999999999999,1e-3", [("node-a", [999999999999999999], [0.001])],
+         [IngestWarning(WarningKind.TRUNCATED_TAIL, "", TRUNCATED)]),
+        ("n,2,.5\nn,0,2.\nm,1,1E3\n", [("m", [1], [1000.0]), ("n", [0, 2], [2.0, 0.5])],
+         [IngestWarning(WarningKind.GAP_EXCEEDS_THRESHOLD, "n", "1 of 3 seconds in span missing")]),
+        ("node-a,-0,1.0\n", [("node-a", [0], [1.0])], []),
+        ("node-a,0,-0.0\n", [("node-a", [0], [-0.0])], []),
+        ("node-a,1000000000000000000,1.0\n", [("node-a", [10**18], [1.0])], []),
+    ],
+    ids=["header-only", "good", "18-digit-offset-unterminated", "exponents",
+         "negative-zero-offset", "negative-zero-cpu", "19-digit-offset"],
 )
-def test_good_bodies_take_the_fast_path(body):
-    assert ingest._fast_columns(HEADER + body) is not None
-    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
+def test_good_bodies_take_the_fast_path(body, expected, warnings):
+    assert ingest._columns(HEADER + body) is not None
+    assert _outcome(HEADER + body) == (repr(expected), warnings)
 
 
-@given(_bodies(modes=("fast",)))
-def test_fast_traces_equal_their_checked_rebuilds(body):
-    # The fast path's columns pass the set's checks as they are: one
+@given(_bodies(bad=False))
+def test_fast_traces_equal_their_checked_rebuilds(body_and_outcome):
+    # The columnar pass's columns pass the set's checks as they are: one
     # segment per machine, ids sorted and unique, and a set rebuilt from
     # its own columns holds the same segments.
-    columns = ingest._fast_columns(HEADER + body)
-    if columns is None:
-        return  # declined: the row loop's columns are checked the same way
-    traces = TraceSet(*columns)
+    body, (expected, _) = body_and_outcome
+    traces = TraceSet(*ingest._columns(HEADER + body))
     assert list(traces.machine_ids) == sorted(set(traces.machine_ids))
     assert all(len(segment.samples) for segment in traces)
     rebuilt = TraceSet(traces.machine_ids, traces.ends, traces.offsets, traces.samples)
-    assert repr(segments(rebuilt)) == repr(segments(traces))
-    assert repr(segments(traces)) == repr(segments(parse_trace_csv(io.StringIO(HEADER + body))[0]))
+    assert repr(segments(rebuilt)) == repr(segments(traces)) == expected
 
 
 @st.composite
@@ -317,17 +398,17 @@ def test_gap_rule_divides_long_spans_as_python_ints():
 
 def test_offsets_come_out_sorted_per_machine():
     body = "m,2,0.5\nm,3,0.5\nn,0,1.0\nn,2,1.0\nm,4,0.5\n"
-    assert _outcome(HEADER + body) == _row_loop_outcome(HEADER + body)
     traces, _ = parse_trace_csv(io.StringIO(HEADER + body))
     assert [t.offsets.tolist() for t in traces] == [[2, 3, 4], [0, 2]]
 
 
 def test_many_chunks_agree_with_the_row_loop():
-    rows = [f"m{i % 7},{i // 7},{i * 0.37 % 4!r}" for i in range(40_000)]
-    text = HEADER + "\n".join(reversed(rows)) + "\n"
+    rows = [(f"m{i % 7}", i // 7, i * 0.37 % 4) for i in range(40_000)]
+    text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in reversed(rows))
     assert len(text) > 3 * ingest._CHUNK_CHARS
-    assert ingest._fast_columns(text) is not None
-    assert _outcome(text) == _row_loop_outcome(text)
+    assert _outcome(text) == _parsed(rows)
+    with pytest.raises(AssertionError, match="has a bad row$"):
+        ingest._raise_first_bad_row(text)
 
 
 def test_write_orders_machines_lexicographically():
@@ -353,6 +434,21 @@ node-c 2.5e9 8
 def test_parse_cluster_spec():
     cluster = parse_cluster_spec(io.StringIO(CLUSTER_TEXT))
     assert _columns(cluster) == (("node-a", "node-b", "node-c"), [3.0e9, 2.0e9, 2.5e9], [4, 2, 8])
+
+
+def _readme_example(heading):
+    """The first code block after heading in the project's README."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```\n(.*?)```", readme[readme.index(heading):], re.DOTALL).group(1)
+
+
+def test_the_readme_examples_parse():
+    traces, warnings = parse_trace_csv(io.StringIO(_readme_example("**Trace CSV**")))
+    assert (segments(traces), warnings) == (
+        [("node-a", [0, 1], [3.84, 3.97]), ("node-b", [0], [1.02])], []
+    )
+    cluster = parse_cluster_spec(io.StringIO(_readme_example("**Cluster file**")))
+    assert _columns(cluster) == (("node-a", "node-b"), [3.0e9, 2.0e9], [4, 2])
 
 
 def test_binary_streams_parse_like_text():
@@ -397,125 +493,180 @@ def _cluster_outcome(text):
         return type(exc), str(exc)
 
 
-def _line_loop_cluster_outcome(text):
-    with mock.patch.object(ingest, "_fast_cluster", return_value=None):
-        return _cluster_outcome(text)
-
-
-_SPEC_IDS = st.sampled_from(["node-a", "node-b", "b_1", "N9", "-"])
-_FAST_CLOCKS = st.floats(1e-3, 1e12).map(repr) | st.sampled_from(["3e9", "2.", ".5", "2.4E9", "1e-3"])
-_FAST_CORES = st.integers(1, 10**18 - 1).map(str)
-# Clocks and cores the fast path declines, valid or not.
-_ODD_CLOCKS = ["0", "0.0", "1e-400", "1e999", "-3e9", "-0", "inf", "nan", "3_0e9", "+3e9",
-               "\u0663e9", "x"]
-_ODD_CORES = ["04", "0", "00", "-1", "1" + "0" * 18, "1_6", "+4", "\u0664", "1.0", "1" * 4301]
-_COMMENTS = st.sampled_from(["# inventory", "#", "#  a\tb # c", "#\u2028\x85\r"])
+_SPEC_IDS = st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True).filter(lambda i: i != "bad")
+_CLOCKS = st.floats(1e-3, 1e12) | st.sampled_from([5e-324, 1.7976931348623157e308])
+_CORES = st.integers(1, 64) | st.integers(1, 2**63 - 1)
+# Runs of the whitespace str.split() splits at, other than LF; a "\r" last
+# on a line makes its end a CRLF.  Comments hold any character but LF.
+_SPACES = st.sampled_from(
+    [" ", "\t", "  ", " \t", "\xa0", "\u3000", "\x1c", "\x0b", "\x0c", "\x85", "\u2028", "\r"]
+)
+_EDGES = st.just("") | _SPACES
+_COMMENTS = st.sampled_from(["# inventory", "#", "#  a\tb # c", "# \x85\r"])
+_ODD_LINES = _EDGES | st.tuples(_EDGES, _COMMENTS).map("".join)
+_BAD_ENTRIES = [
+    ("bad 3e9", MalformedEntryError, "expected 'machine_id clock_hz cores', got 'bad 3e9'"),
+    ("bad 3e9 4 junk", MalformedEntryError,
+     "expected 'machine_id clock_hz cores', got 'bad 3e9 4 junk'"),
+    ("b@d 3e9 4", MalformedEntryError, "machine_id 'b@d' must match [A-Za-z0-9_-]+"),
+    ("bad hz 4", MalformedEntryError, "clock_hz must be a number, got 'hz'"),
+    ("bad +3e9 4", MalformedEntryError, "clock_hz must be a number, got '+3e9'"),
+    ("bad 1e999 4", MalformedEntryError, "clock_hz must be finite"),
+    ("bad 0 4", NonPositiveClockError, "clock_hz must be > 0, got 0"),
+    ("bad -3e9 4", NonPositiveClockError, "clock_hz must be > 0, got -3e9"),
+    ("bad 1e-400 4", NonPositiveClockError, "clock_hz must be > 0, got 1e-400"),
+    ("bad 3e9 0", MalformedEntryError, "cores must be >= 1, got 0"),
+    ("bad 3e9 -4", MalformedEntryError, "cores must be >= 1, got -4"),
+    (f"bad 3e9 {2**63}", MalformedEntryError, f"cores must be < 2**63, got {2**63}"),
+    ("bad 3e9 1_6", MalformedEntryError, "cores must be an integer, got '1_6'"),
+]
 
 
 @st.composite
-def _specs(draw):
-    """Cluster specs in the fast grammar, or with its decline triggers mixed in.
+def _specs(draw, bad=True):
+    """A cluster spec and the outcome it must parse to.
 
-    Ids repeat now and then, and a spec may have no entries at all.
+    Entries are drawn as values first, with unique ids, then spelled in
+    any way the grammar allows: any whitespace between and around the
+    fields, trailing comments, comment and blank lines between entries,
+    CR before LF, no final newline, numbers with leading zeros or
+    exponents.  If bad, one bad entry of a drawn kind, or one repeating
+    an earlier id, may go in at a known line.
     """
-    fast = draw(st.booleans())
-    clocks, cores, space, end = _FAST_CLOCKS, _FAST_CORES, st.just(" "), st.just("\n")
-    if not fast:
-        clocks = st.one_of(clocks, clocks, st.sampled_from(_ODD_CLOCKS))
-        cores = st.one_of(cores, cores, st.sampled_from(_ODD_CORES))
-        space = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
-        end = st.sampled_from(["\n", "\n", "\n", "\r\n", " # note\n", "#\n", " \n"])
-    entry = st.tuples(_SPEC_IDS, space, clocks, space, cores).map("".join)
-    line = st.one_of(entry, entry, entry, _COMMENTS)
-    if not fast:
-        line = st.one_of(
-            line, st.sampled_from(["", "   ", " # indented", "node-a 3e9", "bad id 3e9 4"]),
-            st.text(max_size=6),
+    ids = draw(st.lists(_SPEC_IDS, max_size=6, unique=True))
+    entries = [(machine_id, draw(_CLOCKS), draw(_CORES)) for machine_id in ids]
+    lines, at_line = [], {}
+    for machine_id, clock, cores in entries:
+        lines += draw(st.lists(_ODD_LINES, max_size=2))
+        fields = [machine_id, draw(st.sampled_from(_decimals(clock))),
+                  draw(st.sampled_from([str(cores), f"0{cores}"]))]
+        spaces = [draw(_EDGES), draw(_SPACES), draw(_SPACES)]
+        at_line[machine_id] = len(lines)
+        lines.append(
+            "".join(s + f for s, f in zip(spaces, fields)) + draw(_EDGES) + draw(_COMMENTS | _EDGES)
         )
-    lines = draw(st.lists(line, max_size=8))
-    ends = [draw(end) for _ in lines]
-    if lines and not fast and draw(st.booleans()):
-        ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
+    lines += draw(st.lists(_ODD_LINES, max_size=2))
+    outcome = _columns_of(entries) if entries else (
+        MalformedEntryError, "cluster spec has no machine entries"
+    )
+    if bad and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        earlier = [machine_id for machine_id in ids if at_line[machine_id] < at]
+        if earlier and draw(st.booleans()):
+            machine_id = draw(st.sampled_from(earlier))
+            line, error = f"{machine_id} 1e9 1", DuplicateMachineIdError
+            reason = f"duplicate machine_id {machine_id!r}"
+        else:
+            line, error, reason = draw(st.sampled_from(_BAD_ENTRIES))
+        lines.insert(at, line)
+        outcome = error, f"line {at + 1}: {reason}"
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text, outcome
+
+
+def _columns_of(entries):
+    """The columns of (machine_id, clock_hz, cores) entries, as _columns reads a ClusterSpec."""
+    ids, clocks, cores = zip(*entries)
+    return ids, list(clocks), list(cores)
 
 
 @given(_specs())
 @settings(max_examples=200)
-def test_cluster_fast_path_agrees_with_the_line_loop(text):
-    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+def test_cluster_fast_path_agrees_with_the_line_loop(spec):
+    # The parse gives the drawn entries or names the bad line.  The
+    # columnar pass declines exactly the specs in which the line loop
+    # finds a bad line, or no entries.
+    text, outcome = spec
+    assert _cluster_outcome(text) == outcome
+    declined = ingest._cluster(text) is None
+    assert declined == isinstance(outcome[0], type)
+    if not declined:
+        with pytest.raises(AssertionError, match="has a bad entry$"):
+            ingest._raise_first_bad_entry(text)
 
 
 def test_large_specs_agree_with_the_line_loop():
     # Past 1,000 rows numpy elides an array's repr; the columns compare whole.
-    lines = [f"m{i} {1e9 + i * 0.5!r} {i % 64 + 1}\n" for i in range(3000)]
-    text = "".join(lines)
-    assert ingest._fast_cluster(text) is not None
-    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+    entries = [(f"m{i}", 1e9 + i * 0.5, i % 64 + 1) for i in range(3000)]
+    lines = [f"{machine_id} {clock!r} {cores}\n" for machine_id, clock, cores in entries]
+    assert _cluster_outcome("".join(lines)) == _columns_of(entries)
+    with pytest.raises(AssertionError, match="has a bad entry$"):
+        ingest._raise_first_bad_entry("".join(lines))
     lines[2000] = "m1500 2e9 4\n"
     outcome = _cluster_outcome("".join(lines))
     assert outcome == (DuplicateMachineIdError, "line 2001: duplicate machine_id 'm1500'")
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, error, message",
     [
-        "node-a\t3e9 4\n",
-        "node-a  3e9 4\n",
-        "node-a 3e9 4 # spare\n",
-        "node-a 3e9 4\r\n",
-        "node-a 3e9 4",
-        "node-a 3e9 04\n",
-        "node-a 3e9 1000000000000000000\n",
-        "node-a 0 4\n",
-        "node-a 1e-400 4\n",
-        "node-a 1e999 4\n",
-        "node-a -3e9 4\n",
-        "m 1e9 1\nm 2e9 1\n",
-        "",
-        "# only comments\n",
-        "node-a 3e9 4\n\n",
-        " # indented\nnode-a 3e9 4\n",
-        "node-a 3e9\n",
-        "node-\u00e9 3e9 4\n",
+        ("node-a 0 4\n", NonPositiveClockError, "line 1: clock_hz must be > 0, got 0"),
+        ("node-a 1e-400 4\n", NonPositiveClockError, "line 1: clock_hz must be > 0, got 1e-400"),
+        ("node-a 1e999 4\n", MalformedEntryError, "line 1: clock_hz must be finite"),
+        ("node-a -3e9 4\n", NonPositiveClockError, "line 1: clock_hz must be > 0, got -3e9"),
+        ("m 1e9 1\nm 2e9 1\n", DuplicateMachineIdError, "line 2: duplicate machine_id 'm'"),
+        ("", MalformedEntryError, "cluster spec has no machine entries"),
+        ("# only comments\n", MalformedEntryError, "cluster spec has no machine entries"),
+        ("node-a 3e9\n", MalformedEntryError,
+         "line 1: expected 'machine_id clock_hz cores', got 'node-a 3e9'"),
+        ("node-é 3e9 4\n", MalformedEntryError,
+         "line 1: machine_id 'node-é' must match [A-Za-z0-9_-]+"),
     ],
-    ids=["tab", "two-spaces", "trailing-comment", "crlf", "no-final-newline", "leading-zero-cores",
-         "19-digit-cores", "zero-clock", "clock-underflows-to-zero", "infinite-clock",
-         "negative-clock", "duplicate-id", "empty", "no-entries", "blank-line",
-         "indented-comment", "two-fields", "non-ascii-id"],
+    ids=["zero-clock", "clock-underflows-to-zero", "infinite-clock", "negative-clock",
+         "duplicate-id", "empty", "no-entries", "two-fields", "non-ascii-id"],
 )
-def test_each_cluster_decline_trigger_reaches_the_line_loop(text):
-    assert ingest._fast_cluster(text) is None
-    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+def test_each_cluster_decline_trigger_reaches_the_line_loop(text, error, message):
+    assert ingest._cluster(text) is None
+    assert _cluster_outcome(text) == (error, message)
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, cores",
     [
-        "node-a 3.0e9 4\nnode-b 2000000000 2\n",
-        "# machine_id clock_hz cores\nnode-01 2000000000.0 4\nnode-02 2400000000.0 8\n",
-        "#\na .5 1\n# between\nb 2. 999999999999999999\n#last\n",
-        "n_1 2.4E9 16\nn-2 1e-3 3\nN3 3e+9 1\n",
+        ("node-a\t3e9 4\n", 4),
+        ("node-a  3e9 4\n", 4),
+        ("node-a 3e9 4 # spare\n", 4),
+        ("node-a 3e9 4\r\n", 4),
+        ("node-a 3e9 4", 4),
+        ("node-a 3e9 04\n", 4),
+        ("node-a 3e9 1000000000000000000\n", 10**18),
+        ("node-a 3e9 4\n\n", 4),
+        (" # indented\nnode-a 3e9 4\n", 4),
+    ],
+    ids=["tab", "two-spaces", "trailing-comment", "crlf", "no-final-newline",
+         "leading-zero-cores", "19-digit-cores", "blank-line", "indented-comment"],
+)
+def test_spec_spellings_take_the_cluster_fast_path(text, cores):
+    assert ingest._cluster(text) is not None
+    assert _cluster_outcome(text) == (("node-a",), [3e9], [cores])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("node-a 3.0e9 4\nnode-b 2000000000 2\n", (("node-a", "node-b"), [3e9, 2e9], [4, 2])),
+        ("# machine_id clock_hz cores\nnode-01 2000000000.0 4\nnode-02 2400000000.0 8\n",
+         (("node-01", "node-02"), [2e9, 2.4e9], [4, 8])),
+        ("#\na .5 1\n# between\nb 2. 999999999999999999\n#last\n",
+         (("a", "b"), [0.5, 2.0], [1, 999999999999999999])),
+        ("n_1 2.4E9 16\nn-2 1e-3 3\nN3 3e+9 1\n",
+         (("n_1", "n-2", "N3"), [2.4e9, 1e-3, 3e9], [16, 3, 1])),
     ],
     ids=["plain", "header-comment", "comments-between", "exponents"],
 )
-def test_canonical_specs_take_the_cluster_fast_path(text):
-    cluster = ingest._fast_cluster(text)
-    assert cluster is not None
-    assert _cluster_outcome(text) == _line_loop_cluster_outcome(text)
+def test_canonical_specs_take_the_cluster_fast_path(text, expected):
+    cluster = ingest._cluster(text)
+    assert _columns(cluster) == expected
     assert cluster.clock_hz.dtype == np.float64 and cluster.cores.dtype == np.int64
     assert not (cluster.clock_hz.flags.writeable or cluster.cores.flags.writeable)
 
 
-@given(
-    st.lists(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True), min_size=1, max_size=8, unique=True),
-    st.data(),
-)
+@given(st.lists(_SPEC_IDS, min_size=1, max_size=8, unique=True), st.data())
 def test_fast_machines_equal_their_checked_rebuilds(ids, data):
-    lines = [f"{i} {data.draw(_FAST_CLOCKS)} {data.draw(_FAST_CORES)}\n" for i in ids]
-    cluster = ingest._fast_cluster("".join(lines))
-    assert cluster is not None
+    entries = [(i, data.draw(_CLOCKS), data.draw(_CORES)) for i in ids]
+    cluster = ingest._cluster("".join(f"{i} {clock!r} {cores}\n" for i, clock, cores in entries))
     rebuilt = ClusterSpec(*_columns(cluster))
-    assert _columns(rebuilt) == _columns(cluster) == _line_loop_cluster_outcome("".join(lines))
+    assert _columns(rebuilt) == _columns(cluster) == _columns_of(entries)
     assert cluster.machines == tuple(ids)
 
 

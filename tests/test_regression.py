@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracle import rows, solve_normal_equations, table
 
 from cyclecast.core import (
+    CyclecastError,
     EmptyInputError,
     NegativePredictionWarning,
     ProfileTable,
@@ -99,6 +100,26 @@ def test_predict_over_arrays_warns_once_naming_the_first_clamp():
     assert str(caught[0].message) == (
         "surface predicts -1e+12 cycles at (mappers=6, reducers=3); clamping to 0"
     )
+
+
+OVERFLOWS = (0.0, 1e300, 0.0, 0.0, -1e300)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "a, mappers, reducers, message",
+    [
+        (OVERFLOWS, 2**62, 2**62, f"nan cycles at (mappers={2**62}, reducers={2**62})"),
+        (OVERFLOWS, 2**62, 1, f"inf cycles at (mappers={2**62}, reducers=1)"),
+        ((0.0, 1e307, 0.0, 0.0, 0.0), [1, 100, 1000], [1, 1, 1],
+         "inf cycles at (mappers=100, reducers=1)"),
+    ],
+    ids=["nan", "inf", "first-of-an-array"],
+)
+def test_a_prediction_that_is_not_finite_is_an_error(a, mappers, reducers, message):
+    with pytest.raises(CyclecastError) as caught:
+        predict(_model(a), mappers, reducers)
+    assert str(caught.value) == f"surface predicts {message}; a cycle count must be finite"
 
 
 def test_noiseless_grid_recovery_is_nearly_exact():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclecast.core import NegativePredictionWarning, ProfileTable, ShapeMismatchError
+from cyclecast.core import (
+    CyclecastError,
+    NegativePredictionWarning,
+    ProfileTable,
+    ShapeMismatchError,
+)
 from cyclecast.regression import CostModel, MixedApplicationsError, predict
 from cyclecast.scaling import (
     DegenerateInputError,
@@ -94,6 +99,14 @@ def test_scale_prediction_over_arrays_warns_once_naming_the_first_clamp():
     assert [str(w.message) for w in caught] == [
         "scaling to 3000000000 bytes gives -5e+12 cycles; clamping to 0"
     ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_scaled_prediction_that_is_not_finite_is_an_error():
+    model = _sized(1.0, 0.0, 1)
+    message = "^scaling to 10 bytes gives inf cycles; a cycle count must be finite$"
+    with pytest.raises(CyclecastError, match=message):
+        scale_prediction([1.0, 1e308], model, 10)
 
 
 @pytest.mark.parametrize("intercept", [0.0, 4.2e11])
