@@ -25,7 +25,7 @@ import numpy as np
 
 from cyclecast.core import RunTable, aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import CostModel, fit_least_squares, predict
+from cyclecast.regression import CostModel, fit_least_squares
 from cyclecast.synth import DEFAULT_GRID
 
 GIB = 2**30
@@ -52,7 +52,7 @@ def true_cycles(input_bytes: int, ref_bytes: int) -> np.ndarray:
     """True cycles over the grid at input_bytes."""
     line = LINE_SLOPE * input_bytes + LINE_INTERCEPT
     line_ref = LINE_SLOPE * ref_bytes + LINE_INTERCEPT
-    return predict(SURFACE, GRID_MAPPERS, GRID_REDUCERS) * line / line_ref
+    return SURFACE.predict(GRID_MAPPERS, GRID_REDUCERS) * line / line_ref
 
 
 def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> RunTable:

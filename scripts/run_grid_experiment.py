@@ -25,7 +25,7 @@ import numpy as np
 
 from cyclecast.core import aggregate_repetitions
 from cyclecast.metrics import mape, pred25
-from cyclecast.regression import CostModel, fit_least_squares, predict
+from cyclecast.regression import CostModel, fit_least_squares
 from cyclecast.synth import SynthSpec, generate_profiles
 
 TRUTH = CostModel(
@@ -47,8 +47,8 @@ def holdout_error(model, seed: int, n_holdout: int, noise: float):
         for _ in range(n_holdout)
     ]
     mappers, reducers, eps = (np.array(column) for column in zip(*draws))
-    actual = predict(TRUTH, mappers, reducers) * np.maximum(0.0, 1.0 + eps)
-    predicted = predict(model, mappers, reducers)
+    actual = TRUTH.predict(mappers, reducers) * np.maximum(0.0, 1.0 + eps)
+    predicted = model.predict(mappers, reducers)
     return mape(actual, predicted), pred25(actual, predicted)
 
 

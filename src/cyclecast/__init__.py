@@ -2,8 +2,8 @@
 
 The pipeline: per-machine CPU-second traces are accounted into total
 clock cycles (core, ingest), repeated runs are averaged and fitted with a
-quadratic surface over (mappers, reducers) (regression), predictions are
-optionally carried across input sizes (scaling) and scored (metrics).
+quadratic surface over (mappers, reducers) (regression), CostModel.predict
+carries it across input sizes (scaling) and metrics scores it.
 synth generates seeded synthetic workloads for validation, store persists
 runs and models, cli ties it together.
 """
@@ -45,11 +45,9 @@ from .regression import (
     MixedApplicationsError,
     MixedInputSizesError,
     RankDeficientError,
-    build_design_matrix,
     fit_least_squares,
-    predict,
 )
-from .scaling import DegenerateInputError, NonPositiveReferenceError, fit_scaling
+from .scaling import DegenerateInputError, NonPositiveReferenceError
 from .store import (
     CorruptRecordError,
     IoFailureError,
@@ -93,10 +91,8 @@ __all__ = [
     "ZeroActualError",
     "aggregate_repetitions",
     "append_runs",
-    "build_design_matrix",
     "evaluate",
     "fit_least_squares",
-    "fit_scaling",
     "generate_profiles",
     "generate_trace",
     "load_model",
@@ -105,7 +101,6 @@ __all__ = [
     "parse_cluster_spec",
     "parse_trace_csv",
     "pred25",
-    "predict",
     "r2_paper",
     "r2_standard",
     "rmse",

@@ -54,16 +54,11 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(np.mean(_relative_errors(a, p)))
 
 
-def pred25(
-    actual: Sequence[float],
-    predicted: Sequence[float],
-    threshold: float = DEFAULT_PRED_THRESHOLD,
-) -> float:
-    """Fraction of observations with relative error strictly below threshold."""
-    if not 0 < threshold:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+def pred25(actual: Sequence[float], predicted: Sequence[float]) -> float:
+    """Fraction of observations with relative error strictly below
+    DEFAULT_PRED_THRESHOLD, 0.25."""
     a, p = _paired(actual, predicted, min_len=1)
-    return float(np.mean(_relative_errors(a, p) < threshold))
+    return float(np.mean(_relative_errors(a, p) < DEFAULT_PRED_THRESHOLD))
 
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:

@@ -12,11 +12,12 @@ constant column.  The fit returns a CostModel: the coefficients, a
 condition estimate (ratio of extreme singular values of the scaled
 design matrix), the training residual norm and the input size the
 profiles shared.  CostModel.with_size_line adds the line that carries
-predictions to other sizes (the math is in scaling), and
-CostModel.predict decides how every prediction is sized.
+predictions to other sizes (the math is in scaling).
 
-build_design_matrix and predict take (M, R) as two scalars or two
-equal-length integer arrays, so a whole grid is one call.
+CostModel.predict is the one prediction; the steps behind it (predict,
+build_design_matrix, scaling's functions) are not exported.  The first two
+take (M, R) as two ints or two equal-shaped integer arrays under core's
+count rule, so a whole grid is one call.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     _clamp_negative,
     _ints,
     _real,
+    _reals,
     _text,
 )
 from .scaling import NonPositiveReferenceError, fit_scaling, scale_prediction
@@ -63,16 +65,6 @@ class IllConditionedError(CyclecastError):
     """The scaled design matrix's condition estimate exceeds the limit."""
 
 
-def _finite_floats(name: str, value, count: int) -> tuple[float, ...]:
-    """A sequence of count numbers as a tuple of floats, each held to
-    core's real rule, any sign allowed."""
-    if not isinstance(value, (tuple, list, np.ndarray)):
-        raise TypeError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
-    if len(value) != count:
-        raise ShapeMismatchError(f"{name} must hold {count} numbers, got {len(value)}")
-    return tuple([_real(name, v, -math.inf) for v in value])
-
-
 @dataclass(frozen=True)
 class CostModel:
     """One application's fitted surface, its diagnostics, the input size
@@ -96,8 +88,11 @@ class CostModel:
     def __post_init__(self) -> None:
         _text("app", self.app)
         ref = _check_count("ref_input_bytes", self.ref_input_bytes)
+        a = _reals("a", self.a, -math.inf)
+        if a.shape != (N_COEFFS,):
+            raise ShapeMismatchError(f"a must hold {N_COEFFS} numbers, got shape {a.shape}")
         fields = {
-            "a": _finite_floats("a", self.a, N_COEFFS),
+            "a": tuple(a.tolist()),
             "condition_estimate": _real(
                 "condition_estimate", self.condition_estimate, strict=True
             ),
@@ -105,13 +100,15 @@ class CostModel:
             "ref_input_bytes": ref,
         }
         if self.line is not None:
-            slope, intercept = _finite_floats("size line slope and intercept", self.line, 2)
+            line = _reals("size line slope and intercept", self.line, -math.inf)
+            if line.shape != (2,):
+                raise ShapeMismatchError(f"a size line holds 2 numbers, got shape {line.shape}")
+            slope, intercept = fields["line"] = tuple(line.tolist())
             if slope * ref + intercept <= 0:
                 raise NonPositiveReferenceError(
                     f"size line evaluates to {slope * ref + intercept:.6g} cycles at "
                     f"ref_input_bytes={ref}; must be > 0"
                 )
-            fields["line"] = (slope, intercept)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -128,9 +125,8 @@ class CostModel:
         without one, the surface is returned unscaled with one UserWarning.
         """
         ref = self.ref_input_bytes
-        m, r = _ints("mappers", mappers), _ints("reducers", reducers)
         sizes = ref if input_bytes is None else _ints("input_bytes", input_bytes)
-        value = predict(self, m, r)
+        value = predict(self, mappers, reducers)
         if np.all(sizes == ref):
             return value
         if self.line is None:
@@ -162,7 +158,8 @@ class CostModel:
 
 
 def _pair(mappers: ArrayLike, reducers: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    m, r = np.asarray(mappers), np.asarray(reducers)
+    """mappers and reducers as int64 arrays of one shape, under the count rule."""
+    m, r = _ints("mappers", mappers), _ints("reducers", reducers)
     if m.shape != r.shape:
         raise ShapeMismatchError(f"mappers have shape {m.shape} but reducers {r.shape}")
     return m, r
@@ -222,6 +219,7 @@ def fit_least_squares(profiles: ProfileTable) -> CostModel:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _clamp_negative reports an overflow
 def predict(
     model: CostModel, mappers: ArrayLike, reducers: ArrayLike
 ) -> float | np.ndarray:

@@ -42,20 +42,23 @@ def fit_scaling(points: Sequence[tuple[int, float]]) -> tuple[float, float]:
     points; returns (slope, intercept).
 
     Solved by least squares on a column-scaled design so byte counts in the
-    gigabytes do not wreck conditioning.  Needs at least two distinct sizes.
+    gigabytes do not wreck conditioning.  Needs two sizes float64 tells apart.
     Each size is held to core's count rule and each cycle value to its
     real rule: an int in [1, 2**63), a finite number >= 0.
     """
     sizes = [_check_count("input_bytes", b) for b, _ in points]
     cycles = [_real("cycles", c) for _, c in points]
-    if len(set(sizes)) < 2:
-        raise DegenerateInputError(f"need >= 2 distinct input sizes, got {len(set(sizes))}")
-    size_scale = float(max(sizes))
+    size_scale = float(max(sizes, default=1))
     design = np.column_stack([np.array(sizes) / size_scale, np.ones(len(sizes))])
-    (scaled_slope, intercept), _, _, _ = np.linalg.lstsq(design, cycles, rcond=None)
+    (scaled_slope, intercept), _, rank, _ = np.linalg.lstsq(design, cycles, rcond=None)
+    if rank < 2:
+        raise DegenerateInputError(
+            f"need >= 2 input sizes that float64 tells apart, got {sorted(set(sizes))}"
+        )
     return float(scaled_slope) / size_scale, float(intercept)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _clamp_negative reports an overflow
 def scale_prediction(
     base_cycles: ArrayLike, model: CostModel, target_bytes: ArrayLike
 ) -> float | np.ndarray:

@@ -215,8 +215,11 @@ def generate_trace(
     A machine whose share would take infinitely many CPU-seconds, a clock
     too slow for the total, or 2**63 or more samples is a ValueError, and
     so is a trace of 2**63 or more samples in all; each is raised before
-    any jitter is drawn.
+    any jitter is drawn.  The arguments follow core's rules (seed a count
+    in [0, 2**64)).
     """
+    run_id, total_cycles = _text("run_id", run_id), _real("total_cycles", total_cycles)
+    seed = _check_count("seed", seed, 0, 2**64)
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")
     if total_cycles == 0:

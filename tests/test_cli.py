@@ -510,6 +510,28 @@ class TestScaleFit:
         )
         assert model_path.read_bytes() == before
 
+    def test_scale_fit_refuses_sizes_a_float_cannot_tell_apart(self, tmp_path, capsys):
+        # 2**62 and 2**62 + 1 are one float64: the line's slope would be
+        # noise, so the model file is left as it was.
+        from cyclecast.store import append_runs
+
+        ref = 2**62
+        model_path, runs = tmp_path / "model.json", tmp_path / "runs.jsonl"
+        save_model(model_path, dataclasses.replace(TRUTH, ref_input_bytes=ref))
+        append_runs(runs, table(RunTable, [
+            ("synthetic", "near-0", 4, 4, ref, 1.0e12),
+            ("synthetic", "near-1", 4, 4, ref + 1, 2.0e12),
+        ]))
+        before = model_path.read_bytes()
+        assert main([
+            "scale-fit", "--runs", str(runs), "--app", "synthetic", "--model", str(model_path),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: DegenerateInputError: need >= 2 input sizes that float64 tells apart, "
+            f"got [{ref}, {ref + 1}]\n"
+        )
+        assert model_path.read_bytes() == before
+
     def test_scale_fit_needs_a_reference_size(self, tmp_path, truth_file, capsys):
         # fit refuses runs of mixed sizes, so it never writes a surface
         # without a reference; a hand-written one does not load.
@@ -817,10 +839,24 @@ class TestExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         where = f"surface predicts {value} cycles at (mappers={mappers}, reducers={reducers})"
-        assert f"error: CyclecastError: {where}; a cycle count must be finite\n" in captured.err
+        # The typed error is the only line: numpy's overflow warning is not
+        # printed above it.
+        assert captured.err == f"error: CyclecastError: {where}; a cycle count must be finite\n"
         assert captured.out == ""
         assert not (tmp_path / "r" / "surface.tsv").exists()
         assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_a_scaled_prediction_that_is_not_finite_is_data_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(model_path, dataclasses.replace(TRUTH, ref_input_bytes=1, line=(1e300, 1.0)))
+        assert main(["predict", "--model", str(model_path), "--mappers", "4",
+                     "--reducers", "8", "--input-bytes", str(2**62)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: CyclecastError: scaling to {2**62} bytes gives inf cycles; "
+            "a cycle count must be finite\n"
+        )
+        assert captured.out == ""
 
     def test_torn_store_tail_is_skipped_with_one_warning(self, tmp_path, truth_file, capsys):
         assert main(_simulate(tmp_path)) == 0

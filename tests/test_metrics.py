@@ -50,9 +50,6 @@ class TestHandExamples:
         assert pred25([100.0], [125.0]) == 0.0
         assert pred25([100.0], [124.0]) == 1.0
 
-    def test_pred25_custom_threshold(self):
-        assert pred25([100.0], [110.0], threshold=0.05) == 0.0
-
     def test_rmse(self):
         # Differences [0, 2] give sqrt(4/2) = sqrt(2).
         value = rmse([1.0, 1.0], [1.0, 3.0])
@@ -120,10 +117,6 @@ class TestErrors:
 
     def test_negative_values_are_reals(self):
         assert rmse([-1.0, 2.0], [1.0, 2.0]) == math.sqrt(2.0)
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            pred25([1.0], [1.0], threshold=0.0)
 
 
 class TestInvariants:

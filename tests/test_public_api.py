@@ -1,5 +1,8 @@
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
 
 import cyclecast
 from cyclecast import cli
@@ -33,10 +36,8 @@ EXPORTS = [
     "ZeroActualError",
     "aggregate_repetitions",
     "append_runs",
-    "build_design_matrix",
     "evaluate",
     "fit_least_squares",
-    "fit_scaling",
     "generate_profiles",
     "generate_trace",
     "load_model",
@@ -45,7 +46,6 @@ EXPORTS = [
     "parse_cluster_spec",
     "parse_trace_csv",
     "pred25",
-    "predict",
     "r2_paper",
     "r2_standard",
     "rmse",
@@ -56,7 +56,7 @@ EXPORTS = [
 
 
 def test_the_public_surface_is_pinned():
-    assert len(EXPORTS) == 47
+    assert len(EXPORTS) == 44
     assert sorted(cyclecast.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(cyclecast, name) is not None
@@ -105,3 +105,30 @@ def test_constructors_outside_core_keep_no_rules_of_their_own():
                 ):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # README's Library block is the documented API: run it as written
+    # against a model file, so the two cannot drift apart.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library") :]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    model = cyclecast.CostModel(
+        app="sort",
+        a=(1.0e12, 2.0e10, 3.0e8, 4.0e10, 5.0e8),
+        condition_estimate=31.09,
+        training_residual=1.5e7,
+        ref_input_bytes=12 * 2**30,
+        line=(147.7, 5.0e11),
+    )
+    cyclecast.save_model(tmp_path / "sort-model.json", model)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert capsys.readouterr().out.split() == [
+        repr(model.predict(6, 10)), repr(model.predict(6, 10, 24 * 2**30))
+    ]
+    grid = np.arange(1, 33)
+    assert names["surface"].tolist() == [
+        model.predict(m, r) for m in grid.tolist() for r in grid.tolist()
+    ]

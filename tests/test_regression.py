@@ -57,6 +57,27 @@ def test_design_row():
     assert not design.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "value", [2.5, True, np.bool_(True), 0, 2**63, "4"],
+    ids=["float", "bool", "numpy-bool", "zero", "2**63", "str"],
+)
+def test_every_prediction_step_holds_mappers_to_the_count_rule(value):
+    # One rule, in _pair: the model, the surface step and the design
+    # matrix refuse a bad count with the same error.
+    model = _model(TRUTH)
+    errors = []
+    for call in (
+        lambda: predict(model, value, 4),
+        lambda: build_design_matrix(value, 4),
+        lambda: model.predict(value, 4),
+    ):
+        with pytest.raises((TypeError, ValueError)) as caught:
+            call()
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0][1].startswith("mappers must be")
+    assert errors == [errors[0]] * 3
+
+
 def test_mappers_and_reducers_must_share_a_shape():
     with pytest.raises(ShapeMismatchError):
         build_design_matrix([1, 2], [1, 2, 3])
@@ -103,23 +124,28 @@ def test_predict_over_arrays_warns_once_naming_the_first_clamp():
 
 
 OVERFLOWS = (0.0, 1e300, 0.0, 0.0, -1e300)
+SURFACE_AT = "surface predicts {} cycles at (mappers={}, reducers={})"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "a, mappers, reducers, message",
+    "model, args, message",
     [
-        (OVERFLOWS, 2**62, 2**62, f"nan cycles at (mappers={2**62}, reducers={2**62})"),
-        (OVERFLOWS, 2**62, 1, f"inf cycles at (mappers={2**62}, reducers=1)"),
-        ((0.0, 1e307, 0.0, 0.0, 0.0), [1, 100, 1000], [1, 1, 1],
-         "inf cycles at (mappers=100, reducers=1)"),
+        (_model(OVERFLOWS), (2**62, 2**62), SURFACE_AT.format("nan", 2**62, 2**62)),
+        (_model(OVERFLOWS), (2**62, 1), SURFACE_AT.format("inf", 2**62, 1)),
+        (_model((0.0, 1e307, 0.0, 0.0, 0.0)), ([1, 100, 1000], [1, 1, 1]),
+         SURFACE_AT.format("inf", 100, 1)),
+        (_model(TRUTH, line=(1e300, 1.0)), (4, 8, [1, 2**62]),
+         f"scaling to {2**62} bytes gives inf cycles"),
     ],
-    ids=["nan", "inf", "first-of-an-array"],
+    ids=["nan", "inf", "first-of-an-array", "size-line"],
 )
-def test_a_prediction_that_is_not_finite_is_an_error(a, mappers, reducers, message):
+def test_a_prediction_that_is_not_finite_is_an_error(model, args, message):
+    # numpy's overflow warnings are errors here: the typed error is the
+    # only report.
     with pytest.raises(CyclecastError) as caught:
-        predict(_model(a), mappers, reducers)
-    assert str(caught.value) == f"surface predicts {message}; a cycle count must be finite"
+        model.predict(*args)
+    assert str(caught.value) == f"{message}; a cycle count must be finite"
 
 
 def test_noiseless_grid_recovery_is_nearly_exact():

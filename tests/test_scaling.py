@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -70,8 +71,25 @@ def test_identity_at_reference_size():
 
 
 def test_single_size_is_degenerate():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match=rf"^need >= 2 .*, got \[{GIB}\]$"):
         fit_scaling([(GIB, 1.0e12), (GIB, 1.1e12)])
+    with pytest.raises(DegenerateInputError, match=r"^need >= 2 .*, got \[\]$"):
+        fit_scaling([])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(2**62, 2**62 + 1), (2**62, 2**62 + 1, 2**62 + 2), (2**53, 2**53 + 1)],
+    ids=["two", "three", "past-2**53"],
+)
+def test_sizes_a_float_cannot_tell_apart_are_degenerate(sizes):
+    # Distinct ints that round to one float64 give a rank-1 design; the
+    # line through them would be noise, not a slope.
+    message = f"^{re.escape(f'need >= 2 input sizes that float64 tells apart, got {list(sizes)}')}$"
+    with pytest.raises(DegenerateInputError, match=message):
+        fit_scaling([(size, 1.0e12 * 2**i) for i, size in enumerate(sizes)])
+    with pytest.raises(DegenerateInputError, match=message):
+        SURFACE.with_size_line(_profiles(["sort"] * len(sizes), sizes))
 
 
 def test_non_positive_reference_rejected_at_construction():
@@ -101,7 +119,7 @@ def test_scale_prediction_over_arrays_warns_once_naming_the_first_clamp():
     ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_scaled_prediction_that_is_not_finite_is_an_error():
     model = _sized(1.0, 0.0, 1)
     message = "^scaling to 10 bytes gives inf cycles; a cycle count must be finite$"

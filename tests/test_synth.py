@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,33 @@ class TestGenerateTrace:
     def test_empty_cluster_rejected(self):
         with pytest.raises(EmptyInputError):
             generate_trace("job-001", 1.0e12, ClusterSpec((), [], []), seed=5)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((5, 1.0e12, 5), TypeError, "run_id must be a str, got int"),
+            (("", 1.0e12, 5), ValueError, "run_id must be non-empty"),
+            (("job-001", "1e12", 5), TypeError, "total_cycles must be a number, got str"),
+            (("job-001", True, 5), TypeError, "total_cycles must be a number, got bool"),
+            (("job-001", -500.0, 5), ValueError, "total_cycles must be finite and >= 0, got -500.0"),
+            (("job-001", math.inf, 5), ValueError, "total_cycles must be finite and >= 0, got inf"),
+            (("job-001", 1.0e12, True), TypeError, "seed must be an int, got bool"),
+            (("job-001", 1.0e12, 2.5), TypeError, "seed must be an int, got float"),
+            (("job-001", 1.0e12, -1), ValueError, "seed must be >= 0, got -1"),
+            (("job-001", 1.0e12, 2**64), ValueError, f"seed must be < 2\\*\\*64, got {2**64}"),
+        ],
+        ids=["int-run-id", "empty-run-id", "str-total", "bool-total", "negative-total",
+             "infinite-total", "bool-seed", "float-seed", "negative-seed", "seed-2**64"],
+    )
+    def test_arguments_follow_core_s_rules(self, args, error, message):
+        run_id, total_cycles, seed = args
+        with pytest.raises(error, match=f"^{message}$"):
+            generate_trace(run_id, total_cycles, CLUSTER, seed)
+
+    def test_numpy_arguments_draw_as_python_ones(self):
+        python = generate_trace("job-001", 7.3e13, CLUSTER, 5)
+        numpy = generate_trace("job-001", np.float64(7.3e13), CLUSTER, np.uint64(5))
+        assert segments(numpy) == segments(python)
 
     @pytest.mark.parametrize("clock_hz", [1e-300, 5e-324])
     def test_a_clock_too_slow_for_the_total_names_its_machine(self, clock_hz):
