@@ -126,7 +126,8 @@ def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
     read-only float64 array (0-d for a scalar), each value held to
     _real's rule.  A numeric array is checked whole; anything else has
     the types of its items checked first."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+    floats = isinstance(value, (list, tuple)) and set(map(type, value)) <= {float}
+    if not (floats or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = np.array(value, dtype=object)
         for kind in set(map(type, value.flat)):
             if issubclass(kind, bool) or not issubclass(kind, _NUMBERS):
@@ -343,7 +344,7 @@ def total_cpu_cycles(traces: TraceSet, cluster: ClusterSpec) -> float:
     # float64 holds cores up to 2**53 exactly; larger ones are screened as
     # 2**53, and a sample the screen flags is then held to the int itself.
     limits = np.repeat(np.minimum(cores, 2**53).astype(np.float64), np.diff([0, *ends]))
-    values = traces.samples.tolist()
+    values = memoryview(traces.samples)
     for row in np.flatnonzero(traces.samples[: len(limits)] > limits).tolist():
         segment = bisect.bisect_right(ends, row)
         if values[row] > (count := int(cores[segment])):

@@ -282,11 +282,12 @@ def _columns(text: str) -> _Columns | None:
             index.setdefault(machine_id, len(index))
         chunk = slice(row, row + n)
         codes[chunk] = np.fromiter(map(index.__getitem__, ids), np.intp, n)
+        # np.array converts each str with int() or float(), as parse_number does.
         try:
-            offsets[chunk] = np.fromiter(map(int, fields[1::3]), np.int64, n)
+            offsets[chunk] = np.array(fields[1::3], dtype=np.int64)
         except OverflowError:  # an offset past int64
             return None
-        samples[chunk] = np.fromiter(map(float, fields[2::3]), np.float64, n)
+        samples[chunk] = np.array(fields[2::3], dtype=np.float64)
         row += n
     if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
         return None
@@ -377,10 +378,9 @@ def _cluster(text: str) -> ClusterSpec | None:
     fields = re.sub("#[^\n]*", "", text).split()
     if not fields:
         return None
-    rows = len(fields) // 3
-    clocks = np.fromiter(map(float, fields[1::3]), np.float64, rows)
+    clocks = np.array(fields[1::3], dtype=np.float64)
     try:  # cores past int64, or columns ClusterSpec refuses
-        cores = np.fromiter(map(int, fields[2::3]), np.int64, rows)
+        cores = np.array(fields[2::3], dtype=np.int64)
         return ClusterSpec(fields[0::3], clocks, cores)
     except (OverflowError, ValueError):
         return None

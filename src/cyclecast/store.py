@@ -246,10 +246,10 @@ def load_runs(path: str | Path, app: str | None = None) -> RunTable:
     return RunTable(
         apps=apps,
         run_ids=run_ids,
-        mappers=np.fromiter(map(int, mappers), np.int64, len(rows)),
-        reducers=np.fromiter(map(int, reducers), np.int64, len(rows)),
-        input_bytes=np.fromiter(map(int, input_bytes), np.int64, len(rows)),
-        total_cycles=np.fromiter(map(float, cycles), np.float64, len(rows)),
+        mappers=np.array(mappers, dtype=np.int64),
+        reducers=np.array(reducers, dtype=np.int64),
+        input_bytes=np.array(input_bytes, dtype=np.int64),
+        total_cycles=np.array(cycles, dtype=np.float64),
     )
 
 

@@ -14,6 +14,7 @@ from cyclecast.core import (
     ShapeMismatchError,
     TraceSet,
     UnknownMachineError,
+    _reals,
     aggregate_repetitions,
     total_cpu_cycles,
 )
@@ -101,6 +102,13 @@ class TestTotalCpuCycles:
             total_cpu_cycles(trace_set([over, ghost]), TWO_MACHINE_CLUSTER)
         with pytest.raises(UnknownMachineError, match="^machine 'ghost' is not in the cluster spec$"):
             total_cpu_cycles(trace_set([ghost, over]), TWO_MACHINE_CLUSTER)
+
+    def test_the_error_spells_the_sample_as_repr_does(self):
+        # 2.0000000000000004 needs all 17 significant digits.
+        over = trace_set([_trace("node-b", [1.0, math.nextafter(2.0, 3.0)])])
+        message = "^machine 'node-b' has 2 cores but a sample at offset 1 claims 2.0000000000000004 CPU-seconds$"
+        with pytest.raises(SampleExceedsCoresError, match=message):
+            total_cpu_cycles(over, TWO_MACHINE_CLUSTER)
 
     def test_core_counts_past_float_precision_compare_exactly(self):
         # float(2**53 + 3) rounds up to 2**53 + 4, which is still over.
@@ -242,6 +250,28 @@ class TestAggregateRepetitions:
         reference = aggregate_repetitions(_runs(*runs))
         permuted = aggregate_repetitions(_runs(*[runs[i] for i in order]))
         assert permuted.mean_cycles.tolist() == reference.mean_cycles.tolist()
+
+
+class TestReals:
+    @pytest.mark.parametrize(
+        "item", [2.5, -1.5, True, np.bool_(True), 3, 10**400, np.float64(0.5), np.int32(2),
+                 math.inf, -math.inf, math.nan],
+    )
+    @pytest.mark.parametrize("least", [0.0, -math.inf])
+    def test_float_lists_read_as_the_object_path_does(self, item, least):
+        # A list or tuple of Python floats skips the per-item type scan;
+        # every other list, and an object array, takes it.
+        items = [1.0, -0.0, item]
+        outcomes = []
+        for value in (items, tuple(items), np.array(items, dtype=object)):
+            try:
+                column = _reals("x", value, least)
+            except (TypeError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                assert column.dtype == np.float64 and not column.flags.writeable
+                outcomes.append(column.tobytes())
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestValidation:

@@ -300,8 +300,11 @@ def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
         ("node-a,0,1.0\r\n", MalformedRowError,
          "line 2: cpu_seconds must be a number, got '1.0\\r'"),
         ("node-a,0,1.0\n\n", MalformedRowError, "line 3: expected 3 fields, got 1"),
+        # The grammar takes up to 4300 digits; the int64 column refuses it.
+        (f"node-a,0,1.0\nnode-a,{'9' * 4300},1.0\n", MalformedRowError,
+         f"line 3: offset_s must be < 2**63, got {'9' * 4300}"),
     ],
-    ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line"],
+    ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line", "4300-digit-offset"],
 )
 def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
     assert ingest._columns(HEADER + body) is None
@@ -327,6 +330,18 @@ def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
 def test_good_bodies_take_the_fast_path(body, expected, warnings):
     assert ingest._columns(HEADER + body) is not None
     assert _outcome(HEADER + body) == (repr(expected), warnings)
+
+
+# 1 + 2**-53, halfway between 1.0 and the next float, written out in full
+# and followed by a 1 in the 800th significant digit: rounded correctly it
+# goes up, while its first 17 digits alone would round down to 1.0.
+_LONG_MANTISSA = "1.00000000000000011102230246251565404236316680908203125".ljust(800, "0") + "1"
+
+
+def test_a_long_mantissa_parses_as_float_reads_it():
+    value = float(_LONG_MANTISSA)
+    assert value == math.nextafter(1.0, 2.0) and float(_LONG_MANTISSA[:18]) == 1.0
+    assert _outcome(f"{HEADER}node-a,0,{_LONG_MANTISSA}\n") == (repr([("node-a", [0], [value])]), [])
 
 
 @given(_bodies(bad=False))
@@ -611,9 +626,11 @@ def test_large_specs_agree_with_the_line_loop():
          "line 1: expected 'machine_id clock_hz cores', got 'node-a 3e9'"),
         ("node-é 3e9 4\n", MalformedEntryError,
          "line 1: machine_id 'node-é' must match [A-Za-z0-9_-]+"),
+        (f"node-a 3e9 4\nnode-b 3e9 {'9' * 4300}\n", MalformedEntryError,
+         f"line 2: cores must be < 2**63, got {'9' * 4300}"),
     ],
     ids=["zero-clock", "clock-underflows-to-zero", "infinite-clock", "negative-clock",
-         "duplicate-id", "empty", "no-entries", "two-fields", "non-ascii-id"],
+         "duplicate-id", "empty", "no-entries", "two-fields", "non-ascii-id", "4300-digit-cores"],
 )
 def test_each_cluster_decline_trigger_reaches_the_line_loop(text, error, message):
     assert ingest._cluster(text) is None
