@@ -492,6 +492,7 @@ def _motivating(**change):
 @example((_motivating(condition_estimate=True), "condition_estimate"))
 @example((_motivating(ref_input_bytes=np.int64(2**30)), None))
 @example((_motivating(training_residual=np.float32(0)), None))
+@example((_motivating(training_residual=2**53 + 1), None))
 @settings(deadline=None)
 def test_a_model_that_constructs_saves_and_loads_back(drawn):
     fields, refused = drawn
@@ -500,12 +501,13 @@ def test_a_model_that_constructs_saves_and_loads_back(drawn):
             CostModel(**fields)
         return
     model = CostModel(**fields)
-    # One canonical Python form per field, equal to the value given.
+    # One canonical Python form per field, equal to the value given in
+    # that form: an int past 2**53 is a real rounded as float() rounds it.
     assert type(model.a) is tuple and all(type(v) is float for v in model.a)
     assert list(model.a) == [float(v) for v in fields["a"]]
     for name, kind in [("condition_estimate", float), ("training_residual", float),
                        ("ref_input_bytes", int)]:
-        assert type(getattr(model, name)) is kind and getattr(model, name) == fields[name]
+        assert type(getattr(model, name)) is kind and getattr(model, name) == kind(fields[name])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(path, model)
