@@ -126,8 +126,7 @@ def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
     read-only float64 array (0-d for a scalar), each value held to
     _real's rule.  A numeric array is checked whole; anything else has
     the types of its items checked first."""
-    floats = isinstance(value, (list, tuple)) and set(map(type, value)) <= {float}
-    if not (floats or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = np.array(value, dtype=object)
         for kind in set(map(type, value.flat)):
             if issubclass(kind, bool) or not issubclass(kind, _NUMBERS):

@@ -14,7 +14,6 @@ from cyclecast.core import (
     ShapeMismatchError,
     TraceSet,
     UnknownMachineError,
-    _reals,
     aggregate_repetitions,
     total_cpu_cycles,
 )
@@ -250,28 +249,6 @@ class TestAggregateRepetitions:
         reference = aggregate_repetitions(_runs(*runs))
         permuted = aggregate_repetitions(_runs(*[runs[i] for i in order]))
         assert permuted.mean_cycles.tolist() == reference.mean_cycles.tolist()
-
-
-class TestReals:
-    @pytest.mark.parametrize(
-        "item", [2.5, -1.5, True, np.bool_(True), 3, 10**400, np.float64(0.5), np.int32(2),
-                 math.inf, -math.inf, math.nan],
-    )
-    @pytest.mark.parametrize("least", [0.0, -math.inf])
-    def test_float_lists_read_as_the_object_path_does(self, item, least):
-        # A list or tuple of Python floats skips the per-item type scan;
-        # every other list, and an object array, takes it.
-        items = [1.0, -0.0, item]
-        outcomes = []
-        for value in (items, tuple(items), np.array(items, dtype=object)):
-            try:
-                column = _reals("x", value, least)
-            except (TypeError, ValueError) as exc:
-                outcomes.append((type(exc), str(exc)))
-            else:
-                assert column.dtype == np.float64 and not column.flags.writeable
-                outcomes.append(column.tobytes())
-        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestValidation:
