@@ -18,6 +18,9 @@ Conventions
 * simulate's --seed falls back to the CYCLECAST_SEED environment
   variable (checked like the flag), then to 0, so batch jobs can pin
   determinism externally.
+* ingest hashes the trace file for its default run id on a second
+  thread while it parses; the command joins that thread before it
+  returns or raises, so no thread outlives a command.
 * The argument parser is built once, when this module is imported, so
   main can be called repeatedly in one process at the cost of a parse.
   CYCLECAST_SEED is read on each call, not when the parser is built.
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 from typing import Callable
@@ -110,8 +114,10 @@ def _fmt_opt(value: float | None, spec: str) -> str:
 class _ReadOnce:
     """A binary stream whose one read() hands the bytes over.
 
-    The reader then holds the only reference, so the trace parser frees
-    the bytes once it has decoded them.
+    The reader then holds the only reference but for that of a _Digest
+    hashing the same bytes, which drops it when the hash is done; so the
+    trace parser frees the bytes once it has decoded them and the hash
+    has finished.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -122,14 +128,48 @@ class _ReadOnce:
         return data
 
 
+class _Digest(threading.Thread):
+    """The default run id of some bytes, the first 12 hex digits of their
+    SHA-256, computed on a second thread that starts at once.
+
+    hashlib releases the GIL while it hashes more than 2 KiB, so the hash
+    runs beside whatever the caller does next.  result() joins the thread
+    and returns the whole digest's prefix, or raises what the hash raised.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(name="cyclecast-run-id")
+        self._data = data
+        self._outcome: str | BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._outcome = hashlib.sha256(self._data).hexdigest()[:12]
+        except BaseException as exc:  # handed to the caller by result()
+            self._outcome = exc
+        finally:
+            self._data = b""
+
+    def result(self) -> str:
+        self.join()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        assert self._outcome is not None, "a joined _Digest has an outcome"
+        return self._outcome
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     data = Path(args.traces).read_bytes()
-    run_id = args.run_id
-    if run_id is None:
-        run_id = hashlib.sha256(data).hexdigest()[:12]
+    digest = None if args.run_id is not None else _Digest(data)
     stream = _ReadOnce(data)
     del data
-    traces, warnings_found = parse_trace_csv(stream, gap_threshold=args.gap_threshold)
+    try:
+        traces, warnings_found = parse_trace_csv(stream, gap_threshold=args.gap_threshold)
+    finally:  # so no thread outlives the command, whatever the parse raised
+        if digest is not None:
+            digest.join()
+    run_id = args.run_id if digest is None else digest.result()
     for warning in warnings_found:
         scope = f" machine={warning.machine_id}" if warning.machine_id else ""
         print(f"warning: {warning.kind.value}{scope}: {warning.detail}", file=sys.stderr)

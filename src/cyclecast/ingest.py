@@ -28,7 +28,8 @@ decimal, cores an integer in [1, 2**63).
 Holdout list
 ------------
 Lines of 'mappers reducers': two integers in [1, 2**63), separated by
-whitespace or a comma.  Comments and blank lines are as in a cluster spec.
+whitespace or by one comma, which whitespace may surround.  Comments and
+blank lines are as in a cluster spec.
 
 Numbers
 -------
@@ -46,7 +47,9 @@ written once as a regular expression over the whole body.  A body that
 matches is converted in one columnar pass: a trace into one TraceSet
 (an int64 offset and a float64 CPU-seconds column, converted in chunks
 of lines and grouped by one stable sort on (machine, offset)), a cluster
-spec into the columns of one ClusterSpec.  The pass declines a body that
+spec into the columns of one ClusterSpec.  The sort codes each machine by
+the rank of its id in the narrowest unsigned dtype that holds the ranks,
+which numpy sorts by radix.  The pass declines a body that
 does not match, or whose columns fail a check the grammar cannot make: a
 value past int64 or below zero, a number that overflows to infinity, a
 repeated key, a cluster with no entries.  A line loop then names the
@@ -107,6 +110,8 @@ _SPACE = r"[^\S\n]"
 _ENTRY = f"{_MACHINE_ID}{_SPACE}++{_DECIMAL}{_SPACE}++{_INTEGER}"
 _SPEC_LINE = f"{_SPACE}*+(?:{_ENTRY}{_SPACE}*+)?+(?:#[^\n]*+)?+"
 _SPEC = re.compile(f"(?:{_SPEC_LINE}\n)*+{_SPEC_LINE}")
+# A holdout pair's separator: one comma, whitespace around it allowed, or whitespace.
+_PAIR_SEPARATOR = re.compile(f"{_SPACE}*+,{_SPACE}*+|{_SPACE}++")
 _CHUNK_CHARS = 1 << 18
 
 _Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
@@ -277,11 +282,11 @@ def _columns(text: str) -> _Columns | None:
             stop = end
         fields = text[start:stop].replace("\n", ",").split(",")
         start = stop + 1
-        ids, n = fields[0::3], len(fields) // 3
-        for machine_id in dict.fromkeys(ids):
-            index.setdefault(machine_id, len(index))
+        n = len(fields) // 3
         chunk = slice(row, row + n)
-        codes[chunk] = np.fromiter(map(index.__getitem__, ids), np.intp, n)
+        # A machine's code is the row it first appears on.
+        firsts = map(index.setdefault, fields[0::3], range(row, row + n))
+        codes[chunk] = np.fromiter(firsts, np.intp, n)
         # np.array converts each str with int() or float(), as parse_number does.
         try:
             offsets[chunk] = np.array(fields[1::3], dtype=np.int64)
@@ -292,8 +297,11 @@ def _columns(text: str) -> _Columns | None:
     if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
         return None
 
+    # rank maps a code, a row number, to the rank of its id, in the
+    # narrowest unsigned dtype that holds the ranks: np.lexsort sorts
+    # that by radix rather than by comparison.
     names = sorted(index)
-    rank = np.empty(len(names), np.intp)
+    rank = np.empty(rows, np.min_scalar_type(len(names) - 1))
     rank[[index[name] for name in names]] = np.arange(len(names))
     codes = rank[codes]
     # One array at a time, so at most one extra column is alive.
@@ -390,13 +398,13 @@ def _entries(text: str, names: str, error: _Error, commas: bool = False) -> Iter
     """(line number, line, fields) of each entry line of text.
 
     '#' starts a comment and blank lines are skipped.  Fields are split at
-    whitespace, and at commas too if commas; a line without one field per
-    word of names is error(line number, reason).
+    whitespace, or at _PAIR_SEPARATOR if commas; a line without one field
+    per word of names is error(line number, reason).
     """
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            fields = (line.replace(",", " ") if commas else line).split()
+            fields = _PAIR_SEPARATOR.split(line) if commas else line.split()
             if len(fields) != len(names.split()):
                 raise error(line_no, f"expected {names!r}, got {raw!r}")
             yield line_no, raw, fields

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,13 @@ TRACE_CSV = (
 )
 
 CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
+
+
+def _long_trace_csv(salt: int) -> str:
+    """A valid trace of about 4 KiB, past the 2 KiB above which hashlib
+    releases the GIL, whose bytes differ with salt."""
+    rows = (f"node-{'ab'[offset % 2]},{offset},{(offset + salt) % 9 / 4!r}\n" for offset in range(300))
+    return "machine_id,offset_s,cpu_seconds\n" + "".join(rows)
 
 
 @pytest.fixture
@@ -66,13 +76,62 @@ class TestIngest:
         assert run[2:] == (4, 2, 2**30, 8.0e9)
 
     def test_run_id_defaults_to_content_digest(self, tmp_path):
-        (tmp_path / "trace.csv").write_text(TRACE_CSV)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
-        main(["ingest"] + _ingest_args(tmp_path))
-        main(["ingest"] + _ingest_args(tmp_path))
-        first, second = load_runs(tmp_path / "runs.jsonl").run_ids
-        assert first == second
-        assert len(first) == 12
+        expected = []
+        for text in (TRACE_CSV, _long_trace_csv(0)):
+            (tmp_path / "trace.csv").write_text(text)
+            data = (tmp_path / "trace.csv").read_bytes()
+            assert main(["ingest"] + _ingest_args(tmp_path)) == 0
+            assert main(["ingest"] + _ingest_args(tmp_path)) == 0
+            expected += [hashlib.sha256(data).hexdigest()[:12]] * 2
+        assert len(data) > 2048
+        assert list(load_runs(tmp_path / "runs.jsonl").run_ids) == expected
+
+    def test_run_ids_hold_under_rapid_thread_switching(self, tmp_path):
+        # The hash runs on a second thread beside the parse.  With the GIL
+        # handed over every microsecond, each id must still be the whole
+        # digest's prefix, and no thread may outlive its command, whether
+        # the parse succeeds or fails.
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        deadline = time.monotonic() + 20
+        expected = []
+        sys.setswitchinterval(1e-6)
+        try:
+            for salt in range(50):
+                # A bad header fails the parse at once, well before a
+                # megabyte is hashed.
+                bad = salt % 5 == 4
+                text = f"bad header\n{salt:0{2**20}}\n" if bad else _long_trace_csv(salt)
+                (tmp_path / "trace.csv").write_text(text)
+                code = main(["ingest"] + _ingest_args(tmp_path))
+                assert code == (2 if bad else 0)
+                assert threading.active_count() == threads
+                if not bad:
+                    data = (tmp_path / "trace.csv").read_bytes()
+                    expected.append(hashlib.sha256(data).hexdigest()[:12])
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(expected) >= 4
+        assert list(load_runs(tmp_path / "runs.jsonl").run_ids) == expected
+
+    def test_a_failed_hash_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
+        def broken(data):
+            raise ValueError("digest failed")
+
+        (tmp_path / "trace.csv").write_text(_long_trace_csv(0))
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        threads = threading.active_count()
+        monkeypatch.setattr(hashlib, "sha256", broken)
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: digest failed\n"
+        assert threading.active_count() == threads
+        assert not (tmp_path / "runs.jsonl").exists()
+        # An explicit run id starts no hash.
+        assert main(["ingest"] + _ingest_args(tmp_path) + ["--run-id", "exp-007"]) == 0
+        assert load_runs(tmp_path / "runs.jsonl").run_ids == ("exp-007",)
 
     def test_explicit_run_id(self, tmp_path):
         (tmp_path / "trace.csv").write_text(TRACE_CSV)

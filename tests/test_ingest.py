@@ -426,6 +426,35 @@ def test_many_chunks_agree_with_the_row_loop():
         ingest._raise_first_bad_row(text)
 
 
+@pytest.mark.parametrize("machines", [255, 256, 257, 65_535, 65_536, 65_537])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["grouped", "shuffled"])
+def test_machine_codes_at_the_dtype_edges(machines, shuffled):
+    # The sort codes machines in uint8 up to 256 of them and in uint16 up
+    # to 65,536.  Ids seen in the order n0, n1, ... sort as n0, n1, n10,
+    # n100, ..., so ranks differ from the order of first sight.
+    rows = [(f"n{i}", offset, (i + offset) % 8 / 2) for i in range(machines) for offset in (1, 0)]
+    if shuffled:
+        np.random.default_rng(machines).shuffle(rows)
+    text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in rows)
+    traces, warnings = parse_trace_csv(io.StringIO(text))
+    ordered = sorted(rows)
+    assert list(traces.machine_ids) == sorted({machine_id for machine_id, _, _ in rows})
+    assert traces.ends.tolist() == list(range(2, 2 * machines + 1, 2))
+    assert traces.offsets.tolist() == [offset for _, offset, _ in ordered]
+    assert traces.samples.tolist() == [cpu for _, _, cpu in ordered]
+    assert warnings == []
+    # A repeat of the highest-ranked of the first 500 rows, right after
+    # it, is named by its line.
+    at = max(range(500), key=rows.__getitem__)
+    machine_id, offset, _ = rows[at]
+    lines = text.split("\n")
+    lines.insert(at + 2, f"{machine_id},{offset},0.5")
+    with pytest.raises(DuplicateSampleError, match=(
+        f"^line {at + 3}: duplicate sample for machine {machine_id!r} at offset {offset}$"
+    )):
+        parse_trace_csv(io.StringIO("\n".join(lines)))
+
+
 def test_write_orders_machines_lexicographically():
     traces = trace_set([
         ("zz", (0,), (1.0,)),
@@ -774,8 +803,9 @@ def test_parse_number_refuses_decimals_where_an_integer_is_expected():
 
 def test_holdout_list_reads_pairs_with_comments_and_commas(tmp_path):
     path = tmp_path / "holdout.txt"
-    path.write_bytes(b"# cells\n4 8\n\n12,16  # trailing\r\n4\t8\n")
-    assert read_holdout_list(path) == {(4, 8), (12, 16)}
-    path.write_text("4 8 12\n")
-    with pytest.raises(CyclecastError, match=f"^{re.escape(str(path))}:1: expected 'mappers "):
-        read_holdout_list(path)
+    path.write_bytes(b"# cells\n4 8\n\n12,16  # trailing\r\n4\t8\n4 , 8\n2 ,3\n5,\t6\n")
+    assert read_holdout_list(path) == {(4, 8), (12, 16), (2, 3), (5, 6)}
+    for line in ("4 8 12", "4,,8", ",4 8", "4 8,", "4 , , 8", "4,8,", "4, ,8"):
+        path.write_text(f"# cells\n4 8\n{line}\n")
+        with pytest.raises(CyclecastError, match=f"^{re.escape(str(path))}:3: expected 'mappers "):
+            read_holdout_list(path)
