@@ -10,7 +10,7 @@ Conventions
   the ingest module (README "File formats"): no sign but '-', no space,
   underscore or non-ASCII digit.  Counts are integers in [1, 2**63), the
   seed in [0, 2**64), --noise a decimal in [0, inf) and --gap-threshold
-  one in [0, 1].
+  one in [0, 1].  --app and --run-id are non-empty.
 * Diagnostics and progress go to stderr.  Data goes to stdout or to files
   named by flags; no subcommand touches a file its flags do not name.
 * Library warnings go to stderr as "warning: <message>", at most one
@@ -37,11 +37,11 @@ import sys
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from .core import CyclecastError, RunTable, aggregate_repetitions, total_cpu_cycles
+from .core import CyclecastError, RunTable, aggregate_repetitions, check_text, total_cpu_cycles
 from .ingest import (
     parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list, write_trace_csv,
 )
@@ -66,25 +66,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(rule: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A flag type: rule's value for a flag's text, a ValueError from it a usage error."""
+
+    def convert(text: str) -> Any:
+        try:
+            return rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _number(integer: bool, lo: float, hi: float) -> Callable[[str], float]:
     """A flag type: a value in ingest's Numbers grammar within [lo, hi]."""
 
     def convert(text: str) -> float:
-        try:
-            value = parse_number(text, integer)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        value = parse_number(text, integer)
         if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text}")
+            raise ValueError(f"expected a value in [{lo}, {hi}], got {text}")
         return value
 
-    return convert
+    return _flag(convert)
 
 
 _COUNT = _number(True, 1, 2**63 - 1)  # the run store's int64 columns
 _SEED = _number(True, 0, 2**64 - 1)
 _SIGMA = _number(False, 0, math.inf)  # a decimal is finite
 _SHARE = _number(False, 0, 1)
+_APP = _flag(lambda text: check_text("app", text))  # core's rule for every text
+_RUN_ID = _flag(lambda text: check_text("run_id", text))
 
 
 def _grid(text: str) -> tuple[int, ...]:
@@ -322,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="account a trace CSV into the run store")
     p.add_argument("--traces", required=True, help="trace CSV file")
     p.add_argument("--cluster", required=True, help="cluster spec file")
-    p.add_argument("--app", required=True, help="application name")
+    p.add_argument("--app", required=True, type=_APP, help="application name")
     p.add_argument("--mappers", required=True, type=_COUNT)
     p.add_argument("--reducers", required=True, type=_COUNT)
     p.add_argument("--input-bytes", required=True, type=_COUNT)
     p.add_argument("--out", required=True, help="run store to append to")
-    p.add_argument("--run-id", default=None, help="default: digest of the trace file")
+    p.add_argument("--run-id", type=_RUN_ID, help="default: digest of the trace file")
     p.add_argument(
         "--gap-threshold",
         type=_SHARE,
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the quadratic surface for one app")
     p.add_argument("--runs", required=True, help="run store to read")
-    p.add_argument("--app", required=True)
+    p.add_argument("--app", required=True, type=_APP)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_fit)
 
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a model against stored runs")
     p.add_argument("--model", required=True)
     p.add_argument("--runs", required=True)
-    p.add_argument("--app", required=True)
+    p.add_argument("--app", required=True, type=_APP)
     p.add_argument(
         "--holdout-list",
         default=None,
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale-fit", help="fit the input-size line into a model file")
     p.add_argument("--runs", required=True)
-    p.add_argument("--app", required=True)
+    p.add_argument("--app", required=True, type=_APP)
     p.add_argument("--model", required=True, help="model file to update in place")
     p.set_defaults(func=_cmd_scale_fit)
 
@@ -381,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED, default=None,
                    help=f"default: ${SEED_ENV_VAR}, then 0")
     p.add_argument("--out", required=True, help="run store to append to")
-    p.add_argument("--app", default="synthetic")
+    p.add_argument("--app", type=_APP, default="synthetic")
     p.add_argument("--input-bytes", type=_COUNT, default=DEFAULT_INPUT_BYTES)
     p.add_argument("--emit-traces", default=None, metavar="DIR",
                    help="also fabricate one trace CSV per run into DIR")

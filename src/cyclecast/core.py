@@ -142,7 +142,7 @@ def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
     return column
 
 
-def _text(name: str, value) -> str:
+def check_text(name: str, value) -> str:
     """The rule for every text: a non-empty str."""
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a str, got {type(value).__name__}")
@@ -152,13 +152,13 @@ def _text(name: str, value) -> str:
 
 
 def _texts(name: str, value) -> tuple[str, ...]:
-    """value as a tuple, each item held to _text's rule under name.  The
+    """value as a tuple, each item held to check_text's rule under name.  The
     item types and emptiness are checked whole; a failure is then found
     one item at a time."""
     column = tuple(value)
     if not all(issubclass(kind, str) for kind in set(map(type, column))) or not all(column):
         for item in column:
-            _text(name, item)
+            check_text(name, item)
     return column
 
 

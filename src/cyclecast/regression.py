@@ -39,7 +39,7 @@ from .core import (
     _ints,
     _real,
     _reals,
-    _text,
+    check_text,
 )
 from .scaling import NonPositiveReferenceError, fit_scaling, scale_prediction
 
@@ -86,7 +86,7 @@ class CostModel:
     line: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        _text("app", self.app)
+        check_text("app", self.app)
         ref = _check_count("ref_input_bytes", self.ref_input_bytes)
         a = _reals("a", self.a, -math.inf)
         if a.shape != (N_COEFFS,):

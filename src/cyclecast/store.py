@@ -18,17 +18,15 @@ crash mid-append can still leave a last line without its newline; a
 load skips it with a TornRecordWarning when it does not parse, and the
 next append drops it with the same warning before writing.
 
-Loading takes a columnar fast path.  One regular-expression pass checks
-the whole body against a narrower grammar: canonical lines only, each
-ending in a newline, strings without escapes, integers of at most 18
-digits with no leading zero, and total_cycles a non-negative JSON number
-whose form cannot overflow (below 1e300).  The records of the requested
-app are then picked out by a second pattern and become columns, in file
-order, with no object per record.  Any other body goes through the line
+Loading takes one columnar pass over a body of canonical lines, each
+ending in a newline.  It checks the whole body against the line's
+grammar, picks out the requested app's records by its encoded name, and
+turns their fields into columns in file order, unescaping only the
+strings that hold a backslash.  Every other body goes through the line
 loop, which json-decodes and checks one line at a time: it loads what
 is valid and raises the typed error of the first bad line, naming it.
-That covers other key orders and spacing, escaped strings, a torn tail,
-and every invalid record.
+That covers other key orders, spacing and spellings of JSON, a torn
+tail, and every invalid record.
 
 Model file
 ----------
@@ -52,6 +50,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import re
 import secrets
@@ -59,11 +58,11 @@ import warnings
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
-from .core import CyclecastError, RunTable, _check_count, _real, _text
+from .core import CyclecastError, RunTable, _check_count, _real, check_text
 from .ingest import _decoded
 from .regression import BASIS_TAG, CostModel
 
@@ -77,37 +76,35 @@ _RECORD_LINE = (
     '"mappers":%d,"reducers":%d,"input_bytes":%d,"total_cycles":%r}\n'
 )
 
-# The fast path's grammar.  A string is printable ASCII without a quote or
-# backslash, so it needs no unescaping.  A count has at most 18 digits, so
-# it fits int64.  total_cycles is a plain decimal with at most 17 integer
-# digits or, as repr writes large and small floats, one digit and an
-# exponent below +300: neither overflows to infinity.
-_FAST_TEXT = r"[ !#-\[\]-~]++"
-_FAST_COUNT = r"[1-9][0-9]{0,17}+"
-_FAST_CYCLES = (
-    r"(?:(?:0|[1-9][0-9]{0,16})(?:\.[0-9]+)?"
-    r"|[1-9](?:\.[0-9]+)?e(?:-[0-9]{2,3}|\+[12]?[0-9]{2}))"
+# The canonical line's grammar: strings as encode_basestring_ascii spells
+# them, so each has one spelling; counts 1 to 2**63 - 1, whose 19 digits
+# equal _LIMIT's or fall below them after a common prefix; total_cycles in
+# repr's forms, signed only as -0.0, with no exponent above +308.
+_PLAIN = r"[ !#-\[\]-~]*+"
+_ESCAPE = r'\\(?:["\\bfnrt]|u(?:00(?:0[0-7be-f]|1[0-9a-f]|7f|[89a-f][0-9a-f])|(?!00)[0-9a-f]{4}))'
+_TEXT = f'(?!"){_PLAIN}(?:{_ESCAPE}{_PLAIN})*+'  # a string's body, not empty
+_LIMIT = str(2**63 - 1)
+_COUNT = "|".join(["[1-9][0-9]{0,17}+", _LIMIT] + [
+    f"{_LIMIT[:i]}[{int(i == 0)}-{int(d) - 1}][0-9]{{{18 - i}}}"
+    for i, d in enumerate(_LIMIT) if d > "0"
+])
+_CYCLES = (
+    r"-0\.0|(?:0|[1-9][0-9]{0,16}+)(?:\.[0-9]++)?+"
+    r"|[1-9](?:\.[0-9]++)?+e(?:-[0-9]{2,3}+|\+(?:[12]?[0-9]{2}|30[0-8]))"
 )
-_FAST_BODY = re.compile(
-    r'(?:\{"schema_version":1,"app":"' + _FAST_TEXT + r'","run_id":"' + _FAST_TEXT
-    + r'","mappers":' + _FAST_COUNT + r',"reducers":' + _FAST_COUNT
-    + r',"input_bytes":' + _FAST_COUNT + r',"total_cycles":' + _FAST_CYCLES + r'\}\n)*+'
-)
-_FAST_TEXT_RE = re.compile(_FAST_TEXT)
 
 
-def _fast_fields(app_pattern: str) -> re.Pattern[str]:
-    """A record's six fields, its app matching app_pattern.
-
-    Only for bodies _FAST_BODY has vouched for: a fast string holds no
-    quote, so the pattern's literal start only matches where a line
-    starts.
-    """
-    return re.compile(
-        r'\{"schema_version":1,"app":"(' + app_pattern + r')","run_id":"([^"]++)",'
-        r'"mappers":([0-9]++),"reducers":([0-9]++),"input_bytes":([0-9]++),'
-        r'"total_cycles":([^}]++)\}'
+def _record(app: str, count: str, cycles: str, group: str) -> str:
+    """The canonical line but its newline, each field in a group."""
+    return (
+        rf'\{{"schema_version":1,"app":"{group}{app})","run_id":"{group}{_TEXT})",'
+        rf'"mappers":{group}{count}),"reducers":{group}{count}),'
+        rf'"input_bytes":{group}{count}),"total_cycles":{group}{cycles})\}}'
     )
+
+
+_BODY = f"(?:{_record(_TEXT, _COUNT, _CYCLES, '(?:')}\n)*+"  # compiled on first use, not import
+_E308 = re.compile(r'"total_cycles":([0-9.]++e\+308)\}')  # the grammar's only overflows
 
 
 class IoFailureError(CyclecastError):
@@ -148,8 +145,8 @@ def _record_row(obj: Any, line_no: int) -> tuple[str, str, int, int, int, float]
         raise CorruptRecordError(f"line {line_no}: missing key {missing[0]!r}")
     try:
         return (
-            _text("app", obj["app"]),
-            _text("run_id", obj["run_id"]),
+            check_text("app", obj["app"]),
+            check_text("run_id", obj["run_id"]),
             *[_check_count(key, obj[key]) for key in _COUNT_KEYS],
             _real("total_cycles", obj["total_cycles"]),
         )
@@ -238,11 +235,9 @@ def load_runs(path: str | Path, app: str | None = None) -> RunTable:
         raise IoFailureError(f"cannot read {path}: {exc}") from None
     text = _decoded(data, lambda line_no, reason: CorruptRecordError(f"line {line_no}: {reason}"))
     del data
-    rows = _fast_rows(text, app)
-    if rows is None:
-        rows = _row_runs(text, path, app)
-    del text  # the rows hold all the table needs
-    apps, run_ids, mappers, reducers, input_bytes, cycles = zip(*rows) if rows else [()] * 6
+    columns = _fast_columns(text, app) or list(zip(*_row_runs(text, path, app))) or [()] * 6
+    del text  # the columns hold all the table needs
+    apps, run_ids, mappers, reducers, input_bytes, cycles = columns
     return RunTable(
         apps=apps,
         run_ids=run_ids,
@@ -253,26 +248,30 @@ def load_runs(path: str | Path, app: str | None = None) -> RunTable:
     )
 
 
-def _fast_rows(text: str, app: str | None) -> list[tuple[str, ...]] | None:
-    """The field texts of app's records, if the body is in the fast grammar.
-
-    Returns None when the line loop must read the body instead.
-    """
-    if _FAST_BODY.fullmatch(text) is None:
+def _fast_columns(text: str, app: str | None) -> list[Sequence[str]] | None:
+    """The columns of app's records as field texts, strings unescaped, if
+    the body is canonical lines; else None, for the line loop to read."""
+    if not re.fullmatch(_BODY, text) or "+" in text and math.inf in map(float, _E308.findall(text)):
         return None
     if app is None:
-        return _fast_fields(_FAST_TEXT).findall(text)
-    if _FAST_TEXT_RE.fullmatch(app):
-        return _fast_fields(re.escape(app)).findall(text)
-    return []  # no fast record can have this app
+        pattern = _TEXT
+    else:  # json joins a surrogate pair, so no record's app holds one unjoined
+        spelling = encode_basestring_ascii(app)
+        pattern = re.escape(spelling[1:-1]) if json.loads(spelling) == app else "(?!)"
+    # In a body _BODY matched, a field needs only its ends found.
+    picker = _record(pattern, "[0-9]++", "[^}]++", "(")
+    columns: list[Sequence[str]] = list(zip(*re.findall(picker, text))) or [()] * 6
+    if "\\" in text:
+        columns[:2] = [[json.loads(f'"{s}"') if "\\" in s else s for s in c] for c in columns[:2]]
+    return columns
 
 
 def _row_runs(text: str, path: str | Path, app: str | None) -> list[tuple]:
     """Decode and check a store body one line at a time into app's rows.
 
     Raises the typed error of the first bad line, naming it.  Only bodies
-    _fast_rows declines reach here: bad ones, and good ones outside the
-    fast grammar.
+    _fast_columns declines reach here: bad ones, torn ones, and good ones
+    in another spelling of JSON.
     """
     # Split at LF only, as _mend_tail counts lines: str.splitlines also
     # breaks at U+0085, U+2028 and U+2029, which JSON strings may hold raw.

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count, _real, _text
+from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count, _real, check_text
 from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -86,7 +86,7 @@ class SynthSpec:
             ("repetitions", _check_count("repetitions", self.repetitions)),
             ("noise_rel_sigma", _real("noise_rel_sigma", self.noise_rel_sigma)),
             ("seed", _check_count("seed", self.seed, 0, 2**64)),
-            ("app", _text("app", self.app)),
+            ("app", check_text("app", self.app)),
             ("input_bytes", _check_count("input_bytes", self.input_bytes)),
         ]:
             object.__setattr__(self, name, value)
@@ -218,7 +218,7 @@ def generate_trace(
     any jitter is drawn.  The arguments follow core's rules (seed a count
     in [0, 2**64)).
     """
-    run_id, total_cycles = _text("run_id", run_id), _real("total_cycles", total_cycles)
+    run_id, total_cycles = check_text("run_id", run_id), _real("total_cycles", total_cycles)
     seed = _check_count("seed", seed, 0, 2**64)
     if not cluster.machines:
         raise EmptyInputError("cluster has no machines")

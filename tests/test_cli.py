@@ -7,11 +7,12 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from oracle import rows, table
 
-from cyclecast import cli
+from cyclecast import cli, store
 from cyclecast.cli import main
 from cyclecast.core import RunTable
 from cyclecast.regression import CostModel, predict
@@ -953,6 +954,79 @@ class TestExitCodes:
             "fit", "--runs", str(path), "--app", "x", "--out", str(tmp_path / "m.json"),
         ]) == 2
         assert "CorruptRecord" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("ingest", "--app"), ("ingest", "--run-id"), ("fit", "--app"),
+         ("scale-fit", "--app"), ("evaluate", "--app"), ("simulate", "--app")],
+    )
+    def test_an_empty_text_flag_is_usage(self, tmp_path, truth_file, capsys, command, flag):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        assert main(_simulate(tmp_path)) == 0
+        runs, model, out = (str(tmp_path / f) for f in ("runs.jsonl", "model.json", "new.jsonl"))
+        assert main(["fit", "--runs", runs, "--app", "synthetic", "--out", model]) == 0
+        before = Path(model).read_bytes()
+        capsys.readouterr()
+        argv = {
+            "ingest": ["ingest"] + _ingest_args(tmp_path, **{"--out": out, flag: ""}),
+            "fit": ["fit", "--runs", runs, "--app", "", "--out", model],
+            "scale-fit": ["scale-fit", "--runs", runs, "--app", "", "--model", model],
+            "evaluate": ["evaluate", "--model", model, "--runs", runs, "--app", ""],
+            "simulate": _simulate(tmp_path, out="new.jsonl", extra=["--app", ""]),
+        }[command]
+        assert main(argv) == 1
+        name = flag.removeprefix("--").replace("-", "_")
+        err = f"usage error: argument {flag}: {name} must be non-empty\n"
+        assert capsys.readouterr() == ("", err)
+        assert Path(model).read_bytes() == before
+        assert not Path(out).exists()
+
+
+_AWKWARD_APP = 'say "hi"'
+
+
+class TestAwkwardNames:
+    """Names the run store escapes load through the columnar pass."""
+
+    def _stores(self, tmp_path):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        size = str(12 * 2**30)
+        assert main(_simulate(tmp_path, extra=["--app", _AWKWARD_APP, "--input-bytes", size])) == 0
+        assert main(["ingest"] + _ingest_args(
+            tmp_path, **{"--app": _AWKWARD_APP, "--run-id": "run-é", "--input-bytes": size}
+        )) == 0
+        for gib in (6, 24):
+            extra = ["--app", _AWKWARD_APP, "--input-bytes", str(gib * 2**30)]
+            assert main(_simulate(tmp_path, out="sized.jsonl", extra=extra)) == 0
+        return tmp_path / "runs.jsonl", tmp_path / "sized.jsonl"
+
+    def _fit_scale_evaluate(self, tmp_path, runs, sized, capsys):
+        """Each command's exit code, stdout, stderr and model file bytes."""
+        model = tmp_path / "model.json"
+        outcomes = []
+        for argv in (
+            ["fit", "--runs", str(runs), "--app", _AWKWARD_APP, "--out", str(model)],
+            ["scale-fit", "--runs", str(sized), "--app", _AWKWARD_APP, "--model", str(model)],
+            ["evaluate", "--model", str(model), "--runs", str(runs), "--app", _AWKWARD_APP],
+        ):
+            code = main(argv)
+            outcomes.append((code, *capsys.readouterr(), model.read_bytes()))
+        model.unlink()
+        return outcomes
+
+    def test_escaped_names_take_the_columnar_pass_end_to_end(self, tmp_path, truth_file, capsys):
+        runs, sized = self._stores(tmp_path)
+        assert '"run_id":"run-\\u00e9"' in runs.read_text()
+        assert '"app":"say \\"hi\\""' in sized.read_text()
+        capsys.readouterr()
+        with mock.patch.object(store, "_row_runs", side_effect=AssertionError("line loop")):
+            columnar = self._fit_scale_evaluate(tmp_path, runs, sized, capsys)
+        with mock.patch.object(store, "_fast_columns", return_value=None):
+            line_loop = self._fit_scale_evaluate(tmp_path, runs, sized, capsys)
+        assert [outcome[0] for outcome in columnar] == [0, 0, 0]
+        assert columnar == line_loop
 
 
 # The benchmark's campaign pipeline through main, in a fresh process.

@@ -112,7 +112,7 @@ def _models(draw):
 
 def _load_runs_both_ways(path):
     store.load_runs(path, app="sort")
-    with mock.patch.object(store, "_fast_rows", return_value=None):
+    with mock.patch.object(store, "_fast_columns", return_value=None):
         store.load_runs(path, app="sort")
 
 
