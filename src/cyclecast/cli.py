@@ -18,9 +18,11 @@ Conventions
 * simulate's --seed falls back to the CYCLECAST_SEED environment
   variable (checked like the flag), then to 0, so batch jobs can pin
   determinism externally.
-* ingest hashes the trace file for its default run id on a second
-  thread while it parses; the command joins that thread before it
-  returns or raises, so no thread outlives a command.
+* No thread or process outlives a command.  ingest hashes the trace
+  file for its default run id on a second thread while it parses, and
+  joins that thread before it returns or raises.  The trace parser
+  converts parts of a large trace in forked child processes and reaps
+  every child before it returns or raises.
 * The argument parser is built once, when this module is imported, so
   main can be called repeatedly in one process at the cost of a parse.
   CYCLECAST_SEED is read on each call, not when the parser is built.

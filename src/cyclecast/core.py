@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -70,6 +71,9 @@ def _clamp_negative(value: np.ndarray, where: Callable[[int], str]) -> float | n
 
 
 _NUMBERS = (int, float, np.integer, np.floating)
+# json.dumps escapes each of the two, and json.loads joins the escapes
+# into the one character they encode.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def _check_count(name: str, value, least: int = 1, below: int = 2**63) -> int:
@@ -143,22 +147,31 @@ def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
 
 
 def check_text(name: str, value) -> str:
-    """The rule for every text: a non-empty str."""
+    """The rule for every text: a non-empty str that JSON, the format of
+    the run store and the model file, reads back as itself."""
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a str, got {type(value).__name__}")
     if not value:
         raise ValueError(f"{name} must be non-empty")
+    if not value.isascii() and _SURROGATE_PAIR.search(value):
+        raise ValueError(
+            f"{name} must not hold a high surrogate followed by a low one, which JSON "
+            f"reads back as one character, got {value!r}"
+        )
     return value
 
 
 def _texts(name: str, value) -> tuple[str, ...]:
     """value as a tuple, each item held to check_text's rule under name.  The
-    item types and emptiness are checked whole; a failure is then found
-    one item at a time."""
+    item types, emptiness and surrogates are checked whole; a failure is
+    then found one item at a time."""
     column = tuple(value)
-    if not all(issubclass(kind, str) for kind in set(map(type, column))) or not all(column):
-        for item in column:
-            check_text(name, item)
+    if all(issubclass(kind, str) for kind in set(map(type, column))) and all(column):
+        joined = "\n".join(column)
+        if joined.isascii() or not _SURROGATE_PAIR.search(joined):
+            return column
+    for item in column:
+        check_text(name, item)
     return column
 
 

@@ -47,7 +47,20 @@ written once as a regular expression over the whole body.  A body that
 matches is converted in one columnar pass: a trace into one TraceSet
 (an int64 offset and a float64 CPU-seconds column, converted in chunks
 of lines and grouped by one stable sort on (machine, offset)), a cluster
-spec into the columns of one ClusterSpec.  The sort codes each machine by
+spec into the columns of one ClusterSpec.
+
+A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
+into parts, one per core in the process's CPU affinity, or fewer so
+that each holds at least _PART_CHARS; any other body, or a host without
+sched_getaffinity, makes one part.  Each part is checked against the
+grammar and converted alone.  A forked child converts each part after
+the first and writes its rows down a pipe, which the parser reads
+straight into the columns while it converts the first part itself.  A
+part whose child could not be forked, exited non-zero or sent a short
+result is converted by the parser.  No child outlives the parse: each
+is reaped before it returns or raises.  The sort and the checks on
+whole columns then run once, so a key repeated across parts is found as
+one repeated within a part is.  The sort codes each machine by
 the rank of its id in the narrowest unsigned dtype that holds the ranks,
 which numpy sorts by radix.  The pass declines a body that
 does not match, or whose columns fail a check the grammar cannot make: a
@@ -79,9 +92,12 @@ because the remaining rows are still internally consistent:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
+import os
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
@@ -112,7 +128,8 @@ _SPEC_LINE = f"{_SPACE}*+(?:{_ENTRY}{_SPACE}*+)?+(?:#[^\n]*+)?+"
 _SPEC = re.compile(f"(?:{_SPEC_LINE}\n)*+{_SPEC_LINE}")
 # A holdout pair's separator: one comma, whitespace around it allowed, or whitespace.
 _PAIR_SEPARATOR = re.compile(f"{_SPACE}*+,{_SPACE}*+|{_SPACE}++")
-_CHUNK_CHARS = 1 << 18
+_CHUNK_CHARS = 1 << 16
+_PART_CHARS = 1 << 20
 
 _Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
 
@@ -249,31 +266,102 @@ def _decoded(data: str | bytes, error: _Error) -> str:
 
 
 _Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
+# A part's codes, offsets and samples.  A row's code is the row number its
+# machine was first seen on in the part.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+_FAILED = object()  # a child's result that did not arrive whole
 
 
 def _columns(text: str) -> _Columns | None:
     """The sorted TraceSet columns of a trace body, or None if it has a
     bad row.
 
-    text is a whole trace stream whose header has been checked.  Rows are
-    converted in chunks of about _CHUNK_CHARS characters, so the
-    per-field strings never exist for the whole file at once.  The
-    grammar vouches for the ids and the spelling of every number; the
-    columns then decline an offset past int64, a negative offset or
-    cpu_seconds, a cpu_seconds that overflows to infinity, and, once
-    sorted, a repeated (machine_id, offset_s) pair.
+    text is a whole trace stream whose header has been checked.  The body
+    is cut into parts (_cuts), each converted into its rows of the
+    columns by _convert (_convert_parts).  The grammar vouches for the ids
+    and the spelling of every number; the columns then decline an offset
+    past int64, a negative offset or cpu_seconds, a cpu_seconds that
+    overflows to infinity, and, once sorted, a repeated (machine_id,
+    offset_s) pair, whichever parts its rows are in.
     """
     start, end = len(TRACE_HEADER) + 1, len(text)
     if start >= end:
         return [], [], [], []
-    if _BODY.fullmatch(text, start) is None:
+    cuts = _cuts(text, start, end)
+    lines = (text.count("\n", lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    row_cuts = [0, *itertools.accumulate(lines)]
+    row_cuts[-1] += not text.endswith("\n")
+    rows = row_cuts[-1]
+    converted = _convert_parts(text, cuts, row_cuts)
+    if converted is None:
         return None
-    if text.endswith("\n"):
+    indexes, (codes, offsets, samples) = converted
+    del converted  # so that the sort frees each unsorted column as it goes
+    if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
+        return None
+
+    # A machine seen in several parts has a code in each.  The first part
+    # that sees it gives its code; a later part's code is an alias of it.
+    index, *later = indexes
+    aliases: dict[int, int] = {}
+    for other in later:
+        for name, code in other.items():
+            if (first := index.setdefault(name, code)) != code:
+                aliases[code] = first
+    # rank maps a code, a row number, to the rank of its id, in the
+    # narrowest unsigned dtype that holds the ranks: np.lexsort sorts
+    # that by radix rather than by comparison.
+    names = sorted(index)
+    rank = np.empty(rows, np.min_scalar_type(len(names) - 1))
+    rank[[index[name] for name in names]] = np.arange(len(names))
+    rank[list(aliases)] = rank[list(aliases.values())]
+    codes = rank[codes]
+    # One array at a time, so at most one extra column is alive.
+    order = np.lexsort((offsets, codes))
+    codes = codes[order]
+    offsets = offsets[order]
+    samples = samples[order]
+    if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
+        return None
+    return names, np.cumsum(np.bincount(codes)), offsets, samples
+
+
+def _cuts(text: str, start: int, end: int) -> list[int]:
+    """The bounds of the parts of the body text[start:end]: start, each
+    cut just after a line end, and end.  There is one part per core this
+    process may run on, or fewer, so that each part but the last holds at
+    least _PART_CHARS characters."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cores, (end - start) // _PART_CHARS))
+    size = (end - start) // parts
+    cuts = [start]
+    while len(cuts) < parts and (cut := text.find("\n", cuts[-1] + size - 1, end - 1) + 1):
+        cuts.append(cut)
+    return [*cuts, end]
+
+
+def _convert(
+    text: str, start: int, end: int, first: int, rows: int
+) -> tuple[dict[str, int], _Rows] | None:
+    """Convert the rows of the part text[start:end] into new columns of
+    rows rows, its own first, or decline the part.
+
+    The part starts at a line start and ends at the end of the body or
+    just after a line end; it must match the body grammar.  The columns
+    are allocated only then.  Rows are converted in chunks of about
+    _CHUNK_CHARS characters, so the per-field strings never exist for
+    the whole part at once.  first is the row number of the part's first
+    row in the body.  Returns the code of each machine in the part and
+    the columns, or None if the part does not match or holds an offset
+    past int64.
+    """
+    if _BODY.fullmatch(text, start, end) is None:
+        return None
+    if text.endswith("\n", start, end):
         end -= 1
-    rows = text.count("\n", start, end) + 1
-    codes = np.empty(rows, np.intp)
-    offsets = np.empty(rows, np.int64)
-    samples = np.empty(rows, np.float64)
+    columns = codes, offsets, samples = (
+        np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.float64)
+    )
     index: dict[str, int] = {}
     row = 0
     while start < end:
@@ -284,8 +372,7 @@ def _columns(text: str) -> _Columns | None:
         start = stop + 1
         n = len(fields) // 3
         chunk = slice(row, row + n)
-        # A machine's code is the row it first appears on.
-        firsts = map(index.setdefault, fields[0::3], range(row, row + n))
+        firsts = map(index.setdefault, fields[0::3], range(first + row, first + row + n))
         codes[chunk] = np.fromiter(firsts, np.intp, n)
         # np.array converts each str with int() or float(), as parse_number does.
         try:
@@ -294,24 +381,143 @@ def _columns(text: str) -> _Columns | None:
             return None
         samples[chunk] = np.array(fields[2::3], dtype=np.float64)
         row += n
-    if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
-        return None
+    return index, columns
 
-    # rank maps a code, a row number, to the rank of its id, in the
-    # narrowest unsigned dtype that holds the ranks: np.lexsort sorts
-    # that by radix rather than by comparison.
-    names = sorted(index)
-    rank = np.empty(rows, np.min_scalar_type(len(names) - 1))
-    rank[[index[name] for name in names]] = np.arange(len(names))
-    codes = rank[codes]
-    # One array at a time, so at most one extra column is alive.
-    order = np.lexsort((offsets, codes))
-    codes = codes[order]
-    offsets = offsets[order]
-    samples = samples[order]
-    if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
+
+def _convert_parts(
+    text: str, cuts: list[int], row_cuts: list[int]
+) -> tuple[list[dict[str, int]], _Rows] | None:
+    """Convert the parts of a body: _convert's codes of each part and the
+    body's columns, or None if any part declines.
+
+    Part i is text[cuts[i]:cuts[i + 1]], rows row_cuts[i] to row_cuts[i + 1].
+    Each part after the first goes to a forked child (_spawn).  This
+    process converts the first part into columns for the whole body, then
+    reads each child's rows into place.  A part whose fork failed, or
+    whose child exited non-zero or sent a short result, is converted here.
+    Every child is reaped before this returns or raises, and one whose
+    result is not needed is killed first.
+    """
+    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
+    try:
+        for part in range(1, len(cuts) - 1):
+            child = _spawn(text, cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1])
+            if child is not None:
+                children[part] = child
+        converted = _convert(text, cuts[0], cuts[1], 0, row_cuts[-1])
+        if converted is None:
+            return None
+        index, columns = converted
+        indexes = [index]
+        for part in range(1, len(cuts) - 1):
+            rows = slice(row_cuts[part], row_cuts[part + 1])
+            view = (columns[0][rows], columns[1][rows], columns[2][rows])
+            index = _FAILED
+            if part in children:
+                index = _received(children[part][1], view)
+                if _reaped(*children.pop(part)) != 0:
+                    index = _FAILED
+            if index is _FAILED:
+                converted = _convert(text, cuts[part], cuts[part + 1], rows.start, len(view[0]))
+                if converted is None:
+                    return None
+                index, own = converted
+                for column, values in zip(view, own):
+                    column[:] = values
+            if index is None:
+                return None
+            indexes.append(index)
+        return indexes, columns
+    finally:
+        for pid, pipe in children.values():
+            _reaped(pid, pipe, kill=True)
+
+
+def _spawn(text: str, start: int, end: int, first: int, stop: int) -> tuple[int, BinaryIO] | None:
+    """Fork a child that converts the part text[start:end], rows first to
+    stop, and writes the result to a pipe: the child's pid and the pipe's
+    read end, or None if no child could be started.
+
+    The child runs only that conversion and leaves through os._exit, so it
+    never returns into the caller, flushes stdio or runs exit handlers.
+    Forking a process that has threads (ingest's run-id hash, a BLAS
+    pool) is safe here: the child takes no lock but the GIL and malloc's,
+    and the interpreter and the C library set both up afresh in a child.
+    """
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
         return None
-    return names, np.cumsum(np.bincount(codes)), offsets, samples
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12, fork warns whenever another thread is alive.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=[0-9]+\) is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                _send(pipe, text, start, end, first, stop)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _send(pipe: BinaryIO, text: str, start: int, end: int, first: int, stop: int) -> None:
+    """Convert a part in a child and write the result: the machine count
+    (-1 if the part declines) and the size of their ids, as two int64;
+    the ids, joined by LF; their codes; then the part's rows of the three
+    columns, each as its raw bytes."""
+    converted = _convert(text, start, end, first, stop - first)
+    if converted is None:
+        pipe.write(np.array([-1, 0], np.int64))
+        return
+    index, columns = converted
+    ids = "\n".join(index).encode("ascii")
+    pipe.write(np.array([len(index), len(ids)], np.int64))
+    pipe.write(ids)
+    for buffer in (np.fromiter(index.values(), np.intp, len(index)), *columns):
+        pipe.write(buffer)
+
+
+def _received(pipe: BinaryIO, columns: _Rows) -> dict[str, int] | None | object:
+    """What _send wrote to pipe, its rows read straight into columns: the
+    part's machine codes, None if the part declined, or _FAILED if the
+    result is short."""
+    head = np.empty(2, np.int64)
+    if pipe.readinto(head) != head.nbytes:
+        return _FAILED
+    machines, size = head.tolist()
+    if machines < 0:
+        return None
+    ids = pipe.read(size)
+    codes = np.empty(machines, np.intp)
+    for buffer in (codes, *columns):
+        if pipe.readinto(buffer) != buffer.nbytes:
+            return _FAILED
+    if len(ids) != size:
+        return _FAILED
+    return dict(zip(ids.decode("ascii").split("\n"), codes.tolist()))
+
+
+def _reaped(pid: int, pipe: BinaryIO, kill: bool = False) -> int:
+    """Close a child's pipe, kill the child if kill, and wait for it to
+    end: its exit code, negative if a signal ended it."""
+    pipe.close()
+    if kill:
+        import signal  # here, so that importing this module imports nothing new
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _raise_first_bad_row(text: str) -> NoReturn:
@@ -336,7 +542,10 @@ def _raise_first_bad_row(text: str) -> NoReturn:
             )
         if not _DECIMAL_RE.fullmatch(cpu_text):
             raise MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
-        offset_s = _count("offset_s", offset_text, MalformedRowError, line_no, least=0)
+        try:  # the grammar matched above, so only the range is left
+            offset_s = _check_count("offset_s", int(offset_text), least=0)
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from None
         cpu_seconds = float(cpu_text)
         if cpu_seconds == math.inf:
             raise MalformedRowError(

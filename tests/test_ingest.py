@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from oracle import segments, trace_set
 
-from cyclecast import ingest
+from cyclecast import cli, ingest
 from cyclecast.core import ClusterSpec, CyclecastError, TraceSet, total_cpu_cycles
 from cyclecast.ingest import (
     DuplicateMachineIdError,
@@ -453,6 +457,220 @@ def test_machine_codes_at_the_dtype_edges(machines, shuffled):
         f"^line {at + 3}: duplicate sample for machine {machine_id!r} at offset {offset}$"
     )):
         parse_trace_csv(io.StringIO("\n".join(lines)))
+
+
+# The split path: a body of at least two _PART_CHARS is cut into parts,
+# one per core this process may run on, and each part after the first is
+# converted in a forked child.  These tests shrink _PART_CHARS so that
+# small bodies split; the part count stays at most the core count.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cores = pytest.mark.skipif(_CORES < 2, reason="a body splits only on two or more cores")
+
+
+@pytest.fixture
+def no_child_left():
+    """Checks, after the test, that every child it forked was reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_outcome(text, part_chars):
+    """parse_trace_csv's outcome on text with _PART_CHARS at part_chars:
+    the machine ids and the raw bytes of each column (float bits, so -0.0
+    and 0.0 differ) and the warnings, or the error's type and message."""
+    with mock.patch.object(ingest, "_PART_CHARS", part_chars):
+        try:
+            traces, found = parse_trace_csv(io.StringIO(text))
+        except CyclecastError as exc:
+            return type(exc), str(exc)
+    columns = (traces.ends, traces.offsets, traces.samples)
+    return traces.machine_ids, [column.tobytes() for column in columns], found
+
+
+def _serial_outcome(text):
+    return _split_outcome(text, len(text) + 1)
+
+
+def _forks(text, part_chars):
+    """How many children parsing text forks with _PART_CHARS at part_chars."""
+    with mock.patch.object(ingest.os, "fork", side_effect=os.fork) as fork:
+        _split_outcome(text, part_chars)
+    return fork.call_count
+
+
+@needs_two_cores
+@given(_bodies(), st.integers(1, 64), st.integers(1, 64))
+def test_split_bodies_parse_as_the_serial_path_does(body_and_outcome, part_chars, chunk_chars):
+    body, _ = body_and_outcome
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        assert _split_outcome(HEADER + body, part_chars) == _serial_outcome(HEADER + body)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_GOOD_ROW = "g{},{:06d},0.5\n"  # every row the same width
+
+
+def _placed(trigger, where):
+    """A body of good rows with trigger's lines in its first part, in its
+    last, or just before or just after the cut between its two parts,
+    with the _PART_CHARS that cuts it so."""
+    rows = [_GOOD_ROW.format(i % 3, i) for i in range(1000)]
+    # More good rows than the trigger has characters, so that a part can
+    # hold it whole.
+    good = rows[:20 + len(trigger) // len(rows[0])]
+    if where in ("first-part", "later-part"):
+        lines = [good[0], trigger, *good[1:]] if where == "first-part" else [*good, trigger]
+        text = HEADER + "".join(lines)
+        with mock.patch.object(ingest, "_PART_CHARS", 64):
+            _, cut, _ = ingest._cuts(text, len(HEADER), len(text))
+        assert (text.index(trigger) + len(trigger) <= cut) == (where == "first-part")
+        return text, 64
+    # Add rows after the trigger until the cut falls at its edge.
+    before = "".join(good) + (trigger if where == "before-the-cut" else "")
+    after = trigger if where == "after-the-cut" else ""
+    with mock.patch.object(ingest, "_PART_CHARS", 16):
+        for row in rows[len(good):]:
+            after += row
+            text = HEADER + before + after
+            cut = len(HEADER + before)
+            if ingest._cuts(text, len(HEADER), len(text)) == [len(HEADER), cut, len(text)]:
+                return text, 16
+    raise AssertionError(f"no body is cut {where}")
+
+
+_TRIGGERS = [
+    "node-a,x,1.0\n",
+    "node-a,0,1e999\n",
+    "node-a,3,0.5\nnode-b,3,0.5\nnode-a,3,0.6\n",
+    "node-a,0,1.0\r\n",
+    "node-a,0,1.0\n\n",
+    f"node-a,0,1.0\nnode-a,{'9' * 4300},1.0\n",
+    "node-a,0,-0.5\n",
+    f"node-a,{2**63},1.0\n",
+]
+
+
+@needs_two_cores
+@pytest.mark.parametrize("where", ["first-part", "later-part", "before-the-cut", "after-the-cut"])
+@pytest.mark.parametrize(
+    "trigger", _TRIGGERS,
+    ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line", "4300-digit-offset",
+         "negative-cpu", "offset-past-int64"],
+)
+def test_each_fallback_trigger_in_each_part_names_its_line(trigger, where, no_child_left):
+    text, part_chars = _placed(trigger, where)
+    outcome = _split_outcome(text, part_chars)
+    assert outcome == _serial_outcome(text)
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
+    assert _forks(text, part_chars) == 1
+
+
+@needs_two_cores
+def test_a_pair_repeated_across_parts_is_a_duplicate(no_child_left):
+    rows = "".join(_GOOD_ROW.format(i % 3, i) for i in range(40))
+    text = f"{HEADER}a,5,1.0\n{rows}a,5,2.0\n"
+    assert _forks(text, 64) == 1
+    assert _split_outcome(text, 64) == (
+        DuplicateSampleError, "line 43: duplicate sample for machine 'a' at offset 5"
+    )
+
+
+@needs_two_cores
+@pytest.mark.parametrize("machines", [3, 300])
+def test_machines_seen_in_several_parts_group_as_one(machines, no_child_left):
+    # Rows of every machine fall in both parts, in an order shuffled so
+    # that a machine's first row differs between them; 300 machines rank
+    # in uint16.
+    rows = [(f"n{i % machines}", i // machines, i % 8 / 2) for i in range(4 * machines)]
+    np.random.default_rng(machines).shuffle(rows)
+    text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in rows)
+    assert _forks(text, len(text) // 3) == 1
+    assert _split_outcome(text, len(text) // 3) == _serial_outcome(text)
+    traces, _ = parse_trace_csv(io.StringIO(text))
+    assert repr(segments(traces)) == _parsed(rows)[0]
+
+
+def _long_body(rows=2000):
+    return HEADER + "".join(f"m{i % 7},{i // 7},{i * 0.37 % 4!r}\n" for i in range(rows))
+
+
+@needs_two_cores
+def test_a_part_whose_fork_fails_is_converted_here(no_child_left):
+    text = _long_body()
+    with mock.patch.object(ingest.os, "fork", side_effect=OSError("no more processes")) as fork:
+        assert _split_outcome(text, 1024) == _serial_outcome(text)
+    assert fork.call_count == 1
+
+
+@needs_two_cores
+@pytest.mark.parametrize(
+    "send",
+    [
+        mock.Mock(side_effect=RuntimeError("the child fails before it writes")),
+        lambda pipe, *args: pipe.write(b"\x01\x00"),  # a short head, then exit 0
+    ],
+    ids=["exits-1", "short-result"],
+)
+def test_a_part_whose_child_fails_is_converted_here(send, no_child_left):
+    text = _long_body()
+    with mock.patch.object(ingest, "_send", send):
+        assert _split_outcome(text, 1024) == _serial_outcome(text)
+        assert _forks(text, 1024) == 1
+
+
+_PRINT_THEN_PARSE = """
+import io, sys
+from cyclecast import ingest
+ingest._PART_CHARS = 1024
+print("printed before the parse", end="")
+text = "machine_id,offset_s,cpu_seconds\\n" + "".join(f"m,{i},0.5\\n" for i in range(2000))
+traces, _ = ingest.parse_trace_csv(io.StringIO(text))
+print("", len(traces.offsets))
+"""
+
+
+@needs_two_cores
+def test_unflushed_stdout_appears_once():
+    src = str(Path(ingest.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # so that stdout, a pipe, holds the text in its buffer
+    done = subprocess.run(
+        [sys.executable, "-c", _PRINT_THEN_PARSE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "printed before the parse 2000\n"
+
+
+@needs_two_cores
+def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_child_left):
+    # From 3.12, os.fork warns when the process has more than one thread,
+    # as ingest does while it hashes the trace for its run id.
+    real_fork = os.fork
+
+    def fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+        )
+        return real_fork()
+
+    (tmp_path / "trace.csv").write_text(_long_body())
+    (tmp_path / "cluster.txt").write_text("".join(f"m{i} 2e9 4\n" for i in range(7)))
+    argv = ["ingest", "--traces", str(tmp_path / "trace.csv"), "--cluster",
+            str(tmp_path / "cluster.txt"), "--app", "a", "--mappers", "2", "--reducers", "2",
+            "--input-bytes", "1000", "--out", str(tmp_path / "runs.jsonl")]
+    with mock.patch.object(ingest, "_PART_CHARS", 2**30):
+        assert cli.main(argv) == 0
+    serial = capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()
+    (tmp_path / "runs.jsonl").unlink()
+    with mock.patch.object(ingest, "_PART_CHARS", 1024), \
+            mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
+        assert cli.main(argv) == 0
+    assert forked.call_count == 1
+    assert (capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()) == serial
 
 
 def test_write_orders_machines_lexicographically():

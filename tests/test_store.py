@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import record, rows, table
 
 from cyclecast import store
-from cyclecast.core import CyclecastError, RunTable
+from cyclecast.core import CyclecastError, RunTable, check_text
 from cyclecast.regression import CostModel
 from cyclecast.store import (
     CorruptRecordError,
@@ -638,15 +638,16 @@ def _takes_fast_path(path, app=None):
 
 
 _PLAIN_TEXT = st.from_regex(r"[A-Za-z0-9_.:-]{1,12}", fullmatch=True)
-# Non-ASCII, astral characters, lone surrogates, quotes, backslashes,
-# control characters and separators that str.splitlines breaks lines at.
-# A high surrogate right before a low one is left out: json joins the two
-# into one character, so such a text does not load back as itself.
-_AWKWARD_TEXT = st.text(
-    st.sampled_from('"\\\x00\x08\x1f\x7f\x85\u2028é☃\U0001f600\ud800\udc80 ~{}') | st.characters(),
+# Non-ASCII, astral characters, lone surrogates, a high surrogate right
+# before a low one (a text JSON reads back as another), quotes,
+# backslashes, control characters and separators that str.splitlines
+# breaks lines at.
+_AWKWARD_TEXT = st.lists(
+    st.sampled_from([*'"\\\x00\x08\x1f\x7f\x85\u2028é☃\U0001f600\ud800\udc80 ~{}', "\ud83d\ude00"])
+    | st.characters(),
     min_size=1,
     max_size=8,
-).filter(lambda text: json.loads(json.dumps(text)) == text)
+).map("".join)
 _COUNTS = st.integers(1, 2**63 - 1)
 _CYCLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0)
 _TEXTS = _PLAIN_TEXT | _AWKWARD_TEXT
@@ -705,6 +706,26 @@ _DECLINED = {
 }
 
 
+def _reads_back(run):
+    """Whether JSON reads the run's app and run id back as themselves."""
+    return all(json.loads(json.dumps(text)) == text for text in run[:2])
+
+
+def _appended(path, runs):
+    """Append a table of runs to path, or see the table refused, with path
+    left as it was, if an app or run id is a text that JSON would read
+    back as another: whether the runs were appended."""
+    before = path.read_bytes() if path.exists() else None
+    if all(map(_reads_back, runs)):
+        assert append_runs(path, table(RunTable, runs)) == len(runs)
+        return True
+    refusal = "^every item of (apps|run_ids) must not hold a high surrogate"
+    with pytest.raises(ValueError, match=refusal):
+        append_runs(path, table(RunTable, runs))
+    assert (path.read_bytes() if path.exists() else None) == before
+    return False
+
+
 @given(st.lists(_ANY_RUNS, max_size=30), st.data())
 @settings(max_examples=60, deadline=None)
 def test_canonical_bodies_take_the_fast_path(runs, data):
@@ -712,7 +733,9 @@ def test_canonical_bodies_take_the_fast_path(runs, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
         path.touch()
-        append_runs(path, table(RunTable, runs))
+        if not _appended(path, runs):
+            runs = list(filter(_reads_back, runs))
+            assert _appended(path, runs)
         assert _takes_fast_path(path, app)
         assert _outcome(path, app) == _row_loop_outcome(path, app)
         want = [run for run in runs if app is None or run[0] == app]
@@ -741,6 +764,31 @@ def test_declined_line_goes_to_the_line_loop(tmp_path, trigger):
     assert not _takes_fast_path(path)
     assert _outcome(path) == _row_loop_outcome(path)
     assert _outcome(path, app="grep") == _row_loop_outcome(path, app="grep")
+
+
+@pytest.mark.parametrize("field", ["app", "run_id"])
+def test_a_text_json_reads_back_as_another_is_refused(tmp_path, field):
+    # json.dumps escapes the high surrogate U+D83D and the low U+DE00 that
+    # follows it, and json.loads joins the escapes into U+1F600.
+    pair = "\ud83d\ude00"
+    assert json.loads(json.dumps(pair)) == "\U0001f600"
+    path = tmp_path / "runs.jsonl"
+    append_runs(path, _runs(1))
+    before = path.read_bytes()
+    run = dict(zip(["app", "run_id"], _rows(1)[0]), **{field: f"a{pair}b"})
+    with pytest.raises(ValueError, match=(
+        f"^every item of {field}s must not hold a high surrogate followed by a low one, "
+        "which JSON reads back as one character, got 'a\\\\ud83d\\\\ude00b'$"
+    )):
+        append_runs(path, table(RunTable, [(run["app"], run["run_id"], *_rows(1)[0][2:])]))
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match=f"^{field} must not hold a high surrogate"):
+        check_text(field, pair)
+    # Lone surrogates, such as the CLI's surrogateescape arguments hold, a
+    # low one before a high one and the joined character stay texts.
+    for text in ("\udc80", "\ud83d", "\ude00\ud83d", "\U0001f600"):
+        assert check_text(field, text) == text
+        assert json.loads(json.dumps(text)) == text
 
 
 def test_an_app_holding_an_unjoined_surrogate_pair_matches_no_record(tmp_path):
@@ -805,9 +853,9 @@ def test_fast_path_and_line_loop_agree(body_and_app):
 def test_record_line_equals_json_dumps(run):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
-        append_runs(path, table(RunTable, [run]))
-        assert path.read_bytes() == _line(run).encode("ascii")
-        assert rows(load_runs(path)) == [run]
+        if _appended(path, [run]):
+            assert path.read_bytes() == _line(run).encode("ascii")
+            assert rows(load_runs(path)) == [run]
 
 
 @given(st.lists(_ANY_RUNS, max_size=6))
@@ -815,14 +863,17 @@ def test_record_line_equals_json_dumps(run):
 def test_a_table_and_its_runs_append_the_same_bytes(runs):
     with tempfile.TemporaryDirectory() as tmp:
         whole, one_by_one = Path(tmp) / "table.jsonl", Path(tmp) / "rows.jsonl"
-        assert append_runs(whole, table(RunTable, runs)) == len(runs)
-        for run in runs:
-            assert append_runs(one_by_one, table(RunTable, [run])) == 1
-        if runs:
-            want = "".join(map(_line, runs)).encode("ascii")
-            assert whole.read_bytes() == one_by_one.read_bytes() == want
+        appended = _appended(whole, runs)
+        kept = [run for run in runs if _appended(one_by_one, [run])]
+        # A table with a run it refuses is refused whole.
+        assert appended == (kept == runs)
+        if kept:
+            assert one_by_one.read_bytes() == "".join(map(_line, kept)).encode("ascii")
+        if appended and runs:
+            assert whole.read_bytes() == one_by_one.read_bytes()
         else:
-            assert not whole.exists() and not one_by_one.exists()
+            assert not whole.exists()
+        assert one_by_one.exists() == bool(kept)
 
 
 @given(
