@@ -394,7 +394,8 @@ def _convert_parts(
     Each part after the first goes to a forked child (_spawn).  This
     process converts the first part into columns for the whole body, then
     reads each child's rows into place.  A part whose fork failed, or
-    whose child exited non-zero or sent a short result, is converted here.
+    whose child exited non-zero or sent a short result, is converted here;
+    a child whose part declines exits non-zero, so the part declines here.
     Every child is reaped before this returns or raises, and one whose
     result is not needed is killed first.
     """
@@ -424,8 +425,6 @@ def _convert_parts(
                 index, own = converted
                 for column, values in zip(view, own):
                     column[:] = values
-            if index is None:
-                return None
             indexes.append(index)
         return indexes, columns
     finally:
@@ -474,13 +473,13 @@ def _spawn(text: str, start: int, end: int, first: int, stop: int) -> tuple[int,
 
 def _send(pipe: BinaryIO, text: str, start: int, end: int, first: int, stop: int) -> None:
     """Convert a part in a child and write the result: the machine count
-    (-1 if the part declines) and the size of their ids, as two int64;
-    the ids, joined by LF; their codes; then the part's rows of the three
-    columns, each as its raw bytes."""
+    and the size of their ids, as two int64; the ids, joined by LF; their
+    codes; then the part's rows of the three columns, each as its raw
+    bytes.  Raises ValueError, so that the child exits 1, if the part
+    declines."""
     converted = _convert(text, start, end, first, stop - first)
     if converted is None:
-        pipe.write(np.array([-1, 0], np.int64))
-        return
+        raise ValueError("the part does not convert")
     index, columns = converted
     ids = "\n".join(index).encode("ascii")
     pipe.write(np.array([len(index), len(ids)], np.int64))
@@ -489,16 +488,13 @@ def _send(pipe: BinaryIO, text: str, start: int, end: int, first: int, stop: int
         pipe.write(buffer)
 
 
-def _received(pipe: BinaryIO, columns: _Rows) -> dict[str, int] | None | object:
+def _received(pipe: BinaryIO, columns: _Rows) -> dict[str, int] | object:
     """What _send wrote to pipe, its rows read straight into columns: the
-    part's machine codes, None if the part declined, or _FAILED if the
-    result is short."""
+    part's machine codes, or _FAILED if the result is short."""
     head = np.empty(2, np.int64)
     if pipe.readinto(head) != head.nbytes:
         return _FAILED
     machines, size = head.tolist()
-    if machines < 0:
-        return None
     ids = pipe.read(size)
     codes = np.empty(machines, np.intp)
     for buffer in (codes, *columns):

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -462,9 +464,17 @@ def test_machine_codes_at_the_dtype_edges(machines, shuffled):
 # The split path: a body of at least two _PART_CHARS is cut into parts,
 # one per core this process may run on, and each part after the first is
 # converted in a forked child.  These tests shrink _PART_CHARS so that
-# small bodies split; the part count stays at most the core count.
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-needs_two_cores = pytest.mark.skipif(_CORES < 2, reason="a body splits only on two or more cores")
+# small bodies split, and fix the affinity at a number of cores so that
+# the part count does not depend on the host's.
+
+
+@contextlib.contextmanager
+def _split(part_chars, cores=2):
+    """_PART_CHARS at part_chars, on an affinity of cores cores."""
+    with mock.patch.object(ingest, "_PART_CHARS", part_chars), mock.patch.object(
+        ingest.os, "sched_getaffinity", return_value=set(range(cores)), create=True
+    ):
+        yield
 
 
 @pytest.fixture
@@ -475,11 +485,12 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_outcome(text, part_chars):
-    """parse_trace_csv's outcome on text with _PART_CHARS at part_chars:
-    the machine ids and the raw bytes of each column (float bits, so -0.0
-    and 0.0 differ) and the warnings, or the error's type and message."""
-    with mock.patch.object(ingest, "_PART_CHARS", part_chars):
+def _split_outcome(text, part_chars, cores=2):
+    """parse_trace_csv's outcome on text with _PART_CHARS at part_chars
+    on cores cores: the machine ids and the raw bytes of each column
+    (float bits, so -0.0 and 0.0 differ) and the warnings, or the error's
+    type and message."""
+    with _split(part_chars, cores):
         try:
             traces, found = parse_trace_csv(io.StringIO(text))
         except CyclecastError as exc:
@@ -492,21 +503,38 @@ def _serial_outcome(text):
     return _split_outcome(text, len(text) + 1)
 
 
-def _forks(text, part_chars):
-    """How many children parsing text forks with _PART_CHARS at part_chars."""
+def _forks(text, part_chars, cores=2):
+    """How many children parsing text forks with _PART_CHARS at
+    part_chars on cores cores."""
     with mock.patch.object(ingest.os, "fork", side_effect=os.fork) as fork:
-        _split_outcome(text, part_chars)
+        _split_outcome(text, part_chars, cores)
     return fork.call_count
 
 
-@needs_two_cores
-@given(_bodies(), st.integers(1, 64), st.integers(1, 64))
-def test_split_bodies_parse_as_the_serial_path_does(body_and_outcome, part_chars, chunk_chars):
+def _parts(text, part_chars, cores):
+    """The parts the body of text is cut into."""
+    with _split(part_chars, cores):
+        cuts = ingest._cuts(text, len(HEADER), len(text))
+    return [text[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+@given(_bodies(), st.integers(1, 64), st.integers(1, 64), st.integers(2, 4))
+def test_split_bodies_parse_as_the_serial_path_does(
+    body_and_outcome, part_chars, chunk_chars, cores
+):
     body, _ = body_and_outcome
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        assert _split_outcome(HEADER + body, part_chars) == _serial_outcome(HEADER + body)
+        assert _split_outcome(HEADER + body, part_chars, cores) == _serial_outcome(HEADER + body)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_part_count_is_at_most_the_core_count():
+    text = _long_body()
+    assert [len(_parts(text, 1024, cores)) for cores in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert len(_parts(text, len(text) // 4, 4)) == 3  # each but the last holds _PART_CHARS
+    assert "".join(_parts(text, 1024, 4)) == text[len(HEADER):]
+    assert all(part.endswith("\n") for part in _parts(text, 1024, 4))
 
 
 _GOOD_ROW = "g{},{:06d},0.5\n"  # every row the same width
@@ -515,7 +543,7 @@ _GOOD_ROW = "g{},{:06d},0.5\n"  # every row the same width
 def _placed(trigger, where):
     """A body of good rows with trigger's lines in its first part, in its
     last, or just before or just after the cut between its two parts,
-    with the _PART_CHARS that cuts it so."""
+    with the _PART_CHARS that cuts it so on two cores."""
     rows = [_GOOD_ROW.format(i % 3, i) for i in range(1000)]
     # More good rows than the trigger has characters, so that a part can
     # hold it whole.
@@ -523,20 +551,17 @@ def _placed(trigger, where):
     if where in ("first-part", "later-part"):
         lines = [good[0], trigger, *good[1:]] if where == "first-part" else [*good, trigger]
         text = HEADER + "".join(lines)
-        with mock.patch.object(ingest, "_PART_CHARS", 64):
-            _, cut, _ = ingest._cuts(text, len(HEADER), len(text))
-        assert (text.index(trigger) + len(trigger) <= cut) == (where == "first-part")
+        first, _ = _parts(text, 64, 2)
+        assert (trigger in first) == (where == "first-part")
         return text, 64
     # Add rows after the trigger until the cut falls at its edge.
     before = "".join(good) + (trigger if where == "before-the-cut" else "")
     after = trigger if where == "after-the-cut" else ""
-    with mock.patch.object(ingest, "_PART_CHARS", 16):
-        for row in rows[len(good):]:
-            after += row
-            text = HEADER + before + after
-            cut = len(HEADER + before)
-            if ingest._cuts(text, len(HEADER), len(text)) == [len(HEADER), cut, len(text)]:
-                return text, 16
+    for row in rows[len(good):]:
+        after += row
+        text = HEADER + before + after
+        if _parts(text, 16, 2) == [before, after]:
+            return text, 16
     raise AssertionError(f"no body is cut {where}")
 
 
@@ -550,15 +575,12 @@ _TRIGGERS = [
     "node-a,0,-0.5\n",
     f"node-a,{2**63},1.0\n",
 ]
+_TRIGGER_IDS = ["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line",
+                "4300-digit-offset", "negative-cpu", "offset-past-int64"]
 
 
-@needs_two_cores
 @pytest.mark.parametrize("where", ["first-part", "later-part", "before-the-cut", "after-the-cut"])
-@pytest.mark.parametrize(
-    "trigger", _TRIGGERS,
-    ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line", "4300-digit-offset",
-         "negative-cpu", "offset-past-int64"],
-)
+@pytest.mark.parametrize("trigger", _TRIGGERS, ids=_TRIGGER_IDS)
 def test_each_fallback_trigger_in_each_part_names_its_line(trigger, where, no_child_left):
     text, part_chars = _placed(trigger, where)
     outcome = _split_outcome(text, part_chars)
@@ -567,7 +589,6 @@ def test_each_fallback_trigger_in_each_part_names_its_line(trigger, where, no_ch
     assert _forks(text, part_chars) == 1
 
 
-@needs_two_cores
 def test_a_pair_repeated_across_parts_is_a_duplicate(no_child_left):
     rows = "".join(_GOOD_ROW.format(i % 3, i) for i in range(40))
     text = f"{HEADER}a,5,1.0\n{rows}a,5,2.0\n"
@@ -577,18 +598,27 @@ def test_a_pair_repeated_across_parts_is_a_duplicate(no_child_left):
     )
 
 
-@needs_two_cores
+@pytest.mark.parametrize("cores", [2, 4])
 @pytest.mark.parametrize("machines", [3, 300])
-def test_machines_seen_in_several_parts_group_as_one(machines, no_child_left):
-    # Rows of every machine fall in both parts, in an order shuffled so
-    # that a machine's first row differs between them; 300 machines rank
-    # in uint16.
-    rows = [(f"n{i % machines}", i // machines, i % 8 / 2) for i in range(4 * machines)]
-    np.random.default_rng(machines).shuffle(rows)
+def test_machines_seen_in_every_part_group_as_one(machines, cores, no_child_left):
+    # Blocks of one row per machine, each in its own shuffled order, so
+    # that every part holds rows of every machine and a machine's first
+    # row differs between parts; 300 machines rank in uint16.
+    rng = np.random.default_rng(machines)
+    rows = [
+        (f"n{m}", block, (block + m) % 8 / 2)
+        for block in range(4 * cores) for m in rng.permutation(machines).tolist()
+    ]
     text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in rows)
-    assert _forks(text, len(text) // 3) == 1
-    assert _split_outcome(text, len(text) // 3) == _serial_outcome(text)
-    traces, _ = parse_trace_csv(io.StringIO(text))
+    part_chars = len(text) // (cores + 1)
+    parts = _parts(text, part_chars, cores)
+    assert len(parts) == cores
+    assert all({line.split(",")[0] for line in part.splitlines()} == {m for m, _, _ in rows}
+               for part in parts)
+    assert _forks(text, part_chars, cores) == cores - 1
+    assert _split_outcome(text, part_chars, cores) == _serial_outcome(text)
+    with _split(part_chars, cores):
+        traces, _ = parse_trace_csv(io.StringIO(text))
     assert repr(segments(traces)) == _parsed(rows)[0]
 
 
@@ -596,15 +626,24 @@ def _long_body(rows=2000):
     return HEADER + "".join(f"m{i % 7},{i // 7},{i * 0.37 % 4!r}\n" for i in range(rows))
 
 
-@needs_two_cores
-def test_a_part_whose_fork_fails_is_converted_here(no_child_left):
+@pytest.mark.parametrize("failing", [[1], [2], [1, 2, 3]], ids=str)
+def test_a_part_whose_fork_fails_is_converted_here(failing, no_child_left):
+    # The forks for parts 1, 2 and 3 of 4, of which those in failing fail.
+    forks = iter(range(1, 4))
+    real_fork = os.fork
+
+    def fork():
+        if next(forks) in failing:
+            raise OSError("no more processes")
+        return real_fork()
+
     text = _long_body()
-    with mock.patch.object(ingest.os, "fork", side_effect=OSError("no more processes")) as fork:
-        assert _split_outcome(text, 1024) == _serial_outcome(text)
-    assert fork.call_count == 1
+    with mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
+        assert _split_outcome(text, 1024, 4) == _serial_outcome(text)
+    assert forked.call_count == 3
 
 
-@needs_two_cores
+@pytest.mark.parametrize("cores", [2, 4])
 @pytest.mark.parametrize(
     "send",
     [
@@ -613,17 +652,47 @@ def test_a_part_whose_fork_fails_is_converted_here(no_child_left):
     ],
     ids=["exits-1", "short-result"],
 )
-def test_a_part_whose_child_fails_is_converted_here(send, no_child_left):
+def test_a_part_whose_child_fails_is_converted_here(send, cores, no_child_left):
     text = _long_body()
     with mock.patch.object(ingest, "_send", send):
-        assert _split_outcome(text, 1024) == _serial_outcome(text)
-        assert _forks(text, 1024) == 1
+        assert _split_outcome(text, 1024, cores) == _serial_outcome(text)
+        assert _forks(text, 1024, cores) == cores - 1
+
+
+@pytest.mark.parametrize(
+    "trigger", [_TRIGGERS[i] for i in (0, 3, 4, 5, 7)],
+    ids=[_TRIGGER_IDS[i] for i in (0, 3, 4, 5, 7)],
+)
+def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
+    # Part 1 of 4 holds a trigger that its conversion declines; the
+    # children of parts 2 and 3 would sleep for a minute, so the parse
+    # ends at once only if it kills them.
+    parts = _parts(_long_body(), 1024, 4)
+    mid = parts[1].index("\n", len(parts[1]) // 2) + 1
+    text = HEADER + parts[0] + parts[1][:mid] + trigger + parts[1][mid:] + "".join(parts[2:])
+    with _split(1024, 4):
+        cuts = ingest._cuts(text, len(HEADER), len(text))
+    assert len(cuts) == 5 and trigger in text[cuts[1]:cuts[2]]
+    send = ingest._send
+
+    def sleepy_send(pipe, text, start, *args):
+        if start in cuts[2:4]:
+            time.sleep(60)
+        send(pipe, text, start, *args)
+
+    began = time.monotonic()
+    with mock.patch.object(ingest, "_send", sleepy_send):
+        outcome = _split_outcome(text, 1024, 4)
+    assert time.monotonic() - began < 30
+    assert outcome == _serial_outcome(text)
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
 
 
 _PRINT_THEN_PARSE = """
 import io, sys
 from cyclecast import ingest
 ingest._PART_CHARS = 1024
+ingest.os.sched_getaffinity = lambda pid: {0, 1, 2}
 print("printed before the parse", end="")
 text = "machine_id,offset_s,cpu_seconds\\n" + "".join(f"m,{i},0.5\\n" for i in range(2000))
 traces, _ = ingest.parse_trace_csv(io.StringIO(text))
@@ -631,7 +700,6 @@ print("", len(traces.offsets))
 """
 
 
-@needs_two_cores
 def test_unflushed_stdout_appears_once():
     src = str(Path(ingest.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -644,7 +712,6 @@ def test_unflushed_stdout_appears_once():
     assert done.stdout == "printed before the parse 2000\n"
 
 
-@needs_two_cores
 def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_child_left):
     # From 3.12, os.fork warns when the process has more than one thread,
     # as ingest does while it hashes the trace for its run id.
@@ -662,14 +729,13 @@ def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_c
     argv = ["ingest", "--traces", str(tmp_path / "trace.csv"), "--cluster",
             str(tmp_path / "cluster.txt"), "--app", "a", "--mappers", "2", "--reducers", "2",
             "--input-bytes", "1000", "--out", str(tmp_path / "runs.jsonl")]
-    with mock.patch.object(ingest, "_PART_CHARS", 2**30):
+    with _split(2**30):
         assert cli.main(argv) == 0
     serial = capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()
     (tmp_path / "runs.jsonl").unlink()
-    with mock.patch.object(ingest, "_PART_CHARS", 1024), \
-            mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
+    with _split(1024, cores=3), mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
         assert cli.main(argv) == 0
-    assert forked.call_count == 1
+    assert forked.call_count == 2
     assert (capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()) == serial
 
 
