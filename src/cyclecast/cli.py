@@ -128,9 +128,9 @@ class _ReadOnce:
     """A binary stream whose one read() hands the bytes over.
 
     The reader then holds the only reference but for that of a _Digest
-    hashing the same bytes, which drops it when the hash is done; so the
-    trace parser frees the bytes once it has decoded them and the hash
-    has finished.
+    hashing the same bytes, which drops it when the hash is done.  The
+    trace parser parses those bytes as they are, with no decoded copy,
+    and frees them when it returns.
     """
 
     def __init__(self, data: bytes) -> None:

@@ -90,11 +90,22 @@ def _check_count(name: str, value, least: int = 1, below: int = 2**63) -> int:
     return int(value)
 
 
+def _handed_over(value, dtype: type) -> bool:
+    """Whether value is a read-only, C-contiguous dtype array that owns its
+    data, which a column keeps as it is: its caller, having marked it
+    read-only, hands it over (as the trace parser does).  Any other value
+    is copied, so that the caller's array stays writable and its own."""
+    return (
+        isinstance(value, np.ndarray) and value.dtype == dtype and value.base is None
+        and value.flags.c_contiguous and not value.flags.writeable
+    )
+
+
 def _ints(name: str, value, least: int = 1) -> np.ndarray:
-    """An int, or an integer array or sequence of ints, as a new read-only
+    """An int, or an integer array or sequence of ints, as a read-only
     int64 array (0-d for a scalar), each value held to _check_count's
     rule.  An integer array is checked whole; anything else one item at a
-    time.  The copy leaves the caller's array writable and its own."""
+    time.  The array is new unless value is _handed_over."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
         bad = value[(value < least) | (value >= 2**63)]
         if bad.size:
@@ -103,7 +114,7 @@ def _ints(name: str, value, least: int = 1) -> np.ndarray:
         value = np.array(value, dtype=object)
         for item in value.flat:
             _check_count(name, item, least)
-    column = value.astype(np.int64)
+    column = value if _handed_over(value, np.int64) else value.astype(np.int64)
     column.setflags(write=False)
     return column
 
@@ -126,17 +137,17 @@ def _real(name: str, value, least: float = 0.0, strict: bool = False) -> float:
 
 
 def _reals(name: str, value, least: float = 0.0) -> np.ndarray:
-    """A number, or a numeric array or sequence of numbers, as a new
-    read-only float64 array (0-d for a scalar), each value held to
-    _real's rule.  A numeric array is checked whole; anything else has
-    the types of its items checked first."""
+    """A number, or a numeric array or sequence of numbers, as a read-only
+    float64 array (0-d for a scalar), each value held to _real's rule.  A
+    numeric array is checked whole; anything else has the types of its
+    items checked first.  The array is new unless value is _handed_over."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = np.array(value, dtype=object)
         for kind in set(map(type, value.flat)):
             if issubclass(kind, bool) or not issubclass(kind, _NUMBERS):
                 raise TypeError(f"{name} must hold numbers, got {kind.__name__}")
     try:
-        column = np.array(value, dtype=np.float64)
+        column = value if _handed_over(value, np.float64) else np.array(value, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
     bad = column[~(np.isfinite(column) & (column >= least))]

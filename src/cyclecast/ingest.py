@@ -47,7 +47,10 @@ written once as a regular expression over the whole body.  A body that
 matches is converted in one columnar pass: a trace into one TraceSet
 (an int64 offset and a float64 CPU-seconds column, converted in chunks
 of lines and grouped by one stable sort on (machine, offset)), a cluster
-spec into the columns of one ClusterSpec.
+spec into the columns of one ClusterSpec.  The trace pass reads the
+stream's bytes as they are, with the grammar compiled as a bytes
+pattern; it decodes only the distinct machine ids.  _PART_CHARS and
+_CHUNK_CHARS count bytes.
 
 A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
 into parts, one per core in the process's CPU affinity, or fewer so
@@ -71,10 +74,15 @@ columns.
 
 Encoding
 --------
-Both parsers take a text stream, or a binary one whose bytes they decode
-as UTF-8.  A byte that is not UTF-8 is a MalformedRowError or a
-MalformedEntryError naming its line.  read_holdout_list takes a path,
-and names the path and the line in each of its errors.
+Both parsers take a text stream or a binary one, read as UTF-8.  A byte
+that is not UTF-8 is a MalformedRowError or a MalformedEntryError naming
+its line, raised before any other error.  The trace parser encodes an
+all-ASCII text once and parses its bytes; it decodes a trace only to
+name the error of one that the columnar pass declines, which a text
+that is not ASCII always is.  The cluster parser decodes the whole spec,
+whose whitespace is str.split's and so not only ASCII.
+read_holdout_list takes a path, and names the path and the line in each
+of its errors.
 
 Warnings
 --------
@@ -120,8 +128,12 @@ _MACHINE_ID_RE = re.compile(_MACHINE_ID)
 _INTEGER_RE = re.compile(_INTEGER)
 _DECIMAL_RE = re.compile(_DECIMAL)
 _ROW = f"{_MACHINE_ID},{_INTEGER},{_DECIMAL}"
-_BODY = re.compile(f"(?:{_ROW}\n)*+(?:{_ROW})?+")
-# _SPACE is the whitespace str.split() splits at, less the line end.
+# The grammar admits only ASCII, so the body pattern is compiled over
+# bytes: a byte body matches exactly when its UTF-8 decoding would.
+_BODY = re.compile(f"(?:{_ROW}\n)*+(?:{_ROW})?+".encode("ascii"))
+# _SPACE is the whitespace str.split() splits at, less the line end.  It
+# takes in non-ASCII whitespace (U+0085, U+00A0, U+2028, ...), so a
+# cluster spec stays text: a bytes pattern would accept other separators.
 _SPACE = r"[^\S\n]"
 _ENTRY = f"{_MACHINE_ID}{_SPACE}++{_DECIMAL}{_SPACE}++{_INTEGER}"
 _SPEC_LINE = f"{_SPACE}*+(?:{_ENTRY}{_SPACE}*+)?+(?:#[^\n]*+)?+"
@@ -203,17 +215,22 @@ def parse_trace_csv(
     """
     if not 0 <= _real("gap_threshold", gap_threshold, -math.inf) <= 1:
         raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
-    text = _decoded(stream.read(), MalformedRowError)
-    if not text:
-        raise MalformedHeaderError(f"empty stream, expected header {TRACE_HEADER!r}")
-    header_end = text.find("\n")
-    header = text if header_end < 0 else text[:header_end]
-    if header != TRACE_HEADER:
-        raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
+    data = stream.read()
+    if isinstance(data, str) and data.isascii():
+        data = data.encode("ascii")
+    # The columnar pass reads bytes that start with the exact header line.
+    # Any other stream, or one it declines, is decoded (a byte that is not
+    # UTF-8 raising first) for the line loop, which names the first error.
+    header = TRACE_HEADER.encode("ascii")
+    columns = None
+    if isinstance(data, bytes) and data[: len(header) + 1] in (header, header + b"\n"):
+        columns = _columns(data)
+    if columns is None:
+        _raise_first_bad_row(_decoded(data, MalformedRowError))
 
-    traces = TraceSet(*(_columns(text) or _raise_first_bad_row(text)))
+    traces = TraceSet(*columns)
     warnings: list[IngestWarning] = []
-    if header_end >= 0 and not text.endswith("\n"):
+    if len(data) > len(header) and not data.endswith(b"\n"):
         detail = "last line has no trailing newline; the final row may be truncated"
         warnings.append(IngestWarning(WarningKind.TRUNCATED_TAIL, machine_id="", detail=detail))
     # Each segment holds rows.  A span can reach 2**63, past int64.  Below
@@ -272,27 +289,31 @@ _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 _FAILED = object()  # a child's result that did not arrive whole
 
 
-def _columns(text: str) -> _Columns | None:
+def _columns(data: bytes) -> _Columns | None:
     """The sorted TraceSet columns of a trace body, or None if it has a
     bad row.
 
-    text is a whole trace stream whose header has been checked.  The body
-    is cut into parts (_cuts), each converted into its rows of the
-    columns by _convert (_convert_parts).  The grammar vouches for the ids
-    and the spelling of every number; the columns then decline an offset
-    past int64, a negative offset or cpu_seconds, a cpu_seconds that
-    overflows to infinity, and, once sorted, a repeated (machine_id,
-    offset_s) pair, whichever parts its rows are in.
+    data is a whole trace stream, as bytes, whose header has been
+    checked.  The body is cut into parts (_cuts), each converted into its
+    rows of the columns by _convert (_convert_parts).  The grammar
+    vouches for the ids and the spelling of every number; the columns
+    then decline an offset past int64, a negative offset or cpu_seconds,
+    a cpu_seconds that overflows to infinity, and, once sorted, a
+    repeated (machine_id, offset_s) pair, whichever parts its rows are
+    in.  Only the distinct machine ids are decoded, as ASCII, which sorts
+    them as their bytes sort.  The columns come back read-only, so that
+    TraceSet keeps them without a copy.
     """
-    start, end = len(TRACE_HEADER) + 1, len(text)
+    start, end = len(TRACE_HEADER) + 1, len(data)
     if start >= end:
         return [], [], [], []
-    cuts = _cuts(text, start, end)
-    lines = (text.count("\n", lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    cuts = _cuts(data, start, end)
+    octets = np.frombuffer(data, np.uint8)
+    lines = (np.count_nonzero(octets[lo:hi] == ord("\n")) for lo, hi in zip(cuts, cuts[1:]))
     row_cuts = [0, *itertools.accumulate(lines)]
-    row_cuts[-1] += not text.endswith("\n")
+    row_cuts[-1] += not data.endswith(b"\n")
     rows = row_cuts[-1]
-    converted = _convert_parts(text, cuts, row_cuts)
+    converted = _convert_parts(data, cuts, row_cuts)
     if converted is None:
         return None
     indexes, (codes, offsets, samples) = converted
@@ -323,58 +344,62 @@ def _columns(text: str) -> _Columns | None:
     samples = samples[order]
     if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
         return None
-    return names, np.cumsum(np.bincount(codes)), offsets, samples
+    ends = np.cumsum(np.bincount(codes))
+    for column in (ends, offsets, samples):
+        column.setflags(write=False)
+    return [name.decode("ascii") for name in names], ends, offsets, samples
 
 
-def _cuts(text: str, start: int, end: int) -> list[int]:
-    """The bounds of the parts of the body text[start:end]: start, each
+def _cuts(data: bytes, start: int, end: int) -> list[int]:
+    """The bounds of the parts of the body data[start:end]: start, each
     cut just after a line end, and end.  There is one part per core this
     process may run on, or fewer, so that each part but the last holds at
-    least _PART_CHARS characters."""
+    least _PART_CHARS bytes."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cores, (end - start) // _PART_CHARS))
     size = (end - start) // parts
     cuts = [start]
-    while len(cuts) < parts and (cut := text.find("\n", cuts[-1] + size - 1, end - 1) + 1):
+    while len(cuts) < parts and (cut := data.find(b"\n", cuts[-1] + size - 1, end - 1) + 1):
         cuts.append(cut)
     return [*cuts, end]
 
 
 def _convert(
-    text: str, start: int, end: int, first: int, rows: int
-) -> tuple[dict[str, int], _Rows] | None:
-    """Convert the rows of the part text[start:end] into new columns of
+    data: bytes, start: int, end: int, first: int, rows: int
+) -> tuple[dict[bytes, int], _Rows] | None:
+    """Convert the rows of the part data[start:end] into new columns of
     rows rows, its own first, or decline the part.
 
     The part starts at a line start and ends at the end of the body or
     just after a line end; it must match the body grammar.  The columns
     are allocated only then.  Rows are converted in chunks of about
-    _CHUNK_CHARS characters, so the per-field strings never exist for
+    _CHUNK_CHARS bytes, so the per-field bytes objects never exist for
     the whole part at once.  first is the row number of the part's first
-    row in the body.  Returns the code of each machine in the part and
-    the columns, or None if the part does not match or holds an offset
-    past int64.
+    row in the body.  Returns the code of each machine in the part, keyed
+    by the bytes of its id, and the columns, or None if the part does not
+    match or holds an offset past int64.
     """
-    if _BODY.fullmatch(text, start, end) is None:
+    if _BODY.fullmatch(data, start, end) is None:
         return None
-    if text.endswith("\n", start, end):
+    if data.endswith(b"\n", start, end):
         end -= 1
     columns = codes, offsets, samples = (
         np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.float64)
     )
-    index: dict[str, int] = {}
+    index: dict[bytes, int] = {}
     row = 0
     while start < end:
-        stop = text.find("\n", start + _CHUNK_CHARS, end)
+        stop = data.find(b"\n", start + _CHUNK_CHARS, end)
         if stop < 0:
             stop = end
-        fields = text[start:stop].replace("\n", ",").split(",")
+        fields = data[start:stop].replace(b"\n", b",").split(b",")
         start = stop + 1
         n = len(fields) // 3
         chunk = slice(row, row + n)
         firsts = map(index.setdefault, fields[0::3], range(first + row, first + row + n))
         codes[chunk] = np.fromiter(firsts, np.intp, n)
-        # np.array converts each str with int() or float(), as parse_number does.
+        # np.array converts each field with int() or float(), which read
+        # ASCII bytes as they read the same text, as parse_number does.
         try:
             offsets[chunk] = np.array(fields[1::3], dtype=np.int64)
         except OverflowError:  # an offset past int64
@@ -385,12 +410,12 @@ def _convert(
 
 
 def _convert_parts(
-    text: str, cuts: list[int], row_cuts: list[int]
-) -> tuple[list[dict[str, int]], _Rows] | None:
+    data: bytes, cuts: list[int], row_cuts: list[int]
+) -> tuple[list[dict[bytes, int]], _Rows] | None:
     """Convert the parts of a body: _convert's codes of each part and the
     body's columns, or None if any part declines.
 
-    Part i is text[cuts[i]:cuts[i + 1]], rows row_cuts[i] to row_cuts[i + 1].
+    Part i is data[cuts[i]:cuts[i + 1]], rows row_cuts[i] to row_cuts[i + 1].
     Each part after the first goes to a forked child (_spawn).  This
     process converts the first part into columns for the whole body, then
     reads each child's rows into place.  A part whose fork failed, or
@@ -402,10 +427,10 @@ def _convert_parts(
     children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
     try:
         for part in range(1, len(cuts) - 1):
-            child = _spawn(text, cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1])
+            child = _spawn(data, cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1])
             if child is not None:
                 children[part] = child
-        converted = _convert(text, cuts[0], cuts[1], 0, row_cuts[-1])
+        converted = _convert(data, cuts[0], cuts[1], 0, row_cuts[-1])
         if converted is None:
             return None
         index, columns = converted
@@ -419,7 +444,7 @@ def _convert_parts(
                 if _reaped(*children.pop(part)) != 0:
                     index = _FAILED
             if index is _FAILED:
-                converted = _convert(text, cuts[part], cuts[part + 1], rows.start, len(view[0]))
+                converted = _convert(data, cuts[part], cuts[part + 1], rows.start, len(view[0]))
                 if converted is None:
                     return None
                 index, own = converted
@@ -432,8 +457,8 @@ def _convert_parts(
             _reaped(pid, pipe, kill=True)
 
 
-def _spawn(text: str, start: int, end: int, first: int, stop: int) -> tuple[int, BinaryIO] | None:
-    """Fork a child that converts the part text[start:end], rows first to
+def _spawn(data: bytes, start: int, end: int, first: int, stop: int) -> tuple[int, BinaryIO] | None:
+    """Fork a child that converts the part data[start:end], rows first to
     stop, and writes the result to a pipe: the child's pid and the pipe's
     read end, or None if no child could be started.
 
@@ -463,7 +488,7 @@ def _spawn(text: str, start: int, end: int, first: int, stop: int) -> tuple[int,
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                _send(pipe, text, start, end, first, stop)
+                _send(pipe, data, start, end, first, stop)
             status = 0
         finally:
             os._exit(status)
@@ -471,24 +496,24 @@ def _spawn(text: str, start: int, end: int, first: int, stop: int) -> tuple[int,
     return pid, open(read_end, "rb")
 
 
-def _send(pipe: BinaryIO, text: str, start: int, end: int, first: int, stop: int) -> None:
+def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
     """Convert a part in a child and write the result: the machine count
     and the size of their ids, as two int64; the ids, joined by LF; their
     codes; then the part's rows of the three columns, each as its raw
     bytes.  Raises ValueError, so that the child exits 1, if the part
     declines."""
-    converted = _convert(text, start, end, first, stop - first)
+    converted = _convert(data, start, end, first, stop - first)
     if converted is None:
         raise ValueError("the part does not convert")
     index, columns = converted
-    ids = "\n".join(index).encode("ascii")
+    ids = b"\n".join(index)
     pipe.write(np.array([len(index), len(ids)], np.int64))
     pipe.write(ids)
     for buffer in (np.fromiter(index.values(), np.intp, len(index)), *columns):
         pipe.write(buffer)
 
 
-def _received(pipe: BinaryIO, columns: _Rows) -> dict[str, int] | object:
+def _received(pipe: BinaryIO, columns: _Rows) -> dict[bytes, int] | object:
     """What _send wrote to pipe, its rows read straight into columns: the
     part's machine codes, or _FAILED if the result is short."""
     head = np.empty(2, np.int64)
@@ -502,7 +527,7 @@ def _received(pipe: BinaryIO, columns: _Rows) -> dict[str, int] | object:
             return _FAILED
     if len(ids) != size:
         return _FAILED
-    return dict(zip(ids.decode("ascii").split("\n"), codes.tolist()))
+    return dict(zip(ids.split(b"\n"), codes.tolist()))
 
 
 def _reaped(pid: int, pipe: BinaryIO, kill: bool = False) -> int:
@@ -517,8 +542,15 @@ def _reaped(pid: int, pipe: BinaryIO, kill: bool = False) -> int:
 
 
 def _raise_first_bad_row(text: str) -> NoReturn:
-    """Raise the typed error of the first bad row of a trace body that
-    _columns declines, naming its line."""
+    """Raise the typed error of a trace stream that _columns declines or
+    cannot read: its header's, else that of its first bad row, naming
+    its line."""
+    if not text:
+        raise MalformedHeaderError(f"empty stream, expected header {TRACE_HEADER!r}")
+    header_end = text.find("\n")
+    header = text if header_end < 0 else text[:header_end]
+    if header != TRACE_HEADER:
+        raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()

@@ -149,6 +149,27 @@ class TestTraceSet:
             with pytest.raises(ValueError):
                 column[0] = 1
 
+    def test_read_only_arrays_handed_over_are_kept_and_views_copied(self):
+        # A read-only, C-contiguous array of the column's dtype that owns
+        # its data is kept as it is, as the parser hands its columns over.
+        ends, offsets, samples = np.array([2, 2, 3]), np.array([0, 1, 0]), np.array([0.5, 1.5, 2.0])
+        for column in (ends, offsets, samples):
+            column.setflags(write=False)
+        traces = TraceSet(("a", "b", "a"), ends, offsets, samples)
+        assert traces.ends is ends and traces.offsets is offsets and traces.samples is samples
+        # A read-only view is copied, so writing through its base leaves
+        # the set unchanged; so is an array of another dtype.
+        base_offsets, base_samples = np.array([0, 1, 0, 9]), np.array([0.5, 1.5, 2.0, 9.0])
+        views = base_offsets[:3], base_samples[:3]
+        for view in views:
+            view.setflags(write=False)
+        narrow = np.array([2, 2, 3], np.int32)
+        narrow.setflags(write=False)
+        traces = TraceSet(("a", "b", "a"), narrow, *views)
+        base_offsets[0], base_samples[0] = 7, 9.0
+        assert traces.ends.dtype == np.int64 and traces.ends.tolist() == [2, 2, 3]
+        assert traces.offsets.tolist() == [0, 1, 0] and traces.samples.tolist() == [0.5, 1.5, 2.0]
+
     @pytest.mark.parametrize(
         "change, error, message",
         [

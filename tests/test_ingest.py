@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import operator
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import oracle
 from oracle import segments, trace_set
 
@@ -289,7 +290,7 @@ def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
     body, outcome = body_and_outcome
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
         assert _outcome(HEADER + body) == outcome
-        declined = ingest._columns(HEADER + body) is None
+        declined = ingest._columns((HEADER + body).encode()) is None
     assert declined == isinstance(outcome[0], type)
     if not declined:
         with pytest.raises(AssertionError, match="has a bad row$"):
@@ -313,7 +314,7 @@ def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
     ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line", "4300-digit-offset"],
 )
 def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
-    assert ingest._columns(HEADER + body) is None
+    assert ingest._columns((HEADER + body).encode()) is None
     assert _outcome(HEADER + body) == (error, message)
 
 
@@ -334,7 +335,7 @@ def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
          "negative-zero-offset", "negative-zero-cpu", "19-digit-offset"],
 )
 def test_good_bodies_take_the_fast_path(body, expected, warnings):
-    assert ingest._columns(HEADER + body) is not None
+    assert ingest._columns((HEADER + body).encode()) is not None
     assert _outcome(HEADER + body) == (repr(expected), warnings)
 
 
@@ -354,9 +355,13 @@ def test_a_long_mantissa_parses_as_float_reads_it():
 def test_fast_traces_equal_their_checked_rebuilds(body_and_outcome):
     # The columnar pass's columns pass the set's checks as they are: one
     # segment per machine, ids sorted and unique, and a set rebuilt from
-    # its own columns holds the same segments.
+    # its own columns holds the same segments.  The set keeps the parsed
+    # arrays, which are read-only, without a copy.
     body, (expected, _) = body_and_outcome
-    traces = TraceSet(*ingest._columns(HEADER + body))
+    columns = ingest._columns((HEADER + body).encode())
+    traces = TraceSet(*columns)
+    arrays = traces.ends, traces.offsets, traces.samples
+    assert not len(traces) or all(map(operator.is_, arrays, columns[1:]))
     assert list(traces.machine_ids) == sorted(set(traces.machine_ids))
     assert all(len(segment.samples) for segment in traces)
     rebuilt = TraceSet(traces.machine_ids, traces.ends, traces.offsets, traces.samples)
@@ -485,37 +490,39 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_outcome(text, part_chars, cores=2):
-    """parse_trace_csv's outcome on text with _PART_CHARS at part_chars
-    on cores cores: the machine ids and the raw bytes of each column
-    (float bits, so -0.0 and 0.0 differ) and the warnings, or the error's
-    type and message."""
+def _split_outcome(data, part_chars, cores=2):
+    """parse_trace_csv's outcome on a binary stream of data, or a text
+    stream if data is a str, with _PART_CHARS at part_chars on cores
+    cores: the machine ids and the raw bytes of each column (float bits,
+    so -0.0 and 0.0 differ) and the warnings, or the error's type and
+    message."""
+    stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     with _split(part_chars, cores):
         try:
-            traces, found = parse_trace_csv(io.StringIO(text))
+            traces, found = parse_trace_csv(stream)
         except CyclecastError as exc:
             return type(exc), str(exc)
     columns = (traces.ends, traces.offsets, traces.samples)
     return traces.machine_ids, [column.tobytes() for column in columns], found
 
 
-def _serial_outcome(text):
-    return _split_outcome(text, len(text) + 1)
+def _serial_outcome(data):
+    return _split_outcome(data, len(data) + 1)
 
 
-def _forks(text, part_chars, cores=2):
-    """How many children parsing text forks with _PART_CHARS at
-    part_chars on cores cores."""
+def _forks(data, part_chars, cores=2):
+    """How many children parsing data, as _split_outcome does, forks with
+    _PART_CHARS at part_chars on cores cores."""
     with mock.patch.object(ingest.os, "fork", side_effect=os.fork) as fork:
-        _split_outcome(text, part_chars, cores)
+        _split_outcome(data, part_chars, cores)
     return fork.call_count
 
 
-def _parts(text, part_chars, cores):
-    """The parts the body of text is cut into."""
+def _parts(data, part_chars, cores):
+    """The parts the body of the trace stream bytes data is cut into."""
     with _split(part_chars, cores):
-        cuts = ingest._cuts(text, len(HEADER), len(text))
-    return [text[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        cuts = ingest._cuts(data, len(HEADER), len(data))
+    return [data[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 @given(_bodies(), st.integers(1, 64), st.integers(1, 64), st.integers(2, 4))
@@ -523,45 +530,48 @@ def test_split_bodies_parse_as_the_serial_path_does(
     body_and_outcome, part_chars, chunk_chars, cores
 ):
     body, _ = body_and_outcome
+    data = (HEADER + body).encode()
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        assert _split_outcome(HEADER + body, part_chars, cores) == _serial_outcome(HEADER + body)
+        assert _split_outcome(data, part_chars, cores) == _serial_outcome(data)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_part_count_is_at_most_the_core_count():
-    text = _long_body()
-    assert [len(_parts(text, 1024, cores)) for cores in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert len(_parts(text, len(text) // 4, 4)) == 3  # each but the last holds _PART_CHARS
-    assert "".join(_parts(text, 1024, 4)) == text[len(HEADER):]
-    assert all(part.endswith("\n") for part in _parts(text, 1024, 4))
+    data = _long_body()
+    assert [len(_parts(data, 1024, cores)) for cores in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert len(_parts(data, len(data) // 4, 4)) == 3  # each but the last holds _PART_CHARS
+    assert b"".join(_parts(data, 1024, 4)) == data[len(HEADER):]
+    assert all(part.endswith(b"\n") for part in _parts(data, 1024, 4))
 
 
 _GOOD_ROW = "g{},{:06d},0.5\n"  # every row the same width
 
 
 def _placed(trigger, where):
-    """A body of good rows with trigger's lines in its first part, in its
-    last, or just before or just after the cut between its two parts,
-    with the _PART_CHARS that cuts it so on two cores."""
-    rows = [_GOOD_ROW.format(i % 3, i) for i in range(1000)]
-    # More good rows than the trigger has characters, so that a part can
-    # hold it whole.
+    """The bytes of a trace whose body of good rows holds trigger's lines
+    in its first part, in its last, or just before or just after the cut
+    between its two parts, with the _PART_CHARS that cuts it so on two
+    cores."""
+    rows = [_GOOD_ROW.format(i % 3, i).encode() for i in range(1000)]
+    trigger = trigger.encode()
+    # More good rows than the trigger has bytes, so that a part can hold
+    # it whole.
     good = rows[:20 + len(trigger) // len(rows[0])]
     if where in ("first-part", "later-part"):
         lines = [good[0], trigger, *good[1:]] if where == "first-part" else [*good, trigger]
-        text = HEADER + "".join(lines)
-        first, _ = _parts(text, 64, 2)
+        data = HEADER.encode() + b"".join(lines)
+        first, _ = _parts(data, 64, 2)
         assert (trigger in first) == (where == "first-part")
-        return text, 64
+        return data, 64
     # Add rows after the trigger until the cut falls at its edge.
-    before = "".join(good) + (trigger if where == "before-the-cut" else "")
-    after = trigger if where == "after-the-cut" else ""
+    before = b"".join(good) + (trigger if where == "before-the-cut" else b"")
+    after = trigger if where == "after-the-cut" else b""
     for row in rows[len(good):]:
         after += row
-        text = HEADER + before + after
-        if _parts(text, 16, 2) == [before, after]:
-            return text, 16
+        data = HEADER.encode() + before + after
+        if _parts(data, 16, 2) == [before, after]:
+            return data, 16
     raise AssertionError(f"no body is cut {where}")
 
 
@@ -582,18 +592,19 @@ _TRIGGER_IDS = ["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line",
 @pytest.mark.parametrize("where", ["first-part", "later-part", "before-the-cut", "after-the-cut"])
 @pytest.mark.parametrize("trigger", _TRIGGERS, ids=_TRIGGER_IDS)
 def test_each_fallback_trigger_in_each_part_names_its_line(trigger, where, no_child_left):
-    text, part_chars = _placed(trigger, where)
-    outcome = _split_outcome(text, part_chars)
-    assert outcome == _serial_outcome(text)
+    data, part_chars = _placed(trigger, where)
+    outcome = _split_outcome(data, part_chars)
+    assert outcome == _serial_outcome(data) == _split_outcome(data.decode(), part_chars)
     assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
-    assert _forks(text, part_chars) == 1
+    # The columnar pass runs once, from either stream, before the line loop.
+    assert _forks(data, part_chars) == _forks(data.decode(), part_chars) == 1
 
 
 def test_a_pair_repeated_across_parts_is_a_duplicate(no_child_left):
     rows = "".join(_GOOD_ROW.format(i % 3, i) for i in range(40))
-    text = f"{HEADER}a,5,1.0\n{rows}a,5,2.0\n"
-    assert _forks(text, 64) == 1
-    assert _split_outcome(text, 64) == (
+    data = f"{HEADER}a,5,1.0\n{rows}a,5,2.0\n".encode()
+    assert _forks(data, 64) == 1
+    assert _split_outcome(data, 64) == (
         DuplicateSampleError, "line 43: duplicate sample for machine 'a' at offset 5"
     )
 
@@ -609,21 +620,23 @@ def test_machines_seen_in_every_part_group_as_one(machines, cores, no_child_left
         (f"n{m}", block, (block + m) % 8 / 2)
         for block in range(4 * cores) for m in rng.permutation(machines).tolist()
     ]
-    text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in rows)
-    part_chars = len(text) // (cores + 1)
-    parts = _parts(text, part_chars, cores)
+    data = (HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in rows)).encode()
+    part_chars = len(data) // (cores + 1)
+    parts = _parts(data, part_chars, cores)
     assert len(parts) == cores
-    assert all({line.split(",")[0] for line in part.splitlines()} == {m for m, _, _ in rows}
-               for part in parts)
-    assert _forks(text, part_chars, cores) == cores - 1
-    assert _split_outcome(text, part_chars, cores) == _serial_outcome(text)
+    assert all({line.split(b",")[0].decode() for line in part.splitlines()}
+               == {m for m, _, _ in rows} for part in parts)
+    assert _forks(data, part_chars, cores) == cores - 1
+    assert _split_outcome(data, part_chars, cores) == _serial_outcome(data)
     with _split(part_chars, cores):
-        traces, _ = parse_trace_csv(io.StringIO(text))
+        traces, _ = parse_trace_csv(io.BytesIO(data))
     assert repr(segments(traces)) == _parsed(rows)[0]
 
 
 def _long_body(rows=2000):
-    return HEADER + "".join(f"m{i % 7},{i // 7},{i * 0.37 % 4!r}\n" for i in range(rows))
+    """The bytes of a trace of rows rows on seven machines."""
+    lines = "".join(f"m{i % 7},{i // 7},{i * 0.37 % 4!r}\n" for i in range(rows))
+    return (HEADER + lines).encode()
 
 
 @pytest.mark.parametrize("failing", [[1], [2], [1, 2, 3]], ids=str)
@@ -668,23 +681,25 @@ def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
     # children of parts 2 and 3 would sleep for a minute, so the parse
     # ends at once only if it kills them.
     parts = _parts(_long_body(), 1024, 4)
-    mid = parts[1].index("\n", len(parts[1]) // 2) + 1
-    text = HEADER + parts[0] + parts[1][:mid] + trigger + parts[1][mid:] + "".join(parts[2:])
+    mid = parts[1].index(b"\n", len(parts[1]) // 2) + 1
+    trigger = trigger.encode()
+    body = [parts[0], parts[1][:mid], trigger, parts[1][mid:], *parts[2:]]
+    data = HEADER.encode() + b"".join(body)
     with _split(1024, 4):
-        cuts = ingest._cuts(text, len(HEADER), len(text))
-    assert len(cuts) == 5 and trigger in text[cuts[1]:cuts[2]]
+        cuts = ingest._cuts(data, len(HEADER), len(data))
+    assert len(cuts) == 5 and trigger in data[cuts[1]:cuts[2]]
     send = ingest._send
 
-    def sleepy_send(pipe, text, start, *args):
+    def sleepy_send(pipe, data, start, *args):
         if start in cuts[2:4]:
             time.sleep(60)
-        send(pipe, text, start, *args)
+        send(pipe, data, start, *args)
 
     began = time.monotonic()
     with mock.patch.object(ingest, "_send", sleepy_send):
-        outcome = _split_outcome(text, 1024, 4)
+        outcome = _split_outcome(data, 1024, 4)
     assert time.monotonic() - began < 30
-    assert outcome == _serial_outcome(text)
+    assert outcome == _serial_outcome(data)
     assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
 
 
@@ -724,7 +739,7 @@ def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_c
         )
         return real_fork()
 
-    (tmp_path / "trace.csv").write_text(_long_body())
+    (tmp_path / "trace.csv").write_bytes(_long_body())
     (tmp_path / "cluster.txt").write_text("".join(f"m{i} 2e9 4\n" for i in range(7)))
     argv = ["ingest", "--traces", str(tmp_path / "trace.csv"), "--cluster",
             str(tmp_path / "cluster.txt"), "--app", "a", "--mappers", "2", "--reducers", "2",
@@ -803,14 +818,61 @@ def _parse_trace_segments(stream):
     [
         (parse_trace_csv, GOOD_CSV.encode() + b"node-\xe9,9,1.0\n", MalformedRowError, 5),
         (parse_trace_csv, b"machine_id,offset_s,cpu_seconds\xff\n", MalformedRowError, 1),
+        (parse_trace_csv, b"machine_id,offset_s\nnode-a,0,1.0\n\xff\n", MalformedRowError, 3),
         (parse_cluster_spec, b"# caf\xe9\nnode-a 3e9 4\n", MalformedEntryError, 1),
         (parse_cluster_spec, CLUSTER_TEXT.encode() + b"\x80", MalformedEntryError, 6),
     ],
-    ids=["trace-row", "trace-header", "cluster-comment", "cluster-tail"],
+    ids=["trace-row", "trace-header", "trace-after-a-bad-header", "cluster-comment",
+         "cluster-tail"],
 )
 def test_invalid_utf8_is_a_typed_error_naming_its_line(parse, data, error, line):
     with pytest.raises(error, match=f"^line {line}: not UTF-8 "):
         parse(io.BytesIO(data))
+
+
+_HEADERS = st.sampled_from([
+    HEADER, HEADER[:-1], "\ufeff" + HEADER, HEADER[:-1] + "\r\n", HEADER[:-2] + "\u015b\n",
+    "machine_id,offset_s\n", "",
+])
+# Text that is not ASCII, and bytes that are not UTF-8 or cut a character short.
+_INSERTS = st.sampled_from(["\xe9", "\ufeff", "\r", "\u2028", "\x00"]).map(str.encode) | (
+    st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+)
+
+
+@st.composite
+def _byte_traces(draw):
+    """The bytes of a trace stream: a drawn header and body, UTF-8 encoded,
+    with up to two drawn inserts anywhere, and maybe cut short."""
+    body, _ = draw(_bodies())
+    data = bytearray((draw(_HEADERS) + body).encode())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(_INSERTS)
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+@example(HEADER[:-1].encode(), 16)
+@example(b"machine_id,offset_s\nnode-a,0,1.0\n\xff\n", 16)
+@example((HEADER + "node-a,0,1.0\nnode-\xe9,1,1.0\n" * 3).encode(), 16)
+@given(_byte_traces(), st.sampled_from([16, 2**30]))
+def test_a_binary_stream_parses_as_its_text_does(data, part_chars):
+    # The trace is read as bytes and decoded only if its body declines.
+    # A byte that is not UTF-8 is named before the header or any row is
+    # checked; any other stream parses as its text does from a text
+    # stream, on one part or on two.
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        expected = MalformedRowError, f"line {line}: not UTF-8 ({exc.reason} at byte {exc.start})"
+    else:
+        expected = _split_outcome(text, part_chars)
+    assert _split_outcome(data, part_chars) == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cluster_outcome(text):
