@@ -21,7 +21,8 @@ Conventions
 * No thread or process outlives a command.  ingest hashes the trace
   file for its default run id on a second thread while it parses, and
   joins that thread before it returns or raises.  The trace parser
-  converts parts of a large trace in forked child processes and reaps
+  converts parts of a large trace, and simulate --emit-traces writes
+  parts of its runs' trace files, in forked child processes; each reaps
   every child before it returns or raises.
 * The argument parser is built once, when this module is imported, so
   main can be called repeatedly in one process at the cost of a parse.
@@ -44,14 +45,12 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import CyclecastError, RunTable, aggregate_repetitions, check_text, total_cpu_cycles
-from .ingest import (
-    parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list, write_trace_csv,
-)
+from .ingest import parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list
 from .metrics import evaluate
 from .regression import fit_least_squares
 from .scaling import DegenerateInputError
 from .store import append_runs, load_model, load_runs, save_model
-from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, generate_trace
+from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, write_traces
 
 SEED_ENV_VAR = "CYCLECAST_SEED"
 _GRID_LIMIT = 1024  # values per --grid axis; report writes its square
@@ -286,13 +285,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # Every trace file before the append, so a bad spec or a failed trace
     # leaves the store as it was.
     if args.emit_traces is not None:
-        out_dir = Path(args.emit_traces)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for run_id, cycles in zip(runs.run_ids, runs.total_cycles.tolist()):
-            traces = generate_trace(run_id, cycles, cluster, args.seed)
-            with open(out_dir / f"{run_id}.csv", "w", encoding="utf-8", newline="") as handle:
-                write_trace_csv(traces, handle)
-        print(f"emitted {len(runs)} trace file(s) to {out_dir}", file=sys.stderr)
+        write_traces(runs, cluster, args.seed, args.emit_traces)
+        print(f"emitted {len(runs)} trace file(s) to {Path(args.emit_traces)}", file=sys.stderr)
     append_runs(args.out, runs)
     print(
         f"simulated {len(runs)} runs of {spec.app!r} "

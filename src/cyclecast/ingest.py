@@ -59,13 +59,15 @@ sched_getaffinity, makes one part.  Each part is checked against the
 grammar and converted alone.  A forked child converts each part after
 the first and writes its rows down a pipe, which the parser reads
 straight into the columns while it converts the first part itself.  A
-part whose child could not be forked, exited non-zero or sent a short
-result is converted by the parser.  No child outlives the parse: each
-is reaped before it returns or raises.  The sort and the checks on
-whole columns then run once, so a key repeated across parts is found as
-one repeated within a part is.  The sort codes each machine by
-the rank of its id in the narrowest unsigned dtype that holds the ranks,
-which numpy sorts by radix.  The pass declines a body that
+part whose child could not be forked, exited non-zero (a child runs
+with warnings as errors) or sent a short result is converted by the
+parser.  No child outlives the parse: each is reaped before it returns
+or raises.  synth.write_traces cuts its runs and forks and reaps its
+children through the same helpers (_part_count, _spawn, _reaped).  The
+sort and the checks on whole columns then run once, so a key repeated
+across parts is found as one repeated within a part is.  The sort codes
+each machine by the rank of its id in the narrowest unsigned dtype that
+holds the ranks, which numpy sorts by radix.  The pass declines a body that
 does not match, or whose columns fail a check the grammar cannot make: a
 value past int64 or below zero, a number that overflows to infinity, a
 repeated key, a cluster with no entries.  A line loop then names the
@@ -309,8 +311,14 @@ def _columns(data: bytes) -> _Columns | None:
         return [], [], [], []
     cuts = _cuts(data, start, end)
     octets = np.frombuffer(data, np.uint8)
-    lines = (np.count_nonzero(octets[lo:hi] == ord("\n")) for lo, hi in zip(cuts, cuts[1:]))
-    row_cuts = [0, *itertools.accumulate(lines)]
+
+    def lines(lo: int, hi: int) -> int:
+        """The LFs in data[lo:hi], counted in blocks of _CHUNK_CHARS bytes
+        so that no mask of a whole part is allocated before the fork."""
+        blocks = (octets[i : min(i + _CHUNK_CHARS, hi)] for i in range(lo, hi, _CHUNK_CHARS))
+        return sum(np.count_nonzero(block == ord("\n")) for block in blocks)
+
+    row_cuts = [0, *itertools.accumulate(map(lines, cuts, cuts[1:]))]
     row_cuts[-1] += not data.endswith(b"\n")
     rows = row_cuts[-1]
     converted = _convert_parts(data, cuts, row_cuts)
@@ -355,13 +363,20 @@ def _cuts(data: bytes, start: int, end: int) -> list[int]:
     cut just after a line end, and end.  There is one part per core this
     process may run on, or fewer, so that each part but the last holds at
     least _PART_CHARS bytes."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cores, (end - start) // _PART_CHARS))
+    parts = _part_count(end - start, _PART_CHARS)
     size = (end - start) // parts
     cuts = [start]
     while len(cuts) < parts and (cut := data.find(b"\n", cuts[-1] + size - 1, end - 1) + 1):
         cuts.append(cut)
     return [*cuts, end]
+
+
+def _part_count(size: int, least: int) -> int:
+    """How many parts to cut work of size into: one per core this process
+    may run on, or fewer, so that each holds at least least, and at least
+    one.  A host without sched_getaffinity makes one part."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cores, size // least))
 
 
 def _convert(
@@ -427,7 +442,8 @@ def _convert_parts(
     children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
     try:
         for part in range(1, len(cuts) - 1):
-            child = _spawn(data, cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1])
+            bounds = cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1]
+            child = _spawn(_send, data, *bounds)
             if child is not None:
                 children[part] = child
         converted = _convert(data, cuts[0], cuts[1], 0, row_cuts[-1])
@@ -457,16 +473,19 @@ def _convert_parts(
             _reaped(pid, pipe, kill=True)
 
 
-def _spawn(data: bytes, start: int, end: int, first: int, stop: int) -> tuple[int, BinaryIO] | None:
-    """Fork a child that converts the part data[start:end], rows first to
-    stop, and writes the result to a pipe: the child's pid and the pipe's
-    read end, or None if no child could be started.
+def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | None:
+    """Fork a child that runs task(pipe, *args), pipe the write end of a
+    new pipe: the child's pid and the pipe's read end, or None if no child
+    could be started.
 
-    The child runs only that conversion and leaves through os._exit, so it
-    never returns into the caller, flushes stdio or runs exit handlers.
-    Forking a process that has threads (ingest's run-id hash, a BLAS
-    pool) is safe here: the child takes no lock but the GIL and malloc's,
-    and the interpreter and the C library set both up afresh in a child.
+    The child exits 0 if task returns and 1 if it raises.  It runs with
+    warnings as errors, so a warning makes it exit 1, and the caller,
+    redoing its work, reports that warning once.  It leaves through
+    os._exit, so it never returns into the caller, flushes stdio or runs
+    exit handlers.  Forking a process that has threads (ingest's run-id
+    hash, a BLAS pool) is safe here: the child takes no lock but the GIL
+    and malloc's, and the interpreter and the C library set both up
+    afresh in a child.
     """
     try:
         read_end, write_end = os.pipe()
@@ -487,8 +506,9 @@ def _spawn(data: bytes, start: int, end: int, first: int, stop: int) -> tuple[in
         status = 1
         try:
             os.close(read_end)
+            warnings.simplefilter("error")
             with open(write_end, "wb") as pipe:
-                _send(pipe, data, start, end, first, stop)
+                task(pipe, *args)
             status = 0
         finally:
             os._exit(status)

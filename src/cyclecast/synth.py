@@ -26,18 +26,40 @@ through each clock rate, and spread over enough one-second samples that
 no sample exceeds its machine's core count.  Re-accounting the emitted
 traces reproduces the run's total to ~1e-12 relative.  A machine whose
 share would need 2**63 or more samples is a ValueError naming it.
+
+write_traces writes one trace file per run, on every core this process
+may run on.  The runs are cut into contiguous parts of equal run count,
+one per core in its CPU affinity, or fewer so that each part holds at
+least _RUNS_PER_PART runs.  Forked children (ingest's _spawn) generate
+and write every part after the first while this process does the first.
+Every file is written under a temporary name in the directory and
+renamed into place in run order, each only once every earlier run's file
+is in place.  A part whose child could not be forked, exited non-zero
+(as a warning makes it do) or sent a short result is redone here, so a
+failure, or a warning, is reported as the serial loop would report it:
+the files before the failing run stay, no later file and no temporary
+file remains, and no child outlives the call.  Each trace is seeded by
+(seed, run_id) alone, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Callable
+import os
+import secrets
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .core import ClusterSpec, EmptyInputError, RunTable, TraceSet, _check_count, _real, check_text
+from .core import (
+    ClusterSpec, CyclecastError, EmptyInputError, RunTable, TraceSet, _check_count, _real,
+    check_text,
+)
+from .ingest import _part_count, _reaped, _spawn, write_trace_csv
 from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -55,6 +77,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# The fewest runs a part of write_traces holds.  Forking a child and
+# reaping it costs this process about 3-5 ms; a campaign run's trace takes
+# about 0.9 ms to generate and write.
+_RUNS_PER_PART = 8
+# What a run id may not hold, so that it names a file in the trace directory.
+_NOT_IN_RUN_ID = frozenset({"/", os.sep, os.altsep or os.sep, "\0"})
+
+
+class UnsafeRunIdError(CyclecastError):
+    """A run id that cannot name a trace file: it holds a path separator or NUL."""
 
 
 @dataclass(frozen=True)
@@ -274,3 +307,73 @@ def generate_trace(
         np.repeat(wiggles, counts), bases + np.repeat(amplitude, counts) * jitter, bases
     )
     return TraceSet(cluster.machines, ends, np.arange(rows) - np.repeat(starts, counts), samples)
+
+
+def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str | Path) -> None:
+    """Write each run's trace, generate_trace(run_id, total_cycles,
+    cluster, seed), to out_dir/<run_id>.csv, creating out_dir as needed.
+
+    A run id holding a path separator or NUL is an UnsafeRunIdError,
+    raised before out_dir is touched.  The files are written on every core
+    this process may run on (see the module docstring); the outcome,
+    success or the first failing run's error, is that of writing them one
+    by one in run order.
+    """
+    run_ids, cycles = runs.run_ids, runs.total_cycles.tolist()
+    for run_id in run_ids:
+        if not _NOT_IN_RUN_ID.isdisjoint(run_id):
+            raise UnsafeRunIdError(
+                f"run id {run_id!r} holds a path separator or NUL, so it cannot name a trace file"
+            )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    token = secrets.token_hex(8)
+    temps = [out_dir / f".{run_id}.csv.{token}.tmp" for run_id in run_ids]
+    parts = _part_count(len(run_ids), _RUNS_PER_PART)
+    bounds = [len(run_ids) * part // parts for part in range(parts + 1)]
+    work = (run_ids, cycles, cluster, seed, temps)
+    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
+    placed = 0  # runs whose file is in place
+    try:
+        for part in range(1, parts):
+            child = _spawn(_send_part, *work, bounds[part], bounds[part + 1])
+            if child is not None:
+                children[part] = child
+        for part in range(parts):
+            lo, hi = bounds[part], bounds[part + 1]
+            written = False  # by a child, whole
+            if part in children:
+                pid, pipe = children.pop(part)
+                sent = pipe.read(8)
+                written = _reaped(pid, pipe) == 0 and sent == (hi - lo).to_bytes(8, "little")
+            for run in range(lo, hi):
+                if not written:
+                    _write_part(*work, run, run + 1)
+                os.replace(temps[run], out_dir / f"{run_ids[run]}.csv")
+                placed = run + 1
+    finally:
+        for pid, pipe in children.values():
+            _reaped(pid, pipe, kill=True)
+        for temp in temps[placed:]:
+            temp.unlink(missing_ok=True)
+
+
+def _write_part(
+    run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec, seed: int,
+    temps: list[Path], lo: int, hi: int,
+) -> None:
+    """Write the traces of runs lo to hi, each to its temporary name."""
+    for run in range(lo, hi):
+        traces = generate_trace(run_ids[run], cycles[run], cluster, seed)
+        with open(temps[run], "w", encoding="utf-8", newline="") as handle:
+            write_trace_csv(traces, handle)
+
+
+def _send_part(
+    pipe: BinaryIO, run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec,
+    seed: int, temps: list[Path], lo: int, hi: int,
+) -> None:
+    """_write_part in a child, then the part's run count to pipe, as an
+    8-byte little-endian int, once every file is closed."""
+    _write_part(run_ids, cycles, cluster, seed, temps, lo, hi)
+    pipe.write((hi - lo).to_bytes(8, "little"))

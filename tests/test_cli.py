@@ -6,13 +6,15 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import split
 from oracle import rows, table
 
-from cyclecast import cli, store
+from cyclecast import cli, ingest, store, synth
 from cyclecast.cli import main
 from cyclecast.core import RunTable
 from cyclecast.regression import CostModel, predict
@@ -425,7 +427,7 @@ class TestPipeline:
             made.append(run_id)
             return generate_trace(run_id, *args)
 
-        monkeypatch.setattr(cli, "generate_trace", third_fails)
+        monkeypatch.setattr(synth, "generate_trace", third_fails)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
         argv = _simulate(
             tmp_path,
@@ -447,6 +449,161 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == f"error: MalformedEntryError: line 1: cores must be < 2**63, got {2**63}\n"
         assert not (tmp_path / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize("app", ["../escaped", "a/b", "a\0b"], ids=["dotdot", "slash", "nul"])
+    def test_a_run_id_that_cannot_name_a_file_is_refused(self, tmp_path, truth_file, capsys, app):
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        (tmp_path / "out").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = _simulate(tmp_path, extra=[
+            "--app", app, "--emit-traces", str(tmp_path / "out" / "traces"),
+            "--cluster", str(tmp_path / "cluster.txt"),
+        ])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: UnsafeRunIdError: run id {app + '-m004-r004-rep00'!r} holds a path "
+            "separator or NUL, so it cannot name a trace file\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before  # DIR, its parent and the store
+        # The app names no file unless traces are emitted.
+        assert main(_simulate(tmp_path, extra=["--app", app])) == 0
+        assert set(load_runs(tmp_path / "runs.jsonl").apps) == {app}
+
+
+# The emission split path: write_traces cuts the runs into parts and a
+# forked child writes each part after the first (conftest pins the part
+# size and the core count).  These tests take one run a part, and the
+# default grid's 64 runs, in this order.
+_RUN_IDS = [f"synthetic-m{m:03d}-r{r:03d}-rep00" for m in range(4, 33, 4) for r in range(4, 33, 4)]
+
+
+def _emitted(tmp_path, capsys, cores, fork=None):
+    """simulate --emit-traces's outcome, one run a part on cores cores,
+    in a work directory of its own: the exit code, stderr (the directory
+    spelled WORK), the store's bytes or None and each file in the trace
+    directory with its bytes; and the number of forks, made through fork
+    if given."""
+    work = tmp_path / f"cores-{cores}"
+    work.mkdir()
+    save_model(work / "truth.json", TRUTH)
+    (work / "cluster.txt").write_text(CLUSTER_TXT)
+    argv = _simulate(work, extra=[
+        "--emit-traces", str(work / "traces"), "--cluster", str(work / "cluster.txt"),
+    ])
+    capsys.readouterr()
+    with split(synth, "_RUNS_PER_PART", 1, cores), mock.patch.object(
+        ingest.os, "fork", side_effect=fork or os.fork
+    ) as forked:
+        code = main(argv)
+    run_store = work / "runs.jsonl"
+    traces = {path.name: path.read_bytes() for path in sorted((work / "traces").iterdir())}
+    err = capsys.readouterr().err.replace(str(work), "WORK")
+    stored = run_store.read_bytes() if run_store.exists() else None
+    return (code, err, stored, traces), forked.call_count
+
+
+class TestEmitSplit:
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_the_split_writes_the_serial_files(self, tmp_path, capsys, cores, no_child_left):
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        assert _emitted(tmp_path, capsys, cores) == (serial, cores - 1)
+        code, _, store, traces = serial
+        assert code == 0 and store is not None
+        assert list(traces) == sorted(f"{run_id}.csv" for run_id in _RUN_IDS)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_failure_in_a_childs_part_is_the_serial_failure(
+        self, tmp_path, capsys, monkeypatch, cores, no_child_left
+    ):
+        def fails_late(run_id, *args):
+            if run_id == _RUN_IDS[50]:
+                raise ValueError(f"cannot trace {run_id}")
+            return generate_trace(run_id, *args)
+
+        monkeypatch.setattr(synth, "generate_trace", fails_late)
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        assert _emitted(tmp_path, capsys, cores) == (serial, cores - 1)
+        code, err, store, traces = serial
+        assert (code, err, store) == (2, f"error: cannot trace {_RUN_IDS[50]}\n", None)
+        assert list(traces) == sorted(f"{run_id}.csv" for run_id in _RUN_IDS[:50])
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_failure_in_the_parents_part_kills_the_children(
+        self, tmp_path, capsys, monkeypatch, cores, no_child_left
+    ):
+        # Each child writes its part's first file, then sleeps for a
+        # minute on its second, so the command ends at once only if it
+        # kills them.  The parent's part fails at its fourth run, once
+        # every child has begun a file.
+        firsts = [len(_RUN_IDS) * part // cores for part in range(1, cores)]
+        trace_dir = tmp_path / f"cores-{cores}" / "traces"
+
+        def fails_early(run_id, *args):
+            run = _RUN_IDS.index(run_id)
+            if run == 3:
+                deadline = time.monotonic() + 20
+                while len(list(trace_dir.glob(".*.tmp"))) < len(firsts):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                raise ValueError(f"cannot trace {run_id}")
+            if run - 1 in firsts:
+                time.sleep(60)
+            return generate_trace(run_id, *args)
+
+        monkeypatch.setattr(synth, "generate_trace", fails_early)
+        began = time.monotonic()
+        outcome, forks = _emitted(tmp_path, capsys, cores)
+        assert time.monotonic() - began < 30
+        assert forks == cores - 1
+        code, err, store, traces = outcome
+        assert (code, err, store) == (2, f"error: cannot trace {_RUN_IDS[3]}\n", None)
+        assert list(traces) == sorted(f"{run_id}.csv" for run_id in _RUN_IDS[:3])
+
+    @pytest.mark.parametrize("failing", [[1], [2], [1, 2, 3]], ids=str)
+    def test_a_part_whose_fork_fails_is_written_here(
+        self, tmp_path, capsys, failing, no_child_left
+    ):
+        # The forks for parts 1, 2 and 3 of 4, of which those in failing fail.
+        forks = iter(range(1, 4))
+        real_fork = os.fork
+
+        def fork():
+            if next(forks) in failing:
+                raise OSError("no more processes")
+            return real_fork()
+
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        assert _emitted(tmp_path, capsys, 4, fork) == (serial, 3)
+
+    @pytest.mark.parametrize(
+        "send",
+        [
+            mock.Mock(side_effect=RuntimeError("the child fails before it writes")),
+            # Every file but the last, then no count, and exit 0.
+            lambda pipe, *work: synth._write_part(*work[:-1], work[-1] - 1),
+        ],
+        ids=["exits-1", "short-result"],
+    )
+    def test_a_part_whose_child_fails_is_written_here(self, tmp_path, capsys, send, no_child_left):
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        with mock.patch.object(synth, "_send_part", send):
+            assert _emitted(tmp_path, capsys, 3) == (serial, 2)
+
+    def test_a_childs_warning_is_printed_once(self, tmp_path, capsys, monkeypatch, no_child_left):
+        # On 3 cores, runs 30 and 60 are in the two children's parts.
+        def warns(run_id, *args):
+            if run_id in (_RUN_IDS[30], _RUN_IDS[60]):
+                warnings.warn(f"odd run {run_id}", RuntimeWarning)
+            return generate_trace(run_id, *args)
+
+        monkeypatch.setattr(synth, "generate_trace", warns)
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        assert _emitted(tmp_path, capsys, 3) == (serial, 2)
+        code, err, _, _ = serial
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            f"warning: odd run {_RUN_IDS[30]}"
+        ]
 
 
 class TestParserReuse:

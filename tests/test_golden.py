@@ -14,11 +14,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from conftest import split
 
+from cyclecast import ingest, synth
 from cyclecast.cli import main
 
 GIB = 2**30
@@ -110,6 +114,33 @@ def _run(argv) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def _emitted(root, truth):
+    """Simulate with --emit-traces into root: a small noisy grid's store
+    and one of its traces, and a tiny truth's store and every trace, on
+    machines that take one sample or many.  The outputs' bytes by golden
+    name."""
+    cluster = root / "cluster.txt"
+    cluster.write_text(CLUSTER_TXT, encoding="utf-8")
+    _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "1", "--noise", "0.02",
+          "--seed", "5", "--out", root / "emitted.jsonl", "--emit-traces", root / "traces",
+          "--cluster", cluster])
+    tiny_cluster = root / "tiny-cluster.txt"
+    tiny_cluster.write_text(TINY_CLUSTER_TXT, encoding="utf-8")
+    _run(["simulate", "--truth", _truth(root / "tiny-truth.json", 12, a=TINY_A),
+          "--grid", "4:8:4", "--reps", "2", "--noise", "0.02", "--seed", "9",
+          "--out", root / "tiny.jsonl", "--emit-traces", root / "tiny-traces",
+          "--cluster", tiny_cluster])
+    return {
+        "emitted.jsonl": (root / "emitted.jsonl").read_bytes(),
+        "trace.csv": (root / "traces" / "synthetic-m004-r008-rep00.csv").read_bytes(),
+        "tiny.jsonl": (root / "tiny.jsonl").read_bytes(),
+        "tiny-traces.csv": b"".join(
+            path.name.encode("utf-8") + b"\n" + path.read_bytes()
+            for path in sorted((root / "tiny-traces").iterdir())
+        ),
+    }
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -143,27 +174,10 @@ def outputs(tmp_path_factory):
     got["evaluate-sized.out"] = _run(["evaluate", "--model", sized, "--runs", sizes,
                                       "--app", "synthetic"])
 
-    # Fabricated traces for a small noisy grid.
-    cluster = root / "cluster.txt"
-    cluster.write_text(CLUSTER_TXT, encoding="utf-8")
-    emitted = root / "emitted.jsonl"
-    _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "1", "--noise", "0.02",
-          "--seed", "5", "--out", emitted, "--emit-traces", root / "traces",
-          "--cluster", cluster])
-
-    # Every trace of a tiny truth on machines that take one sample or many.
-    tiny_cluster = root / "tiny-cluster.txt"
-    tiny_cluster.write_text(TINY_CLUSTER_TXT, encoding="utf-8")
-    _run(["simulate", "--truth", _truth(root / "tiny-truth.json", 12, a=TINY_A),
-          "--grid", "4:8:4", "--reps", "2", "--noise", "0.02", "--seed", "9",
-          "--out", root / "tiny.jsonl", "--emit-traces", root / "tiny-traces",
-          "--cluster", tiny_cluster])
-    got["tiny-traces.csv"] = b"".join(
-        path.name.encode("utf-8") + b"\n" + path.read_bytes()
-        for path in sorted((root / "tiny-traces").iterdir())
-    )
+    got.update(_emitted(root, truth))
 
     # The emitted trace and a hand-written one, each ingested into its own store.
+    cluster = root / "cluster.txt"
     hand = root / "hand.csv"
     hand.write_text(HAND_TRACE, encoding="utf-8")
     for store, trace in (("ingest.jsonl", root / "traces" / "synthetic-m004-r008-rep00.csv"),
@@ -186,9 +200,6 @@ def outputs(tmp_path_factory):
         ("sizes.jsonl", sizes),
         ("scaled-model.json", scaled),
         ("surface.tsv", root / "report" / "surface.tsv"),
-        ("emitted.jsonl", emitted),
-        ("trace.csv", root / "traces" / "synthetic-m004-r008-rep00.csv"),
-        ("tiny.jsonl", root / "tiny.jsonl"),
         ("seed-max.jsonl", root / "seed-max.jsonl"),
         ("seed-two-words.jsonl", root / "seed-two-words.jsonl"),
     ):
@@ -199,6 +210,29 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_split_emission_writes_the_serial_bytes(tmp_path, cores, no_child_left):
+    # One run a part, so that the 4 and the 8 runs of the two cases are
+    # cut into cores parts each, the later ones written by children.
+    files, forks = {}, {}
+    for side, side_cores in (("serial", 1), ("split", cores)):
+        root = tmp_path / side
+        root.mkdir()
+        with split(synth, "_RUNS_PER_PART", 1, side_cores), mock.patch.object(
+            ingest.os, "fork", side_effect=os.fork
+        ) as fork:
+            got = _emitted(root, _truth(root / "truth.json", 12))
+        forks[side] = fork.call_count
+        files[side] = {
+            path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()
+        }
+    assert forks == {"serial": 0, "split": 2 * (cores - 1)}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == {
+        name: GOLDEN[name] for name in got
+    }
+    assert files["split"] == files["serial"]
 
 
 @pytest.mark.parametrize("argv", sorted(SCRIPT_GOLDEN), ids=lambda argv: argv[0])

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import math
 import operator
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracle
+from conftest import split
 from oracle import segments, trace_set
 
 from cyclecast import cli, ingest
@@ -467,27 +467,13 @@ def test_machine_codes_at_the_dtype_edges(machines, shuffled):
 
 
 # The split path: a body of at least two _PART_CHARS is cut into parts,
-# one per core this process may run on, and each part after the first is
-# converted in a forked child.  These tests shrink _PART_CHARS so that
-# small bodies split, and fix the affinity at a number of cores so that
-# the part count does not depend on the host's.
+# and each part after the first is converted in a forked child (conftest
+# pins the part size and the core count).
 
 
-@contextlib.contextmanager
 def _split(part_chars, cores=2):
     """_PART_CHARS at part_chars, on an affinity of cores cores."""
-    with mock.patch.object(ingest, "_PART_CHARS", part_chars), mock.patch.object(
-        ingest.os, "sched_getaffinity", return_value=set(range(cores)), create=True
-    ):
-        yield
-
-
-@pytest.fixture
-def no_child_left():
-    """Checks, after the test, that every child it forked was reaped."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return split(ingest, "_PART_CHARS", part_chars, cores)
 
 
 def _split_outcome(data, part_chars, cores=2):
