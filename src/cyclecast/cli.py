@@ -20,10 +20,9 @@ Conventions
   determinism externally.
 * No thread or process outlives a command.  ingest hashes the trace
   file for its default run id on a second thread while it parses, and
-  joins that thread before it returns or raises.  The trace parser
-  converts parts of a large trace, and simulate --emit-traces writes
-  parts of its runs' trace files, in forked child processes; each reaps
-  every child before it returns or raises.
+  joins that thread before it returns or raises.  The trace parse and
+  simulate --emit-traces fork child processes and reap them all before
+  they return or raise (the _forked module).
 * The argument parser is built once, when this module is imported, so
   main can be called repeatedly in one process at the cost of a parse.
   CYCLECAST_SEED is read on each call, not when the parser is built.

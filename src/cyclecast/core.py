@@ -186,6 +186,20 @@ def _texts(name: str, value) -> tuple[str, ...]:
     return column
 
 
+_Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
+
+
+def _decoded(data: str | bytes, error: _Error) -> str:
+    """data as text: bytes are decoded as UTF-8, a bad one raising error(line, reason)."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _set_columns(
     table: object, texts: tuple[str, ...], counts: tuple[str, ...], real: str
 ) -> None:

@@ -53,17 +53,10 @@ pattern; it decodes only the distinct machine ids.  _PART_CHARS and
 _CHUNK_CHARS count bytes.
 
 A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
-into parts, one per core in the process's CPU affinity, or fewer so
-that each holds at least _PART_CHARS; any other body, or a host without
-sched_getaffinity, makes one part.  Each part is checked against the
-grammar and converted alone.  A forked child converts each part after
-the first and writes its rows down a pipe, which the parser reads
-straight into the columns while it converts the first part itself.  A
-part whose child could not be forked, exited non-zero (a child runs
-with warnings as errors) or sent a short result is converted by the
-parser.  No child outlives the parse: each is reaped before it returns
-or raises.  synth.write_traces cuts its runs and forks and reaps its
-children through the same helpers (_part_count, _spawn, _reaped).  The
+into parts of at least _PART_CHARS each, and each part is checked
+against the grammar and converted alone, on every core, by the
+protocol of the _forked module.  A child writes its part's rows down a
+pipe, which the parser reads straight into the body's columns.  The
 sort and the checks on whole columns then run once, so a key repeated
 across parts is found as one repeated within a part is.  The sort codes
 each machine by the rank of its id in the narrowest unsigned dtype that
@@ -105,16 +98,15 @@ import enum
 import itertools
 import math
 import operator
-import os
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
+from typing import BinaryIO, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .core import ClusterSpec, CyclecastError, TraceSet, _check_count, _real
+from ._forked import forked, part_count
+from .core import ClusterSpec, CyclecastError, TraceSet, _check_count, _decoded, _Error, _real
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -144,8 +136,6 @@ _SPEC = re.compile(f"(?:{_SPEC_LINE}\n)*+{_SPEC_LINE}")
 _PAIR_SEPARATOR = re.compile(f"{_SPACE}*+,{_SPACE}*+|{_SPACE}++")
 _CHUNK_CHARS = 1 << 16
 _PART_CHARS = 1 << 20
-
-_Error = Callable[[int, str], CyclecastError]  # (line number, reason) -> error
 
 
 class MalformedHeaderError(CyclecastError):
@@ -273,38 +263,26 @@ def _count(name: str, text: str, error: _Error, line_no: int, least: int = 1) ->
     return value
 
 
-def _decoded(data: str | bytes, error: _Error) -> str:
-    """data as text: bytes are decoded as UTF-8, a bad one raising error(line, reason)."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise error(line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
 _Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
 # A part's codes, offsets and samples.  A row's code is the row number its
 # machine was first seen on in the part.
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
-_FAILED = object()  # a child's result that did not arrive whole
 
 
 def _columns(data: bytes) -> _Columns | None:
     """The sorted TraceSet columns of a trace body, or None if it has a
     bad row.
 
-    data is a whole trace stream, as bytes, whose header has been
-    checked.  The body is cut into parts (_cuts), each converted into its
-    rows of the columns by _convert (_convert_parts).  The grammar
-    vouches for the ids and the spelling of every number; the columns
-    then decline an offset past int64, a negative offset or cpu_seconds,
-    a cpu_seconds that overflows to infinity, and, once sorted, a
-    repeated (machine_id, offset_s) pair, whichever parts its rows are
-    in.  Only the distinct machine ids are decoded, as ASCII, which sorts
-    them as their bytes sort.  The columns come back read-only, so that
-    TraceSet keeps them without a copy.
+    data is a whole trace stream, as bytes, whose header has been checked.
+    The body is cut into parts (_cuts), each converted into its rows of
+    the columns by _convert, here or in a forked child (_send).  The
+    grammar vouches for the ids and the spelling of every number; the
+    columns then decline an offset past int64, a negative offset or
+    cpu_seconds, a cpu_seconds that overflows to infinity, and, once
+    sorted, a repeated (machine_id, offset_s) pair, whichever parts its
+    rows are in.  Only the distinct machine ids are decoded, as ASCII,
+    which sorts them as their bytes sort.  The columns come back
+    read-only, so that TraceSet keeps them without a copy.
     """
     start, end = len(TRACE_HEADER) + 1, len(data)
     if start >= end:
@@ -321,11 +299,19 @@ def _columns(data: bytes) -> _Columns | None:
     row_cuts = [0, *itertools.accumulate(map(lines, cuts, cuts[1:]))]
     row_cuts[-1] += not data.endswith(b"\n")
     rows = row_cuts[-1]
-    converted = _convert_parts(data, cuts, row_cuts)
-    if converted is None:
-        return None
-    indexes, (codes, offsets, samples) = converted
-    del converted  # so that the sort frees each unsorted column as it goes
+    parts = [(data, *bounds) for bounds in zip(cuts, cuts[1:], row_cuts, row_cuts[1:])]
+    indexes = []
+    with forked(_send, parts) as take:
+        codes, offsets, samples = _empty(rows)  # after the fork: no page shared with a child
+        for i, (_, lo, hi, first, stop) in enumerate(parts):
+            view = codes[first:stop], offsets[first:stop], samples[first:stop]
+            index = take(i, lambda pipe: _received(pipe, view))
+            if index is None and (index := _convert(data, lo, hi, first, view)) is None:
+                return None
+            indexes.append(index)
+    # A slice keeps its whole column alive: so that the sort frees each
+    # unsorted column as it goes, no view of one may outlive this loop.
+    del view
     if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
         return None
 
@@ -360,10 +346,9 @@ def _columns(data: bytes) -> _Columns | None:
 
 def _cuts(data: bytes, start: int, end: int) -> list[int]:
     """The bounds of the parts of the body data[start:end]: start, each
-    cut just after a line end, and end.  There is one part per core this
-    process may run on, or fewer, so that each part but the last holds at
-    least _PART_CHARS bytes."""
-    parts = _part_count(end - start, _PART_CHARS)
+    cut just after a line end, and end.  There are part_count parts, each
+    but the last of at least _PART_CHARS bytes."""
+    parts = part_count(end - start, _PART_CHARS)
     size = (end - start) // parts
     cuts = [start]
     while len(cuts) < parts and (cut := data.find(b"\n", cuts[-1] + size - 1, end - 1) + 1):
@@ -371,36 +356,30 @@ def _cuts(data: bytes, start: int, end: int) -> list[int]:
     return [*cuts, end]
 
 
-def _part_count(size: int, least: int) -> int:
-    """How many parts to cut work of size into: one per core this process
-    may run on, or fewer, so that each holds at least least, and at least
-    one.  A host without sched_getaffinity makes one part."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cores, size // least))
+def _empty(rows: int) -> _Rows:
+    """New codes, offsets and samples columns of rows rows."""
+    return np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.float64)
 
 
 def _convert(
-    data: bytes, start: int, end: int, first: int, rows: int
-) -> tuple[dict[bytes, int], _Rows] | None:
-    """Convert the rows of the part data[start:end] into new columns of
-    rows rows, its own first, or decline the part.
+    data: bytes, start: int, end: int, first: int, columns: _Rows
+) -> dict[bytes, int] | None:
+    """Convert the rows of the part data[start:end] into columns, which
+    hold exactly its rows, or decline the part.
 
     The part starts at a line start and ends at the end of the body or
-    just after a line end; it must match the body grammar.  The columns
-    are allocated only then.  Rows are converted in chunks of about
-    _CHUNK_CHARS bytes, so the per-field bytes objects never exist for
-    the whole part at once.  first is the row number of the part's first
-    row in the body.  Returns the code of each machine in the part, keyed
-    by the bytes of its id, and the columns, or None if the part does not
-    match or holds an offset past int64.
+    just after a line end; it must match the body grammar.  Rows are
+    converted in chunks of about _CHUNK_CHARS bytes, so the per-field
+    bytes objects never exist for the whole part at once.  first is the
+    row number of the part's first row in the body.  Returns the code of
+    each machine in the part, keyed by the bytes of its id, or None if
+    the part does not match or holds an offset past int64.
     """
     if _BODY.fullmatch(data, start, end) is None:
         return None
     if data.endswith(b"\n", start, end):
         end -= 1
-    columns = codes, offsets, samples = (
-        np.empty(rows, np.intp), np.empty(rows, np.int64), np.empty(rows, np.float64)
-    )
+    codes, offsets, samples = columns
     index: dict[bytes, int] = {}
     row = 0
     while start < end:
@@ -421,111 +400,19 @@ def _convert(
             return None
         samples[chunk] = np.array(fields[2::3], dtype=np.float64)
         row += n
-    return index, columns
-
-
-def _convert_parts(
-    data: bytes, cuts: list[int], row_cuts: list[int]
-) -> tuple[list[dict[bytes, int]], _Rows] | None:
-    """Convert the parts of a body: _convert's codes of each part and the
-    body's columns, or None if any part declines.
-
-    Part i is data[cuts[i]:cuts[i + 1]], rows row_cuts[i] to row_cuts[i + 1].
-    Each part after the first goes to a forked child (_spawn).  This
-    process converts the first part into columns for the whole body, then
-    reads each child's rows into place.  A part whose fork failed, or
-    whose child exited non-zero or sent a short result, is converted here;
-    a child whose part declines exits non-zero, so the part declines here.
-    Every child is reaped before this returns or raises, and one whose
-    result is not needed is killed first.
-    """
-    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
-    try:
-        for part in range(1, len(cuts) - 1):
-            bounds = cuts[part], cuts[part + 1], row_cuts[part], row_cuts[part + 1]
-            child = _spawn(_send, data, *bounds)
-            if child is not None:
-                children[part] = child
-        converted = _convert(data, cuts[0], cuts[1], 0, row_cuts[-1])
-        if converted is None:
-            return None
-        index, columns = converted
-        indexes = [index]
-        for part in range(1, len(cuts) - 1):
-            rows = slice(row_cuts[part], row_cuts[part + 1])
-            view = (columns[0][rows], columns[1][rows], columns[2][rows])
-            index = _FAILED
-            if part in children:
-                index = _received(children[part][1], view)
-                if _reaped(*children.pop(part)) != 0:
-                    index = _FAILED
-            if index is _FAILED:
-                converted = _convert(data, cuts[part], cuts[part + 1], rows.start, len(view[0]))
-                if converted is None:
-                    return None
-                index, own = converted
-                for column, values in zip(view, own):
-                    column[:] = values
-            indexes.append(index)
-        return indexes, columns
-    finally:
-        for pid, pipe in children.values():
-            _reaped(pid, pipe, kill=True)
-
-
-def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | None:
-    """Fork a child that runs task(pipe, *args), pipe the write end of a
-    new pipe: the child's pid and the pipe's read end, or None if no child
-    could be started.
-
-    The child exits 0 if task returns and 1 if it raises.  It runs with
-    warnings as errors, so a warning makes it exit 1, and the caller,
-    redoing its work, reports that warning once.  It leaves through
-    os._exit, so it never returns into the caller, flushes stdio or runs
-    exit handlers.  Forking a process that has threads (ingest's run-id
-    hash, a BLAS pool) is safe here: the child takes no lock but the GIL
-    and malloc's, and the interpreter and the C library set both up
-    afresh in a child.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # From Python 3.12, fork warns whenever another thread is alive.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=[0-9]+\) is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            warnings.simplefilter("error")
-            with open(write_end, "wb") as pipe:
-                task(pipe, *args)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
+    return index
 
 
 def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
-    """Convert a part in a child and write the result: the machine count
-    and the size of their ids, as two int64; the ids, joined by LF; their
-    codes; then the part's rows of the three columns, each as its raw
-    bytes.  Raises ValueError, so that the child exits 1, if the part
-    declines."""
-    converted = _convert(data, start, end, first, stop - first)
-    if converted is None:
+    """Convert a part, rows first to stop, in a child and write the
+    result: the machine count and the size of their ids, as two int64;
+    the ids, joined by LF; their codes; then the part's rows of the three
+    columns, each as its raw bytes.  Raises ValueError, so that the child
+    exits 1, if the part declines."""
+    columns = _empty(stop - first)
+    index = _convert(data, start, end, first, columns)
+    if index is None:
         raise ValueError("the part does not convert")
-    index, columns = converted
     ids = b"\n".join(index)
     pipe.write(np.array([len(index), len(ids)], np.int64))
     pipe.write(ids)
@@ -533,32 +420,21 @@ def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: i
         pipe.write(buffer)
 
 
-def _received(pipe: BinaryIO, columns: _Rows) -> dict[bytes, int] | object:
+def _received(pipe: BinaryIO, columns: _Rows) -> dict[bytes, int] | None:
     """What _send wrote to pipe, its rows read straight into columns: the
-    part's machine codes, or _FAILED if the result is short."""
+    part's machine codes, or None if the result is short."""
     head = np.empty(2, np.int64)
     if pipe.readinto(head) != head.nbytes:
-        return _FAILED
+        return None
     machines, size = head.tolist()
     ids = pipe.read(size)
     codes = np.empty(machines, np.intp)
     for buffer in (codes, *columns):
         if pipe.readinto(buffer) != buffer.nbytes:
-            return _FAILED
+            return None
     if len(ids) != size:
-        return _FAILED
+        return None
     return dict(zip(ids.split(b"\n"), codes.tolist()))
-
-
-def _reaped(pid: int, pipe: BinaryIO, kill: bool = False) -> int:
-    """Close a child's pipe, kill the child if kill, and wait for it to
-    end: its exit code, negative if a signal ended it."""
-    pipe.close()
-    if kill:
-        import signal  # here, so that importing this module imports nothing new
-
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _raise_first_bad_row(text: str) -> NoReturn:

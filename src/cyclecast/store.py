@@ -62,8 +62,7 @@ from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
-from .core import CyclecastError, RunTable, _check_count, _real, check_text
-from .ingest import _decoded
+from .core import CyclecastError, RunTable, _check_count, _decoded, _real, check_text
 from .regression import BASIS_TAG, CostModel
 
 RUNS_SCHEMA_VERSION = 1

@@ -27,19 +27,14 @@ no sample exceeds its machine's core count.  Re-accounting the emitted
 traces reproduces the run's total to ~1e-12 relative.  A machine whose
 share would need 2**63 or more samples is a ValueError naming it.
 
-write_traces writes one trace file per run, on every core this process
-may run on.  The runs are cut into contiguous parts of equal run count,
-one per core in its CPU affinity, or fewer so that each part holds at
-least _RUNS_PER_PART runs.  Forked children (ingest's _spawn) generate
-and write every part after the first while this process does the first.
-Every file is written under a temporary name in the directory and
-renamed into place in run order, each only once every earlier run's file
-is in place.  A part whose child could not be forked, exited non-zero
-(as a warning makes it do) or sent a short result is redone here, so a
-failure, or a warning, is reported as the serial loop would report it:
-the files before the failing run stay, no later file and no temporary
-file remains, and no child outlives the call.  Each trace is seeded by
-(seed, run_id) alone, so the bytes do not depend on the split.
+write_traces writes one trace file per run, on every core, by the
+protocol of the _forked module: the runs are cut into contiguous parts of
+equal run count, each of at least _RUNS_PER_PART runs.  Every file is
+written under a temporary name in the directory and renamed into place
+in run order, each only once every earlier run's file is in place.  So
+a failure is the serial loop's: the files before the failing run stay
+and no later file and no temporary file remains.  Each trace is seeded
+by (seed, run_id) alone, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -59,7 +54,8 @@ from .core import (
     ClusterSpec, CyclecastError, EmptyInputError, RunTable, TraceSet, _check_count, _real,
     check_text,
 )
-from .ingest import _part_count, _reaped, _spawn, write_trace_csv
+from ._forked import forked, part_count
+from .ingest import write_trace_csv
 from .regression import CostModel
 
 DEFAULT_GRID = tuple(range(4, 33, 4))
@@ -327,33 +323,26 @@ def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str |
             )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Named by index, not by run id: a temporary name is then short, so
+    # every run id whose own file name fits the file system's limit works.
     token = secrets.token_hex(8)
-    temps = [out_dir / f".{run_id}.csv.{token}.tmp" for run_id in run_ids]
-    parts = _part_count(len(run_ids), _RUNS_PER_PART)
+    temps = [out_dir / f".{token}-{run}.tmp" for run in range(len(run_ids))]
+    parts = part_count(len(run_ids), _RUNS_PER_PART)
     bounds = [len(run_ids) * part // parts for part in range(parts + 1)]
+    spans = list(zip(bounds, bounds[1:]))
     work = (run_ids, cycles, cluster, seed, temps)
-    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
     placed = 0  # runs whose file is in place
     try:
-        for part in range(1, parts):
-            child = _spawn(_send_part, *work, bounds[part], bounds[part + 1])
-            if child is not None:
-                children[part] = child
-        for part in range(parts):
-            lo, hi = bounds[part], bounds[part + 1]
-            written = False  # by a child, whole
-            if part in children:
-                pid, pipe = children.pop(part)
-                sent = pipe.read(8)
-                written = _reaped(pid, pipe) == 0 and sent == (hi - lo).to_bytes(8, "little")
-            for run in range(lo, hi):
-                if not written:
-                    _write_part(*work, run, run + 1)
-                os.replace(temps[run], out_dir / f"{run_ids[run]}.csv")
-                placed = run + 1
-    finally:
-        for pid, pipe in children.values():
-            _reaped(pid, pipe, kill=True)
+        with forked(_send_part, [(*work, *span) for span in spans]) as take:
+            for i, (lo, hi) in enumerate(spans):
+                sent = (hi - lo).to_bytes(8, "little")
+                written = take(i, lambda pipe: pipe.read(8) == sent or None)  # by a child, whole
+                for run in range(lo, hi):
+                    if not written:
+                        _write_part(*work, run, run + 1)
+                    os.replace(temps[run], out_dir / f"{run_ids[run]}.csv")
+                    placed = run + 1
+    finally:  # once forked() has reaped every child, so that none writes again
         for temp in temps[placed:]:
             temp.unlink(missing_ok=True)
 

@@ -30,10 +30,13 @@ def unicode_tables():
 @contextlib.contextmanager
 def split(module, name, size, cores=2):
     """module's least part size, the constant name, at size, on an
-    affinity of cores cores."""
-    with mock.patch.object(module, name, size), mock.patch.object(
-        os, "sched_getaffinity", return_value=set(range(cores)), create=True
-    ):
+    affinity of cores cores, or on a host without sched_getaffinity if
+    cores is None."""
+    with mock.patch.object(module, name, size), pytest.MonkeyPatch.context() as patch:
+        if cores is None:
+            patch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         yield
 
 

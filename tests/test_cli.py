@@ -14,7 +14,7 @@ import pytest
 from conftest import split
 from oracle import rows, table
 
-from cyclecast import cli, ingest, store, synth
+from cyclecast import cli, store, synth
 from cyclecast.cli import main
 from cyclecast.core import RunTable
 from cyclecast.regression import CostModel, predict
@@ -477,22 +477,22 @@ class TestPipeline:
 _RUN_IDS = [f"synthetic-m{m:03d}-r{r:03d}-rep00" for m in range(4, 33, 4) for r in range(4, 33, 4)]
 
 
-def _emitted(tmp_path, capsys, cores, fork=None):
-    """simulate --emit-traces's outcome, one run a part on cores cores,
-    in a work directory of its own: the exit code, stderr (the directory
-    spelled WORK), the store's bytes or None and each file in the trace
-    directory with its bytes; and the number of forks, made through fork
-    if given."""
+def _emitted(tmp_path, capsys, cores, fork=None, extra=()):
+    """simulate --emit-traces's outcome, with extra flags, one run a part
+    on cores cores (None: on a host without sched_getaffinity), in a work
+    directory of its own: the exit code, stderr (the directory spelled
+    WORK), the store's bytes or None and each file in the trace directory
+    with its bytes; and the number of forks, made through fork if given."""
     work = tmp_path / f"cores-{cores}"
     work.mkdir()
     save_model(work / "truth.json", TRUTH)
     (work / "cluster.txt").write_text(CLUSTER_TXT)
     argv = _simulate(work, extra=[
-        "--emit-traces", str(work / "traces"), "--cluster", str(work / "cluster.txt"),
+        "--emit-traces", str(work / "traces"), "--cluster", str(work / "cluster.txt"), *extra,
     ])
     capsys.readouterr()
     with split(synth, "_RUNS_PER_PART", 1, cores), mock.patch.object(
-        ingest.os, "fork", side_effect=fork or os.fork
+        os, "fork", side_effect=fork or os.fork
     ) as forked:
         code = main(argv)
     run_store = work / "runs.jsonl"
@@ -574,6 +574,37 @@ class TestEmitSplit:
 
         serial, _ = _emitted(tmp_path, capsys, 1)
         assert _emitted(tmp_path, capsys, 4, fork) == (serial, 3)
+
+    def test_a_part_whose_pipe_fails_is_written_here(self, tmp_path, capsys, no_child_left):
+        # The pipes for parts 1, 2 and 3 of 4, of which that for part 2 fails.
+        pipes = iter(range(1, 4))
+        real_pipe = os.pipe
+
+        def pipe():
+            if next(pipes) == 2:
+                raise OSError("too many open files")
+            return real_pipe()
+
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        with mock.patch.object(os, "pipe", side_effect=pipe) as piped:
+            assert _emitted(tmp_path, capsys, 4) == (serial, 2)
+        assert piped.call_count == 3
+
+    def test_a_host_without_sched_getaffinity_writes_in_one_part(
+        self, tmp_path, capsys, no_child_left
+    ):
+        serial, _ = _emitted(tmp_path, capsys, 1)
+        assert _emitted(tmp_path, capsys, None) == (serial, 0)
+
+    def test_a_run_id_of_251_bytes_names_its_file(self, tmp_path, capsys, no_child_left):
+        # Its file's name, <run_id>.csv, is then 255 bytes, the longest
+        # that common file systems take, so no temporary name may be longer.
+        extra = ["--app", "x" * 235, "--grid", "4:8:4"]
+        serial, _ = _emitted(tmp_path, capsys, 1, extra=extra)
+        assert _emitted(tmp_path, capsys, 2, extra=extra) == (serial, 1)
+        code, _, _, traces = serial
+        assert code == 0
+        assert [len(name.encode()) for name in traces] == [255] * 4
 
     @pytest.mark.parametrize(
         "send",

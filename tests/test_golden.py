@@ -22,7 +22,7 @@ from unittest import mock
 import pytest
 from conftest import split
 
-from cyclecast import ingest, synth
+from cyclecast import synth
 from cyclecast.cli import main
 
 GIB = 2**30
@@ -221,7 +221,7 @@ def test_split_emission_writes_the_serial_bytes(tmp_path, cores, no_child_left):
         root = tmp_path / side
         root.mkdir()
         with split(synth, "_RUNS_PER_PART", 1, side_cores), mock.patch.object(
-            ingest.os, "fork", side_effect=os.fork
+            os, "fork", side_effect=os.fork
         ) as fork:
             got = _emitted(root, _truth(root / "truth.json", 12))
         forks[side] = fork.call_count

@@ -499,7 +499,7 @@ def _serial_outcome(data):
 def _forks(data, part_chars, cores=2):
     """How many children parsing data, as _split_outcome does, forks with
     _PART_CHARS at part_chars on cores cores."""
-    with mock.patch.object(ingest.os, "fork", side_effect=os.fork) as fork:
+    with mock.patch.object(os, "fork", side_effect=os.fork) as fork:
         _split_outcome(data, part_chars, cores)
     return fork.call_count
 
@@ -637,9 +637,34 @@ def test_a_part_whose_fork_fails_is_converted_here(failing, no_child_left):
         return real_fork()
 
     text = _long_body()
-    with mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
+    with mock.patch.object(os, "fork", side_effect=fork) as forked:
         assert _split_outcome(text, 1024, 4) == _serial_outcome(text)
     assert forked.call_count == 3
+
+
+def test_a_part_whose_pipe_fails_is_converted_here(no_child_left):
+    # The pipes for parts 1, 2 and 3 of 4, of which that for part 2 fails.
+    pipes = iter(range(1, 4))
+    real_pipe = os.pipe
+
+    def pipe():
+        if next(pipes) == 2:
+            raise OSError("too many open files")
+        return real_pipe()
+
+    text = _long_body()
+    with mock.patch.object(os, "pipe", side_effect=pipe) as piped, mock.patch.object(
+        os, "fork", side_effect=os.fork
+    ) as forked:
+        assert _split_outcome(text, 1024, 4) == _serial_outcome(text)
+    assert (piped.call_count, forked.call_count) == (3, 2)
+
+
+def test_a_host_without_sched_getaffinity_parses_in_one_part(no_child_left):
+    text = _long_body()
+    assert len(_parts(text, 1024, None)) == 1
+    assert _forks(text, 1024, None) == 0
+    assert _split_outcome(text, 1024, None) == _serial_outcome(text)
 
 
 @pytest.mark.parametrize("cores", [2, 4])
@@ -690,10 +715,10 @@ def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
 
 
 _PRINT_THEN_PARSE = """
-import io, sys
+import io, os, sys
 from cyclecast import ingest
 ingest._PART_CHARS = 1024
-ingest.os.sched_getaffinity = lambda pid: {0, 1, 2}
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 print("printed before the parse", end="")
 text = "machine_id,offset_s,cpu_seconds\\n" + "".join(f"m,{i},0.5\\n" for i in range(2000))
 traces, _ = ingest.parse_trace_csv(io.StringIO(text))
@@ -734,7 +759,7 @@ def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_c
         assert cli.main(argv) == 0
     serial = capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()
     (tmp_path / "runs.jsonl").unlink()
-    with _split(1024, cores=3), mock.patch.object(ingest.os, "fork", side_effect=fork) as forked:
+    with _split(1024, cores=3), mock.patch.object(os, "fork", side_effect=fork) as forked:
         assert cli.main(argv) == 0
     assert forked.call_count == 2
     assert (capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()) == serial

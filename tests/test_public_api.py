@@ -77,6 +77,28 @@ def test_the_cli_imports_no_private_name_of_the_library():
     assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
+_PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill"}
+
+
+def test_one_module_forks_and_none_imports_a_private_name_of_ingest():
+    # The fork protocol lives in cyclecast._forked; the trace parser and
+    # the trace emitter reach it through its forked() and part_count().
+    forks, private = [], []
+    for path in sorted(Path(cyclecast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "os" and node.attr in _PROCESS_CALLS:
+                    forks.append(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if node.module == "os":
+                    forks += [path.name for name in names if name in _PROCESS_CALLS]
+                elif node.module in ("ingest", "cyclecast.ingest"):
+                    private += [(path.name, name) for name in names if name.startswith("_")]
+    assert forks and set(forks) == {"_forked.py"}
+    assert private == []
+
+
 # The bounds of the count rule, as a literal may spell them.
 _COUNT_BOUNDS = {"2 ** 63", "2 ** 64", str(2**63), str(2**64)}
 
