@@ -63,19 +63,20 @@ each machine by the rank of its id in the narrowest unsigned dtype that
 holds the ranks, which numpy sorts by radix.  The pass declines a body that
 does not match, or whose columns fail a check the grammar cannot make: a
 value past int64 or below zero, a number that overflows to infinity, a
-repeated key, a cluster with no entries.  A line loop then names the
-first bad line of a declined body with its typed error; it builds no
-columns.
+repeated key, a cluster with no entries.  The trace pass also finds the
+first bad row of a body it declines, whose fields alone are then
+checked one by one to raise its typed error.  A declined cluster spec
+goes to a line loop that names its first bad line.
 
 Encoding
 --------
 Both parsers take a text stream or a binary one, read as UTF-8.  A byte
 that is not UTF-8 is a MalformedRowError or a MalformedEntryError naming
-its line, raised before any other error.  The trace parser encodes an
-all-ASCII text once and parses its bytes; it decodes a trace only to
-name the error of one that the columnar pass declines, which a text
-that is not ASCII always is.  The cluster parser decodes the whole spec,
-whose whitespace is str.split's and so not only ASCII.
+its line, raised before any other error.  The trace parser encodes a
+text once (a lone surrogate too, which the grammar refuses) and decodes
+a trace only to name the error of one the columnar pass declines.  The
+cluster parser decodes the whole spec, whose whitespace is str.split's
+and so not only ASCII.
 read_holdout_list takes a path, and names the path and the line in each
 of its errors.
 
@@ -207,18 +208,15 @@ def parse_trace_csv(
     """
     if not 0 <= _real("gap_threshold", gap_threshold, -math.inf) <= 1:
         raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
-    data = stream.read()
-    if isinstance(data, str) and data.isascii():
-        data = data.encode("ascii")
+    text = stream.read()
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     # The columnar pass reads bytes that start with the exact header line.
     # Any other stream, or one it declines, is decoded (a byte that is not
-    # UTF-8 raising first) for the line loop, which names the first error.
+    # UTF-8 raising first) to check its header or its first bad row.
     header = TRACE_HEADER.encode("ascii")
-    columns = None
-    if isinstance(data, bytes) and data[: len(header) + 1] in (header, header + b"\n"):
-        columns = _columns(data)
-    if columns is None:
-        _raise_first_bad_row(_decoded(data, MalformedRowError))
+    columns = _columns(data) if data[: len(header) + 1] in (header, header + b"\n") else 0
+    if isinstance(columns, int):
+        _raise_bad_row(_decoded(text, MalformedRowError), columns)
 
     traces = TraceSet(*columns)
     warnings: list[IngestWarning] = []
@@ -269,20 +267,20 @@ _Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _columns(data: bytes) -> _Columns | None:
-    """The sorted TraceSet columns of a trace body, or None if it has a
-    bad row.
+def _columns(data: bytes) -> _Columns | int:
+    """The sorted TraceSet columns of a trace body, or the number of its
+    first bad row, counted from 0.
 
     data is a whole trace stream, as bytes, whose header has been checked.
     The body is cut into parts (_cuts), each converted into its rows of
-    the columns by _convert, here or in a forked child (_send).  The
-    grammar vouches for the ids and the spelling of every number; the
-    columns then decline an offset past int64, a negative offset or
-    cpu_seconds, a cpu_seconds that overflows to infinity, and, once
-    sorted, a repeated (machine_id, offset_s) pair, whichever parts its
-    rows are in.  Only the distinct machine ids are decoded, as ASCII,
-    which sorts them as their bytes sort.  The columns come back
-    read-only, so that TraceSet keeps them without a copy.
+    the columns by _convert, here or in a forked child (_send), up to
+    the first row that does not match the grammar or has an offset past
+    int64.  The columns then find the first negative offset or
+    cpu_seconds or infinite cpu_seconds and, once sorted, the first
+    repeated (machine_id, offset_s) pair, whichever parts its rows are
+    in.  Only the distinct machine ids are decoded, as ASCII, which sorts
+    them as their bytes sort.  The columns come back read-only, so that
+    TraceSet keeps them without a copy.
     """
     start, end = len(TRACE_HEADER) + 1, len(data)
     if start >= end:
@@ -305,15 +303,19 @@ def _columns(data: bytes) -> _Columns | None:
         codes, offsets, samples = _empty(rows)  # after the fork: no page shared with a child
         for i, (_, lo, hi, first, stop) in enumerate(parts):
             view = codes[first:stop], offsets[first:stop], samples[first:stop]
-            index = take(i, lambda pipe: _received(pipe, view))
-            if index is None and (index := _convert(data, lo, hi, first, view)) is None:
-                return None
+            taken = take(i, lambda pipe: _received(pipe, view))
+            index, converted = taken or _convert(data, lo, hi, first, view)
             indexes.append(index)
+            if converted < stop - first:  # a bad row: the rows after it are not needed
+                rows = first + converted
+                codes, offsets, samples = codes[:rows], offsets[:rows], samples[:rows]
+                break
     # A slice keeps its whole column alive: so that the sort frees each
     # unsorted column as it goes, no view of one may outlive this loop.
     del view
-    if offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf:
-        return None
+    bad = rows  # the first bad row found: row_cuts[-1], past the body, if none is
+    if rows and (offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf):
+        bad = int(np.argmax((offsets < 0) | (samples < 0) | (samples == math.inf)))
 
     # A machine seen in several parts has a code in each.  The first part
     # that sees it gives its code; a later part's code is an alias of it.
@@ -336,8 +338,10 @@ def _columns(data: bytes) -> _Columns | None:
     codes = codes[order]
     offsets = offsets[order]
     samples = samples[order]
-    if np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
-        return None
+    if bad < row_cuts[-1] or np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
+        # The sort is stable: of two rows with one key, the later is second.
+        repeats = order[1:][(codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])]
+        return int(repeats.min(initial=bad))
     ends = np.cumsum(np.bincount(codes))
     for column in (ends, offsets, samples):
         column.setflags(write=False)
@@ -363,20 +367,21 @@ def _empty(rows: int) -> _Rows:
 
 def _convert(
     data: bytes, start: int, end: int, first: int, columns: _Rows
-) -> dict[bytes, int] | None:
+) -> tuple[dict[bytes, int], int]:
     """Convert the rows of the part data[start:end] into columns, which
-    hold exactly its rows, or decline the part.
+    have room for all its rows, up to its first bad one.
 
     The part starts at a line start and ends at the end of the body or
-    just after a line end; it must match the body grammar.  Rows are
-    converted in chunks of about _CHUNK_CHARS bytes, so the per-field
-    bytes objects never exist for the whole part at once.  first is the
-    row number of the part's first row in the body.  Returns the code of
-    each machine in the part, keyed by the bytes of its id, or None if
-    the part does not match or holds an offset past int64.
+    just after a line end.  Its rows are converted up to the first that
+    does not match the grammar or has an offset past int64, in chunks of
+    about _CHUNK_CHARS bytes, so the per-field bytes objects never exist
+    for the whole part at once.  first is the row number of the part's
+    first row in the body.  Returns the code of each machine in the rows
+    converted, keyed by the bytes of its id, and how many rows those are.
     """
-    if _BODY.fullmatch(data, start, end) is None:
-        return None
+    matched = _BODY.match(data, start, end).end()
+    if matched < end:  # convert the rows before the line the match ends in
+        end = data.rfind(b"\n", start, matched) + 1 or start
     if data.endswith(b"\n", start, end):
         end -= 1
     codes, offsets, samples = columns
@@ -389,18 +394,21 @@ def _convert(
         fields = data[start:stop].replace(b"\n", b",").split(b",")
         start = stop + 1
         n = len(fields) // 3
-        chunk = slice(row, row + n)
-        firsts = map(index.setdefault, fields[0::3], range(first + row, first + row + n))
-        codes[chunk] = np.fromiter(firsts, np.intp, n)
         # np.array converts each field with int() or float(), which read
         # ASCII bytes as they read the same text, as parse_number does.
         try:
-            offsets[chunk] = np.array(fields[1::3], dtype=np.int64)
-        except OverflowError:  # an offset past int64
-            return None
+            offsets[row : row + n] = np.array(fields[1::3], dtype=np.int64)
+        except OverflowError:  # the rows end before the first offset past int64
+            n = next(i for i, text in enumerate(fields[1::3]) if not -2**63 <= int(text) < 2**63)
+            del fields[3 * n :]
+            offsets[row : row + n] = np.array(fields[1::3], dtype=np.int64)
+            start = end
+        chunk = slice(row, row + n)
+        firsts = map(index.setdefault, fields[0::3], range(first + row, first + row + n))
+        codes[chunk] = np.fromiter(firsts, np.intp, n)
         samples[chunk] = np.array(fields[2::3], dtype=np.float64)
         row += n
-    return index
+    return index, row
 
 
 def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
@@ -408,11 +416,11 @@ def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: i
     result: the machine count and the size of their ids, as two int64;
     the ids, joined by LF; their codes; then the part's rows of the three
     columns, each as its raw bytes.  Raises ValueError, so that the child
-    exits 1, if the part declines."""
+    exits 1, if the part holds a bad row."""
     columns = _empty(stop - first)
-    index = _convert(data, start, end, first, columns)
-    if index is None:
-        raise ValueError("the part does not convert")
+    index, converted = _convert(data, start, end, first, columns)
+    if converted < stop - first:
+        raise ValueError("the part holds a bad row")
     ids = b"\n".join(index)
     pipe.write(np.array([len(index), len(ids)], np.int64))
     pipe.write(ids)
@@ -420,9 +428,9 @@ def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: i
         pipe.write(buffer)
 
 
-def _received(pipe: BinaryIO, columns: _Rows) -> dict[bytes, int] | None:
+def _received(pipe: BinaryIO, columns: _Rows) -> tuple[dict[bytes, int], int] | None:
     """What _send wrote to pipe, its rows read straight into columns: the
-    part's machine codes, or None if the result is short."""
+    part's machine codes and row count, or None if the result is short."""
     head = np.empty(2, np.int64)
     if pipe.readinto(head) != head.nbytes:
         return None
@@ -434,53 +442,40 @@ def _received(pipe: BinaryIO, columns: _Rows) -> dict[bytes, int] | None:
             return None
     if len(ids) != size:
         return None
-    return dict(zip(ids.split(b"\n"), codes.tolist()))
+    return dict(zip(ids.split(b"\n"), codes.tolist())), len(columns[0])
 
 
-def _raise_first_bad_row(text: str) -> NoReturn:
-    """Raise the typed error of a trace stream that _columns declines or
-    cannot read: its header's, else that of its first bad row, naming
-    its line."""
+def _raise_bad_row(text: str, row: int) -> NoReturn:
+    """Raise the typed error, naming its line, of a trace stream's bad
+    header, or else of its first bad row, row (from 0) of its body.  A row
+    with several faults is reported by the first check it fails; a row
+    that passes them all repeats the key of an earlier row."""
     if not text:
         raise MalformedHeaderError(f"empty stream, expected header {TRACE_HEADER!r}")
     header_end = text.find("\n")
     header = text if header_end < 0 else text[:header_end]
     if header != TRACE_HEADER:
         raise MalformedHeaderError(f"expected header {TRACE_HEADER!r}, got {header!r}")
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
-    seen: set[tuple[str, int]] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise MalformedRowError(line_no, f"expected 3 fields, got {len(fields)}")
-        machine_id, offset_text, cpu_text = fields
-        if not _MACHINE_ID_RE.fullmatch(machine_id):
-            raise MalformedRowError(
-                line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+"
-            )
-        if not _INTEGER_RE.fullmatch(offset_text):
-            raise MalformedRowError(
-                line_no, f"offset_s must be an integer, got {offset_text!r}"
-            )
-        if not _DECIMAL_RE.fullmatch(cpu_text):
-            raise MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
-        try:  # the grammar matched above, so only the range is left
-            offset_s = _check_count("offset_s", int(offset_text), least=0)
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-        cpu_seconds = float(cpu_text)
-        if cpu_seconds == math.inf:
-            raise MalformedRowError(
-                line_no, f"cpu_seconds must be finite, got {cpu_text!r}"
-            )
-        if cpu_seconds < 0:
-            raise NegativeCpuSecondsError(line_no, cpu_text)
-        if (machine_id, offset_s) in seen:
-            raise DuplicateSampleError(line_no, machine_id, offset_s)
-        seen.add((machine_id, offset_s))
-    raise AssertionError("a trace body that _columns declines has a bad row")
+    ends = text.count("\n")  # split the row's line off the nearer end of the text
+    line = (text.split("\n", row + 2)[row + 1] if 2 * row < ends
+            else text.rsplit("\n", ends - row)[1])
+    line_no = row + 2
+    fields = line.split(",")
+    if len(fields) != 3:
+        raise MalformedRowError(line_no, f"expected 3 fields, got {len(fields)}")
+    machine_id, offset_text, cpu_text = fields
+    if not _MACHINE_ID_RE.fullmatch(machine_id):
+        raise MalformedRowError(line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+")
+    # An offset's spelling is checked before cpu_seconds', its range after.
+    if _INTEGER_RE.fullmatch(offset_text) and not _DECIMAL_RE.fullmatch(cpu_text):
+        raise MalformedRowError(line_no, f"cpu_seconds must be a number, got {cpu_text!r}")
+    offset_s = _count("offset_s", offset_text, MalformedRowError, line_no, least=0)
+    cpu_seconds = float(cpu_text)
+    if cpu_seconds == math.inf:
+        raise MalformedRowError(line_no, f"cpu_seconds must be finite, got {cpu_text!r}")
+    if cpu_seconds < 0:
+        raise NegativeCpuSecondsError(line_no, cpu_text)
+    raise DuplicateSampleError(line_no, machine_id, offset_s)
 
 
 def write_trace_csv(traces: TraceSet, stream: TextIO) -> None:

@@ -88,6 +88,8 @@ def test_wrong_header():
         "node-a,\u0665,1.0",
         "node-a,0,1_0.5",
         pytest.param("node-a," + "1" * 4301 + ",1.0", id="node-a,<4301 digits>,1.0"),
+        # A str with a lone surrogate has no UTF-8 encoding.
+        pytest.param("node-\ud800,0,1.0", id="node-<lone surrogate>,0,1.0"),
     ],
 )
 def test_malformed_rows(row):
@@ -239,6 +241,7 @@ _BAD_ROWS = [
     ("node-a,1.5,1.0", MalformedRowError, "offset_s must be an integer, got '1.5'"),
     ("node-a,-1,1.0", MalformedRowError, "offset_s must be >= 0, got -1"),
     (f"node-a,{2**63},1.0", MalformedRowError, f"offset_s must be < 2**63, got {2**63}"),
+    (f"node-a,-{2**63 + 1},1.0", MalformedRowError, f"offset_s must be >= 0, got -{2**63 + 1}"),
     ("node-a,0,1_0.5", MalformedRowError, "cpu_seconds must be a number, got '1_0.5'"),
     ("node-a,0,1.0\r", MalformedRowError, "cpu_seconds must be a number, got '1.0\\r'"),
     ("node-a,0,1e999", MalformedRowError, "cpu_seconds must be finite, got '1e999'"),
@@ -254,47 +257,60 @@ def _bodies(draw, bad=True):
     order, then each number is spelled in any way the grammar allows: an
     offset with leading zeros, as -0 or of 19 digits, a cpu_seconds as
     -0.0, with an exponent or leading zeros.  The last row may lack its
-    line end.  If bad, one bad row of a drawn kind, or a row repeating an
-    earlier key, may go in at a known line.
+    line end.  If bad, up to three bad rows go in at known lines, each of
+    a drawn kind, a row repeating an earlier key, or one that both
+    repeats an earlier key and is negative.  The outcome names the first:
+    a row's own fault comes before its being a repeat.
     """
     keys = draw(st.lists(st.tuples(_MACHINES, _OFFSETS), unique=True, max_size=10))
     rows = [(machine_id, offset, draw(_CPUS)) for machine_id, offset in keys]
+    # Each line with its key, and its own fault or None.
     lines = [
-        f"{machine_id},{draw(st.sampled_from(_integers(offset)))},"
-        f"{draw(st.sampled_from(_decimals(cpu)))}"
+        (f"{machine_id},{draw(st.sampled_from(_integers(offset)))},"
+         f"{draw(st.sampled_from(_decimals(cpu)))}", (machine_id, offset), None)
         for machine_id, offset, cpu in rows
     ]
-    outcome = None
-    if bad and draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 3)) if bad else 0):
         at = draw(st.integers(0, len(lines)))
-        if at and draw(st.booleans()):
-            machine_id, offset, _ = rows[draw(st.integers(0, at - 1))]
-            line = f"{machine_id},{draw(st.sampled_from(_integers(offset)))},{draw(_CPUS)!r}"
-            error, reason = DuplicateSampleError, (
-                f"duplicate sample for machine {machine_id!r} at offset {offset}"
-            )
+        earlier = [key for _, key, _ in lines[:at] if key is not None]
+        kind = draw(st.sampled_from(["repeat", "negative-repeat", "own"]))
+        if earlier and kind != "own":
+            key = machine_id, offset = draw(st.sampled_from(earlier))
+            cpu, fault = f"{draw(_CPUS)!r}", None
+            if kind == "negative-repeat":
+                cpu, fault = "-0.5", (NegativeCpuSecondsError, "cpu_seconds must be >= 0, got -0.5")
+            line = f"{machine_id},{draw(st.sampled_from(_integers(offset)))},{cpu}", key, fault
         else:
-            line, error, reason = draw(st.sampled_from(_BAD_ROWS))
+            text, error, reason = draw(st.sampled_from(_BAD_ROWS))
+            line = text, None, (error, reason)
         lines.insert(at, line)
-        outcome = error, f"line {at + 2}: {reason}"
-    terminated = not (lines and lines[-1] and draw(st.booleans()))
-    body = "\n".join(lines) + ("\n" if lines and terminated else "")
+    outcome, seen = None, set()
+    for line_no, (_, key, fault) in enumerate(lines, start=2):
+        if fault is None and key in seen:
+            machine_id, offset = key
+            reason = f"duplicate sample for machine {machine_id!r} at offset {offset}"
+            fault = DuplicateSampleError, reason
+        if fault is not None:
+            outcome = fault[0], f"line {line_no}: {fault[1]}"
+            break
+        seen.add(key)
+    texts = [text for text, _, _ in lines]
+    terminated = not (texts and texts[-1] and draw(st.booleans()))
+    body = "\n".join(texts) + ("\n" if texts and terminated else "")
     return body, outcome or _parsed(rows, terminated)
 
 
 @given(_bodies(), st.integers(1, 64))
-def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
-    # The parse gives the drawn rows or names the bad line.  The columnar
-    # pass declines exactly the bodies in which the row loop finds a bad
-    # row.  A small chunk size puts chunk boundaries inside these bodies.
+def test_the_columnar_pass_names_the_first_bad_row(body_and_outcome, chunk_chars):
+    # The parse gives the drawn rows or names the first bad line, which
+    # is the row the columnar pass returns.  A small chunk size puts chunk
+    # boundaries inside these bodies.
     body, outcome = body_and_outcome
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
         assert _outcome(HEADER + body) == outcome
-        declined = ingest._columns((HEADER + body).encode()) is None
-    assert declined == isinstance(outcome[0], type)
-    if not declined:
-        with pytest.raises(AssertionError, match="has a bad row$"):
-            ingest._raise_first_bad_row(HEADER + body)
+        found = ingest._columns((HEADER + body).encode())
+    assert isinstance(found, int) == isinstance(outcome[0], type)
+    assert not isinstance(found, int) or outcome[1].startswith(f"line {found + 2}: ")
 
 
 @pytest.mark.parametrize(
@@ -313,8 +329,8 @@ def test_fast_path_agrees_with_the_row_loop(body_and_outcome, chunk_chars):
     ],
     ids=["malformed", "infinite-cpu", "duplicate", "crlf", "empty-line", "4300-digit-offset"],
 )
-def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
-    assert ingest._columns((HEADER + body).encode()) is None
+def test_each_decline_trigger_names_its_line(body, error, message):
+    assert message.startswith(f"line {ingest._columns((HEADER + body).encode()) + 2}: ")
     assert _outcome(HEADER + body) == (error, message)
 
 
@@ -335,7 +351,7 @@ def test_each_fallback_trigger_reaches_the_row_loop(body, error, message):
          "negative-zero-offset", "negative-zero-cpu", "19-digit-offset"],
 )
 def test_good_bodies_take_the_fast_path(body, expected, warnings):
-    assert ingest._columns((HEADER + body).encode()) is not None
+    assert not isinstance(ingest._columns((HEADER + body).encode()), int)
     assert _outcome(HEADER + body) == (repr(expected), warnings)
 
 
@@ -428,13 +444,11 @@ def test_offsets_come_out_sorted_per_machine():
     assert [t.offsets.tolist() for t in traces] == [[2, 3, 4], [0, 2]]
 
 
-def test_many_chunks_agree_with_the_row_loop():
+def test_many_chunks_give_the_drawn_rows():
     rows = [(f"m{i % 7}", i // 7, i * 0.37 % 4) for i in range(40_000)]
     text = HEADER + "".join(f"{m},{o},{c!r}\n" for m, o, c in reversed(rows))
     assert len(text) > 3 * ingest._CHUNK_CHARS
     assert _outcome(text) == _parsed(rows)
-    with pytest.raises(AssertionError, match="has a bad row$"):
-        ingest._raise_first_bad_row(text)
 
 
 @pytest.mark.parametrize("machines", [255, 256, 257, 65_535, 65_536, 65_537])
@@ -582,7 +596,7 @@ def test_each_fallback_trigger_in_each_part_names_its_line(trigger, where, no_ch
     outcome = _split_outcome(data, part_chars)
     assert outcome == _serial_outcome(data) == _split_outcome(data.decode(), part_chars)
     assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
-    # The columnar pass runs once, from either stream, before the line loop.
+    # The columnar pass runs once, from either stream, and finds the line.
     assert _forks(data, part_chars) == _forks(data.decode(), part_chars) == 1
 
 
@@ -593,6 +607,59 @@ def test_a_pair_repeated_across_parts_is_a_duplicate(no_child_left):
     assert _split_outcome(data, 64) == (
         DuplicateSampleError, "line 43: duplicate sample for machine 'a' at offset 5"
     )
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        # A repeat in the first part, and a grammar error in the last.
+        ({5: "g0,000000,0.7", 38: "g1,x,0.5"}, DuplicateSampleError,
+         "line 7: duplicate sample for machine 'g0' at offset 0"),
+        # A row that repeats a key and is negative is named as negative,
+        # before a later repeat and a row of four fields.
+        ({20: "g0,000003,-0.5", 30: "g0,000003,0.7", 38: "g0,0,0.5,1"}, NegativeCpuSecondsError,
+         "line 22: cpu_seconds must be >= 0, got -0.5"),
+        # A grammar error, on a line whose offset is also negative, before
+        # a repeat in a later part.
+        ({24: "g1,000001,0.5", 12: "g1,-1,abc"}, MalformedRowError,
+         "line 14: cpu_seconds must be a number, got 'abc'"),
+    ],
+    ids=["repeat-then-malformed", "negative-repeat-then-more", "malformed-before-a-repeat"],
+)
+def test_the_first_of_several_bad_rows_is_named(bad, error, message, cores, no_child_left):
+    lines = [_GOOD_ROW.format(i % 3, i) for i in range(40)]
+    for at, line in sorted(bad.items()):
+        lines.insert(at, line + "\n")
+    data = (HEADER + "".join(lines)).encode()
+    assert len(_parts(data, 64, cores)) == cores
+    assert _split_outcome(data, 64, cores) == (error, message)
+    assert _split_outcome(data.decode(), 64, cores) == (error, message)
+
+
+class _Counted:
+    """A compiled pattern that counts the uses of its methods."""
+
+    def __init__(self, pattern):
+        self.pattern, self.uses = pattern, 0
+
+    def __getattr__(self, name):
+        self.uses += 1
+        return getattr(self.pattern, name)
+
+
+@pytest.mark.parametrize(
+    "last", ["m3,1428,0.5", "m3,99999,-0.5", "m3,99999,0.5,1"],
+    ids=["duplicate", "negative", "four-fields"],
+)
+def test_a_declined_trace_checks_one_row_by_itself(last):
+    # The columnar pass finds the bad row; only that row's fields are
+    # then checked one by one, not every row before it.
+    data = _long_body(10_000) + last.encode() + b"\n"
+    with mock.patch.object(ingest, "_MACHINE_ID_RE", _Counted(ingest._MACHINE_ID_RE)) as ids:
+        with pytest.raises(CyclecastError, match="^line 10002: "):
+            parse_trace_csv(io.BytesIO(data))
+    assert ids.uses <= 1
 
 
 @pytest.mark.parametrize("cores", [2, 4])
