@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -122,23 +123,6 @@ def _fmt_opt(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-class _ReadOnce:
-    """A binary stream whose one read() hands the bytes over.
-
-    The reader then holds the only reference but for that of a _Digest
-    hashing the same bytes, which drops it when the hash is done.  The
-    trace parser parses those bytes as they are, with no decoded copy,
-    and frees them when it returns.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-
-    def read(self) -> bytes:
-        data, self._data = self._data, b""
-        return data
-
-
 class _Digest(threading.Thread):
     """The default run id of some bytes, the first 12 hex digits of their
     SHA-256, computed on a second thread that starts at once.
@@ -173,13 +157,12 @@ class _Digest(threading.Thread):
 def _cmd_ingest(args: argparse.Namespace) -> int:
     data = Path(args.traces).read_bytes()
     digest = None if args.run_id is not None else _Digest(data)
-    stream = _ReadOnce(data)
-    del data
-    try:
-        traces, warnings_found = parse_trace_csv(stream, gap_threshold=args.gap_threshold)
+    try:  # a whole BytesIO's one read() returns data itself, so the parse copies nothing
+        traces, warnings_found = parse_trace_csv(io.BytesIO(data), gap_threshold=args.gap_threshold)
     finally:  # so no thread outlives the command, whatever the parse raised
         if digest is not None:
             digest.join()
+    del data
     run_id = args.run_id if digest is None else digest.result()
     for warning in warnings_found:
         scope = f" machine={warning.machine_id}" if warning.machine_id else ""

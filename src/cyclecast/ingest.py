@@ -55,18 +55,19 @@ _CHUNK_CHARS count bytes.
 A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
 into parts of at least _PART_CHARS each, and each part is checked
 against the grammar and converted alone, on every core, by the
-protocol of the _forked module.  A child writes its part's rows down a
-pipe, which the parser reads straight into the body's columns.  The
-sort and the checks on whole columns then run once, so a key repeated
-across parts is found as one repeated within a part is.  The sort codes
-each machine by the rank of its id in the narrowest unsigned dtype that
-holds the ranks, which numpy sorts by radix.  The pass declines a body that
-does not match, or whose columns fail a check the grammar cannot make: a
-value past int64 or below zero, a number that overflows to infinity, a
-repeated key, a cluster with no entries.  The trace pass also finds the
-first bad row of a body it declines, whose fields alone are then
-checked one by one to raise its typed error.  A declined cluster spec
-goes to a line loop that names its first bad line.
+protocol of the _forked module.  A child writes its part's rows, up to
+its first bad one, down a pipe, which the parser reads straight into
+the body's columns.  The sort and the checks on whole columns then run
+once, so a key repeated across parts is found as one repeated within a
+part is.  The sort codes each machine by the rank of its id in the
+narrowest unsigned dtype that holds the ranks, which numpy sorts by
+radix.  The pass declines a body that does not match, or whose columns
+fail a check the grammar cannot make: a value past int64 or below zero,
+a number that overflows to infinity, a repeated key, a cluster with no
+entries.  The pass that declines a body also finds its first bad line:
+where the grammar's match ends, or the first row or entry the checks on
+the columns find.  Only that line's fields are then checked one by one,
+to raise its typed error.
 
 Encoding
 --------
@@ -102,7 +103,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, NoReturn, Sequence, TextIO
+from typing import BinaryIO, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -413,36 +414,34 @@ def _convert(
 
 def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
     """Convert a part, rows first to stop, in a child and write the
-    result: the machine count and the size of their ids, as two int64;
-    the ids, joined by LF; their codes; then the part's rows of the three
-    columns, each as its raw bytes.  Raises ValueError, so that the child
-    exits 1, if the part holds a bad row."""
+    result: the machine count, the size of their ids and the count of
+    rows converted, as three int64; the ids, joined by LF; their codes;
+    then the converted rows of the three columns, each as its raw bytes."""
     columns = _empty(stop - first)
     index, converted = _convert(data, start, end, first, columns)
-    if converted < stop - first:
-        raise ValueError("the part holds a bad row")
     ids = b"\n".join(index)
-    pipe.write(np.array([len(index), len(ids)], np.int64))
+    pipe.write(np.array([len(index), len(ids), converted], np.int64))
     pipe.write(ids)
-    for buffer in (np.fromiter(index.values(), np.intp, len(index)), *columns):
-        pipe.write(buffer)
+    pipe.write(np.fromiter(index.values(), np.intp, len(index)))
+    for column in columns:
+        pipe.write(column[:converted])
 
 
 def _received(pipe: BinaryIO, columns: _Rows) -> tuple[dict[bytes, int], int] | None:
     """What _send wrote to pipe, its rows read straight into columns: the
-    part's machine codes and row count, or None if the result is short."""
-    head = np.empty(2, np.int64)
+    part's machine codes and rows converted, or None if the result is short."""
+    head = np.empty(3, np.int64)
     if pipe.readinto(head) != head.nbytes:
         return None
-    machines, size = head.tolist()
+    machines, size, converted = head.tolist()
     ids = pipe.read(size)
     codes = np.empty(machines, np.intp)
-    for buffer in (codes, *columns):
+    for buffer in (codes, *(column[:converted] for column in columns)):
         if pipe.readinto(buffer) != buffer.nbytes:
             return None
     if len(ids) != size:
         return None
-    return dict(zip(ids.split(b"\n"), codes.tolist())), len(columns[0])
+    return dict(zip(ids.split(b"\n"), codes.tolist())), converted
 
 
 def _raise_bad_row(text: str, row: int) -> NoReturn:
@@ -495,75 +494,73 @@ def write_trace_csv(traces: TraceSet, stream: TextIO) -> None:
 def parse_cluster_spec(stream: TextIO | BinaryIO) -> ClusterSpec:
     """Parse a cluster spec stream; entries keep their file order."""
     text = _decoded(stream.read(), _entry_error)
-    return _cluster(text) or _raise_first_bad_entry(text)
+    cluster = _cluster(text)
+    return cluster if isinstance(cluster, ClusterSpec) else _raise_bad_entry(text, *cluster)
 
 
 def _entry_error(line_no: int, reason: str) -> MalformedEntryError:
     return MalformedEntryError(f"line {line_no}: {reason}")
 
 
-def _cluster(text: str) -> ClusterSpec | None:
-    """The cluster of a spec, or None if it has a bad entry or none.
+def _cluster(text: str) -> ClusterSpec | tuple[int, list[str]]:
+    """The cluster of a spec, or else the number of its first bad line,
+    from 1 (0 if it has no entries), and the ids of the entries before it.
 
     The grammar vouches for the ids and the spelling of every number.
     The columns go to ClusterSpec whole, which checks clock_hz finite and
-    > 0, cores in [1, 2**63) and the ids unique.
+    > 0, cores in [1, 2**63) and the ids unique.  Only if the match stops
+    short or ClusterSpec refuses are the entries before the line the
+    match ends in put to those checks as columns: the first bad line is
+    the first entry that fails one, or else the line the match ends in.
     """
-    if _SPEC.fullmatch(text) is None:
-        return None
-    fields = re.sub("#[^\n]*", "", text).split()
-    if not fields:
-        return None
-    clocks = np.array(fields[1::3], dtype=np.float64)
-    try:  # cores past int64, or columns ClusterSpec refuses
-        cores = np.array(fields[2::3], dtype=np.int64)
-        return ClusterSpec(fields[0::3], clocks, cores)
-    except (OverflowError, ValueError):
-        return None
+    matched = _SPEC.match(text).end()
+    body = text if matched == len(text) else text[: text.rfind("\n", 0, matched) + 1]
+    body = re.sub("#[^\n]*", "", body)
+    fields = body.split()
+    ids, clocks = fields[0::3], np.array(fields[1::3], dtype=np.float64)
+    if fields and matched == len(text):
+        try:  # cores past int64, or columns ClusterSpec refuses
+            return ClusterSpec(ids, clocks, np.array(fields[2::3], dtype=np.int64))
+        except (OverflowError, ValueError):
+            pass
+    cores = np.array(fields[2::3], dtype=np.float64)
+    # float() rounds a count just below 2**63 up to it: int() tells those apart.
+    edge = np.flatnonzero(cores == 2**63).tolist()
+    cores[edge] = [1 if int(fields[3 * i + 2]) < 2**63 else 2**63 for i in edge]
+    # An entry is bad if ClusterSpec refuses a value of it, or if its id is an earlier entry's.
+    firsts = np.fromiter(map({}.setdefault, ids, itertools.count()), np.intp, len(ids))
+    bad = (clocks <= 0) | (clocks == math.inf) | (cores < 1) | (cores >= 2**63)
+    entry = int(np.flatnonzero(bad | (firsts != np.arange(len(ids)))).min(initial=len(ids)))
+    lines = [line_no for line_no, line in enumerate(body.split("\n"), 1) if line.strip()]
+    lines.append(body.count("\n") + 1 if matched < len(text) else 0)
+    return lines[entry], ids[:entry]
 
 
-def _entries(text: str, names: str, error: _Error, commas: bool = False) -> Iterator[tuple]:
-    """(line number, line, fields) of each entry line of text.
-
-    '#' starts a comment and blank lines are skipped.  Fields are split at
-    whitespace, or at _PAIR_SEPARATOR if commas; a line without one field
-    per word of names is error(line number, reason).
-    """
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            fields = _PAIR_SEPARATOR.split(line) if commas else line.split()
-            if len(fields) != len(names.split()):
-                raise error(line_no, f"expected {names!r}, got {raw!r}")
-            yield line_no, raw, fields
-
-
-def _raise_first_bad_entry(text: str) -> NoReturn:
-    """Raise the typed error of the first bad line of a cluster spec that
-    _cluster declines, naming it."""
-    seen: set[str] = set()
-    for line_no, _, parts in _entries(text, "machine_id clock_hz cores", _entry_error):
-        machine_id, clock_text, cores_text = parts
-        if not _MACHINE_ID_RE.fullmatch(machine_id):
-            raise _entry_error(line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+")
-        if machine_id in seen:
-            raise DuplicateMachineIdError(
-                f"line {line_no}: duplicate machine_id {machine_id!r}"
-            )
-        if not _DECIMAL_RE.fullmatch(clock_text):
-            raise _entry_error(line_no, f"clock_hz must be a number, got {clock_text!r}")
-        clock_hz = float(clock_text)
-        if not math.isfinite(clock_hz):
-            raise _entry_error(line_no, "clock_hz must be finite")
-        if clock_hz <= 0:
-            raise NonPositiveClockError(
-                f"line {line_no}: clock_hz must be > 0, got {clock_text}"
-            )
-        _count("cores", cores_text, _entry_error, line_no)
-        seen.add(machine_id)
-    if not seen:
+def _raise_bad_entry(text: str, line_no: int, earlier_ids: list[str]) -> NoReturn:
+    """Raise the typed error of line line_no of a cluster spec, which
+    _cluster found to be its first bad line, after the entries with ids
+    earlier_ids; a line_no of 0 means the spec has no entries.  A line
+    with several faults is reported by the first check it fails."""
+    if not line_no:
         raise MalformedEntryError("cluster spec has no machine entries")
-    raise AssertionError("a cluster spec that _cluster declines has a bad entry")
+    line = text.split("\n", line_no)[line_no - 1]
+    fields = line.split("#", 1)[0].split()
+    if len(fields) != 3:
+        raise _entry_error(line_no, f"expected 'machine_id clock_hz cores', got {line!r}")
+    machine_id, clock_text, cores_text = fields
+    if not _MACHINE_ID_RE.fullmatch(machine_id):
+        raise _entry_error(line_no, f"machine_id {machine_id!r} must match [A-Za-z0-9_-]+")
+    if machine_id in earlier_ids:
+        raise DuplicateMachineIdError(f"line {line_no}: duplicate machine_id {machine_id!r}")
+    if not _DECIMAL_RE.fullmatch(clock_text):
+        raise _entry_error(line_no, f"clock_hz must be a number, got {clock_text!r}")
+    clock_hz = float(clock_text)
+    if not math.isfinite(clock_hz):
+        raise _entry_error(line_no, "clock_hz must be finite")
+    if clock_hz <= 0:
+        raise NonPositiveClockError(f"line {line_no}: clock_hz must be > 0, got {clock_text}")
+    _count("cores", cores_text, _entry_error, line_no)
+    raise AssertionError(f"line {line_no} of a declined cluster spec passes every check")
 
 
 def read_holdout_list(path: str | Path) -> set[tuple[int, int]]:
@@ -575,8 +572,14 @@ def read_holdout_list(path: str | Path) -> set[tuple[int, int]]:
 
     pairs: set[tuple[int, int]] = set()
     text = _decoded(Path(path).read_bytes(), error)
-    entries = _entries(text, "mappers reducers", error, commas=True)
-    for line_no, raw, (mappers, reducers) in entries:
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = _PAIR_SEPARATOR.split(line)
+        if len(fields) != 2:
+            raise error(line_no, f"expected 'mappers reducers', got {raw!r}")
+        mappers, reducers = fields
         if not (_INTEGER_RE.fullmatch(mappers) and _INTEGER_RE.fullmatch(reducers)):
             raise error(line_no, f"expected integers, got {raw!r}")
         pairs.add((

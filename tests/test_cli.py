@@ -136,6 +136,31 @@ class TestIngest:
         assert main(["ingest"] + _ingest_args(tmp_path) + ["--run-id", "exp-007"]) == 0
         assert load_runs(tmp_path / "runs.jsonl").run_ids == ("exp-007",)
 
+    def test_the_parser_reads_the_very_bytes_read_from_the_trace_file(
+        self, tmp_path, monkeypatch
+    ):
+        # No copy of the trace is made between reading the file and the parse.
+        (tmp_path / "trace.csv").write_text(_long_trace_csv(0))
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
+        read_bytes, parse, loaded, handed = Path.read_bytes, cli.parse_trace_csv, [], []
+
+        def recorded_read_bytes(path):
+            loaded.append(read_bytes(path))
+            return loaded[-1]
+
+        class Recorded:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def read(self):
+                handed.append(self.stream.read())
+                return handed[-1]
+
+        monkeypatch.setattr(Path, "read_bytes", recorded_read_bytes)
+        monkeypatch.setattr(cli, "parse_trace_csv", lambda stream, **kw: parse(Recorded(stream), **kw))
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 0
+        assert len(loaded) == len(handed) == 1 and handed[0] is loaded[0]
+
     def test_explicit_run_id(self, tmp_path):
         (tmp_path / "trace.csv").write_text(TRACE_CSV)
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)

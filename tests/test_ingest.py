@@ -781,6 +781,30 @@ def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
     assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
 
 
+@pytest.mark.parametrize("share", [0.75, 1.0], ids=["three-quarters-in", "last-line"])
+@pytest.mark.parametrize("bad", ["m3,99999,0.5,1", "m3,x,0.5", f"m3,{2**63},0.5"],
+                         ids=["four-fields", "malformed-offset", "offset-past-int64"])
+def test_a_bad_row_in_a_childs_part_is_converted_once(bad, share, no_child_left):
+    # The child of part 2 of 2 sends the rows before the bad one and
+    # their count; the parent converts only part 1 and names the row as
+    # the 1-core parse does.
+    lines = _long_body().splitlines(keepends=True)
+    lines.insert(int(share * len(lines)), bad.encode() + b"\n")
+    data = b"".join(lines)
+    assert bad.encode() in _parts(data, 1024, 2)[1]
+    convert, starts = ingest._convert, []
+
+    def counted(data, start, *args):
+        starts.append(start)
+        return convert(data, start, *args)
+
+    with mock.patch.object(ingest, "_convert", counted):
+        outcome = _split_outcome(data, 1024, 2)
+    assert starts == [len(HEADER)]
+    assert outcome == _split_outcome(data, 1024, 1)
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], CyclecastError)
+
+
 _PRINT_THEN_PARSE = """
 import io, os, sys
 from cyclecast import ingest
@@ -998,37 +1022,41 @@ def _specs(draw, bad=True):
     any way the grammar allows: any whitespace between and around the
     fields, trailing comments, comment and blank lines between entries,
     CR before LF, no final newline, numbers with leading zeros or
-    exponents.  If bad, one bad entry of a drawn kind, or one repeating
-    an earlier id, may go in at a known line.
+    exponents.  If bad, up to three bad lines go in at drawn lines, each
+    of a drawn kind or repeating an earlier id, its clock maybe
+    misspelled too; the first of them names the outcome.
     """
     ids = draw(st.lists(_SPEC_IDS, max_size=6, unique=True))
     entries = [(machine_id, draw(_CLOCKS), draw(_CORES)) for machine_id in ids]
-    lines, at_line = [], {}
+    lines = []  # (line, the id of its entry or None, its error and reason or None)
     for machine_id, clock, cores in entries:
-        lines += draw(st.lists(_ODD_LINES, max_size=2))
+        lines += [(odd, None, None) for odd in draw(st.lists(_ODD_LINES, max_size=2))]
         fields = [machine_id, draw(st.sampled_from(_decimals(clock))),
                   draw(st.sampled_from([str(cores), f"0{cores}"]))]
         spaces = [draw(_EDGES), draw(_SPACES), draw(_SPACES)]
-        at_line[machine_id] = len(lines)
-        lines.append(
-            "".join(s + f for s, f in zip(spaces, fields)) + draw(_EDGES) + draw(_COMMENTS | _EDGES)
-        )
-    lines += draw(st.lists(_ODD_LINES, max_size=2))
-    outcome = _columns_of(entries) if entries else (
-        MalformedEntryError, "cluster spec has no machine entries"
-    )
-    if bad and draw(st.booleans()):
+        line = "".join(s + f for s, f in zip(spaces, fields))
+        lines.append((line + draw(_EDGES) + draw(_COMMENTS | _EDGES), machine_id, None))
+    lines += [(odd, None, None) for odd in draw(st.lists(_ODD_LINES, max_size=2))]
+    for _ in range(draw(st.integers(0, 3)) if bad else 0):
         at = draw(st.integers(0, len(lines)))
-        earlier = [machine_id for machine_id in ids if at_line[machine_id] < at]
+        earlier = [machine_id for _, machine_id, _ in lines[:at] if machine_id]
         if earlier and draw(st.booleans()):
             machine_id = draw(st.sampled_from(earlier))
-            line, error = f"{machine_id} 1e9 1", DuplicateMachineIdError
-            reason = f"duplicate machine_id {machine_id!r}"
+            clock = draw(st.sampled_from(["1e9", "hz"]))
+            fault = DuplicateMachineIdError, f"duplicate machine_id {machine_id!r}"
+            lines.insert(at, (f"{machine_id} {clock} 1", None, fault))
         else:
-            line, error, reason = draw(st.sampled_from(_BAD_ENTRIES))
-        lines.insert(at, line)
+            line, *fault = draw(st.sampled_from(_BAD_ENTRIES))
+            lines.insert(at, (line, None, fault))
+    faults = [(at, fault) for at, (_, _, fault) in enumerate(lines) if fault]
+    if faults:
+        at, (error, reason) = faults[0]
         outcome = error, f"line {at + 1}: {reason}"
-    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    else:
+        outcome = _columns_of(entries) if entries else (
+            MalformedEntryError, "cluster spec has no machine entries"
+        )
+    text = "\n".join(line for line, _, _ in lines) + draw(st.sampled_from(["\n", ""]))
     return text, outcome
 
 
@@ -1040,26 +1068,20 @@ def _columns_of(entries):
 
 @given(_specs())
 @settings(max_examples=200)
-def test_cluster_fast_path_agrees_with_the_line_loop(spec):
-    # The parse gives the drawn entries or names the bad line.  The
-    # columnar pass declines exactly the specs in which the line loop
-    # finds a bad line, or no entries.
+def test_cluster_specs_parse_to_their_entries_or_first_bad_line(spec):
+    # The parse gives the drawn entries or names the first bad line.  The
+    # columnar pass builds the cluster of exactly the specs with no bad
+    # line and some entries.
     text, outcome = spec
     assert _cluster_outcome(text) == outcome
-    declined = ingest._cluster(text) is None
-    assert declined == isinstance(outcome[0], type)
-    if not declined:
-        with pytest.raises(AssertionError, match="has a bad entry$"):
-            ingest._raise_first_bad_entry(text)
+    assert isinstance(ingest._cluster(text), ClusterSpec) == (not isinstance(outcome[0], type))
 
 
-def test_large_specs_agree_with_the_line_loop():
+def test_large_specs_parse_whole_or_name_their_bad_line():
     # Past 1,000 rows numpy elides an array's repr; the columns compare whole.
     entries = [(f"m{i}", 1e9 + i * 0.5, i % 64 + 1) for i in range(3000)]
     lines = [f"{machine_id} {clock!r} {cores}\n" for machine_id, clock, cores in entries]
     assert _cluster_outcome("".join(lines)) == _columns_of(entries)
-    with pytest.raises(AssertionError, match="has a bad entry$"):
-        ingest._raise_first_bad_entry("".join(lines))
     lines[2000] = "m1500 2e9 4\n"
     outcome = _cluster_outcome("".join(lines))
     assert outcome == (DuplicateMachineIdError, "line 2001: duplicate machine_id 'm1500'")
@@ -1081,13 +1103,36 @@ def test_large_specs_agree_with_the_line_loop():
          "line 1: machine_id 'node-é' must match [A-Za-z0-9_-]+"),
         (f"node-a 3e9 4\nnode-b 3e9 {'9' * 4300}\n", MalformedEntryError,
          f"line 2: cores must be < 2**63, got {'9' * 4300}"),
+        (f"node-a 3e9 {2**63 - 1}\nnode-b 3e9 {2**63}\n", MalformedEntryError,
+         f"line 2: cores must be < 2**63, got {2**63}"),
+        ("m 1e9 1\nm hz 1\n", DuplicateMachineIdError, "line 2: duplicate machine_id 'm'"),
+        ("a 0 4\nb 3e9\n", NonPositiveClockError, "line 1: clock_hz must be > 0, got 0"),
+        ("a 3e9 4\nb 3e9 0", MalformedEntryError, "line 2: cores must be >= 1, got 0"),
     ],
     ids=["zero-clock", "clock-underflows-to-zero", "infinite-clock", "negative-clock",
-         "duplicate-id", "empty", "no-entries", "two-fields", "non-ascii-id", "4300-digit-cores"],
+         "duplicate-id", "empty", "no-entries", "two-fields", "non-ascii-id", "4300-digit-cores",
+         "cores-at-2**63-after-2**63-1", "duplicate-id-with-a-bad-clock",
+         "zero-clock-before-a-grammar-error", "bad-last-line-with-no-final-newline"],
 )
 def test_each_cluster_decline_trigger_reaches_the_line_loop(text, error, message):
-    assert ingest._cluster(text) is None
+    # The columnar pass declines each and names the line whose fields
+    # _raise_bad_entry then checks.
+    assert not isinstance(ingest._cluster(text), ClusterSpec)
     assert _cluster_outcome(text) == (error, message)
+
+
+@pytest.mark.parametrize(
+    "last", ["m17 1e9 1", "m4999 1e9 1 junk", "m4999 0 1", f"m4999 1e9 {2**63}"],
+    ids=["duplicate", "four-fields", "zero-clock", "cores-past-int64"],
+)
+def test_a_declined_spec_checks_one_line_by_itself(last):
+    # The columnar pass finds the bad line; only that line's fields are
+    # then checked one by one, not every line before it.
+    text = "".join(f"m{i} 2e9 4\n" for i in range(4999)) + last + "\n"
+    with mock.patch.object(ingest, "_MACHINE_ID_RE", _Counted(ingest._MACHINE_ID_RE)) as ids:
+        with pytest.raises(CyclecastError, match="^line 5000: "):
+            parse_cluster_spec(io.StringIO(text))
+    assert ids.uses <= 1
 
 
 @pytest.mark.parametrize(
@@ -1107,7 +1152,7 @@ def test_each_cluster_decline_trigger_reaches_the_line_loop(text, error, message
          "leading-zero-cores", "19-digit-cores", "blank-line", "indented-comment"],
 )
 def test_spec_spellings_take_the_cluster_fast_path(text, cores):
-    assert ingest._cluster(text) is not None
+    assert isinstance(ingest._cluster(text), ClusterSpec)
     assert _cluster_outcome(text) == (("node-a",), [3e9], [cores])
 
 
