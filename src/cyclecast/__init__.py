@@ -2,8 +2,8 @@
 
 The pipeline: per-machine CPU-second traces are accounted into total
 clock cycles (core, ingest), repeated runs are averaged and fitted with a
-quadratic surface over (mappers, reducers) (regression), CostModel.predict
-carries it across input sizes (scaling) and metrics scores it.
+quadratic surface over (mappers, reducers) and a line over input sizes
+(regression), which CostModel.predict combines, and metrics scores it.
 synth generates seeded synthetic workloads for validation, store persists
 runs and models, cli ties it together.
 """
@@ -41,13 +41,14 @@ from .metrics import (
 )
 from .regression import (
     CostModel,
+    DegenerateInputError,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
+    NonPositiveReferenceError,
     RankDeficientError,
     fit_least_squares,
 )
-from .scaling import DegenerateInputError, NonPositiveReferenceError
 from .store import (
     CorruptRecordError,
     IoFailureError,

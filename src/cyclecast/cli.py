@@ -47,8 +47,7 @@ import numpy as np
 from .core import CyclecastError, RunTable, aggregate_repetitions, check_text, total_cpu_cycles
 from .ingest import parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list
 from .metrics import evaluate
-from .regression import fit_least_squares
-from .scaling import DegenerateInputError
+from .regression import DegenerateInputError, fit_least_squares
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, write_traces
 

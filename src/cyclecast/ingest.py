@@ -103,7 +103,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, NoReturn, Sequence, TextIO
+from typing import BinaryIO, NoReturn, TextIO
 
 import numpy as np
 
@@ -215,11 +215,10 @@ def parse_trace_csv(
     # Any other stream, or one it declines, is decoded (a byte that is not
     # UTF-8 raising first) to check its header or its first bad row.
     header = TRACE_HEADER.encode("ascii")
-    columns = _columns(data) if data[: len(header) + 1] in (header, header + b"\n") else 0
-    if isinstance(columns, int):
-        _raise_bad_row(_decoded(text, MalformedRowError), columns)
+    traces = _columns(data) if data[: len(header) + 1] in (header, header + b"\n") else 0
+    if isinstance(traces, int):
+        _raise_bad_row(_decoded(text, MalformedRowError), traces)
 
-    traces = TraceSet(*columns)
     warnings: list[IngestWarning] = []
     if len(data) > len(header) and not data.endswith(b"\n"):
         detail = "last line has no trailing newline; the final row may be truncated"
@@ -262,30 +261,29 @@ def _count(name: str, text: str, error: _Error, line_no: int, least: int = 1) ->
     return value
 
 
-_Columns = tuple[list[str], Sequence[int], Sequence[int], Sequence[float]]
 # A part's codes, offsets and samples.  A row's code is the row number its
 # machine was first seen on in the part.
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _columns(data: bytes) -> _Columns | int:
-    """The sorted TraceSet columns of a trace body, or the number of its
-    first bad row, counted from 0.
+def _columns(data: bytes) -> TraceSet | int:
+    """The TraceSet of a trace body, or the number of its first bad row,
+    counted from 0.
 
     data is a whole trace stream, as bytes, whose header has been checked.
     The body is cut into parts (_cuts), each converted into its rows of
     the columns by _convert, here or in a forked child (_send), up to
     the first row that does not match the grammar or has an offset past
-    int64.  The columns then find the first negative offset or
-    cpu_seconds or infinite cpu_seconds and, once sorted, the first
-    repeated (machine_id, offset_s) pair, whichever parts its rows are
-    in.  Only the distinct machine ids are decoded, as ASCII, which sorts
-    them as their bytes sort.  The columns come back read-only, so that
-    TraceSet keeps them without a copy.
+    int64.  TraceSet alone checks the sorted columns, which it keeps,
+    read-only, without a copy.  Only if the conversion stopped short or
+    TraceSet refuses do the columns find the first negative offset or
+    cpu_seconds, infinite cpu_seconds or repeated (machine_id, offset_s)
+    pair, whichever parts its rows are in.  Only the distinct machine ids
+    are decoded, as ASCII, which sorts them as their bytes sort.
     """
     start, end = len(TRACE_HEADER) + 1, len(data)
     if start >= end:
-        return [], [], [], []
+        return TraceSet((), [], [], [])
     cuts = _cuts(data, start, end)
     octets = np.frombuffer(data, np.uint8)
 
@@ -314,9 +312,6 @@ def _columns(data: bytes) -> _Columns | int:
     # A slice keeps its whole column alive: so that the sort frees each
     # unsorted column as it goes, no view of one may outlive this loop.
     del view
-    bad = rows  # the first bad row found: row_cuts[-1], past the body, if none is
-    if rows and (offsets.min() < 0 or samples.min() < 0 or samples.max() == math.inf):
-        bad = int(np.argmax((offsets < 0) | (samples < 0) | (samples == math.inf)))
 
     # A machine seen in several parts has a code in each.  The first part
     # that sees it gives its code; a later part's code is an alias of it.
@@ -339,14 +334,19 @@ def _columns(data: bytes) -> _Columns | int:
     codes = codes[order]
     offsets = offsets[order]
     samples = samples[order]
-    if bad < row_cuts[-1] or np.any((codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])):
-        # The sort is stable: of two rows with one key, the later is second.
-        repeats = order[1:][(codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])]
-        return int(repeats.min(initial=bad))
-    ends = np.cumsum(np.bincount(codes))
-    for column in (ends, offsets, samples):
-        column.setflags(write=False)
-    return [name.decode("ascii") for name in names], ends, offsets, samples
+    if rows == row_cuts[-1]:
+        ends = np.cumsum(np.bincount(codes))
+        for column in (ends, offsets, samples):
+            column.setflags(write=False)
+        try:
+            return TraceSet([name.decode("ascii") for name in names], ends, offsets, samples)
+        except ValueError:
+            pass
+    # order maps a sorted row to its row in the body.  The sort is stable:
+    # of two rows with one key, the later is second.
+    repeats = order[1:][(codes[1:] == codes[:-1]) & (offsets[1:] == offsets[:-1])]
+    values = order[(offsets < 0) | (samples < 0) | (samples == math.inf)]
+    return int(min(repeats.min(initial=rows), values.min(initial=rows)))
 
 
 def _cuts(data: bytes, start: int, end: int) -> list[int]:

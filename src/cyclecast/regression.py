@@ -11,13 +11,22 @@ which keeps the solve well conditioned even though M^2 and R^2 dwarf the
 constant column.  The fit returns a CostModel: the coefficients, a
 condition estimate (ratio of extreme singular values of the scaled
 design matrix), the training residual norm and the input size the
-profiles shared.  CostModel.with_size_line adds the line that carries
-predictions to other sizes (the math is in scaling).
+profiles shared.
 
-CostModel.predict is the one prediction; the steps behind it (predict,
-build_design_matrix, scaling's functions) are not exported.  The first two
-take (M, R) as two ints or two equal-shaped integer arrays under core's
-count rule, so a whole grid is one call.
+Total cycles grow close to linearly with input bytes for the workloads
+this package targets.  CostModel.with_size_line fits the line
+cycles = slope * bytes + intercept across sizes, and CostModel.predict
+carries a prediction at ref_input_bytes to a target size by its ratio:
+
+    scaled = base * line(target_bytes) / line(ref_bytes)
+
+So scaling to the reference size itself is exactly the identity, and
+chaining scalings agrees with scaling directly up to rounding.
+
+CostModel.predict is the one prediction.  The steps behind it (predict,
+build_design_matrix, fit_scaling, scale_prediction) are not exported and
+take what CostModel has checked; the first two take (M, R) as two ints or
+two equal-shaped integer arrays under core's count rule.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -41,7 +51,6 @@ from .core import (
     _reals,
     check_text,
 )
-from .scaling import NonPositiveReferenceError, fit_scaling, scale_prediction
 
 BASIS_TAG = "quad-mr-v1"
 N_COEFFS = 5
@@ -63,6 +72,14 @@ class RankDeficientError(CyclecastError):
 
 class IllConditionedError(CyclecastError):
     """The scaled design matrix's condition estimate exceeds the limit."""
+
+
+class DegenerateInputError(CyclecastError):
+    """Fitting a line needs at least two distinct input sizes."""
+
+
+class NonPositiveReferenceError(CyclecastError):
+    """The fitted line is not positive at the reference size."""
 
 
 @dataclass(frozen=True)
@@ -239,4 +256,47 @@ def predict(
         value,
         lambda i: f"surface predicts {value.flat[i]:.6g} cycles at "
         f"(mappers={m_in.flat[i]}, reducers={r_in.flat[i]})",
+    )
+
+
+def fit_scaling(points: Sequence[tuple[int, float]]) -> tuple[float, float]:
+    """(slope, intercept) of cycles = slope * bytes + intercept, fitted over
+    (input_bytes, cycles) points held to a ProfileTable's rules on a design
+    whose scaled size column keeps gigabytes well conditioned.  Needs two
+    sizes float64 tells apart."""
+    sizes = [size for size, _ in points]
+    cycles = [c for _, c in points]
+    size_scale = float(max(sizes, default=1))
+    design = np.column_stack([np.array(sizes) / size_scale, np.ones(len(sizes))])
+    (scaled_slope, intercept), _, rank, _ = np.linalg.lstsq(design, cycles, rcond=None)
+    if rank < 2:
+        raise DegenerateInputError(
+            f"need >= 2 input sizes that float64 tells apart, got {sorted(set(sizes))}"
+        )
+    return float(scaled_slope) / size_scale, float(intercept)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _clamp_negative reports an overflow
+def scale_prediction(
+    base_cycles: ArrayLike, model: CostModel, target_bytes: ArrayLike
+) -> float | np.ndarray:
+    """Carry surface values base_cycles at model.ref_input_bytes along
+    model.line to sizes target_bytes that CostModel.predict has checked: a
+    float for scalars, an array for arrays.  The reference size returns
+    base_cycles unchanged, exactly.  A negative result (the line crosses
+    zero below the target) is clamped to 0.0; one NegativePredictionWarning
+    per call names the first clamped point.
+    """
+    slope, intercept = model.line
+    ref = model.ref_input_bytes
+    base, target = np.broadcast_arrays(base_cycles, target_bytes)
+    if intercept == 0.0:
+        # Slope cancels from the ratio when the line passes through the
+        # origin; folding it out keeps the pure-proportional case exact.
+        factor = target / ref
+    else:
+        factor = (slope * target + intercept) / (slope * ref + intercept)
+    scaled = base * factor
+    return _clamp_negative(
+        scaled, lambda i: f"scaling to {target.flat[i]} bytes gives {scaled.flat[i]:.6g} cycles"
     )

@@ -25,9 +25,10 @@ from cyclecast.regression import (
     CostModel,
     build_design_matrix,
     fit_least_squares,
+    fit_scaling,
     predict,
+    scale_prediction,
 )
-from cyclecast.scaling import fit_scaling, scale_prediction
 from cyclecast.store import save_model
 from cyclecast.synth import SynthSpec, generate_profiles
 

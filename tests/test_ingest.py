@@ -369,13 +369,20 @@ def test_a_long_mantissa_parses_as_float_reads_it():
 
 @given(_bodies(bad=False))
 def test_fast_traces_equal_their_checked_rebuilds(body_and_outcome):
-    # The columnar pass's columns pass the set's checks as they are: one
-    # segment per machine, ids sorted and unique, and a set rebuilt from
-    # its own columns holds the same segments.  The set keeps the parsed
-    # arrays, which are read-only, without a copy.
+    # The columnar pass hands the set columns that pass its checks as they
+    # are: one segment per machine, ids sorted and unique, and a set
+    # rebuilt from its own columns holds the same segments.  The set keeps
+    # the parsed arrays, which are read-only, without a copy.
     body, (expected, _) = body_and_outcome
-    columns = ingest._columns((HEADER + body).encode())
-    traces = TraceSet(*columns)
+    handed = []
+
+    def capture(*columns):
+        handed.append(columns)
+        return TraceSet(*columns)
+
+    with mock.patch.object(ingest, "TraceSet", capture):
+        traces = ingest._columns((HEADER + body).encode())
+    (columns,) = handed
     arrays = traces.ends, traces.offsets, traces.samples
     assert not len(traces) or all(map(operator.is_, arrays, columns[1:]))
     assert list(traces.machine_ids) == sorted(set(traces.machine_ids))
