@@ -46,8 +46,7 @@ import numpy as np
 
 from .core import CyclecastError, RunTable, aggregate_repetitions, check_text, total_cpu_cycles
 from .ingest import parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list
-from .metrics import evaluate
-from .regression import DegenerateInputError, fit_least_squares
+from .regression import fit_least_squares
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, write_traces
 
@@ -209,20 +208,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    table = load_runs(args.runs, app=args.app)
-    columns = (table.mappers, table.reducers, table.input_bytes, table.total_cycles)
-    if args.holdout_list is not None:
-        keep = read_holdout_list(args.holdout_list)
-        pairs = zip(table.mappers.tolist(), table.reducers.tolist())
-        mask = np.fromiter((pair in keep for pair in pairs), bool, len(table))
-        columns = tuple(column[mask] for column in columns)
-    mappers, reducers, sizes, actual = columns
-    if len(actual) < 2:
-        raise DegenerateInputError(
-            f"need >= 2 runs to evaluate, got {len(actual)} after filtering"
-        )
-    predicted = model.predict(mappers, reducers, sizes)
-    report = evaluate(actual, predicted)
+    runs = load_runs(args.runs, app=args.app)
+    configs = None if args.holdout_list is None else read_holdout_list(args.holdout_list)
+    report = model.score(runs, configs)
     print(json.dumps(report.to_json_dict()))
     print(
         f"n={report.n} MAPE={report.mape:.2%} PRED(25)={report.pred25:.2%} "

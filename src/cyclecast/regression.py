@@ -27,6 +27,10 @@ CostModel.predict is the one prediction.  The steps behind it (predict,
 build_design_matrix, fit_scaling, scale_prediction) are not exported and
 take what CostModel has checked; the first two take (M, R) as two ints or
 two equal-shaped integer arrays under core's count rule.
+
+CostModel.score(runs, configs) is the one scoring: it predicts each run of
+the model's app, or each at an (M, R) pair in configs, at its own config
+and input size, and hands the predictions to metrics.evaluate.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -43,6 +47,7 @@ from .core import (
     CyclecastError,
     EmptyInputError,
     ProfileTable,
+    RunTable,
     ShapeMismatchError,
     _check_count,
     _clamp_negative,
@@ -51,6 +56,7 @@ from .core import (
     _reals,
     check_text,
 )
+from .metrics import EvaluationReport, evaluate
 
 BASIS_TAG = "quad-mr-v1"
 N_COEFFS = 5
@@ -75,7 +81,8 @@ class IllConditionedError(CyclecastError):
 
 
 class DegenerateInputError(CyclecastError):
-    """Fitting a line needs at least two distinct input sizes."""
+    """Too few points to go on: a size line needs at least two distinct
+    input sizes, and a score at least two runs."""
 
 
 class NonPositiveReferenceError(CyclecastError):
@@ -162,16 +169,41 @@ class CostModel:
         Profiles of an app other than this model's raise
         MixedApplicationsError.
         """
-        others = sorted(set(profiles.apps) - {self.app})
-        if others:
-            raise MixedApplicationsError(
-                f"profiles of {others} cannot size the model of {self.app!r}"
-            )
+        self._refuse_other_apps(profiles.apps, "profiles", "size")
         by_size: dict[int, list[float]] = {}
         for size, cycles in zip(profiles.input_bytes.tolist(), profiles.mean_cycles.tolist()):
             by_size.setdefault(size, []).append(cycles)
         points = [(size, math.fsum(v) / len(v)) for size, v in sorted(by_size.items())]
         return replace(self, line=fit_scaling(points))
+
+    def score(
+        self, runs: RunTable, configs: Container[tuple[int, int]] | None = None
+    ) -> EvaluationReport:
+        """metrics.evaluate of the runs' total cycles against this model's
+        prediction at each run's own (mappers, reducers) and input size;
+        given configs, of the runs at a pair in configs alone, in order.
+        Runs of an app other than this model's raise MixedApplicationsError,
+        fewer than two runs to score DegenerateInputError."""
+        self._refuse_other_apps(runs.apps, "runs", "score")
+        columns = (runs.mappers, runs.reducers, runs.input_bytes, runs.total_cycles)
+        if configs is not None:
+            pairs = zip(runs.mappers.tolist(), runs.reducers.tolist())
+            keep = np.fromiter((pair in configs for pair in pairs), bool, len(runs))
+            columns = tuple(column[keep] for column in columns)
+        mappers, reducers, sizes, actual = columns
+        if len(actual) < 2:
+            raise DegenerateInputError(
+                f"need >= 2 runs to evaluate, got {len(actual)} after filtering"
+            )
+        return evaluate(actual, self.predict(mappers, reducers, sizes))
+
+    def _refuse_other_apps(self, apps: Sequence[str], kind: str, use: str) -> None:
+        """MixedApplicationsError if any of apps, those of kind, is not this model's."""
+        others = sorted(set(apps) - {self.app})
+        if others:
+            raise MixedApplicationsError(
+                f"{kind} of {others} cannot {use} the model of {self.app!r}"
+            )
 
 
 def _pair(mappers: ArrayLike, reducers: ArrayLike) -> tuple[np.ndarray, np.ndarray]:

@@ -319,7 +319,7 @@ def save_model(path: str | Path, model: CostModel) -> None:
             "slope": slope, "intercept": intercept, "ref_bytes": model.ref_input_bytes
         }
     target = Path(path)
-    temp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    temp = target.with_name(f".{secrets.token_hex(8)}.tmp")
     try:
         try:
             with open(temp, "x", encoding="utf-8") as handle:

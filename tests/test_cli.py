@@ -16,8 +16,8 @@ from oracle import rows, table
 
 from cyclecast import cli, store, synth
 from cyclecast.cli import main
-from cyclecast.core import RunTable
-from cyclecast.regression import CostModel, predict
+from cyclecast.core import RunTable, aggregate_repetitions
+from cyclecast.regression import CostModel, fit_least_squares, predict
 from cyclecast.store import load_model, load_runs, save_model
 from cyclecast.synth import generate_trace
 
@@ -279,6 +279,15 @@ class TestPipeline:
         assert main(_simulate(tmp_path, seed=None)) == 1
         assert "usage error: argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_fit_writes_a_model_name_of_251_bytes(self, tmp_path, truth_file, capsys):
+        assert main(_simulate(tmp_path)) == 0
+        model = tmp_path / ("m" * 246 + ".json")
+        assert main([
+            "fit", "--runs", str(tmp_path / "runs.jsonl"), "--app", "synthetic", "--out", str(model),
+        ]) == 0
+        runs = load_runs(tmp_path / "runs.jsonl")
+        assert load_model(model) == fit_least_squares(aggregate_repetitions(runs))
 
     def test_holdout_list_filters_evaluation(self, tmp_path, truth_file, capsys):
         main(_simulate(tmp_path))
@@ -991,10 +1000,26 @@ class TestExitCodes:
         model_path = tmp_path / "model.json"
         main(["fit", "--runs", str(tmp_path / "runs.jsonl"),
               "--app", "synthetic", "--out", str(model_path)])
+        capsys.readouterr()
         assert main([
             "evaluate", "--model", str(model_path),
             "--runs", str(tmp_path / "runs.jsonl"), "--app", "absent",
         ]) == 2
+        assert capsys.readouterr() == (
+            "", "error: DegenerateInputError: need >= 2 runs to evaluate, got 0 after filtering\n"
+        )
+
+    def test_evaluate_refuses_runs_of_another_app(self, tmp_path, truth_file, capsys):
+        assert main(_simulate(tmp_path, extra=["--app", "grep"])) == 0
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--model", str(truth_file),
+            "--runs", str(tmp_path / "runs.jsonl"), "--app", "grep",
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", "error: MixedApplicationsError: runs of ['grep'] cannot score the model of "
+            "'synthetic'\n"
+        )
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "report"])
     @pytest.mark.parametrize(

@@ -36,6 +36,9 @@ CLUSTER_TXT = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
 # 2**40 cores) to a single sample for every run.
 TINY_A = (2.0e10, 1.0e8, 1.0e6, 1.0e8, 1.0e6)
 TINY_CLUSTER_TXT = "one-core 1.0e9 1\nfour-core 2.0e9 4\nhuge 3.0e9 1099511627776\n"
+# Cells of every size's grid in an order unlike the store's, in each
+# spelling the list allows, and one cell that no run holds.
+HOLDOUT_TXT = "# held out\n28 32\n\n4,8\n12 , 16\n20\t4\n36 36\n"
 # Interleaved machines, offsets out of order, decimal forms with and
 # without exponents, and no newline after the last row.
 HAND_TRACE = (
@@ -57,6 +60,7 @@ GOLDEN = {
     "scaled-model.json": "55d619985cb86014f63d9d238d047c5e7f76f5d9a3481ae5ea0c537f9d359998",
     "predict-sized.out": "a89d93f350553bd68caf9a7b9a2d6f646daded4d138d0a8a5645769a712f6415",
     "evaluate-sized.out": "1f13a5b4fcc704bc343d20d1ea6736856b3b1f0796a460102bdddbe7f997cd67",
+    "evaluate-holdout.out": "40c4fef1b6b76c40d922aec0dc46604f463ffd027de9c993a5e9ff02ebeeac60",
     "surface.tsv": "50fbc8cfd2170c743896c947e1ef9519d9a3ae0d6887ce7ddba20fe89bce1843",
     "emitted.jsonl": "b2ca411e57f86a46c16ff008c1d881dd6fe2aa23c4b0ef5384362c8b53b0c93b",
     "trace.csv": "ead48d89b6c9b8c6e77350c5c48dc9a12d2d1c05a1e3c509871fed6e8cd27794",
@@ -164,6 +168,10 @@ def outputs(tmp_path_factory):
     shutil.copyfile(model, scaled)
     _run(["scale-fit", "--runs", sizes, "--app", "synthetic", "--model", scaled])
     _run(["report", "--model", scaled, "--grid", "2:20:3", "--out", root / "report"])
+    holdout = root / "holdout.txt"
+    holdout.write_text(HOLDOUT_TXT, encoding="utf-8")
+    got["evaluate-holdout.out"] = _run(["evaluate", "--model", scaled, "--runs", sizes,
+                                        "--app", "synthetic", "--holdout-list", holdout])
 
     # Sized predictions on a literal size line, so that these digests pin
     # the sizing policy alone and not the bits of a fitted line.
@@ -210,6 +218,25 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "holdout, n", [("4 8\n", 1), ("36 36\n", 0)], ids=["one-run", "no-cell"]
+)
+def test_evaluating_fewer_than_two_runs_writes_one_error_line(tmp_path, holdout, n):
+    truth = _truth(tmp_path / "truth.json", 12)
+    runs = tmp_path / "runs.jsonl"
+    _run(["simulate", "--truth", truth, "--grid", "4:8:4", "--reps", "1", "--out", runs])
+    (tmp_path / "holdout.txt").write_text(holdout, encoding="utf-8")
+    argv = ["evaluate", "--model", truth, "--runs", runs, "--app", "synthetic",
+            "--holdout-list", tmp_path / "holdout.txt"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([str(a) for a in argv]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        f"error: DegenerateInputError: need >= 2 runs to evaluate, got {n} after filtering\n"
+    )
 
 
 @pytest.mark.parametrize("cores", [2, 3])

@@ -1,19 +1,27 @@
+import json
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import rows, solve_normal_equations, table
 
+from cyclecast import regression, store
+from cyclecast.cli import main
 from cyclecast.core import (
     CyclecastError,
     EmptyInputError,
     NegativePredictionWarning,
     ProfileTable,
+    RunTable,
     ShapeMismatchError,
 )
+from cyclecast.metrics import evaluate
 from cyclecast.regression import (
     CostModel,
+    DegenerateInputError,
     IllConditionedError,
     MixedApplicationsError,
     MixedInputSizesError,
@@ -256,3 +264,77 @@ def test_noiseless_recovery_property(truth):
     fitted = fit_least_squares(profiles)
     for got, want in zip(fitted.a, truth):
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def _runs(cells, app="bench"):
+    """One run of cycles 1e12 + i at each (mappers, reducers, input_bytes) cell, in order."""
+    return table(RunTable, [
+        (app, f"run-{i}", m, r, size, 1.0e12 + i) for i, (m, r, size) in enumerate(cells)
+    ])
+
+
+def test_score_keeps_the_runs_at_the_configs_in_table_order():
+    runs = _runs([(8, 4, 1), (4, 8, 1), (12, 12, 1), (8, 4, 1), (4, 4, 1)])
+    with mock.patch.object(regression, "evaluate", wraps=evaluate) as scored:
+        report = _model(TRUTH).score(runs, {(4, 8), (8, 4), (16, 16)})
+    (actual, predicted), _ = scored.call_args
+    assert actual.tolist() == [1.0e12, 1.0e12 + 1, 1.0e12 + 3]
+    assert predicted.tolist() == [_surface(TRUTH, m, r) for m, r in [(8, 4), (4, 8), (8, 4)]]
+    assert report.n == 3
+
+
+@pytest.mark.parametrize(
+    "cells, configs, n",
+    [([(4, 8, 1), (8, 4, 1)], {(16, 16)}, 0), ([(4, 8, 1), (8, 4, 1)], [(8, 4)], 1),
+     ([(4, 8, 1)], None, 1), ([], None, 0)],
+    ids=["no-cell", "one-cell", "one-run", "no-run"],
+)
+def test_score_needs_two_runs_to_score(cells, configs, n):
+    with pytest.raises(
+        DegenerateInputError, match=f"^need >= 2 runs to evaluate, got {n} after filtering$"
+    ):
+        _model(TRUTH).score(_runs(cells), configs)
+
+
+@pytest.mark.parametrize("configs", [None, set()], ids=["all", "none-kept"])
+def test_score_refuses_runs_of_another_app(configs):
+    runs = table(RunTable, rows(_runs([(4, 8, 1), (8, 4, 1)])) + rows(_runs([(4, 4, 1)], "grep")))
+    with pytest.raises(
+        MixedApplicationsError, match=r"^runs of \['grep'\] cannot score the model of 'bench'$"
+    ):
+        _model(TRUTH).score(runs, configs)
+
+
+def test_score_predicts_each_run_at_its_own_size_bit_for_bit():
+    model = _model(TRUTH, ref_input_bytes=2**30, line=(1.0e3 / 7.0, 1.0e11))
+    runs = _runs([(m, r, gib * 2**30) for m, r in [(4, 8), (8, 4), (12, 16)] for gib in (1, 3, 7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = model.score(runs)
+    want = evaluate(runs.total_cycles, model.predict(runs.mappers, runs.reducers, runs.input_bytes))
+    assert json.dumps(report.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert report.n == 9
+
+
+def test_score_without_a_size_line_warns_once():
+    runs = _runs([(4, 8, 1), (8, 4, 2), (12, 16, 3)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = _model(TRUTH).score(runs)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "no scaling section" in str(caught[0].message)
+    assert report == evaluate(runs.total_cycles, _model(TRUTH).predict(runs.mappers, runs.reducers))
+
+
+def test_evaluate_on_the_command_line_prints_the_score(tmp_path, capsys):
+    model = _model(TRUTH, ref_input_bytes=2**30, line=(150.0, 5.0e11))
+    runs = _runs([(m, r, gib * 2**30) for m in (4, 8, 12) for r in (4, 16) for gib in (1, 2)])
+    paths = [str(tmp_path / name) for name in ("model.json", "runs.jsonl", "holdout.txt")]
+    store.save_model(paths[0], model)
+    store.append_runs(paths[1], runs)
+    Path(paths[2]).write_text("4 16\n12 4\n")
+    argv = ["evaluate", "--model", paths[0], "--runs", paths[1], "--app", "bench"]
+    for configs, flags in [(None, []), ({(4, 16), (12, 4)}, ["--holdout-list", paths[2]])]:
+        capsys.readouterr()
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().out == json.dumps(model.score(runs, configs).to_json_dict()) + "\n"

@@ -237,6 +237,15 @@ def test_model_round_trip_with_scaling(tmp_path):
     assert load_model(path) == SIZED
 
 
+def test_a_model_name_of_251_bytes_saves_and_loads_back(tmp_path):
+    # The name of a temporary does not grow with the model's: a temporary
+    # named after it would pass the 255 bytes a file name may take.
+    path = tmp_path / ("m" * 246 + ".json")
+    save_model(path, SIZED)
+    assert load_model(path) == SIZED
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_model_document_shape(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, MODEL)
