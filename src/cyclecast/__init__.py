@@ -25,6 +25,7 @@ from .core import (
 from .ingest import (
     IngestWarning,
     WarningKind,
+    account_trace,
     parse_cluster_spec,
     parse_trace_csv,
     write_trace_csv,
@@ -90,6 +91,7 @@ __all__ = [
     "UnsupportedSchemaError",
     "WarningKind",
     "ZeroActualError",
+    "account_trace",
     "aggregate_repetitions",
     "append_runs",
     "evaluate",

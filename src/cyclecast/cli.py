@@ -18,11 +18,11 @@ Conventions
 * simulate's --seed falls back to the CYCLECAST_SEED environment
   variable (checked like the flag), then to 0, so batch jobs can pin
   determinism externally.
-* No thread or process outlives a command.  ingest hashes the trace
-  file for its default run id on a second thread while it parses, and
-  joins that thread before it returns or raises.  The trace parse and
-  simulate --emit-traces fork child processes and reap them all before
-  they return or raise (the _forked module).
+* No thread or process outlives a command.  ingest.account_trace
+  hashes the trace for its default run id on a second thread while it
+  parses, and joins that thread before it returns or raises.  The trace
+  parse and simulate --emit-traces fork child processes and reap them
+  all before they return or raise (the _forked module).
 * The argument parser is built once, when this module is imported, so
   main can be called repeatedly in one process at the cost of a parse.
   CYCLECAST_SEED is read on each call, not when the parser is built.
@@ -31,21 +31,19 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
 import json
 import math
 import os
 import sys
-import threading
 import warnings
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import CyclecastError, RunTable, aggregate_repetitions, check_text, total_cpu_cycles
-from .ingest import parse_cluster_spec, parse_number, parse_trace_csv, read_holdout_list
+from .core import CyclecastError, aggregate_repetitions, check_text
+from .ingest import account_trace, parse_cluster_spec, parse_number, read_holdout_list
+from .ingest import parse_trace_csv  # noqa: F401  unused; benchmark/test_benchmark.py reads it
 from .regression import fit_least_squares
 from .store import append_runs, load_model, load_runs, save_model
 from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, write_traces
@@ -121,65 +119,20 @@ def _fmt_opt(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-class _Digest(threading.Thread):
-    """The default run id of some bytes, the first 12 hex digits of their
-    SHA-256, computed on a second thread that starts at once.
-
-    hashlib releases the GIL while it hashes more than 2 KiB, so the hash
-    runs beside whatever the caller does next.  result() joins the thread
-    and returns the whole digest's prefix, or raises what the hash raised.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        super().__init__(name="cyclecast-run-id")
-        self._data = data
-        self._outcome: str | BaseException | None = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._outcome = hashlib.sha256(self._data).hexdigest()[:12]
-        except BaseException as exc:  # handed to the caller by result()
-            self._outcome = exc
-        finally:
-            self._data = b""
-
-    def result(self) -> str:
-        self.join()
-        if isinstance(self._outcome, BaseException):
-            raise self._outcome
-        assert self._outcome is not None, "a joined _Digest has an outcome"
-        return self._outcome
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    data = Path(args.traces).read_bytes()
-    digest = None if args.run_id is not None else _Digest(data)
-    try:  # a whole BytesIO's one read() returns data itself, so the parse copies nothing
-        traces, warnings_found = parse_trace_csv(io.BytesIO(data), gap_threshold=args.gap_threshold)
-    finally:  # so no thread outlives the command, whatever the parse raised
-        if digest is not None:
-            digest.join()
-    del data
-    run_id = args.run_id if digest is None else digest.result()
+    with open(args.cluster, "rb") as handle:
+        cluster = parse_cluster_spec(handle)
+    traces, run, warnings_found = account_trace(
+        Path(args.traces).read_bytes(), cluster, args.app, args.mappers, args.reducers,
+        args.input_bytes, args.run_id, args.gap_threshold,
+    )
     for warning in warnings_found:
         scope = f" machine={warning.machine_id}" if warning.machine_id else ""
         print(f"warning: {warning.kind.value}{scope}: {warning.detail}", file=sys.stderr)
-    with open(args.cluster, "rb") as handle:
-        cluster = parse_cluster_spec(handle)
-    cycles = total_cpu_cycles(traces, cluster)
-    run = RunTable(
-        apps=[args.app],
-        run_ids=[run_id],
-        mappers=[args.mappers],
-        reducers=[args.reducers],
-        input_bytes=[args.input_bytes],
-        total_cycles=[cycles],
-    )
     append_runs(args.out, run)
     print(
-        f"ingested {len(traces)} machine trace(s) -> {cycles!r} cycles "
-        f"as run {run_id!r} in {args.out}",
+        f"ingested {len(traces)} machine trace(s) -> {run.total_cycles.item()!r} cycles "
+        f"as run {run.run_ids[0]!r} in {args.out}",
         file=sys.stderr,
     )
     return 0

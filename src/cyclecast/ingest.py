@@ -1,4 +1,5 @@
-r"""On-disk formats for CPU traces, cluster inventories and holdout lists.
+r"""On-disk formats for CPU traces, cluster inventories and holdout lists,
+and account_trace, which turns one run's trace into its run row.
 
 Trace CSV
 ---------
@@ -97,18 +98,22 @@ because the remaining rows are still internally consistent:
 from __future__ import annotations
 
 import enum
+import hashlib
+import io
 import itertools
 import math
 import operator
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, NoReturn, TextIO
+from typing import BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
 from ._forked import forked, part_count
-from .core import ClusterSpec, CyclecastError, TraceSet, _check_count, _decoded, _Error, _real
+from .core import ClusterSpec, CyclecastError, RunTable, TraceSet, total_cpu_cycles
+from .core import _check_count, _decoded, _Error, _real
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -236,6 +241,44 @@ def parse_trace_csv(
             machine_id = traces.machine_ids[segment]
             warnings.append(IngestWarning(WarningKind.GAP_EXCEEDS_THRESHOLD, machine_id, detail))
     return traces, warnings
+
+
+def account_trace(
+    data: bytes, cluster: ClusterSpec, app: str, mappers: int, reducers: int, input_bytes: int,
+    run_id: str | None = None, gap_threshold: float = 0.05,
+) -> tuple[TraceSet, RunTable, list[IngestWarning]]:
+    """One run's trace CSV, the bytes data, accounted on cluster: its trace
+    set, its one-row RunTable (total_cycles from total_cpu_cycles) and the
+    warnings of its parse.  A run_id of None names the run by the first 12
+    hex digits of data's SHA-256, hashed on a second thread beside the
+    parse and joined before this returns or raises; an error of the parse
+    is raised before one of the hash."""
+    digest = None if run_id is not None else _digest(data)
+    try:  # a whole BytesIO's one read() returns data itself, so the parse copies nothing
+        traces, warnings = parse_trace_csv(io.BytesIO(data), gap_threshold=gap_threshold)
+    finally:  # so no thread outlives the call, whatever the parse raised
+        outcome = run_id if digest is None else digest()
+    if isinstance(outcome, BaseException):
+        raise outcome
+    run = RunTable(apps=[app], run_ids=[outcome], mappers=[mappers], reducers=[reducers],
+                   input_bytes=[input_bytes], total_cycles=[total_cpu_cycles(traces, cluster)])
+    return traces, run, warnings
+
+
+def _digest(data: bytes) -> Callable[[], str | BaseException]:
+    """Start hashing data on a second thread; hashlib releases the GIL
+    while it hashes more than 2 KiB.  The function returned joins it and
+    returns the first 12 hex digits of the SHA-256, or what the hash raised."""
+    outcome: list[str | BaseException] = []
+
+    def run() -> None:
+        try:
+            outcome.append(hashlib.sha256(data).hexdigest()[:12])
+        except BaseException as exc:  # handed to the caller by the join
+            outcome.append(exc)
+
+    (thread := threading.Thread(target=run, name="cyclecast-run-id")).start()
+    return lambda: thread.join() or outcome[0]
 
 
 def parse_number(text: str, integer: bool = False) -> int | float:

@@ -63,7 +63,10 @@ def pred25(actual: Sequence[float], predicted: Sequence[float]) -> float:
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Root mean squared error, in cycles."""
-    a, p = _paired(actual, predicted, min_len=1)
+    return _rmse(*_paired(actual, predicted, min_len=1))
+
+
+def _rmse(a: np.ndarray, p: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - p) ** 2)))
 
 
@@ -74,16 +77,18 @@ def r2_paper(actual: Sequence[float], predicted: Sequence[float]) -> float | Non
     mean, so this is not the conventional R-squared; see r2_standard.
     """
     a, p = _paired(actual, predicted, min_len=2)
-    denom = float(np.sum((p - np.mean(a)) ** 2))
-    if denom < _DENOM_FLOOR:
-        return None
-    return 1.0 - float(np.sum((a - p) ** 2)) / denom
+    return _r2(a, p, spread=p)
 
 
 def r2_standard(actual: Sequence[float], predicted: Sequence[float]) -> float | None:
     """Conventional coefficient of determination, or None for constant actuals."""
     a, p = _paired(actual, predicted, min_len=2)
-    denom = float(np.sum((a - np.mean(a)) ** 2))
+    return _r2(a, p, spread=a)
+
+
+def _r2(a: np.ndarray, p: np.ndarray, spread: np.ndarray) -> float | None:
+    """1 - SSE / sum((spread - mean(a))^2), or None when that sum is degenerate."""
+    denom = float(np.sum((spread - np.mean(a)) ** 2))
     if denom < _DENOM_FLOOR:
         return None
     return 1.0 - float(np.sum((a - p) ** 2)) / denom
@@ -114,17 +119,19 @@ class EvaluationReport:
 
 
 def evaluate(actual: Sequence[float], predicted: Sequence[float]) -> EvaluationReport:
-    """Compute every metric over one evaluation set (needs >= 2 points)."""
+    """Compute every metric over one evaluation set (needs >= 2 points);
+    the pair is checked, and its relative errors computed, once."""
     a, p = _paired(actual, predicted, min_len=2)
-    rmse_value = rmse(a, p)
+    errors = _relative_errors(a, p)
+    rmse_value = _rmse(a, p)
     mean_actual = float(np.mean(a))
     rmse_norm = rmse_value / mean_actual if abs(mean_actual) >= _DENOM_FLOOR else None
     return EvaluationReport(
         n=int(a.shape[0]),
-        mape=mape(a, p),
-        pred25=pred25(a, p),
+        mape=float(np.mean(errors)),
+        pred25=float(np.mean(errors < DEFAULT_PRED_THRESHOLD)),
         rmse=rmse_value,
         rmse_norm=rmse_norm,
-        r2_paper=r2_paper(a, p),
-        r2_standard=r2_standard(a, p),
+        r2_paper=_r2(a, p, spread=p),
+        r2_standard=_r2(a, p, spread=a),
     )

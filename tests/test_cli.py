@@ -14,7 +14,7 @@ import pytest
 from conftest import split
 from oracle import rows, table
 
-from cyclecast import cli, store, synth
+from cyclecast import cli, ingest, store, synth
 from cyclecast.cli import main
 from cyclecast.core import RunTable, aggregate_repetitions
 from cyclecast.regression import CostModel, fit_least_squares, predict
@@ -142,7 +142,7 @@ class TestIngest:
         # No copy of the trace is made between reading the file and the parse.
         (tmp_path / "trace.csv").write_text(_long_trace_csv(0))
         (tmp_path / "cluster.txt").write_text(CLUSTER_TXT)
-        read_bytes, parse, loaded, handed = Path.read_bytes, cli.parse_trace_csv, [], []
+        read_bytes, parse, loaded, handed = Path.read_bytes, ingest.parse_trace_csv, [], []
 
         def recorded_read_bytes(path):
             loaded.append(read_bytes(path))
@@ -157,7 +157,7 @@ class TestIngest:
                 return handed[-1]
 
         monkeypatch.setattr(Path, "read_bytes", recorded_read_bytes)
-        monkeypatch.setattr(cli, "parse_trace_csv", lambda stream, **kw: parse(Recorded(stream), **kw))
+        monkeypatch.setattr(ingest, "parse_trace_csv", lambda stream, **kw: parse(Recorded(stream), **kw))
         assert main(["ingest"] + _ingest_args(tmp_path)) == 0
         assert len(loaded) == len(handed) == 1 and handed[0] is loaded[0]
 
@@ -204,6 +204,25 @@ class TestIngest:
         assert main(["ingest"] + _ingest_args(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "error: MalformedEntryError: line 3: not UTF-8 (invalid start byte at byte" in err
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_the_cluster_spec_is_read_before_the_trace(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_text("wrong,header,here\n" + TRACE_CSV)
+        (tmp_path / "cluster.txt").write_text(CLUSTER_TXT + "node-c 2.0e9\n")
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: MalformedEntryError: line 3: "
+            "expected 'machine_id clock_hz cores', got 'node-c 2.0e9'\n"
+        )
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_a_refused_run_prints_no_warning_before_its_error(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_text(TRACE_CSV.rstrip("\n"))
+        (tmp_path / "cluster.txt").write_text("node-a 3.0e9 4\n")
+        assert main(["ingest"] + _ingest_args(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: UnknownMachineError: machine 'node-b' is not in the cluster spec\n"
+        )
         assert not (tmp_path / "runs.jsonl").exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import operator
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -19,6 +21,7 @@ from oracle import segments, trace_set
 
 from cyclecast import cli, ingest
 from cyclecast.core import ClusterSpec, CyclecastError, TraceSet, total_cpu_cycles
+from cyclecast.store import append_runs, load_runs
 from cyclecast.ingest import (
     DuplicateMachineIdError,
     DuplicateSampleError,
@@ -861,6 +864,69 @@ def test_the_fork_warning_of_python_3_12_stays_off_stderr(tmp_path, capsys, no_c
         assert cli.main(argv) == 0
     assert forked.call_count == 2
     assert (capsys.readouterr(), (tmp_path / "runs.jsonl").read_bytes()) == serial
+
+
+# A trace of about 4 KiB, past the 2 KiB above which hashlib releases the
+# GIL, whose last row has no line end, and its cluster.
+_ACCOUNTED_CSV = GOOD_CSV + "".join(f"node-a,{i},{i % 7 / 8!r}\n" for i in range(2, 600, 2))[:-1]
+_ACCOUNTED_CLUSTER = "node-a 3.0e9 4\nnode-b 2.0e9 2\n"
+
+
+@pytest.mark.parametrize("run_id", [None, "exp-007"])
+def test_account_trace_gives_the_row_cyclecast_ingest_appends(tmp_path, run_id):
+    (tmp_path / "trace.csv").write_text(_ACCOUNTED_CSV)
+    (tmp_path / "cluster.txt").write_text(_ACCOUNTED_CLUSTER)
+    argv = ["ingest", "--traces", str(tmp_path / "trace.csv"), "--cluster",
+            str(tmp_path / "cluster.txt"), "--app", "sort", "--mappers", "4", "--reducers", "2",
+            "--input-bytes", str(2**30), "--out", str(tmp_path / "cli.jsonl")]
+    assert cli.main(argv + ([] if run_id is None else ["--run-id", run_id])) == 0
+
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert len(data) > 2048
+    cluster = parse_cluster_spec(io.StringIO(_ACCOUNTED_CLUSTER))
+    traces, run, warnings_found = ingest.account_trace(
+        data, cluster, "sort", 4, 2, 2**30, run_id=run_id
+    )
+    assert (traces.machine_ids, [w.kind for w in warnings_found]) == (
+        ("node-a", "node-b"), [WarningKind.TRUNCATED_TAIL, WarningKind.GAP_EXCEEDS_THRESHOLD]
+    )
+    expected_id = hashlib.sha256(data).hexdigest()[:12] if run_id is None else run_id
+    assert oracle.rows(run) == [
+        ("sort", expected_id, 4, 2, 2**30, total_cpu_cycles(traces, cluster))
+    ]
+    assert oracle.rows(run) == oracle.rows(load_runs(tmp_path / "cli.jsonl"))
+    append_runs(tmp_path / "library.jsonl", run)
+    assert (tmp_path / "library.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
+
+
+def test_no_thread_outlives_a_refused_account_trace(monkeypatch):
+    cluster = parse_cluster_spec(io.StringIO(_ACCOUNTED_CLUSTER))
+    # A bad header fails the parse at once, well before a megabyte is hashed.
+    bad_header = b"wrong,header,here\n" + b"0" * 2**20
+    good = _ACCOUNTED_CSV.encode()
+    threads = threading.active_count()
+
+    def account(data):
+        return ingest.account_trace(data, cluster, "sort", 4, 2, 2**30)
+
+    with pytest.raises(MalformedHeaderError):
+        account(bad_header)
+    assert threading.active_count() == threads
+
+    def broken(data):
+        raise ValueError("digest failed")
+
+    monkeypatch.setattr(hashlib, "sha256", broken)
+    with pytest.raises(ValueError, match="^digest failed$"):
+        account(good)
+    assert threading.active_count() == threads
+    # The parse's error is raised before the hash's.
+    with pytest.raises(MalformedHeaderError):
+        account(bad_header)
+    assert threading.active_count() == threads
+    # A given run id starts no hash.
+    _, run, _ = ingest.account_trace(good, cluster, "sort", 4, 2, 2**30, run_id="exp-007")
+    assert run.run_ids == ("exp-007",)
 
 
 def test_write_orders_machines_lexicographically():

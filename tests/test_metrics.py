@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclecast import metrics
 from cyclecast.core import ShapeMismatchError
 from cyclecast.metrics import (
     DEFAULT_PRED_THRESHOLD,
@@ -205,3 +206,28 @@ class TestEvaluate:
     def test_accepts_numpy_arrays(self):
         report = evaluate(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         assert report.mape == 0.0
+
+
+def test_evaluate_checks_its_pair_once(monkeypatch):
+    # One check of the pair feeds every field: two core._reals calls, one
+    # per vector, where calling each metric would make twelve.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return reals(*args, **kwargs)
+
+    reals = metrics._reals
+    monkeypatch.setattr(metrics, "_reals", counted)
+    actual, predicted = [100.0, 200.0, 300.0], [110.0, 190.0, 330.0]
+    report = evaluate(actual, predicted)
+    assert calls == ["actual", "predicted"]
+    assert report == EvaluationReport(
+        n=3,
+        mape=mape(actual, predicted),
+        pred25=pred25(actual, predicted),
+        rmse=rmse(actual, predicted),
+        rmse_norm=rmse(actual, predicted) / 200.0,
+        r2_paper=r2_paper(actual, predicted),
+        r2_standard=r2_standard(actual, predicted),
+    )

@@ -1,5 +1,6 @@
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ EXPORTS = [
     "UnsupportedSchemaError",
     "WarningKind",
     "ZeroActualError",
+    "account_trace",
     "aggregate_repetitions",
     "append_runs",
     "evaluate",
@@ -56,7 +58,7 @@ EXPORTS = [
 
 
 def test_the_public_surface_is_pinned():
-    assert len(EXPORTS) == 44
+    assert len(EXPORTS) == 45
     assert sorted(cyclecast.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(cyclecast, name) is not None
@@ -97,6 +99,24 @@ def test_one_module_forks_and_none_imports_a_private_name_of_ingest():
                     private += [(path.name, name) for name in names if name.startswith("_")]
     assert forks and set(forks) == {"_forked.py"}
     assert private == []
+
+
+def test_one_module_starts_a_thread_and_the_cli_hashes_nothing():
+    # The default run id's hash runs on a thread that ingest.account_trace
+    # starts and joins; cli.py only calls it.
+    threads = []
+    for path in sorted(Path(cyclecast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "threading.Thread":
+                threads.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+                threads.append(path.name)
+    assert threads and set(threads) == {"ingest.py"}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules and not modules & {"hashlib", "threading"}
 
 
 # The bounds of the count rule, as a literal may spell them.
@@ -154,3 +174,23 @@ def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert names["surface"].tolist() == [
         model.predict(m, r) for m in grid.tolist() for r in grid.tolist()
     ]
+
+
+def test_the_readme_ingest_example_appends_what_the_cli_appends(tmp_path, monkeypatch):
+    # README's account_trace block, run on README's example trace and
+    # cluster files, writes the store that README's ingest command writes.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def block(heading, fence):
+        return re.search(f"{fence}\n(.*?)```", readme[readme.index(heading) :], re.DOTALL).group(1)
+
+    (tmp_path / "run0.csv").write_text(block("**Trace CSV**", "```"))
+    (tmp_path / "cluster.txt").write_text(block("**Cluster file**", "```"))
+    command = block("Account a measured trace into the run store", "```sh")
+    command = shlex.split(command.replace("\\\n", " "))
+    assert command[:2] == ["cyclecast", "ingest"] and command[-2:] == ["--out", "runs.jsonl"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*command[1:-1], "cli.jsonl"]) == 0
+    exec(compile(block("`account_trace` is `cyclecast ingest` as one call", "```python"),
+                 "README.md", "exec"), {})
+    assert (tmp_path / "runs.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
