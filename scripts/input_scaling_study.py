@@ -43,16 +43,13 @@ LINE_SLOPE = 60.0  # cycles per byte, before the surface factor
 LINE_INTERCEPT = 2.0e11
 
 
-# The (mappers, reducers) grid as two columns, mappers varying slowest.
-GRID_MAPPERS = np.repeat(DEFAULT_GRID, len(DEFAULT_GRID))
-GRID_REDUCERS = np.tile(DEFAULT_GRID, len(DEFAULT_GRID))
-
-
-def true_cycles(input_bytes: int, ref_bytes: int) -> np.ndarray:
-    """True cycles over the grid at input_bytes."""
+def true_cycles(input_bytes: int, ref_bytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's mappers and reducers columns, mappers varying slowest,
+    and the true cycles over it at input_bytes."""
     line = LINE_SLOPE * input_bytes + LINE_INTERCEPT
     line_ref = LINE_SLOPE * ref_bytes + LINE_INTERCEPT
-    return SURFACE.predict(GRID_MAPPERS, GRID_REDUCERS) * line / line_ref
+    mappers, reducers, surface = SURFACE.tabulate(DEFAULT_GRID, DEFAULT_GRID)
+    return mappers, reducers, surface * line / line_ref
 
 
 def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> RunTable:
@@ -60,8 +57,8 @@ def simulate_runs(sizes_gib, reps, noise, seed, ref_bytes) -> RunTable:
     stream, keyed by (seed, gib, mappers, reducers, rep)."""
     run_ids, mappers, reducers, sizes, cycles = [], [], [], [], []
     for gib in sizes_gib:
-        truth = true_cycles(gib * GIB, ref_bytes).tolist()
-        for m, r, expected in zip(GRID_MAPPERS.tolist(), GRID_REDUCERS.tolist(), truth):
+        grid_mappers, grid_reducers, truth = true_cycles(gib * GIB, ref_bytes)
+        for m, r, expected in zip(grid_mappers.tolist(), grid_reducers.tolist(), truth.tolist()):
             for rep in range(reps):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, gib, m, r, rep]))
                 eps = rng.normal(0.0, noise)
@@ -116,8 +113,8 @@ def main(argv=None) -> int:
     print(f"{'gib':>4} {'transfer_mape':>14} {'pred25':>7}")
     for gib in args.target_gib:
         target_bytes = gib * GIB
-        actual = true_cycles(target_bytes, ref_bytes)
-        predicted = model.predict(GRID_MAPPERS, GRID_REDUCERS, target_bytes)
+        actual = true_cycles(target_bytes, ref_bytes)[2]
+        predicted = model.tabulate(DEFAULT_GRID, DEFAULT_GRID, target_bytes)[2]
         print(
             f"{gib:>4d} {mape(actual, predicted):>14.4%} "
             f"{pred25(actual, predicted):>7.2f}"

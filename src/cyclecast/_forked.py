@@ -1,7 +1,7 @@
 """Work cut into parts and done on every core, in forked child processes.
 
-The trace parser (ingest) and the trace emitter (synth.write_traces)
-share one protocol:
+The trace parser (ingest) and the trace emitter (synth.write_traces, the
+second step of synth.simulate) share one protocol:
 
 * Cut: part_count parts, one per core in this process's CPU affinity,
   or fewer so that each holds at least a least size the caller sets.  A

@@ -17,7 +17,7 @@ Conventions
   line per warning category per command.
 * simulate's --seed falls back to the CYCLECAST_SEED environment
   variable (checked like the flag), then to 0, so batch jobs can pin
-  determinism externally.
+  determinism externally.  --emit-traces and --cluster go together.
 * No thread or process outlives a command.  ingest.account_trace
   hashes the trace for its default run id on a second thread while it
   parses, and joins that thread before it returns or raises.  The trace
@@ -39,14 +39,12 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from .core import CyclecastError, aggregate_repetitions, check_text
 from .ingest import account_trace, parse_cluster_spec, parse_number, read_holdout_list
 from .ingest import parse_trace_csv  # noqa: F401  unused; benchmark/test_benchmark.py reads it
 from .regression import fit_least_squares
 from .store import append_runs, load_model, load_runs, save_model
-from .synth import DEFAULT_INPUT_BYTES, SynthSpec, generate_profiles, write_traces
+from .synth import DEFAULT_INPUT_BYTES, SynthSpec, simulate
 
 SEED_ENV_VAR = "CYCLECAST_SEED"
 _GRID_LIMIT = 1024  # values per --grid axis; report writes its square
@@ -190,54 +188,46 @@ def _cmd_scale_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    try:  # the environment is read on each call
+        seed = _SEED(os.environ.get(SEED_ENV_VAR, "0")) if args.seed is None else args.seed
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"argument --seed: {exc}") from None
+    if (args.emit_traces is None) != (args.cluster is None):
+        raise _UsageError("--emit-traces requires --cluster" if args.cluster is None
+                          else "--cluster requires --emit-traces")
     spec = SynthSpec(
-        truth=load_model(args.truth),
-        grid_mappers=args.grid,
-        grid_reducers=args.grid,
-        repetitions=args.reps,
-        noise_rel_sigma=args.noise,
-        seed=args.seed,
-        app=args.app,
-        input_bytes=args.input_bytes,
+        load_model(args.truth), args.grid, args.grid, repetitions=args.reps,
+        noise_rel_sigma=args.noise, seed=seed, app=args.app, input_bytes=args.input_bytes,
     )
-    if args.emit_traces is not None:
+    cluster = None
+    if args.cluster is not None:
         with open(args.cluster, "rb") as handle:
             cluster = parse_cluster_spec(handle)
-    runs = generate_profiles(spec)
-    # Every trace file before the append, so a bad spec or a failed trace
-    # leaves the store as it was.
+    # Every trace file is in place before the append: a failure leaves the store as it was.
+    runs = simulate(spec, args.emit_traces, cluster)
     if args.emit_traces is not None:
-        write_traces(runs, cluster, args.seed, args.emit_traces)
         print(f"emitted {len(runs)} trace file(s) to {Path(args.emit_traces)}", file=sys.stderr)
     append_runs(args.out, runs)
     print(
         f"simulated {len(runs)} runs of {spec.app!r} "
         f"(grid {len(spec.grid_mappers)}x{len(spec.grid_reducers)}, "
-        f"{spec.repetitions} rep(s), sigma={spec.noise_rel_sigma}, seed={args.seed}) "
-        f"-> {args.out}",
+        f"{spec.repetitions} rep(s), sigma={spec.noise_rel_sigma}, seed={seed}) -> {args.out}",
         file=sys.stderr,
     )
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    grid = np.array(args.grid)
-    mappers, reducers = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    values = model.predict(mappers, reducers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    surface_path = out_dir / "surface.tsv"
+    mappers, reducers, values = load_model(args.model).tabulate(args.grid, args.grid)
+    surface_path = Path(args.out) / "surface.tsv"
+    surface_path.parent.mkdir(parents=True, exist_ok=True)
     with open(surface_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("mappers\treducers\tpredicted_cycles\n")
         handle.writelines(
             f"{m}\t{r}\t{value!r}\n"
             for m, r, value in zip(mappers.tolist(), reducers.tolist(), values.tolist())
         )
-    print(
-        f"wrote {len(args.grid) * len(args.grid)} predictions to {surface_path}",
-        file=sys.stderr,
-    )
+    print(f"wrote {len(values)} predictions to {surface_path}", file=sys.stderr)
     return 0
 
 
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_COUNT, default=10)
     p.add_argument("--noise", type=_SIGMA, default=0.02,
                    help="relative noise sigma (default 0.02)")
-    # None: main reads the environment on each call.
+    # None: the command reads the environment on each call.
     p.add_argument("--seed", type=_SEED, default=None,
                    help=f"default: ${SEED_ENV_VAR}, then 0")
     p.add_argument("--out", required=True, help="run store to append to")
@@ -331,21 +321,6 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            _PARSER.error("a subcommand is required")
-        if args.command == "simulate":
-            if args.seed is None:
-                try:
-                    args.seed = _SEED(os.environ.get(SEED_ENV_VAR, "0"))
-                except argparse.ArgumentTypeError as exc:
-                    _PARSER.error(f"argument --seed: {exc}")
-            if args.emit_traces is not None and args.cluster is None:
-                _PARSER.error("--emit-traces requires --cluster")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     shown: set[type[Warning]] = set()
 
     def show_warning(message, category, *_args, **_kwargs) -> None:
@@ -357,7 +332,13 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = show_warning
         try:
+            args = _PARSER.parse_args(argv)
+            if getattr(args, "func", None) is None:
+                _PARSER.error("a subcommand is required")
             return args.func(args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
         except CyclecastError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

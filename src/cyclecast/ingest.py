@@ -113,7 +113,7 @@ import numpy as np
 
 from ._forked import forked, part_count
 from .core import ClusterSpec, CyclecastError, RunTable, TraceSet, total_cpu_cycles
-from .core import _check_count, _decoded, _Error, _real
+from .core import _check_count, _decoded, _Error, _real, check_text
 
 TRACE_HEADER = "machine_id,offset_s,cpu_seconds"
 
@@ -252,7 +252,12 @@ def account_trace(
     warnings of its parse.  A run_id of None names the run by the first 12
     hex digits of data's SHA-256, hashed on a second thread beside the
     parse and joined before this returns or raises; an error of the parse
-    is raised before one of the hash."""
+    is raised before one of the hash, and a bad argument before either."""
+    check_text("app", app)
+    if run_id is not None:
+        check_text("run_id", run_id)
+    for name, count in [("mappers", mappers), ("reducers", reducers), ("input_bytes", input_bytes)]:
+        _check_count(name, count)
     digest = None if run_id is not None else _digest(data)
     try:  # a whole BytesIO's one read() returns data itself, so the parse copies nothing
         traces, warnings = parse_trace_csv(io.BytesIO(data), gap_threshold=gap_threshold)

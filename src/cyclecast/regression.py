@@ -162,6 +162,15 @@ class CostModel:
             return value
         return scale_prediction(value, self, sizes)
 
+    def tabulate(
+        self, mappers: ArrayLike, reducers: ArrayLike, input_bytes: ArrayLike | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 columns of every pair of the 1-d count axes mappers and reducers,
+        mappers varying slowest, and their cycles from one self.predict at input_bytes."""
+        axes = np.ix_(_ints("mappers", mappers), _ints("reducers", reducers))  # 1-d or ValueError
+        m, r = (column.ravel() for column in np.broadcast_arrays(*axes))
+        return m, r, self.predict(m, r, input_bytes)
+
     def with_size_line(self, profiles: ProfileTable) -> CostModel:
         """This model with a size line fitted through per-size mean cycles.
 

@@ -199,9 +199,9 @@ def generate_profiles(spec: SynthSpec) -> RunTable:
     prediction at its config and input size exactly.  Rows come out
     ordered by (mappers, reducers, repetition).
     """
-    cells = [(m, r) for m in spec.grid_mappers for r in spec.grid_reducers]
-    mappers, reducers = zip(*cells)
-    truth = spec.truth.predict(mappers, reducers, spec.input_bytes)
+    mappers, reducers, truth = spec.truth.tabulate(spec.grid_mappers, spec.grid_reducers,
+                                                   spec.input_bytes)
+    cells = list(zip(mappers.tolist(), reducers.tolist()))
     reps = range(spec.repetitions)
     seed, rep_words = _words(spec.seed), [_words(rep) for rep in reps]
     cell_words = [seed + _words(m) + _words(r) for m, r in cells]
@@ -344,6 +344,21 @@ def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str |
     finally:  # once forked() has reaped every child, so that none writes again
         for temp in temps[placed:]:
             temp.unlink(missing_ok=True)
+
+
+def simulate(
+    spec: SynthSpec, trace_dir: str | Path | None = None, cluster: ClusterSpec | None = None
+) -> RunTable:
+    """cyclecast simulate as one call: generate_profiles(spec), and given
+    trace_dir, write_traces(runs, cluster, spec.seed, trace_dir), every file
+    in place before this returns.  cluster goes with trace_dir; one without
+    the other is a ValueError, raised before any run is simulated."""
+    if (trace_dir is None) != (cluster is None):
+        raise ValueError("a cluster is required with trace_dir and refused without it")
+    runs = generate_profiles(spec)
+    if trace_dir is not None:
+        write_traces(runs, cluster, spec.seed, trace_dir)
+    return runs
 
 
 def _write_part(

@@ -995,8 +995,15 @@ class TestExitCodes:
         ]) == 1
         assert "usage error: argument --input-bytes" in capsys.readouterr().err
 
-    def test_emit_traces_requires_cluster(self, tmp_path, truth_file):
-        assert main(_simulate(tmp_path, extra=["--emit-traces", str(tmp_path / "t")])) == 1
+    @pytest.mark.parametrize("given, missing", [
+        ("--emit-traces", "--cluster"), ("--cluster", "--emit-traces"),
+    ], ids=["emit-traces-alone", "cluster-alone"])
+    def test_emit_traces_requires_cluster(self, tmp_path, truth_file, capsys, given, missing):
+        # The named file is never opened: a missing one is no data error.
+        extra = [given, str(tmp_path / "absent" / "path")]
+        assert main(_simulate(tmp_path, extra=extra)) == 1
+        assert capsys.readouterr().err == f"usage error: {given} requires {missing}\n"
+        assert not (tmp_path / "runs.jsonl").exists() and not (tmp_path / "absent").exists()
 
     def test_missing_model_is_data_error(self, tmp_path):
         assert main([

@@ -929,6 +929,31 @@ def test_no_thread_outlives_a_refused_account_trace(monkeypatch):
     assert run.run_ids == ("exp-007",)
 
 
+@pytest.mark.parametrize("name, value, error", [
+    ("app", 5, TypeError),
+    ("app", "", ValueError),
+    ("mappers", 0, ValueError),
+    ("reducers", True, TypeError),
+    ("input_bytes", 2**63, ValueError),
+    ("input_bytes", 1.5, TypeError),
+    ("run_id", "", ValueError),
+    ("run_id", b"exp", TypeError),
+])
+def test_account_trace_checks_its_arguments_before_it_hashes_or_parses(
+    monkeypatch, name, value, error
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed or parsed before the arguments were checked")
+
+    monkeypatch.setattr(ingest, "parse_trace_csv", refuse)
+    monkeypatch.setattr(ingest, "_digest", refuse)
+    cluster = parse_cluster_spec(io.StringIO(_ACCOUNTED_CLUSTER))
+    arguments = dict(app="sort", mappers=4, reducers=2, input_bytes=2**30, run_id=None)
+    arguments[name] = value
+    with pytest.raises(error, match=f"^{name} must be"):
+        ingest.account_trace(_ACCOUNTED_CSV.encode(), cluster, **arguments)
+
+
 def test_write_orders_machines_lexicographically():
     traces = trace_set([
         ("zz", (0,), (1.0,)),

@@ -176,21 +176,71 @@ def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     ]
 
 
+def _block(heading: str, fence: str) -> str:
+    """The body of README's first block fenced by fence after heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(f"{fence}\n(.*?)```", readme[readme.index(heading) :], re.DOTALL).group(1)
+
+
 def test_the_readme_ingest_example_appends_what_the_cli_appends(tmp_path, monkeypatch):
     # README's account_trace block, run on README's example trace and
     # cluster files, writes the store that README's ingest command writes.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-
-    def block(heading, fence):
-        return re.search(f"{fence}\n(.*?)```", readme[readme.index(heading) :], re.DOTALL).group(1)
-
-    (tmp_path / "run0.csv").write_text(block("**Trace CSV**", "```"))
-    (tmp_path / "cluster.txt").write_text(block("**Cluster file**", "```"))
-    command = block("Account a measured trace into the run store", "```sh")
+    (tmp_path / "run0.csv").write_text(_block("**Trace CSV**", "```"))
+    (tmp_path / "cluster.txt").write_text(_block("**Cluster file**", "```"))
+    command = _block("Account a measured trace into the run store", "```sh")
     command = shlex.split(command.replace("\\\n", " "))
     assert command[:2] == ["cyclecast", "ingest"] and command[-2:] == ["--out", "runs.jsonl"]
     monkeypatch.chdir(tmp_path)
     assert cli.main([*command[1:-1], "cli.jsonl"]) == 0
-    exec(compile(block("`account_trace` is `cyclecast ingest` as one call", "```python"),
+    exec(compile(_block("`account_trace` is `cyclecast ingest` as one call", "```python"),
                  "README.md", "exec"), {})
     assert (tmp_path / "runs.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*")}
+
+
+def test_the_readme_simulate_example_writes_what_the_cli_writes(tmp_path, monkeypatch):
+    # README's synth.simulate block, run on README's cluster file, writes
+    # the store, trace files and surface.tsv that README's simulate and
+    # report commands write.
+    (tmp_path / "cluster.txt").write_text(_block("**Cluster file**", "```"))
+    model = cyclecast.CostModel(
+        app="synthetic",
+        a=(1.0e11, 2.0e9, 3.0e7, 4.0e9, 5.0e7),
+        condition_estimate=1.0,
+        training_residual=0.0,
+        ref_input_bytes=12 * 2**30,
+    )
+    for name in ("truth.json", "model.json"):
+        cyclecast.save_model(tmp_path / name, model)
+    commands = _block("Generate synthetic workloads from a truth model", "```sh")
+    simulate, report = (shlex.split(line) for line in commands.replace("\\\n", " ").splitlines())
+    outputs = {"synth.jsonl": "cli.jsonl", "traces/": "cli-traces", "report/": "cli-report"}
+    assert simulate[:2] == ["cyclecast", "simulate"] and report[:2] == ["cyclecast", "report"]
+    assert set(outputs) <= set(simulate + report)
+    monkeypatch.chdir(tmp_path)
+    for command in (simulate, report):
+        assert cli.main([outputs.get(arg, arg) for arg in command[1:]]) == 0
+    example = _block("`synth.simulate(spec, trace_dir=None, cluster=None)`", "```python")
+    exec(compile(example, "README.md", "exec"), {})
+    assert (tmp_path / "synth.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
+    traces = _tree(tmp_path / "traces")
+    assert len(traces) == 8 * 8 * 10 and traces == _tree(tmp_path / "cli-traces")
+    assert _tree(tmp_path / "report") == _tree(tmp_path / "cli-report") != {}
+
+
+def test_the_cli_holds_no_grid_and_main_no_command_branch():
+    # The grid's order lives in CostModel.tabulate and simulate's policy in
+    # synth.simulate and its command; main parses, dispatches and reports.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert "argparse" in modules and "numpy" not in modules
+    assert "simulate" in names and not names & {"generate_profiles", "write_traces"}
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert "args.command" not in ast.unparse(main)

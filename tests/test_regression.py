@@ -112,6 +112,32 @@ def test_predict_over_arrays_is_the_per_point_formula_bit_for_bit():
     ]
 
 
+def test_tabulate_is_every_pair_mappers_slowest_in_one_prediction():
+    model = _model(TRUTH, ref_input_bytes=2**30, line=(60.0, 2.0e11))
+    with mock.patch.object(regression, "predict", wraps=regression.predict) as surface:
+        mappers, reducers, cycles = model.tabulate((1, 2, 3), np.array([5, 7]), 2**31)
+    assert surface.call_count == 1
+    assert mappers.dtype == reducers.dtype == np.int64
+    assert list(zip(mappers.tolist(), reducers.tolist())) == [
+        (1, 5), (1, 7), (2, 5), (2, 7), (3, 5), (3, 7)
+    ]
+    assert cycles.tolist() == model.predict(mappers, reducers, 2**31).tolist()
+    assert model.tabulate([4], [8])[2].tolist() == [model.predict(4, 8)]
+
+
+@pytest.mark.parametrize("mappers, reducers, error, message", [
+    ([[1, 2]], [1], ValueError, "1 dimensional"),
+    (4, [1, 2], ValueError, "1 dimensional"),
+    ([1, 0], [1], ValueError, "mappers must be >= 1"),
+    ([1], [2**63], ValueError, "reducers must be < 2\\*\\*63"),
+    ([1.0], [1], TypeError, "mappers must be an int"),
+    ([1], [True], TypeError, "reducers must be an int"),
+])
+def test_tabulate_takes_two_1d_axes_of_counts(mappers, reducers, error, message):
+    with pytest.raises(error, match=message):
+        _model(TRUTH).tabulate(mappers, reducers)
+
+
 def test_predict_clamps_negative_to_zero_with_warning():
     model = _model((-1.0e12, 0.0, 0.0, 0.0, 0.0))
     with pytest.warns(NegativePredictionWarning):

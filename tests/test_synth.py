@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 from oracle import rows, segments
 
+from cyclecast import synth
 from cyclecast.core import ClusterSpec, EmptyInputError, total_cpu_cycles
 from cyclecast.regression import CostModel, predict
 from cyclecast.synth import (
@@ -17,6 +18,8 @@ from cyclecast.synth import (
     _words,
     generate_profiles,
     generate_trace,
+    simulate,
+    write_traces,
 )
 
 TRUTH = CostModel(
@@ -157,6 +160,32 @@ def test_profiles_equal_the_per_cell_formula(seed, grid_m, grid_r, reps, sigma):
     assert table.total_cycles.tolist() == _oracle_cycles(spec)
     cells = [(m, r) for m in grid_m for r in grid_r for _ in range(reps)]
     assert list(zip(table.mappers.tolist(), table.reducers.tolist())) == cells
+
+
+def test_simulate_is_generate_profiles_then_write_traces(tmp_path):
+    spec = _spec(grid_mappers=(4, 8), grid_reducers=(4, 12, 16))
+    expected = generate_profiles(spec)
+    assert rows(simulate(spec)) == rows(expected)
+    write_traces(expected, CLUSTER, spec.seed, tmp_path / "expected")
+    assert rows(simulate(spec, tmp_path / "traces", CLUSTER)) == rows(expected)
+    names = sorted(path.name for path in (tmp_path / "expected").iterdir())
+    assert names == sorted(f"{run_id}.csv" for run_id in expected.run_ids)
+    assert sorted(path.name for path in (tmp_path / "traces").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "traces" / name).read_bytes() == (
+            tmp_path / "expected" / name).read_bytes()
+
+
+@pytest.mark.parametrize("half", ["trace_dir", "cluster"])
+def test_simulate_refuses_half_a_pair_before_it_simulates(tmp_path, monkeypatch, half):
+    def refuse(spec):
+        raise AssertionError("simulated before the pair was checked")
+
+    monkeypatch.setattr(synth, "generate_profiles", refuse)
+    pair = {"trace_dir": tmp_path / "traces", "cluster": CLUSTER}
+    with pytest.raises(ValueError, match="cluster is required with trace_dir"):
+        simulate(_spec(), **{half: pair[half]})
+    assert not (tmp_path / "traces").exists()
 
 
 def test_spec_validation():
