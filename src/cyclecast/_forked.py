@@ -7,15 +7,15 @@ second step of synth.simulate) share one protocol:
   or fewer so that each holds at least a least size the caller sets.  A
   host without sched_getaffinity makes one part.
 * Fork: forked() forks a child for each part after the first, which does
-  the caller's task on its part and writes the result down a pipe.  A
-  child runs with warnings as errors, so a warning makes it exit 1.
-* Take or redo: the caller goes through the parts in order.  It takes
-  each child's result, or does the part itself: the first part, and any
-  part whose child could not be forked, exited non-zero or sent a short
-  result.  So a failure or a warning is reported as the serial path
-  reports it, once.
+  the caller's task on its part into a file in memory of its own, then
+  exits.  A child runs with warnings as errors: a warning makes it exit 1.
+* Take or redo: the caller goes through the parts in order.  It reaps
+  each child and reads its file, whole if the child exited 0, or does
+  the part itself: the first part, and any part whose file or fork
+  failed or whose child exited non-zero.  So a failure or a warning is
+  reported as the serial path reports it, once.
 * No child left: forked() kills and reaps every child whose result was
-  not taken, whatever the caller returns or raises.
+  not taken, and closes every file, whatever the caller returns or raises.
 """
 
 from __future__ import annotations
@@ -38,48 +38,50 @@ def part_count(size: int, least: int) -> int:
 def forked(
     task: Callable[..., None], parts: Sequence[tuple]
 ) -> Iterator[Callable[[int, Callable[[BinaryIO], Any]], Any]]:
-    """Fork a child that runs task(pipe, *parts[i]) for each part i after
+    """Fork a child that runs task(file, *parts[i]) for each part i after
     the first, and yield take(i, read).
 
-    take returns read(pipe), pipe the read end of part i's pipe, if the
-    child then exits 0; read returns None if the result is short.  It
-    returns None for part 0 and for a part whose fork, result or exit
-    failed: the caller's to do.
+    take reaps part i's child and, if it exited 0, returns read(file), file
+    its file from the start.  It returns None for part 0 and for a part
+    whose file, fork or exit failed: the caller's to do.
     """
-    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, read end of its pipe
+    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, its child's file
     try:
         for i in range(1, len(parts)):
-            child = _spawn(task, *parts[i])
-            if child is not None:
+            if (child := _spawn(task, *parts[i])) is not None:
                 children[i] = child
 
         def take(i: int, read: Callable[[BinaryIO], Any]) -> Any:
             if i not in children:
                 return None
-            result = read(children[i][1])
-            return result if _reaped(*children.pop(i)) == 0 else None
+            pid, file = children.pop(i)
+            with file:
+                if _reaped(pid) != 0:
+                    return None
+                file.seek(0)
+                return read(file)
 
         yield take
     finally:
-        for pid, pipe in children.values():
-            _reaped(pid, pipe, kill=True)
+        for pid, file in children.values():
+            file.close()
+            _reaped(pid, kill=True)
 
 
 def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | None:
-    """Fork a child that runs task(pipe, *args), pipe the write end of a
-    new pipe: the child's pid and the pipe's read end, or None if no child
-    could be started.
+    """Fork a child that runs task(file, *args), file a new file in
+    memory: the child's pid and the file, or None if no child was started.
 
-    The child exits 0 if task returns and 1 if it raises or warns.  It
-    leaves through os._exit, so it never returns into the caller, flushes
-    stdio or runs exit handlers.  Forking a process that has threads (cli's
-    run-id hash, a BLAS pool) is safe here: the child takes no lock but the
-    GIL and malloc's, and the interpreter and the C library set both up
-    afresh in a child.
+    If task returns, the child closes the file and exits 0; if it raises
+    or warns, it exits 1.  It leaves through os._exit, so it never returns
+    into the caller, flushes stdio or runs exit handlers.  Forking a
+    process that has threads (cli's run-id hash, a BLAS pool) is safe
+    here: the child takes no lock but the GIL and malloc's, and the
+    interpreter and the C library set both up afresh in a child.
     """
     try:
-        read_end, write_end = os.pipe()
-    except OSError:
+        file = open(os.memfd_create("part"), "w+b")
+    except (AttributeError, OSError):  # AttributeError: a host without memfd_create
         return None
     try:
         with warnings.catch_warnings():
@@ -89,27 +91,23 @@ def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | N
             )
             pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        file.close()
         return None
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
             warnings.simplefilter("error")
-            with open(write_end, "wb") as pipe:
-                task(pipe, *args)
+            with file:
+                task(file, *args)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
+    return pid, file
 
 
-def _reaped(pid: int, pipe: BinaryIO, kill: bool = False) -> int:
-    """Close a child's pipe, kill the child if kill, and wait for it to
-    end: its exit code, negative if a signal ended it."""
-    pipe.close()
+def _reaped(pid: int, kill: bool = False) -> int:
+    """Kill a child if kill, and wait for it to end: its exit code,
+    negative if a signal ended it."""
     if kill:
         import signal  # here, so that importing this module imports nothing new
 

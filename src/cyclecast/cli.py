@@ -195,10 +195,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.emit_traces is None) != (args.cluster is None):
         raise _UsageError("--emit-traces requires --cluster" if args.cluster is None
                           else "--cluster requires --emit-traces")
-    spec = SynthSpec(
-        load_model(args.truth), args.grid, args.grid, repetitions=args.reps,
-        noise_rel_sigma=args.noise, seed=seed, app=args.app, input_bytes=args.input_bytes,
-    )
+    truth = load_model(args.truth)
+    try:
+        spec = SynthSpec(truth, args.grid, args.grid, repetitions=args.reps,
+                         noise_rel_sigma=args.noise, seed=seed, app=args.app,
+                         input_bytes=args.input_bytes)
+    except ValueError as exc:  # the run count: the flags have checked every other field
+        raise _UsageError(str(exc)) from None
     cluster = None
     if args.cluster is not None:
         with open(args.cluster, "rb") as handle:

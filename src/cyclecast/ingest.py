@@ -55,20 +55,20 @@ _CHUNK_CHARS count bytes.
 
 A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
 into parts of at least _PART_CHARS each, and each part is checked
-against the grammar and converted alone, on every core, by the
-protocol of the _forked module.  A child writes its part's rows, up to
-its first bad one, down a pipe, which the parser reads straight into
-the body's columns.  The sort and the checks on whole columns then run
-once, so a key repeated across parts is found as one repeated within a
-part is.  The sort codes each machine by the rank of its id in the
-narrowest unsigned dtype that holds the ranks, which numpy sorts by
-radix.  The pass declines a body that does not match, or whose columns
-fail a check the grammar cannot make: a value past int64 or below zero,
-a number that overflows to infinity, a repeated key, a cluster with no
-entries.  The pass that declines a body also finds its first bad line:
-where the grammar's match ends, or the first row or entry the checks on
-the columns find.  Only that line's fields are then checked one by one,
-to raise its typed error.
+against the grammar and converted alone, on every core, by the protocol
+of the _forked module.  A child writes its part's rows, up to its first
+bad one, to a file in memory, which the parser reads straight into the
+body's columns once the child has exited.  The sort and the checks on
+whole columns then run once, so a key repeated across parts is found as
+one repeated within a part is.  The sort codes each machine by the rank
+of its id in the narrowest unsigned dtype that holds the ranks, which
+numpy sorts by radix.  The pass declines a body that does not match, or
+whose columns fail a check the grammar cannot make: a value past int64
+or below zero, a number that overflows to infinity, a repeated key, a
+cluster with no entries.  The pass that declines a body also finds its
+first bad line: where the grammar's match ends, or the first row or
+entry the checks on the columns find.  Only that line's fields are then
+checked one by one, to raise its typed error.
 
 Encoding
 --------
@@ -350,7 +350,7 @@ def _columns(data: bytes) -> TraceSet | int:
         codes, offsets, samples = _empty(rows)  # after the fork: no page shared with a child
         for i, (_, lo, hi, first, stop) in enumerate(parts):
             view = codes[first:stop], offsets[first:stop], samples[first:stop]
-            taken = take(i, lambda pipe: _received(pipe, view))
+            taken = take(i, lambda file: _received(file, view))
             index, converted = taken or _convert(data, lo, hi, first, view)
             indexes.append(index)
             if converted < stop - first:  # a bad row: the rows after it are not needed
@@ -460,7 +460,7 @@ def _convert(
     return index, row
 
 
-def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
+def _send(file: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
     """Convert a part, rows first to stop, in a child and write the
     result: the machine count, the size of their ids and the count of
     rows converted, as three int64; the ids, joined by LF; their codes;
@@ -468,27 +468,21 @@ def _send(pipe: BinaryIO, data: bytes, start: int, end: int, first: int, stop: i
     columns = _empty(stop - first)
     index, converted = _convert(data, start, end, first, columns)
     ids = b"\n".join(index)
-    pipe.write(np.array([len(index), len(ids), converted], np.int64))
-    pipe.write(ids)
-    pipe.write(np.fromiter(index.values(), np.intp, len(index)))
+    file.write(np.array([len(index), len(ids), converted], np.int64))
+    file.write(ids)
+    file.write(np.fromiter(index.values(), np.intp, len(index)))
     for column in columns:
-        pipe.write(column[:converted])
+        file.write(column[:converted])
 
 
-def _received(pipe: BinaryIO, columns: _Rows) -> tuple[dict[bytes, int], int] | None:
-    """What _send wrote to pipe, its rows read straight into columns: the
-    part's machine codes and rows converted, or None if the result is short."""
-    head = np.empty(3, np.int64)
-    if pipe.readinto(head) != head.nbytes:
-        return None
-    machines, size, converted = head.tolist()
-    ids = pipe.read(size)
+def _received(file: BinaryIO, columns: _Rows) -> tuple[dict[bytes, int], int]:
+    """What _send wrote to file, whole, its rows read straight into
+    columns: the part's machine codes and rows converted."""
+    machines, size, converted = np.frombuffer(file.read(3 * 8), np.int64).tolist()
+    ids = file.read(size)
     codes = np.empty(machines, np.intp)
     for buffer in (codes, *(column[:converted] for column in columns)):
-        if pipe.readinto(buffer) != buffer.nbytes:
-            return None
-    if len(ids) != size:
-        return None
+        file.readinto(buffer)
     return dict(zip(ids.split(b"\n"), codes.tolist())), converted
 
 

@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Container, Sequence
+from typing import TYPE_CHECKING, Container, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .core import (
     CyclecastError,
@@ -57,6 +56,9 @@ from .core import (
     check_text,
 )
 from .metrics import EvaluationReport, evaluate
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 BASIS_TAG = "quad-mr-v1"
 N_COEFFS = 5

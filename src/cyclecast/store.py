@@ -53,7 +53,6 @@ import json
 import math
 import os
 import re
-import secrets
 import warnings
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -319,7 +318,7 @@ def save_model(path: str | Path, model: CostModel) -> None:
             "slope": slope, "intercept": intercept, "ref_bytes": model.ref_input_bytes
         }
     target = Path(path)
-    temp = target.with_name(f".{secrets.token_hex(8)}.tmp")
+    temp = target.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
         try:
             with open(temp, "x", encoding="utf-8") as handle:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import secrets
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,6 +77,8 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # reaping it costs this process about 3-5 ms; a campaign run's trace takes
 # about 0.9 ms to generate and write.
 _RUNS_PER_PART = 8
+# The most runs a spec may hold: at generate_profiles' peak of ~590 B a run, 620 MB.
+_MOST_RUNS = 2**20
 # What a run id may not hold, so that it names a file in the trace directory.
 _NOT_IN_RUN_ID = frozenset({"/", os.sep, os.altsep or os.sep, "\0"})
 
@@ -93,7 +94,7 @@ class SynthSpec:
     Checked once, here, by core's rules, and each field stored as a plain
     Python value: the grids non-empty tuples of counts, repetitions and
     input_bytes counts, seed an int in [0, 2**64), noise_rel_sigma a
-    real >= 0 and app a non-empty str.
+    real >= 0, app a non-empty str, and at most _MOST_RUNS runs in all.
     """
 
     truth: CostModel
@@ -119,6 +120,9 @@ class SynthSpec:
             ("input_bytes", _check_count("input_bytes", self.input_bytes)),
         ]:
             object.__setattr__(self, name, value)
+        runs = len(self.grid_mappers) * len(self.grid_reducers) * self.repetitions
+        if runs > _MOST_RUNS:
+            raise ValueError(f"the spec holds {runs} runs; at most {_MOST_RUNS}")
 
 
 def _words(value: int) -> list[int]:
@@ -325,7 +329,7 @@ def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str |
     out_dir.mkdir(parents=True, exist_ok=True)
     # Named by index, not by run id: a temporary name is then short, so
     # every run id whose own file name fits the file system's limit works.
-    token = secrets.token_hex(8)
+    token = os.urandom(8).hex()
     temps = [out_dir / f".{token}-{run}.tmp" for run in range(len(run_ids))]
     parts = part_count(len(run_ids), _RUNS_PER_PART)
     bounds = [len(run_ids) * part // parts for part in range(parts + 1)]
@@ -335,7 +339,7 @@ def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str |
     try:
         with forked(_send_part, [(*work, *span) for span in spans]) as take:
             for i, (lo, hi) in enumerate(spans):
-                written = take(i, lambda pipe: True)  # its child exited 0: every file is closed
+                written = take(i, lambda file: True)  # its child exited 0: every file is closed
                 for run in range(lo, hi):
                     if not written:
                         _write_part(*work, run, run + 1)
@@ -373,7 +377,7 @@ def _write_part(
 
 
 def _send_part(
-    pipe: BinaryIO, run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec,
+    file: BinaryIO, run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec,
     seed: int, temps: list[Path], lo: int, hi: int,
 ) -> None:
     """_write_part in a child, which reports by its exit status alone:

@@ -42,7 +42,11 @@ def split(module, name, size, cores=2):
 
 @pytest.fixture
 def no_child_left():
-    """Checks, after the test, that every child it forked was reaped."""
+    """Checks, after the test, that every child it forked was reaped and
+    that every file descriptor it opened, a child's handover file among
+    them, was closed."""
+    opened = set(os.listdir("/proc/self/fd"))
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) - opened == set()

@@ -629,19 +629,20 @@ class TestEmitSplit:
         assert _emitted(tmp_path, capsys, 4, fork) == (serial, 3)
 
     def test_a_part_whose_pipe_fails_is_written_here(self, tmp_path, capsys, no_child_left):
-        # The pipes for parts 1, 2 and 3 of 4, of which that for part 2 fails.
-        pipes = iter(range(1, 4))
-        real_pipe = os.pipe
+        # The handover files for parts 1, 2 and 3 of 4, of which that for
+        # part 2 cannot be made.
+        files = iter(range(1, 4))
+        real_memfd_create = os.memfd_create
 
-        def pipe():
-            if next(pipes) == 2:
+        def memfd_create(*args):
+            if next(files) == 2:
                 raise OSError("too many open files")
-            return real_pipe()
+            return real_memfd_create(*args)
 
         serial, _ = _emitted(tmp_path, capsys, 1)
-        with mock.patch.object(os, "pipe", side_effect=pipe) as piped:
+        with mock.patch.object(os, "memfd_create", side_effect=memfd_create) as made:
             assert _emitted(tmp_path, capsys, 4) == (serial, 2)
-        assert piped.call_count == 3
+        assert made.call_count == 3
 
     def test_a_host_without_sched_getaffinity_writes_in_one_part(
         self, tmp_path, capsys, no_child_left
@@ -938,6 +939,23 @@ class TestExitCodes:
     def test_grid_of_1024_values_parses(self):
         assert cli._grid("1:1024:1") == tuple(range(1, 1025))
         assert cli._grid("3:2049:2") == tuple(range(3, 2050, 2))
+
+    @pytest.mark.parametrize(
+        "grid, reps, runs",
+        [("4:8:4", "100000000000", 400000000000), ("1:1024:1", "2", 2097152)],
+        ids=["reps", "grid"],
+    )
+    def test_a_spec_of_over_2_to_the_20_runs_is_usage(
+        self, tmp_path, truth_file, capsys, grid, reps, runs
+    ):
+        argv = _simulate(tmp_path)
+        argv[argv.index("4:32:4")] = grid
+        argv[argv.index("--reps") + 1] = reps
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: the spec holds {runs} runs; at most 1048576\n"
+        )
+        assert not (tmp_path / "runs.jsonl").exists()
 
     @pytest.mark.parametrize("value", ["1_0", "+10", " 10", "10 ", "\u0661\u0660"])
     @pytest.mark.parametrize(
@@ -1314,6 +1332,21 @@ for argv in commands:
     assert main(argv) == 0, argv
 print("numpy.ma" in sys.modules)
 """
+
+
+def test_importing_the_cli_loads_no_module_that_no_command_needs():
+    # numpy.typing serves only annotations; secrets (which loads base64
+    # and hmac) served only temporary-file tokens.
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cyclecast.cli; "
+        "print(sorted({'numpy.typing', 'secrets', 'base64', 'hmac'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_the_pipeline_never_imports_numpy_ma(tmp_path, truth_file):

@@ -720,21 +720,53 @@ def test_a_part_whose_fork_fails_is_converted_here(failing, no_child_left):
 
 
 def test_a_part_whose_pipe_fails_is_converted_here(no_child_left):
-    # The pipes for parts 1, 2 and 3 of 4, of which that for part 2 fails.
-    pipes = iter(range(1, 4))
-    real_pipe = os.pipe
+    # The handover files for parts 1, 2 and 3 of 4, of which that for
+    # part 2 cannot be made.
+    files = iter(range(1, 4))
+    real_memfd_create = os.memfd_create
 
-    def pipe():
-        if next(pipes) == 2:
+    def memfd_create(*args):
+        if next(files) == 2:
             raise OSError("too many open files")
-        return real_pipe()
+        return real_memfd_create(*args)
 
     text = _long_body()
-    with mock.patch.object(os, "pipe", side_effect=pipe) as piped, mock.patch.object(
-        os, "fork", side_effect=os.fork
-    ) as forked:
+    with (
+        mock.patch.object(os, "memfd_create", side_effect=memfd_create) as made,
+        mock.patch.object(os, "fork", side_effect=os.fork) as forked,
+    ):
         assert _split_outcome(text, 1024, 4) == _serial_outcome(text)
-    assert (piped.call_count, forked.call_count) == (3, 2)
+    assert (made.call_count, forked.call_count) == (3, 2)
+
+
+def test_a_host_without_memfd_create_parses_in_one_process(no_child_left):
+    text = _long_body()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "memfd_create")
+        assert _forks(text, 1024, 4) == 0
+        assert _split_outcome(text, 1024, 4) == _serial_outcome(text)
+
+
+def test_a_child_exits_while_the_parent_converts_its_own_part(no_child_left):
+    # Part 2 of 2 holds 4,000 rows, 96,000 bytes of columns: more than a
+    # 64 KiB pipe holds.  Its child must not wait on the parent, so it has
+    # exited, though not yet been reaped, while part 1 is still converting.
+    text = _long_body(8000)
+    parent, convert, exited = os.getpid(), ingest._convert, []
+
+    def waiting(data, start, *args):
+        if os.getpid() == parent and start == len(HEADER):
+            deadline = time.monotonic() + 10
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            while not (child := os.waitid(os.P_ALL, 0, flags)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            exited.append(child and (child.si_code, child.si_status))
+        return convert(data, start, *args)
+
+    with mock.patch.object(ingest, "_convert", waiting):
+        outcome = _split_outcome(text, 1024, 2)
+    assert exited == [(os.CLD_EXITED, 0)]
+    assert outcome == _serial_outcome(text)
 
 
 def test_a_host_without_sched_getaffinity_parses_in_one_part(no_child_left):
@@ -746,12 +778,8 @@ def test_a_host_without_sched_getaffinity_parses_in_one_part(no_child_left):
 
 @pytest.mark.parametrize("cores", [2, 4])
 @pytest.mark.parametrize(
-    "send",
-    [
-        mock.Mock(side_effect=RuntimeError("the child fails before it writes")),
-        lambda pipe, *args: pipe.write(b"\x01\x00"),  # a short head, then exit 0
-    ],
-    ids=["exits-1", "short-result"],
+    "send", [mock.Mock(side_effect=RuntimeError("the child fails before it writes"))],
+    ids=["exits-1"],
 )
 def test_a_part_whose_child_fails_is_converted_here(send, cores, no_child_left):
     text = _long_body()
@@ -778,10 +806,10 @@ def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
     assert len(cuts) == 5 and trigger in data[cuts[1]:cuts[2]]
     send = ingest._send
 
-    def sleepy_send(pipe, data, start, *args):
+    def sleepy_send(file, data, start, *args):
         if start in cuts[2:4]:
             time.sleep(60)
-        send(pipe, data, start, *args)
+        send(file, data, start, *args)
 
     began = time.monotonic()
     with mock.patch.object(ingest, "_send", sleepy_send):

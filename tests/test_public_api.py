@@ -79,7 +79,7 @@ def test_the_cli_imports_no_private_name_of_the_library():
     assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
-_PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill"}
+_PROCESS_CALLS = {"fork", "memfd_create", "waitpid", "kill"}
 
 
 def test_one_module_forks_and_none_imports_a_private_name_of_ingest():

@@ -215,6 +215,16 @@ def test_spec_validation():
         _spec(input_bytes=0)
 
 
+def test_a_spec_holds_at_most_2_to_the_20_runs():
+    axis = tuple(range(1, 1025))
+    assert synth._MOST_RUNS == len(axis) ** 2 == 2**20
+    assert _spec(grid_mappers=axis, grid_reducers=axis, repetitions=1).repetitions == 1
+    with pytest.raises(ValueError, match=r"^the spec holds 2097152 runs; at most 1048576$"):
+        _spec(grid_mappers=axis, grid_reducers=axis, repetitions=2)
+    with pytest.raises(ValueError, match=r"^the spec holds 400000000000 runs; at most 1048576$"):
+        _spec(grid_mappers=(4, 8), grid_reducers=(4, 8), repetitions=10**11)
+
+
 class TestGenerateTrace:
     def test_traces_account_back_to_the_total(self):
         traces = generate_trace("job-001", 7.3e13, CLUSTER, seed=5)
