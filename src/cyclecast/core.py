@@ -9,8 +9,13 @@ across clusters with heterogeneous clocks.
 Everything is columnar: a TraceSet has one row per sample, cut into
 per-machine segments, RunTable and ProfileTable one row per run or
 profile, and ClusterSpec one row per machine.  Each checks its whole
-columns once, when built.  Every operation here is pure.  Sums use
-math.fsum, so totals do not depend on the order of segments or samples.
+columns once, when built.  Every operation here is pure.  Sums are
+exactly rounded, as math.fsum gives them, so totals do not depend on the
+order of segments or samples.  Accounting sums a segment of one or two
+samples in one IEEE addition, which rounds exactly already, and a longer
+one with math.fsum.  A total can still change in its last bits when the
+same samples are cut into other segments: each segment's sum is rounded
+before it is scaled by its machine's clock.
 """
 
 from __future__ import annotations
@@ -365,25 +370,29 @@ def total_cpu_cycles(traces: TraceSet, cluster: ClusterSpec) -> float:
 
     Each segment's CPU-seconds are summed and multiplied by its machine's
     clock rate; the per-segment products are then summed.  There is no
-    normalization of any kind.  Both sums use math.fsum, so the result is
-    independent of segment order and, for a fixed set of samples, of how
-    the samples are cut into segments.  The first segment, in set order,
-    whose machine is not in the cluster or that has a sample above its
-    machine's core count raises.
+    normalization of any kind.  Both sums are exactly rounded, as
+    math.fsum gives them: a segment of one or two samples is summed in one
+    IEEE addition, which already rounds exactly, and a longer one by
+    math.fsum.  So the result is independent of segment order.  It is not,
+    bit for bit, independent of how samples are cut into segments, since
+    each segment's sum is rounded before it is scaled by its clock.  The
+    first segment, in set order, whose machine is not in the cluster or
+    that has a sample above its machine's core count raises.
     """
     ids = traces.machine_ids
     # The cluster rows of the segments before the first unknown machine:
     # checked first.
     known = functools.partial(operator.is_not, None)
-    rows = list(itertools.takewhile(known, map(cluster._rows.get, ids)))
-    ends = traces.ends[: len(rows)].tolist()
+    rows = np.fromiter(itertools.takewhile(known, map(cluster._rows.get, ids)), np.intp)
+    ends = traces.ends[: len(rows)]
+    counts = np.diff(ends, prepend=0)
     cores = cluster.cores[rows]
     # float64 holds cores up to 2**53 exactly; larger ones are screened as
     # 2**53, and a sample the screen flags is then held to the int itself.
-    limits = np.repeat(np.minimum(cores, 2**53).astype(np.float64), np.diff([0, *ends]))
-    values = memoryview(traces.samples)
-    for row in np.flatnonzero(traces.samples[: len(limits)] > limits).tolist():
-        segment = bisect.bisect_right(ends, row)
+    limits = np.repeat(np.minimum(cores, 2**53).astype(np.float64), counts)
+    samples, values = traces.samples, memoryview(traces.samples)
+    flagged = np.flatnonzero(samples[: len(limits)] > limits)
+    for row, segment in zip(flagged.tolist(), np.searchsorted(ends, flagged, "right").tolist()):
         if values[row] > (count := int(cores[segment])):
             raise SampleExceedsCoresError(
                 f"machine {ids[segment]!r} has {count} cores but a "
@@ -391,8 +400,18 @@ def total_cpu_cycles(traces: TraceSet, cluster: ClusterSpec) -> float:
             )
     if len(rows) < len(ids):
         raise UnknownMachineError(f"machine {ids[len(rows)]!r} is not in the cluster spec")
-    per_segment = map(math.fsum, map(values.__getitem__, map(slice, [0, *ends], ends)))
-    return math.fsum(map(operator.mul, per_segment, cluster.clock_hz[rows].tolist()))
+    starts = ends - counts
+    sums = np.zeros(len(rows))
+    if samples.size:  # else every segment is empty
+        # Each segment's first and last sample; the last counts only in a
+        # segment of two.  Two -0.0s add to -0.0, where fsum gives 0.0, but
+        # the sum over the products gives 0.0 for zeros of either sign.
+        first, last = np.take(samples, (starts, ends - 1), mode="clip")
+        sums = np.where(counts > 0, first, 0.0) + np.where(counts > 1, last, 0.0)
+    long = np.flatnonzero(counts > 2)
+    lows, highs = starts[long].tolist(), ends[long].tolist()
+    sums[long] = list(map(math.fsum, map(values.__getitem__, map(slice, lows, highs))))
+    return math.fsum((sums * cluster.clock_hz[rows]).tolist())
 
 
 def aggregate_repetitions(table: RunTable) -> ProfileTable:

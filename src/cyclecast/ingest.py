@@ -212,8 +212,7 @@ def parse_trace_csv(
     gap_threshold is the tolerated missing fraction of each machine's
     offset span before a GAP_EXCEEDS_THRESHOLD warning is attached.
     """
-    if not 0 <= _real("gap_threshold", gap_threshold, -math.inf) <= 1:
-        raise ValueError(f"gap_threshold must be in [0, 1], got {gap_threshold}")
+    _check_gap_threshold(gap_threshold)
     text = stream.read()
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     # The columnar pass reads bytes that start with the exact header line.
@@ -243,6 +242,12 @@ def parse_trace_csv(
     return traces, warnings
 
 
+def _check_gap_threshold(value) -> None:
+    """The rule for gap_threshold: a real in [0, 1]."""
+    if not 0 <= _real("gap_threshold", value, -math.inf) <= 1:
+        raise ValueError(f"gap_threshold must be in [0, 1], got {value}")
+
+
 def account_trace(
     data: bytes, cluster: ClusterSpec, app: str, mappers: int, reducers: int, input_bytes: int,
     run_id: str | None = None, gap_threshold: float = 0.05,
@@ -253,11 +258,14 @@ def account_trace(
     hex digits of data's SHA-256, hashed on a second thread beside the
     parse and joined before this returns or raises; an error of the parse
     is raised before one of the hash, and a bad argument before either."""
+    if not isinstance(cluster, ClusterSpec):
+        raise TypeError(f"cluster must be a ClusterSpec, got {type(cluster).__name__}")
     check_text("app", app)
     if run_id is not None:
         check_text("run_id", run_id)
     for name, count in [("mappers", mappers), ("reducers", reducers), ("input_bytes", input_bytes)]:
         _check_count(name, count)
+    _check_gap_threshold(gap_threshold)
     digest = None if run_id is not None else _digest(data)
     try:  # a whole BytesIO's one read() returns data itself, so the parse copies nothing
         traces, warnings = parse_trace_csv(io.BytesIO(data), gap_threshold=gap_threshold)

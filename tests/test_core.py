@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracle import rows, segments, table, trace_set
+from oracle import total_cpu_cycles as per_trace_cycles
 
 from cyclecast.core import (
     ClusterSpec,
+    CyclecastError,
     EmptyInputError,
     ProfileTable,
     RunTable,
@@ -101,6 +103,39 @@ class TestTotalCpuCycles:
             total_cpu_cycles(trace_set([over, ghost]), TWO_MACHINE_CLUSTER)
         with pytest.raises(UnknownMachineError, match="^machine 'ghost' is not in the cluster spec$"):
             total_cpu_cycles(trace_set([ghost, over]), TWO_MACHINE_CLUSTER)
+
+    # Samples where a sum or the core screen could go wrong: signed zeros,
+    # subnormals, the halfway cases 1 + 2**-53 and 1 + 3 * 2**-53 (ties to
+    # even), TWO_MACHINE_CLUSTER's core counts and the next float above 2.
+    _EDGES = [0.0, -0.0, 5e-324, 2.0**-1060, 1.0, 2.0**-53, 3 * 2.0**-53, 2.0, 4.0,
+              math.nextafter(2.0, 3.0)]
+    _SEGMENTS = st.lists(st.tuples(
+        st.sampled_from(["node-a", "node-b", "ghost"]),
+        st.lists(st.sampled_from(_EDGES) | st.floats(0.0, 4.0), max_size=4),
+    ), max_size=6)
+
+    @given(_SEGMENTS)
+    @example([("node-a", [1.0, 2.0**-53]), ("node-b", [1.0, 3 * 2.0**-53]), ("node-a", [])])
+    @example([("node-a", [-0.0, -0.0]), ("node-b", [-0.0]), ("node-a", [5e-324, 5e-324])])
+    @example([("node-b", [1.0, 2.0, 2.0]), ("node-b", [0.5, 2.5]), ("ghost", [])])
+    def test_short_and_long_segments_sum_as_the_per_trace_rule(self, drawn):
+        # Segments of up to two samples and longer ones are summed two ways;
+        # either must give the per-trace rule's fsum bit for bit, or its error.
+        traces = TraceSet(
+            machine_ids=[machine_id for machine_id, _ in drawn],
+            ends=np.cumsum([len(samples) for _, samples in drawn], dtype=np.int64),
+            offsets=[offset for _, samples in drawn for offset in range(len(samples))],
+            samples=[sample for _, samples in drawn for sample in samples],
+        )
+        per_trace = [(machine_id, range(len(samples)), samples) for machine_id, samples in drawn]
+
+        def accounted(account, traces):
+            try:
+                return repr(account(traces, TWO_MACHINE_CLUSTER))
+            except CyclecastError as exc:
+                return type(exc), str(exc)
+
+        assert accounted(total_cpu_cycles, traces) == accounted(per_trace_cycles, per_trace)
 
     def test_the_error_spells_the_sample_as_repr_does(self):
         # 2.0000000000000004 needs all 17 significant digits.

@@ -966,6 +966,11 @@ def test_no_thread_outlives_a_refused_account_trace(monkeypatch):
     ("input_bytes", 1.5, TypeError),
     ("run_id", "", ValueError),
     ("run_id", b"exp", TypeError),
+    ("cluster", None, TypeError),
+    ("cluster", "cluster.txt", TypeError),
+    ("gap_threshold", 2.0, ValueError),
+    ("gap_threshold", math.nan, ValueError),
+    ("gap_threshold", "0.1", TypeError),
 ])
 def test_account_trace_checks_its_arguments_before_it_hashes_or_parses(
     monkeypatch, name, value, error
@@ -976,10 +981,11 @@ def test_account_trace_checks_its_arguments_before_it_hashes_or_parses(
     monkeypatch.setattr(ingest, "parse_trace_csv", refuse)
     monkeypatch.setattr(ingest, "_digest", refuse)
     cluster = parse_cluster_spec(io.StringIO(_ACCOUNTED_CLUSTER))
-    arguments = dict(app="sort", mappers=4, reducers=2, input_bytes=2**30, run_id=None)
+    arguments = dict(cluster=cluster, app="sort", mappers=4, reducers=2, input_bytes=2**30,
+                     run_id=None, gap_threshold=0.05)
     arguments[name] = value
     with pytest.raises(error, match=f"^{name} must be"):
-        ingest.account_trace(_ACCOUNTED_CSV.encode(), cluster, **arguments)
+        ingest.account_trace(_ACCOUNTED_CSV.encode(), **arguments)
 
 
 def test_write_orders_machines_lexicographically():
