@@ -7,8 +7,9 @@ second step of synth.simulate) share one protocol:
   or fewer so that each holds at least a least size the caller sets.  A
   host without sched_getaffinity makes one part.
 * Fork: forked() forks a child for each part after the first, which does
-  the caller's task on its part into a file in memory of its own, then
-  exits.  A child runs with warnings as errors: a warning makes it exit 1.
+  the caller's task on its part, writes the buffers the task returns to
+  a file in memory of its own, then exits.  A child runs with warnings
+  as errors: a warning makes it exit 1.
 * Take or redo: the caller goes through the parts in order.  It reaps
   each child and reads its file, whole if the child exited 0, or does
   the part itself: the first part, and any part whose file or fork
@@ -23,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any, BinaryIO
 
 
@@ -36,14 +37,14 @@ def part_count(size: int, least: int) -> int:
 
 @contextlib.contextmanager
 def forked(
-    task: Callable[..., None], parts: Sequence[tuple]
+    task: Callable[..., Iterable[Any] | None], parts: Sequence[tuple]
 ) -> Iterator[Callable[[int, Callable[[BinaryIO], Any]], Any]]:
-    """Fork a child that runs task(file, *parts[i]) for each part i after
-    the first, and yield take(i, read).
+    """Fork a child that runs task(*parts[i]) for each part i after the
+    first, and yield take(i, read).
 
     take reaps part i's child and, if it exited 0, returns read(file), file
-    its file from the start.  It returns None for part 0 and for a part
-    whose file, fork or exit failed: the caller's to do.
+    the buffers the task returned, in order, from the start.  It returns
+    None for part 0 and for a part whose file, fork or exit failed.
     """
     children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, its child's file
     try:
@@ -68,16 +69,17 @@ def forked(
             _reaped(pid, kill=True)
 
 
-def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | None:
-    """Fork a child that runs task(file, *args), file a new file in
-    memory: the child's pid and the file, or None if no child was started.
+def _spawn(task: Callable[..., Any], *args: object) -> tuple[int, BinaryIO] | None:
+    """Fork a child that runs task(*args) and writes the buffers it returns,
+    if any, to a new file in memory: the child's pid and the file, or None
+    if no child was started.
 
-    If task returns, the child closes the file and exits 0; if it raises
-    or warns, it exits 1.  It leaves through os._exit, so it never returns
-    into the caller, flushes stdio or runs exit handlers.  Forking a
-    process that has threads (cli's run-id hash, a BLAS pool) is safe
-    here: the child takes no lock but the GIL and malloc's, and the
-    interpreter and the C library set both up afresh in a child.
+    The child then closes the file and exits 0, or 1 if any of it raises
+    or warns.  It leaves through os._exit, so it never returns into the
+    caller, flushes stdio or runs exit handlers.  Forking a process that
+    has threads (cli's run-id hash, a BLAS pool) is safe here: the child
+    takes no lock but the GIL and malloc's, and the interpreter and the C
+    library set both up afresh in a child.
     """
     try:
         file = open(os.memfd_create("part"), "w+b")
@@ -98,7 +100,7 @@ def _spawn(task: Callable[..., None], *args: object) -> tuple[int, BinaryIO] | N
         try:
             warnings.simplefilter("error")
             with file:
-                task(file, *args)
+                file.writelines(task(*args) or ())
             status = 0
         finally:
             os._exit(status)

@@ -177,17 +177,19 @@ def check_text(name: str, value) -> str:
     return value
 
 
-def _texts(name: str, value) -> tuple[str, ...]:
-    """value as a tuple, each item held to check_text's rule under name.  The
-    item types, emptiness and surrogates are checked whole; a failure is
-    then found one item at a time."""
+def _texts(name: str, value, each: str) -> tuple[str, ...]:
+    """value, the column named name, as a tuple (not a str or bytes), each
+    item held to check_text's rule under each.  The item types, emptiness
+    and surrogates are checked whole; a failure is then found one at a time."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a sequence of str, got {type(value).__name__}")
     column = tuple(value)
     if all(issubclass(kind, str) for kind in set(map(type, column))) and all(column):
         joined = "\n".join(column)
         if joined.isascii() or not _SURROGATE_PAIR.search(joined):
             return column
     for item in column:
-        check_text(name, item)
+        check_text(each, item)
     return column
 
 
@@ -215,7 +217,7 @@ def _set_columns(
     real column a read-only float64 array under _reals' rule.  Every
     column has as many rows as the first text column.
     """
-    strings = {name: _texts(f"every item of {name}", getattr(table, name)) for name in texts}
+    strings = {name: _texts(name, getattr(table, name), f"every item of {name}") for name in texts}
     rows = len(strings[texts[0]])
     for name, column in strings.items():
         if len(column) != rows:
@@ -338,7 +340,7 @@ class TraceSet:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = _texts("machine_id", self.machine_ids)
+        ids = _texts("machine_ids", self.machine_ids, "machine_id")
         ends, offsets = _ints("ends", self.ends, 0), _ints("offsets", self.offsets, 0)
         samples = _reals("samples", self.samples)
         if ends.shape != (len(ids),) or (ends[1:] < ends[:-1]).any():

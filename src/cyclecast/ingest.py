@@ -56,9 +56,11 @@ _CHUNK_CHARS count bytes.
 A trace body of at least two _PART_CHARS (1 MiB) is cut at line ends
 into parts of at least _PART_CHARS each, and each part is checked
 against the grammar and converted alone, on every core, by the protocol
-of the _forked module.  A child writes its part's rows, up to its first
-bad one, to a file in memory, which the parser reads straight into the
-body's columns once the child has exited.  The sort and the checks on
+of the _forked module.  A child hands over its part's machine codes and
+row count, pickled, then its rows up to its first bad one as raw bytes,
+in a file in memory.  The parser unpickles only a file its own child
+wrote, and reads the rows straight into the body's columns once the
+child has exited, with no second copy.  The sort and the checks on
 whole columns then run once, so a key repeated across parts is found as
 one repeated within a part is.  The sort codes each machine by the rank
 of its id in the narrowest unsigned dtype that holds the ranks, which
@@ -103,6 +105,7 @@ import io
 import itertools
 import math
 import operator
+import pickle
 import re
 import threading
 from dataclasses import dataclass
@@ -468,30 +471,22 @@ def _convert(
     return index, row
 
 
-def _send(file: BinaryIO, data: bytes, start: int, end: int, first: int, stop: int) -> None:
-    """Convert a part, rows first to stop, in a child and write the
-    result: the machine count, the size of their ids and the count of
-    rows converted, as three int64; the ids, joined by LF; their codes;
-    then the converted rows of the three columns, each as its raw bytes."""
+def _send(data: bytes, start: int, end: int, first: int, stop: int) -> list[bytes | np.ndarray]:
+    """Convert a part, rows first to stop, in a child: the buffers to hand
+    over, the pickled machine codes and count of rows converted, then the
+    converted rows of the three columns, each as its raw bytes."""
     columns = _empty(stop - first)
     index, converted = _convert(data, start, end, first, columns)
-    ids = b"\n".join(index)
-    file.write(np.array([len(index), len(ids), converted], np.int64))
-    file.write(ids)
-    file.write(np.fromiter(index.values(), np.intp, len(index)))
-    for column in columns:
-        file.write(column[:converted])
+    return [pickle.dumps((index, converted)), *(column[:converted] for column in columns)]
 
 
 def _received(file: BinaryIO, columns: _Rows) -> tuple[dict[bytes, int], int]:
-    """What _send wrote to file, whole, its rows read straight into
-    columns: the part's machine codes and rows converted."""
-    machines, size, converted = np.frombuffer(file.read(3 * 8), np.int64).tolist()
-    ids = file.read(size)
-    codes = np.empty(machines, np.intp)
-    for buffer in (codes, *(column[:converted] for column in columns)):
-        file.readinto(buffer)
-    return dict(zip(ids.split(b"\n"), codes.tolist())), converted
+    """What _send handed over in file, which only its forked child wrote,
+    its rows read straight into columns: the part's codes and rows converted."""
+    index, converted = pickle.load(file)
+    for column in columns:
+        file.readinto(column[:converted])
+    return index, converted
 
 
 def _raise_bad_row(text: str, row: int) -> NoReturn:

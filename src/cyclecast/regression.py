@@ -145,24 +145,29 @@ class CostModel:
         a float for scalars, an array for arrays.
 
         Each argument is an int or an array of ints, each an int in
-        [1, 2**63).  mappers and reducers share one shape; input_bytes is one
-        size or has that shape too.  None or the reference size gives the
-        surface itself.  Other sizes are scaled along the size line;
-        without one, the surface is returned unscaled with one UserWarning.
+        [1, 2**63).  mappers and reducers share one shape, which broadcasts
+        with input_bytes' to the result's (else ShapeMismatchError).  None
+        or the reference size gives the surface itself.  Other sizes are
+        scaled along the size line; without one, the surface is returned
+        unscaled with one UserWarning.
         """
         ref = self.ref_input_bytes
-        sizes = ref if input_bytes is None else _ints("input_bytes", input_bytes)
+        sizes = _ints("input_bytes", ref if input_bytes is None else input_bytes)
         value = predict(self, mappers, reducers)
-        if np.all(sizes == ref):
-            return value
-        if self.line is None:
+        try:
+            shape = np.broadcast_shapes(np.shape(value), sizes.shape)
+        except ValueError:
+            shapes = f"mappers have shape {np.shape(value)} but input_bytes {sizes.shape}"
+            raise ShapeMismatchError(shapes) from None
+        if not np.all(sizes == ref):
+            if self.line is not None:
+                return scale_prediction(value, self, sizes)
             warnings.warn(
                 f"model has no scaling section; predicting as if at the "
                 f"reference size {ref} bytes",
                 stacklevel=2,
             )
-            return value
-        return scale_prediction(value, self, sizes)
+        return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
 
     def tabulate(
         self, mappers: ArrayLike, reducers: ArrayLike, input_bytes: ArrayLike | None = None

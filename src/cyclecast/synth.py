@@ -45,7 +45,6 @@ import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -337,7 +336,7 @@ def write_traces(runs: RunTable, cluster: ClusterSpec, seed: int, out_dir: str |
     work = (run_ids, cycles, cluster, seed, temps)
     placed = 0  # runs whose file is in place
     try:
-        with forked(_send_part, [(*work, *span) for span in spans]) as take:
+        with forked(_write_part, [(*work, *span) for span in spans]) as take:
             for i, (lo, hi) in enumerate(spans):
                 written = take(i, lambda file: True)  # its child exited 0: every file is closed
                 for run in range(lo, hi):
@@ -369,17 +368,9 @@ def _write_part(
     run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec, seed: int,
     temps: list[Path], lo: int, hi: int,
 ) -> None:
-    """Write the traces of runs lo to hi, each to its temporary name."""
+    """Write the traces of runs lo to hi, each to its temporary name, here
+    or in a forked child, which reports by its exit status alone."""
     for run in range(lo, hi):
         traces = generate_trace(run_ids[run], cycles[run], cluster, seed)
         with open(temps[run], "w", encoding="utf-8", newline="") as handle:
             write_trace_csv(traces, handle)
-
-
-def _send_part(
-    file: BinaryIO, run_ids: Sequence[str], cycles: list[float], cluster: ClusterSpec,
-    seed: int, temps: list[Path], lo: int, hi: int,
-) -> None:
-    """_write_part in a child, which reports by its exit status alone:
-    it exits 0 only once every file of its part is closed."""
-    _write_part(run_ids, cycles, cluster, seed, temps, lo, hi)

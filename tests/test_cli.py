@@ -14,7 +14,7 @@ import pytest
 from conftest import split
 from oracle import rows, table
 
-from cyclecast import cli, ingest, store, synth
+from cyclecast import _forked, cli, ingest, store, synth
 from cyclecast.cli import main
 from cyclecast.core import RunTable, aggregate_repetitions
 from cyclecast.regression import CostModel, fit_least_squares, predict
@@ -666,7 +666,8 @@ class TestEmitSplit:
     )
     def test_a_part_whose_child_fails_is_written_here(self, tmp_path, capsys, send, no_child_left):
         serial, _ = _emitted(tmp_path, capsys, 1)
-        with mock.patch.object(synth, "_send_part", send):
+        spawn = _forked._spawn
+        with mock.patch.object(_forked, "_spawn", lambda task, *args: spawn(send, *args)):
             assert _emitted(tmp_path, capsys, 3) == (serial, 2)
 
     def test_a_childs_warning_is_printed_once(self, tmp_path, capsys, monkeypatch, no_child_left):

@@ -465,6 +465,22 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"^every item of {column} must be a str, got "):
             self._with(cls, **change)
 
+    @pytest.mark.parametrize("text", ["sort", b"sort"], ids=["str", "bytes"])
+    def test_a_text_column_is_not_a_bare_str(self, text):
+        # A bare str or bytes would otherwise be a column of its characters
+        # (or byte values), one per row.
+        kind = type(text).__name__
+        four = [1] * 4
+        with pytest.raises(TypeError, match=f"^apps must be a sequence of str, got {kind}$"):
+            RunTable(apps=text, run_ids=["r1", "r2", "r3", "r4"], mappers=four, reducers=four,
+                     input_bytes=four, total_cycles=[1.0] * 4)
+        with pytest.raises(TypeError, match=f"^run_ids must be a sequence of str, got {kind}$"):
+            self._with(RunTable, run_ids=text[:1])
+        with pytest.raises(TypeError, match=f"^machines must be a sequence of str, got {kind}$"):
+            ClusterSpec(text[:2], [1.0, 1.0], [1, 1])
+        with pytest.raises(TypeError, match=f"^machine_ids must be a sequence of str, got {kind}$"):
+            TraceSet(text[:2], [1, 2], [0, 0], [0.5, 0.5])
+
     @pytest.mark.parametrize("machine", [7, b"a", None, ("a",)])
     def test_machine_ids_are_str(self, machine):
         with pytest.raises(TypeError, match="^every item of machines must be a str, got "):

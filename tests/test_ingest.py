@@ -806,10 +806,10 @@ def test_a_part_that_declines_kills_the_later_children(trigger, no_child_left):
     assert len(cuts) == 5 and trigger in data[cuts[1]:cuts[2]]
     send = ingest._send
 
-    def sleepy_send(file, data, start, *args):
+    def sleepy_send(data, start, *args):
         if start in cuts[2:4]:
             time.sleep(60)
-        send(file, data, start, *args)
+        return send(data, start, *args)
 
     began = time.monotonic()
     with mock.patch.object(ingest, "_send", sleepy_send):

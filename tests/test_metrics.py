@@ -94,6 +94,11 @@ class TestErrors:
             with pytest.raises(ShapeMismatchError):
                 fn([], [])
 
+    def test_not_1d(self):
+        for fn in (mape, pred25, rmse, r2_paper, r2_standard):
+            with pytest.raises(ShapeMismatchError, match="^actual and predicted must be 1-d$"):
+                fn([[1.0]], [[1.0]])
+
     def test_r2_needs_two_points(self):
         for fn in (r2_paper, r2_standard):
             with pytest.raises(ShapeMismatchError):

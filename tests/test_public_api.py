@@ -101,6 +101,35 @@ def test_one_module_forks_and_none_imports_a_private_name_of_ingest():
     assert private == []
 
 
+_UNPICKLERS = {"load", "loads", "Unpickler"}
+
+
+def test_one_function_unpickles_and_only_ingest_imports_pickle():
+    # A forked parse child hands over its part's machine codes pickled, and
+    # ingest._received alone unpickles them, from the file that child
+    # wrote: no other input can reach an unpickler.
+    imports, unpickles = [], []
+
+    def visit(path, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(path, child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                imports.extend((path.name, alias.name, alias.asname) for alias in child.names
+                               if alias.name.split(".")[0] in ("pickle", "_pickle"))
+            elif isinstance(child, ast.ImportFrom) and child.module in ("pickle", "_pickle"):
+                imports.append((path.name, child.module, "from"))
+            elif isinstance(child, ast.Attribute) and ast.unparse(child.value) == "pickle":
+                if child.attr in _UNPICKLERS:
+                    unpickles.append((path.name, where, child.attr))
+            visit(path, child, where)
+
+    for path in sorted(Path(cyclecast.__file__).parent.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert imports == [("ingest.py", "pickle", None)]
+    assert unpickles == [("ingest.py", "_received", "load")]
+
 def test_one_module_starts_a_thread_and_the_cli_hashes_nothing():
     # The default run id's hash runs on a thread that ingest.account_trace
     # starts and joins; cli.py only calls it.

@@ -244,11 +244,37 @@ def test_cost_model_over_arrays_is_the_scalar_one_bit_for_bit(scaled):
         # input_bytes is checked here once; the scaling step takes it as is.
         (([1, 1], [1, 1], [GIB, 0]), ValueError),
         ((1, 1, 0), ValueError),
+        # Shapes that do not broadcast, whether or not the sizes are all
+        # the reference one.
+        (([4, 5, 6], [4, 5, 6], [12 * GIB, 12 * GIB]), ShapeMismatchError),
+        (([4, 5, 6], [4, 5, 6], [12 * GIB, 24 * GIB]), ShapeMismatchError),
+        (([4, 5], [4, 5], np.full((2, 3), 12 * GIB)), ShapeMismatchError),
     ],
 )
 def test_cost_model_holds_arrays_to_job_config_rules(args, error):
     with pytest.raises(error):
         SURFACE.predict(*args)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["no-line", "line"])
+def test_a_prediction_takes_the_broadcast_shape_whatever_the_sizes(scaled):
+    ref = 12 * GIB
+    model = _sized(7.3e2, 4.2e11, ref) if scaled else SURFACE
+    at_ref = model.predict(4, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # sizes all equal to the reference warn nothing
+        assert type(model.predict(4, 8, ref)) is float
+        assert model.predict(4, 8, [ref, ref]).tolist() == [at_ref] * 2
+        column = model.predict([4, 5], [8, 8], np.full((3, 1), ref))
+        assert column.shape == (3, 2)
+        assert column.tolist() == [model.predict([4, 5], [8, 8]).tolist()] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # without a line, other sizes warn
+        assert model.predict(4, 8, [ref, 2 * ref]).shape == (2,)
+        assert model.predict([4, 5], [8, 8], np.array([[ref], [2 * ref], [ref]])).shape == (3, 2)
+    for sizes in ([ref, ref], [ref, 2 * ref]):
+        with pytest.raises(ShapeMismatchError, match=r"\(3,\) but input_bytes \(2,\)"):
+            model.predict([4, 5, 6], [4, 5, 6], sizes)
 
 
 def test_cost_model_takes_numpy_integer_scalars():
@@ -263,6 +289,12 @@ def test_a_size_line_must_be_finite():
     for line in ((float("inf"), 0.0), (1.0, float("nan"))):
         with pytest.raises(ValueError, match="size line slope and intercept must be finite"):
             _sized(*line, GIB)
+
+
+def test_a_size_line_holds_two_numbers():
+    for line in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(ShapeMismatchError, match=r"^a size line holds 2 numbers, got shape"):
+            dataclasses.replace(SURFACE, line=line)
 
 
 def _profiles(apps, sizes):

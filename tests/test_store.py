@@ -291,6 +291,13 @@ def test_model_with_invalid_scaling_section_is_corrupt(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("document", ["[]", "null", "5", '"model"'])
+def test_a_model_file_that_is_not_a_json_object_is_corrupt(tmp_path, document):
+    path = tmp_path / "model.json"
+    path.write_text(document)
+    with pytest.raises(CorruptRecordError, match=f"^{_named(path)}: not a JSON object$"):
+        load_model(path)
+
 def test_model_with_an_empty_app_is_corrupt(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, MODEL)
